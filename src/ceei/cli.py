@@ -6,12 +6,12 @@ diagnostics on stderr.  Exit codes are uniform across subcommands:
     0  verdict holds / solution found / document written
     1  verdict fails / no solution exists
     2  invalid input (syntax, schema, invariants, bad parameters)
-    3  the equilibrium solver did not converge
+    3  the equilibrium solver found no exactly certified equilibrium
     4  an enumeration guard was exceeded
     5  a truncated search left the question undecided
 
-Exact rationals are reported as {"exact": "19/20", "decimal": 0.95} pairs;
-plain floats stay plain.
+Exact rationals are reported as {"exact": "19/20", "decimal": 0.95} pairs,
+with a null decimal for values beyond float range; plain floats stay plain.
 """
 
 from __future__ import annotations
@@ -26,20 +26,10 @@ from . import search
 from .equilibrium import SolverConfig, solve_eg
 from .errors import (
     CeeiError,
-    DimensionMismatch,
-    DocumentSyntaxError,
-    EmptyMultiset,
     InconclusiveSearch,
     InstanceTooLarge,
-    InvalidAssignment,
-    InvariantError,
     NonConvergence,
-    NotBinary,
-    NotIdenticalUtilities,
     SchemaError,
-    SumMismatch,
-    WindowViolation,
-    ZeroUtility,
 )
 from .fairness import (
     is_envy_free,
@@ -73,21 +63,7 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_TOO_LARGE = 4
 EXIT_INCONCLUSIVE = 5
 
-_INVALID_INPUT = (
-    DocumentSyntaxError,
-    SchemaError,
-    InvariantError,
-    InvalidAssignment,
-    DimensionMismatch,
-    EmptyMultiset,
-    WindowViolation,
-    SumMismatch,
-    NotBinary,
-    NotIdenticalUtilities,
-    ZeroUtility,
-    OSError,
-    ValueError,
-)
+_INVALID_INPUT = (OSError, ValueError)
 
 
 def main(argv=None) -> int:
@@ -126,7 +102,6 @@ def _build_parser():
     solve.add_argument("--tolerance", type=float, default=1e-10, help="relative utility convergence tolerance")
     solve.add_argument("--max-iter", type=int, default=100_000)
     solve.add_argument("--seed", type=int, default=None, help="seed for randomized starting bids")
-    _common_flags(solve)
     solve.set_defaults(handler=_cmd_solve)
 
     check = sub.add_parser("check", help="verify a fairness notion for a discrete assignment")
@@ -134,7 +109,6 @@ def _build_parser():
     check.add_argument("assignment", help="path to an {\"owner\": [...]} document")
     check.add_argument("notion", choices=["ef", "po", "ceei-frac", "ceei-disc"])
     check.add_argument("--limit-nodes", type=int, default=None, help="enumeration guard override")
-    _common_flags(check)
     check.set_defaults(handler=_cmd_check)
 
     searchp = sub.add_parser("search", help="search for discrete assignments")
@@ -145,7 +119,6 @@ def _build_parser():
     )
     searchp.add_argument("--limit-nodes", type=int, default=None)
     searchp.add_argument("--limit-seconds", type=float, default=None)
-    _common_flags(searchp)
     searchp.set_defaults(handler=_cmd_search)
 
     gen = sub.add_parser("gen", help="generate an instance document")
@@ -159,14 +132,9 @@ def _build_parser():
     gen.add_argument("--set", dest="integers", default=None, help="comma-separated integers (partition)")
     gen.add_argument("--weights", default=None, help="comma-separated weights (3partition)")
     gen.add_argument("--bound", type=int, default=None, help="target sum W (3partition)")
-    _common_flags(gen)
     gen.set_defaults(handler=_cmd_gen)
 
     return parser
-
-
-def _common_flags(sub):
-    sub.add_argument("--format", choices=["json"], default="json")
 
 
 def _cmd_solve(args):
@@ -345,7 +313,11 @@ def _report(command, inst):
 def _number(value):
     if isinstance(value, Fraction):
         rendered = str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
-        return {"exact": rendered, "decimal": float(value)}
+        try:
+            decimal = float(value)
+        except OverflowError:
+            decimal = None
+        return {"exact": rendered, "decimal": decimal}
     return value
 
 

@@ -7,12 +7,12 @@ bid shares.  Market clearing and budget exhaustion hold by construction at
 every iterate, so only bang-per-buck optimality has to converge.
 
 Once the utility vector is stable, the float iterate is used only to guess
-which agent-object edges carry spending.  From that guess the unique
+which agent-object edges carry spending: those whose bang per buck u_ij/p_j
+is within a relative 1e-4 of the agent's best.  From that guess the unique
 equilibrium utilities and prices are reconstructed in exact rational
-arithmetic and verified against the optimality conditions; on success the
-returned solution is exact and its residual is literally zero.  If the guess
-cannot be certified the float iterate itself is returned, provided its
-measured residual meets the configured tolerance.
+arithmetic and verified against the optimality conditions.  Every returned
+solution is therefore exact, with a residual of literally zero; when no guess
+certifies within the iteration budget the solver raises NonConvergence.
 """
 
 from __future__ import annotations
@@ -34,24 +34,22 @@ from .model import (
     FractionalAssignment,
     Instance,
     PriceVector,
-    agent_utilities,
     as_fractional,
     to_rational,
     validate_instance,
 )
 
-_CERTIFY_THRESHOLDS = (1e-6, 1e-8, 1e-4)
+_TIGHT_RATIO = 1 - 1e-4  # float bang per buck this close to the best counts as tight
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     convergence_tolerance: float = 1e-10  # relative utility change between rounds
     max_iterations: int = 100_000
-    kkt_tolerance: float = 1e-8
 
     def __post_init__(self):
-        if self.convergence_tolerance <= 0 or self.kkt_tolerance <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.convergence_tolerance <= 0:
+            raise ValueError("convergence_tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 
@@ -60,8 +58,9 @@ class SolverConfig:
 class EquilibriumSolution:
     """Equilibrium allocation, utilities, prices, and convergence diagnostics.
 
-    `certified` records whether the exact-rational reconstruction succeeded;
-    when it did, `u_star`, `p_star` and `x` are exact and `kkt_residual` is 0.
+    Every solution is certified in exact rational arithmetic: `u_star`,
+    `p_star` and `x` are exact, `certified` is always True and `kkt_residual`
+    is always 0.0.  Both fields are kept for callers that read them.
     """
 
     x: FractionalAssignment
@@ -151,11 +150,11 @@ def kkt_residual(inst: Instance, allocation, prices, support_tolerance=0) -> Res
 def solve_eg(inst: Instance, config: Optional[SolverConfig] = None, seed=None) -> EquilibriumSolution:
     """Maximize the sum of log utilities over fractional assignments.
 
-    Returns the equilibrium allocation, the (unique) utility and price
-    vectors, and diagnostics.  `seed` switches the deterministic uniform-bid
-    start to seeded random bids; the answer does not depend on it.
-    Raises NonConvergence if the iteration budget runs out while the measured
-    residual still exceeds `config.kkt_tolerance`.
+    Returns the exact equilibrium allocation, the (unique) utility and price
+    vectors, and the iteration count.  `seed` switches the deterministic
+    uniform-bid start to seeded random bids; the answer does not depend on it.
+    Raises NonConvergence if no support guess certifies before the iterate
+    converges or the iteration budget runs out.
     """
     cfg = config or SolverConfig()
     violations = validate_instance(inst)
@@ -163,7 +162,9 @@ def solve_eg(inst: Instance, config: Optional[SolverConfig] = None, seed=None) -
         raise InvariantError(violations)
 
     n, m = inst.n, inst.m
-    utilities = np.array([[float(v) for v in row] for row in inst.utilities])
+    # Scaling a row only rescales that agent's utility, so dividing each row by
+    # its max (exactly, before rounding) keeps every float in range.
+    utilities = np.array([_row_over_max(row) for row in inst.utilities])
     if seed is None:
         bids = np.full((n, m), 1.0 / m)
     else:
@@ -176,9 +177,6 @@ def solve_eg(inst: Instance, config: Optional[SolverConfig] = None, seed=None) -
     # near-stable; a successful attempt is exact and ends the solve early.
     trigger = max(cfg.convergence_tolerance, 1e-6)
     u_prev = None
-    shares = bids
-    prices = bids.sum(axis=0)
-    iterations = 0
     last_attempt = None
     for iterations in range(1, cfg.max_iterations + 1):
         prices = bids.sum(axis=0)
@@ -189,9 +187,10 @@ def solve_eg(inst: Instance, config: Optional[SolverConfig] = None, seed=None) -
             np.max(np.abs(u - u_prev) / np.maximum(u, 1e-300)) if u_prev is not None else np.inf
         )
         converged = delta < cfg.convergence_tolerance
-        if converged or (delta < trigger and (last_attempt is None or iterations - last_attempt >= 250)):
+        due = delta < trigger and (last_attempt is None or iterations - last_attempt >= 250)
+        if converged or due or iterations == cfg.max_iterations:
             last_attempt = iterations
-            certified = _certify(inst, shares)
+            certified = _certify(inst, utilities, prices)
             if certified is not None:
                 x, u_star, p_star = certified
                 return EquilibriumSolution(
@@ -207,33 +206,7 @@ def solve_eg(inst: Instance, config: Optional[SolverConfig] = None, seed=None) -
         u_prev = u
         bids = gains / np.maximum(u[:, None], 1e-300)
 
-    if last_attempt != iterations:
-        certified = _certify(inst, shares)
-        if certified is not None:
-            x, u_star, p_star = certified
-            return EquilibriumSolution(
-                x=x,
-                u_star=u_star,
-                p_star=p_star,
-                iterations=iterations,
-                kkt_residual=0.0,
-                certified=True,
-            )
-
-    x = _column_normalized(shares)
-    p_star = PriceVector([to_rational(float(pj)) for pj in prices])
-    report = kkt_residual(inst, x, p_star, support_tolerance=cfg.kkt_tolerance)
-    residual = float(report.max_violation)
-    if residual > cfg.kkt_tolerance:
-        raise NonConvergence(iterations, residual)
-    return EquilibriumSolution(
-        x=x,
-        u_star=agent_utilities(inst, x),
-        p_star=p_star,
-        iterations=iterations,
-        kkt_residual=residual,
-        certified=False,
-    )
+    raise NonConvergence(iterations, float(delta))
 
 
 def _allocation_rows(inst, allocation):
@@ -249,43 +222,33 @@ def _allocation_rows(inst, allocation):
     return rows
 
 
-def _column_normalized(shares) -> FractionalAssignment:
-    """Exact-rational copy of a float share matrix with columns rescaled to 1."""
-    n, m = shares.shape
-    rows = [[Fraction(float(shares[i, j])) for j in range(m)] for i in range(n)]
-    for j in range(m):
-        total = sum(rows[i][j] for i in range(n))
-        for i in range(n):
-            rows[i][j] /= total
-    return FractionalAssignment(rows)
+def _row_over_max(row):
+    top = max(row)
+    return [float(v / top) for v in row]
 
 
-def _certify(inst, shares):
-    for threshold in _CERTIFY_THRESHOLDS:
-        result = _certify_support(inst, shares, threshold)
-        if result is not None:
-            return result
-    return None
+def _certify(inst, utilities, prices):
+    """Guess the spending support from float bang-per-buck tightness and certify it."""
+    ratios = utilities / np.maximum(prices, 1e-300)
+    best = ratios.max(axis=1, keepdims=True)
+    tight = (utilities > 0) & (ratios >= _TIGHT_RATIO * best)
+    return _certify_support(inst, tight)
 
 
-def _certify_support(inst, shares, threshold):
+def _certify_support(inst, tight):
     """Reconstruct the exact equilibrium from a guessed spending support.
 
-    Edges with share above `threshold` are assumed to carry money.  Along any
-    such edge the price is pinned to p_j = u_ij / u_i, which fixes every
-    utility and price inside a connected component up to one scale; the scale
-    follows from the component's agents spending their whole budgets.  The
-    reconstruction is then verified exactly: ratio consistency on the guessed
-    edges, global optimality u_ij <= u_i * p_j, and existence of a feasible
-    exact money flow.  Any failure returns None (the caller falls back to the
-    float iterate).
+    Edges marked in the boolean matrix `tight` are assumed to carry money.
+    Along any such edge the price is pinned to p_j = u_ij / u_i, which fixes
+    every utility and price inside a connected component up to one scale; the
+    scale follows from the component's agents spending their whole budgets.
+    The reconstruction is then verified exactly: ratio consistency on the
+    guessed edges, global optimality u_ij <= u_i * p_j, and existence of a
+    feasible exact money flow.  Any failure returns None.
     """
     n, m = inst.n, inst.m
     utilities = inst.utilities
-    support = [
-        [j for j in range(m) if shares[i, j] > threshold and utilities[i][j] > 0]
-        for i in range(n)
-    ]
+    support = [[j for j in range(m) if tight[i, j]] for i in range(n)]
     if any(not edges for edges in support):
         return None
     by_object = [[] for _ in range(m)]

@@ -34,7 +34,11 @@ class InstanceTooLarge(CeeiError):
 
 
 class NonConvergence(CeeiError):
-    """The equilibrium solver stopped without meeting its tolerances."""
+    """The equilibrium solver stopped without an exactly certified equilibrium.
+
+    `residual` is the last relative utility change between rounds of the
+    float iteration (infinite after a single round).
+    """
 
     def __init__(self, iterations, residual):
         self.iterations = iterations

@@ -18,13 +18,14 @@ from fractions import Fraction
 from typing import Optional
 
 from . import simplex
-from .errors import DimensionMismatch, InstanceTooLarge, InvalidAssignment
+from .errors import DimensionMismatch, InstanceTooLarge, InvalidAssignment, InvariantError
 from .model import (
     Certificate,
     DiscreteAssignment,
     DominatingAssignment,
     EnvyPair,
     Instance,
+    InstanceViolation,
     KktViolation,
     PriceSupport,
     PriceVector,
@@ -123,6 +124,7 @@ def verify_ceei_frac(inst: Instance, y: DiscreteAssignment) -> Verdict:
     Certificates: the supporting prices on success; on failure either the
     first owned object missing its maximum ratio, or (for a zero-utility
     agent) a singleton bundle that agent strictly prefers to its own.
+    Raises InvariantError if such an agent values no object at all.
     """
     check_assignment(inst, y)
     n = inst.n
@@ -132,7 +134,9 @@ def verify_ceei_frac(inst: Instance, y: DiscreteAssignment) -> Verdict:
     ]
     for i in range(n):
         if values[i] == 0:
-            wanted = next(j for j in range(inst.m) if inst.utilities[i][j] > 0)
+            wanted = next((j for j in range(inst.m) if inst.utilities[i][j] > 0), None)
+            if wanted is None:
+                raise InvariantError([InstanceViolation("zero_row", agent=i)])
             return Verdict(False, ViolatingBundle(i, (wanted,)))
     prices = [max(inst.utilities[k][j] / values[k] for k in range(n)) for j in range(inst.m)]
     for i in range(n):

@@ -25,10 +25,8 @@ from .errors import (
     NotBinary,
     NotIdenticalUtilities,
 )
-from .fairness import verify_ceei_disc, verify_ceei_frac
+from .fairness import DEFAULT_ENUM_LIMIT, verify_ceei_disc, verify_ceei_frac
 from .model import DiscreteAssignment, Instance
-
-DEFAULT_ENUM_LIMIT = 20_000_000
 
 
 @dataclass(frozen=True)

@@ -62,6 +62,16 @@ class TestSolve:
         assert report is None
         assert "no equilibrium" in err
 
+    def test_utility_beyond_float_range_solves(self, workdir, capsys):
+        huge = 10**400
+        (workdir / "huge.json").write_text(
+            f'{{"agents":2,"objects":2,"utilities":[[{huge},1],[1,1]]}}'
+        )
+        code, report, _ = run(capsys, "solve", workdir / "huge.json")
+        assert code == 0
+        assert report["result"]["certified_exact"]
+        assert report["result"]["u_star"][0] == {"exact": str(huge), "decimal": None}
+
 
 class TestCheck:
     def test_lopsided_fails_fractional_support(self, workdir, capsys):

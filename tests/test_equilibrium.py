@@ -100,6 +100,32 @@ class TestSolveEg:
         assert bumped.x == base.x
         assert nash_welfare(scaled, bumped.x) == nash_welfare(inst, base.x) * 7
 
+    def test_huge_utility_does_not_overflow(self):
+        inst = Instance([[10**400, 1], [1, 1]])
+        sol = solve_eg(inst)
+        assert sol.certified
+        assert sol.u_star == (10**400, 1)
+        assert sol.p_star.prices == (1, 1)
+
+    def test_tiny_utility_row_converges(self):
+        tiny = Fraction(1, 10**400)
+        inst = Instance([[tiny, tiny], [1, 2]])
+        sol = solve_eg(inst)
+        assert sol.certified
+        assert sol.u_star == (tiny, 2)
+        assert sol.p_star.prices == (1, 1)
+
+    @pytest.mark.parametrize(
+        "n, m, seed", [(3, 6, 438), (4, 8, 158), (4, 8, 159), (6, 12, 18), (15, 30, 0)]
+    )
+    def test_bang_per_buck_support_certifies(self, n, m, seed):
+        # share thresholds never separated these supports before convergence
+        inst = gen_random(n, m, 100, seed=seed)
+        sol = solve_eg(inst)
+        assert sol.certified
+        assert sum(sol.p_star.prices) == inst.n
+        assert kkt_residual(inst, sol.x, sol.p_star).max_violation == 0
+
     def test_welfare_dominates_random_fractional_assignments(self):
         rng = random.Random(5)
         for seed in range(8):

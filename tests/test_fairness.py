@@ -8,6 +8,7 @@ from ceei import (
     EnvyPair,
     Instance,
     InstanceTooLarge,
+    InvariantError,
     KktViolation,
     ViolatingBundle,
     bundle_utility,
@@ -104,6 +105,13 @@ class TestVerifyFractionalSupport:
         verdict = verify_ceei_frac(inst, DiscreteAssignment([0, 0]))
         assert not verdict.holds
         assert verdict.certificate == ViolatingBundle(agent=1, objects=(0,))
+
+    def test_agent_valuing_nothing_is_an_invariant_error(self):
+        inst = Instance([[0, 0], [1, 1]])
+        with pytest.raises(InvariantError) as excinfo:
+            verify_ceei_frac(inst, DiscreteAssignment([1, 1]))
+        assert [v.kind for v in excinfo.value.violations] == ["zero_row"]
+        assert excinfo.value.violations[0].agent == 0
 
 
 class TestVerifyDiscreteSupport:
