@@ -32,6 +32,7 @@ from .errors import (
     SchemaError,
 )
 from .fairness import (
+    bundle_values,
     is_envy_free,
     is_pareto_optimal_discrete,
     verify_ceei_disc,
@@ -63,7 +64,16 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_TOO_LARGE = 4
 EXIT_INCONCLUSIVE = 5
 
-_INVALID_INPUT = (OSError, ValueError)
+# The exit code of each error a handler may raise, first match wins; any
+# other exception is a bug and propagates.
+_ERROR_EXITS = (
+    (NonConvergence, EXIT_NO_CONVERGENCE),
+    (InstanceTooLarge, EXIT_TOO_LARGE),
+    (OSError, EXIT_INVALID),
+    (ValueError, EXIT_INVALID),
+    (CeeiError, EXIT_INVALID),
+)
+_HANDLED = tuple(kind for kind, _code in _ERROR_EXITS)
 
 
 def main(argv=None) -> int:
@@ -72,21 +82,11 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         report, code = args.handler(args)
-    except NonConvergence as exc:
-        return _fail(exc, EXIT_NO_CONVERGENCE)
-    except InstanceTooLarge as exc:
-        return _fail(exc, EXIT_TOO_LARGE)
-    except _INVALID_INPUT as exc:
-        return _fail(exc, EXIT_INVALID)
-    except CeeiError as exc:
-        return _fail(exc, EXIT_INVALID)
+    except _HANDLED as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for kind, code in _ERROR_EXITS if isinstance(exc, kind))
     report["timings"] = {"total_seconds": time.monotonic() - started}
     print(json.dumps(report, indent=2))
-    return code
-
-
-def _fail(exc, code):
-    print(f"error: {exc}", file=sys.stderr)
     return code
 
 
@@ -242,7 +242,7 @@ def _cmd_search(args):
     if found is None:
         report["result"] = {"status": "none"}
         return report, EXIT_FAILS
-    utility = sum((inst.utilities[0][j] for j in found.bundle(0)), Fraction(0))
+    utility = bundle_values(inst.utilities, found.owner)[0]
     report["result"] = {
         "status": "found",
         "owner": list(found.owner),

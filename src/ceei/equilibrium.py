@@ -104,19 +104,18 @@ def equilibrium_prices_from_utilities(inst: Instance, utilities: Sequence) -> Pr
     return PriceVector(prices)
 
 
-def kkt_residual(inst: Instance, allocation, prices, support_tolerance=0) -> ResidualReport:
+def kkt_residual(inst: Instance, allocation, prices) -> ResidualReport:
     """Report how far (allocation, prices) is from the equilibrium conditions.
 
     `allocation` may be a FractionalAssignment, a DiscreteAssignment, or raw
     rows (raw rows are deliberately not validated, so that incomplete
     candidates can be scored).  Bang-per-buck gaps are measured relative to
-    the agent's best ratio and only on entries above `support_tolerance`.
+    the agent's best ratio, on every positive entry.
     """
     rows = _allocation_rows(inst, allocation)
     p = [to_rational(v) for v in (prices.prices if isinstance(prices, PriceVector) else prices)]
     if len(p) != inst.m:
         raise DimensionMismatch("price vector", inst.m, len(p))
-    tol = to_rational(support_tolerance)
 
     clearing = max(abs(sum(rows[i][j] for i in range(inst.n)) - 1) for j in range(inst.m))
     budget = max(
@@ -137,7 +136,7 @@ def kkt_residual(inst: Instance, allocation, prices, support_tolerance=0) -> Res
             elif u[j] > 0:
                 free_valued = True  # a valued object priced at 0 beats any finite ratio
         for j in range(inst.m):
-            if rows[i][j] <= tol:
+            if rows[i][j] <= 0:
                 continue
             if free_valued and p[j] > 0:
                 worst_gap = max(worst_gap, Fraction(1))

@@ -9,12 +9,17 @@ Four notions are decided here:
 * price support over discrete demand (the weak notion), by maximizing a
   uniform affordability slack with an exact simplex over the inclusion-minimal
   strictly-better bundles.
+
+Bundle values come from `bundle_values`.  Every n^m search, here and in
+`search`, walks the owner vectors through `assignments`: one guard, one
+iterative odometer, no recursion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import ge
 from typing import Optional
 
 from . import simplex
@@ -42,6 +47,61 @@ class Verdict:
     certificate: Optional[Certificate]
 
 
+def _numeric_rows(inst):
+    # plain ints are dramatically faster than Fractions in the hot loops
+    if all(v.denominator == 1 for row in inst.utilities for v in row):
+        return [[int(v) for v in row] for row in inst.utilities]
+    return [list(row) for row in inst.utilities]
+
+
+def bundle_values(rows, owner):
+    """values[k]: rows[k] summed over the objects `owner` gives agent k.
+
+    Pass one row n times to value every bundle with that row.  Sums start
+    from int 0, so integer rows stay integers and exact rows give Fractions
+    (or 0 for an empty bundle).
+    """
+    values = [0] * len(rows)
+    for j, k in enumerate(owner):
+        values[k] += rows[k][j]
+    return values
+
+
+def assignments(inst: Instance, limit=DEFAULT_ENUM_LIMIT):
+    """Every owner vector in lexicographic order, with each agent's own total.
+
+    Raises InstanceTooLarge at once when n^m exceeds `limit`.  Yields
+    (owner, totals) pairs; a flat odometer updates both lists in place at
+    amortized O(1) per step, so copy them to keep them.  Totals are ints when
+    every utility is integral and Fractions otherwise.
+    """
+    n, m = inst.n, inst.m
+    required = n**m
+    if required > limit:
+        raise InstanceTooLarge(n, m, limit, required)
+    return _odometer(_numeric_rows(inst), n, m)
+
+
+def _odometer(rows, n, m):
+    owner = [0] * m
+    totals = bundle_values(rows, owner)
+    last = n - 1
+    while True:
+        yield owner, totals
+        j = m - 1
+        while j >= 0 and owner[j] == last:
+            owner[j] = 0
+            totals[last] -= rows[last][j]
+            totals[0] += rows[0][j]
+            j -= 1
+        if j < 0:
+            return
+        i = owner[j]
+        owner[j] = i + 1
+        totals[i] -= rows[i][j]
+        totals[i + 1] += rows[i + 1][j]
+
+
 def check_assignment(inst: Instance, y: DiscreteAssignment):
     """Raise unless y is a complete assignment of this instance's objects."""
     if y.m != inst.m:
@@ -56,11 +116,7 @@ def is_envy_free(inst: Instance, y: DiscreteAssignment) -> Verdict:
     The certificate on failure is the lexicographically first envious pair.
     """
     check_assignment(inst, y)
-    bundles = y.bundles(inst.n)
-    values = [
-        [sum((inst.utilities[i][j] for j in bundles[k]), Fraction(0)) for k in range(inst.n)]
-        for i in range(inst.n)
-    ]
+    values = [bundle_values([row] * inst.n, y.owner) for row in inst.utilities]
     for i in range(inst.n):
         for k in range(inst.n):
             if i != k and values[i][i] < values[i][k]:
@@ -77,38 +133,12 @@ def is_pareto_optimal_discrete(inst: Instance, y: DiscreteAssignment, limit=DEFA
     contract rather than a soft warning.
     """
     check_assignment(inst, y)
-    n, m = inst.n, inst.m
-    required = n**m
-    if required > limit:
-        raise InstanceTooLarge(n, m, limit, required)
-    utilities = inst.utilities
-    base = [sum((utilities[i][j] for j in y.bundle(i)), Fraction(0)) for i in range(n)]
-
-    owner = [0] * m
-    current = [Fraction(0)] * n
-
-    def descend(j):
-        if j == m:
-            some_strict = False
-            for i in range(n):
-                if current[i] < base[i]:
-                    return None
-                if current[i] > base[i]:
-                    some_strict = True
-            return tuple(owner) if some_strict else None
-        for i in range(n):
-            owner[j] = i
-            current[i] += utilities[i][j]
-            found = descend(j + 1)
-            current[i] -= utilities[i][j]
-            if found is not None:
-                return found
-        return None
-
-    found = descend(0)
-    if found is None:
-        return Verdict(True, None)
-    return Verdict(False, DominatingAssignment(DiscreteAssignment(found)))
+    walk = assignments(inst, limit)
+    base = bundle_values(_numeric_rows(inst), y.owner)
+    for owner, totals in walk:
+        if totals != base and all(map(ge, totals, base)):
+            return Verdict(False, DominatingAssignment(DiscreteAssignment(owner)))
+    return Verdict(True, None)
 
 
 def verify_ceei_frac(inst: Instance, y: DiscreteAssignment) -> Verdict:
@@ -129,9 +159,7 @@ def verify_ceei_frac(inst: Instance, y: DiscreteAssignment) -> Verdict:
     check_assignment(inst, y)
     n = inst.n
     bundles = y.bundles(n)
-    values = [
-        sum((inst.utilities[i][j] for j in bundles[i]), Fraction(0)) for i in range(n)
-    ]
+    values = bundle_values(inst.utilities, y.owner)
     for i in range(n):
         if values[i] == 0:
             wanted = next((j for j in range(inst.m) if inst.utilities[i][j] > 0), None)

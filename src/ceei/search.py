@@ -7,7 +7,9 @@ bipartite flows.  On top of those sit the existence deciders for the two
 price-support notions and the equal-split finder for identical utilities.
 
 Ties are broken lexicographically by owner vector wherever the search is
-exhaustive, so optima are canonical and runs are reproducible.
+exhaustive, so optima are canonical and runs are reproducible.  Exhaustive
+searches walk `fairness.assignments` (one n^m guard); branch and bound and the
+partition search keep explicit stacks.  Nothing here recurses.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Optional
 
 from ._flow import max_flow
@@ -25,7 +28,13 @@ from .errors import (
     NotBinary,
     NotIdenticalUtilities,
 )
-from .fairness import DEFAULT_ENUM_LIMIT, verify_ceei_disc, verify_ceei_frac
+from .fairness import (
+    DEFAULT_ENUM_LIMIT,
+    _numeric_rows,
+    assignments,
+    verify_ceei_disc,
+    verify_ceei_frac,
+)
 from .model import DiscreteAssignment, Instance
 
 
@@ -43,22 +52,6 @@ class SearchResult:
     optimal: bool  # False when a node or time budget truncated the search
 
 
-def _numeric_rows(inst):
-    # plain ints are dramatically faster than Fractions in the hot loops
-    if all(v.denominator == 1 for row in inst.utilities for v in row):
-        return [[int(v) for v in row] for row in inst.utilities]
-    return [list(row) for row in inst.utilities]
-
-
-def _welfare(values):
-    welfare = 1
-    for v in values:
-        if v == 0:
-            return 0
-        welfare *= v
-    return welfare
-
-
 def brute_force_max_nash(inst: Instance, limit=DEFAULT_ENUM_LIMIT) -> SearchResult:
     """Enumerate all n^m complete assignments and keep the welfare maximum.
 
@@ -66,34 +59,15 @@ def brute_force_max_nash(inst: Instance, limit=DEFAULT_ENUM_LIMIT) -> SearchResu
     earlier vector, so the optimum is canonical.  This is the independent
     oracle for every other discrete-search claim in the package.
     """
-    n, m = inst.n, inst.m
-    required = n**m
-    if required > limit:
-        raise InstanceTooLarge(n, m, limit, required)
-    rows = _numeric_rows(inst)
-
-    owner = [0] * m
-    totals = [0] * n
     best_owner = None
     best_welfare = -1
     leaves = 0
-
-    def descend(j):
-        nonlocal best_owner, best_welfare, leaves
-        if j == m:
-            leaves += 1
-            welfare = _welfare(totals)
-            if welfare > best_welfare:
-                best_welfare = welfare
-                best_owner = tuple(owner)
-            return
-        for i in range(n):
-            owner[j] = i
-            totals[i] += rows[i][j]
-            descend(j + 1)
-            totals[i] -= rows[i][j]
-
-    descend(0)
+    for owner, totals in assignments(inst, limit):
+        leaves += 1
+        welfare = math.prod(totals)
+        if welfare > best_welfare:
+            best_welfare = welfare
+            best_owner = tuple(owner)
     return SearchResult(
         best=DiscreteAssignment(best_owner),
         welfare=Fraction(best_welfare),
@@ -125,47 +99,50 @@ def max_nash_discrete(inst: Instance, budgets: Optional[SearchBudgets] = None) -
 
     owner = [0] * m
     totals = [0] * n
-    # seed the incumbent with the all-to-agent-0 assignment so truncated
-    # searches still return a complete result
+    # seed the incumbent with the all-to-agent-0 assignment (welfare 0 unless
+    # n == 1) so truncated searches still return a complete result
     best_owner = tuple([0] * m)
-    best_welfare = _welfare([sum(rows[i][j] for j in range(m)) if i == 0 else 0 for i in range(n)])
+    best_welfare = sum(rows[0]) if n == 1 else 0
     nodes = 0
     truncated = False
     deadline = time.monotonic() + budgets.max_seconds if budgets.max_seconds is not None else None
 
-    def over_budget():
-        nonlocal truncated
-        if budgets.max_nodes is not None and nodes >= budgets.max_nodes:
-            truncated = True
-        elif deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
-            truncated = True
-        return truncated
-
-    def descend(k):
-        nonlocal best_owner, best_welfare, nodes
+    # Depth-first over order[0..m-1] with the path kept in `owner`: entering a
+    # node at depth k counts it, scores a leaf or descends into agent 0, and a
+    # finished node backtracks to the deepest object with an untried agent.
+    k = 0
+    while True:
         nodes += 1
-        if over_budget():
-            return
+        if (budgets.max_nodes is not None and nodes >= budgets.max_nodes) or (
+            deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline
+        ):
+            truncated = True
+            break
         if k == m:
-            welfare = _welfare(totals)
-            candidate = tuple(owner)
-            if welfare > best_welfare or (welfare == best_welfare and candidate < best_owner):
+            welfare = math.prod(totals)
+            if welfare > best_welfare or (welfare == best_welfare and tuple(owner) < best_owner):
                 best_welfare = welfare
-                best_owner = candidate
-            return
-        bound = _welfare([totals[i] + suffix[k][i] for i in range(n)])
-        if bound < best_welfare or (bound == 0 and best_welfare == 0):
-            return
-        j = order[k]
-        for i in range(n):
-            owner[j] = i
-            totals[i] += rows[i][j]
-            descend(k + 1)
+                best_owner = tuple(owner)
+        else:
+            bound = math.prod(map(add, totals, suffix[k]))
+            if bound >= best_welfare and (bound or best_welfare):
+                j = order[k]
+                owner[j] = 0
+                totals[0] += rows[0][j]
+                k += 1
+                continue
+        while k:
+            k -= 1
+            j = order[k]
+            i = owner[j]
             totals[i] -= rows[i][j]
-            if truncated:
-                return
-
-    descend(0)
+            if i + 1 < n:
+                owner[j] = i + 1
+                totals[i + 1] += rows[i + 1][j]
+                k += 1
+                break
+        else:
+            break
     return SearchResult(
         best=DiscreteAssignment(best_owner),
         welfare=Fraction(best_welfare),
@@ -254,7 +231,7 @@ def binary_max_nash(inst: Instance) -> SearchResult:
     for (u, v), amount in flow.items():
         if amount and u != source and v != sink:
             owner[v - 1 - n] = u - 1
-    welfare = _welfare(counts)
+    welfare = math.prod(counts)
     return SearchResult(
         best=DiscreteAssignment(owner),
         welfare=Fraction(welfare),
@@ -290,27 +267,26 @@ def find_ceei_disc_identical(inst: Instance) -> Optional[DiscreteAssignment]:
     loads = [0] * n
     owner = [None] * m
 
-    def descend(k):
-        if k == m:
-            return True
-        j = order[k]
-        w = weights[j]
-        tried = set()
-        for b in range(n):
-            if loads[b] in tried:
-                continue
-            tried.add(loads[b])
-            if loads[b] + w <= target:
+    # Place order[k] in the first bin from `start` on with room and a load no
+    # earlier bin shares; with none left, take order[k-1] back out of its bin
+    # (`owner` is the stack) and resume after that bin.
+    k, start = 0, 0
+    while k < m:
+        w = weights[order[k]]
+        for b in range(start, n):
+            if loads[b] + w <= target and loads[b] not in loads[:b]:
                 loads[b] += w
-                owner[j] = b
-                if descend(k + 1):
-                    return True
-                loads[b] -= w
-        return False
-
-    if descend(0):
-        return DiscreteAssignment(owner)
-    return None
+                owner[order[k]] = b
+                k, start = k + 1, 0
+                break
+        else:
+            if k == 0:
+                return None
+            k -= 1
+            b = owner[order[k]]
+            loads[b] -= weights[order[k]]
+            start = b + 1
+    return DiscreteAssignment(owner)
 
 
 def exists_ceei_disc_bruteforce(inst: Instance, limit=DEFAULT_ENUM_LIMIT):
@@ -320,26 +296,12 @@ def exists_ceei_disc_bruteforce(inst: Instance, limit=DEFAULT_ENUM_LIMIT):
     on each, so the cost is n^m price LPs; strictly a desk-scale instrument.
     Returns (assignment, prices) or None.
     """
-    n, m = inst.n, inst.m
-    required = n**m
-    if required > limit:
-        raise InstanceTooLarge(n, m, limit, required)
-    if (1 << m) > limit:
-        raise InstanceTooLarge(n, m, limit, 1 << m)
-
-    owner = [0] * m
-
-    def descend(j):
-        if j == m:
-            verdict = verify_ceei_disc(inst, DiscreteAssignment(owner), limit=limit)
-            if verdict.holds:
-                return DiscreteAssignment(list(owner)), verdict.certificate.prices
-            return None
-        for i in range(n):
-            owner[j] = i
-            found = descend(j + 1)
-            if found is not None:
-                return found
-        return None
-
-    return descend(0)
+    walk = assignments(inst, limit)
+    if (1 << inst.m) > limit:
+        raise InstanceTooLarge(inst.n, inst.m, limit, 1 << inst.m)
+    for owner, _totals in walk:
+        y = DiscreteAssignment(owner)
+        verdict = verify_ceei_disc(inst, y, limit=limit)
+        if verdict.holds:
+            return y, verdict.certificate.prices
+    return None

@@ -19,6 +19,10 @@ def workdir(tmp_path):
     return tmp_path
 
 
+def _uniform_doc(n, m):
+    return json.dumps({"agents": n, "objects": m, "utilities": [[1] * m] * n})
+
+
 def run(capsys, *argv):
     code = main([str(a) for a in argv])
     captured = capsys.readouterr()
@@ -107,6 +111,15 @@ class TestCheck:
         assert code == 4
         assert "limit" in err
 
+    def test_po_on_many_objects_gets_a_report(self, workdir, capsys):
+        (workdir / "wide.json").write_text(_uniform_doc(1, 1500))
+        (workdir / "all_zero.json").write_text(json.dumps({"owner": [0] * 1500}))
+        code, report, _ = run(
+            capsys, "check", workdir / "wide.json", workdir / "all_zero.json", "po"
+        )
+        assert code == 0
+        assert report["result"]["holds"] is True
+
     def test_malformed_assignment_exits_2(self, workdir, capsys):
         (workdir / "short.json").write_text('{"owner":[0,1]}')
         code, _, _ = run(
@@ -169,6 +182,21 @@ class TestSearch:
         code, _, err = run(capsys, "search", workdir / "separation.json", "binary-mnw")
         assert code == 2
         assert "not 0/1" in err
+
+    def test_many_objects_get_a_report(self, workdir, capsys):
+        (workdir / "wide.json").write_text(_uniform_doc(1, 1500))
+        code, report, _ = run(capsys, "search", workdir / "wide.json", "ceei-frac")
+        assert code == 0
+        assert report["result"] == {"status": "found", "owner": [0] * 1500}
+
+    def test_budget_on_a_deep_search_exits_5(self, workdir, capsys):
+        (workdir / "deep.json").write_text(_uniform_doc(2, 1200))
+        code, report, _ = run(
+            capsys, "search", workdir / "deep.json", "mnw", "--limit-nodes", 5000
+        )
+        assert code == 5
+        assert report["result"]["status"] == "truncated"
+        assert report["result"]["nodes_explored"] == 5000
 
 
 class TestGen:

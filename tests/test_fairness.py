@@ -74,6 +74,38 @@ class TestParetoOptimal:
         with pytest.raises(InstanceTooLarge):
             is_pareto_optimal_discrete(separation, EVEN, limit=10)
 
+    def test_many_objects_do_not_exhaust_the_stack(self):
+        # 1^1500 = 1 passes the guard; the walk must not recurse per object
+        inst = Instance([[1] * 1500])
+        assert is_pareto_optimal_discrete(inst, DiscreteAssignment([0] * 1500)).holds
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_first_dominating_assignment_matches_enumeration(self, seed):
+        rng = random.Random(300 + seed)
+        n = rng.randint(2, 3)
+        m = rng.randint(1, 6 if n == 2 else 4)
+        # odd seeds mix "p/q" utilities in, so the walk runs on Fractions
+        choices = [0, 1, 2, 5] + (["1/2", "2/3", "7/4"] if seed % 2 else [3])
+        inst = Instance([[rng.choice(choices) for _ in range(m)] for _ in range(n)])
+
+        def values(z):
+            return [sum((inst.utilities[i][j] for j in z.bundle(i)), Fraction(0)) for i in range(n)]
+
+        for y in all_discrete_assignments(n, m):
+            base = values(y)
+            first = next(
+                (
+                    z
+                    for z in all_discrete_assignments(n, m)
+                    if all(a >= b for a, b in zip(values(z), base)) and values(z) != base
+                ),
+                None,
+            )
+            verdict = is_pareto_optimal_discrete(inst, y)
+            assert verdict.holds == (first is None)
+            if first is not None:
+                assert verdict.certificate.assignment == first
+
 
 class TestVerifyFractionalSupport:
     def test_even_split_supported_with_exact_prices(self, separation):

@@ -52,6 +52,12 @@ class TestBruteForce:
         result = brute_force_max_nash(separation)
         assert result.welfare == nash_welfare(separation, result.best)
 
+    def test_many_objects_do_not_exhaust_the_stack(self):
+        result = brute_force_max_nash(Instance([[1] * 1500]))
+        assert result.best == DiscreteAssignment([0] * 1500)
+        assert result.welfare == 1500
+        assert result.nodes_explored == 1
+
 
 class TestBranchAndBound:
     def test_matches_oracle_on_examples(self, separation, binary_gap):
@@ -89,6 +95,12 @@ class TestBranchAndBound:
         second = max_nash_discrete(separation)
         assert first == second
 
+    def test_node_budget_stops_a_deep_search_cleanly(self):
+        result = max_nash_discrete(Instance([[1] * 1200] * 2), SearchBudgets(max_nodes=5000))
+        assert not result.optimal
+        assert result.nodes_explored == 5000
+        assert result.best.m == 1200
+
 
 class TestExistsFractionalSupport:
     def test_separation_instance_has_one(self, separation):
@@ -109,6 +121,9 @@ class TestExistsFractionalSupport:
     def test_truncated_search_is_inconclusive(self, separation):
         with pytest.raises(InconclusiveSearch):
             exists_ceei_frac_discrete(separation, SearchBudgets(max_nodes=2))
+
+    def test_many_objects_do_not_exhaust_the_stack(self):
+        assert exists_ceei_frac_discrete(Instance([[1] * 1500])) == DiscreteAssignment([0] * 1500)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_found_assignments_reach_the_fractional_optimum(self, seed):
@@ -191,6 +206,13 @@ class TestIdenticalUtilitiesFinder:
         assert found is not None
         sums = [sum((inst.utilities[0][j] for j in found.bundle(i)), Fraction(0)) for i in range(2)]
         assert sums[0] == sums[1] == Fraction(1, 2)
+
+    def test_many_objects_do_not_exhaust_the_stack(self):
+        inst = Instance([[1] * 1500 + [2]] * 2)
+        found = find_ceei_disc_identical(inst)
+        assert found is not None
+        assert sum(inst.utilities[0][j] for j in found.bundle(0)) == 751
+        assert sum(inst.utilities[0][j] for j in found.bundle(1)) == 751
 
     @pytest.mark.parametrize("seed", range(25))
     def test_agrees_with_subset_sum_oracle(self, seed):
