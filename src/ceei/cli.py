@@ -312,12 +312,11 @@ def _report(command, inst):
 
 def _number(value):
     if isinstance(value, Fraction):
-        rendered = str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
         try:
             decimal = float(value)
         except OverflowError:
             decimal = None
-        return {"exact": rendered, "decimal": decimal}
+        return {"exact": str(value), "decimal": decimal}
     return value
 
 

@@ -260,7 +260,6 @@ def _certify_support(inst, tight):
     # propagate scale-free ratios: u_i = r_i * t_c, p_j = q_j / t_c
     agent_scale = [None] * n
     object_scale = [None] * m
-    component = [None] * n
     comps = []
     for seed_agent in range(n):
         if agent_scale[seed_agent] is not None:
@@ -272,7 +271,6 @@ def _certify_support(inst, tight):
         while stack:
             kind, node = stack.pop()
             if kind == "agent":
-                component[node] = comp
                 comps[comp]["agents"].append(node)
                 for j in support[node]:
                     q = utilities[node][j] / agent_scale[node]

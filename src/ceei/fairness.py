@@ -10,9 +10,9 @@ Four notions are decided here:
   uniform affordability slack with an exact simplex over the inclusion-minimal
   strictly-better bundles.
 
-Bundle values come from `bundle_values`.  Every n^m search, here and in
-`search`, walks the owner vectors through `assignments`: one guard, one
-iterative odometer, no recursion.
+Every verdict reads the int rows of `model.integer_rows` and bundle values
+from `bundle_values`.  Every n^m search, here and in `search`, walks the
+owner vectors through `assignments`: one guard, one odometer, no recursion.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .model import (
     PriceSupport,
     PriceVector,
     ViolatingBundle,
+    integer_rows,
 )
 
 DEFAULT_ENUM_LIMIT = 20_000_000
@@ -47,19 +48,10 @@ class Verdict:
     certificate: Optional[Certificate]
 
 
-def _numeric_rows(inst):
-    # plain ints are dramatically faster than Fractions in the hot loops
-    if all(v.denominator == 1 for row in inst.utilities for v in row):
-        return [[int(v) for v in row] for row in inst.utilities]
-    return [list(row) for row in inst.utilities]
-
-
 def bundle_values(rows, owner):
     """values[k]: rows[k] summed over the objects `owner` gives agent k.
 
-    Pass one row n times to value every bundle with that row.  Sums start
-    from int 0, so integer rows stay integers and exact rows give Fractions
-    (or 0 for an empty bundle).
+    Pass one row n times to value every bundle with that row.
     """
     values = [0] * len(rows)
     for j, k in enumerate(owner):
@@ -72,14 +64,15 @@ def assignments(inst: Instance, limit=DEFAULT_ENUM_LIMIT):
 
     Raises InstanceTooLarge at once when n^m exceeds `limit`.  Yields
     (owner, totals) pairs; a flat odometer updates both lists in place at
-    amortized O(1) per step, so copy them to keep them.  Totals are ints when
-    every utility is integral and Fractions otherwise.
+    amortized O(1) per step, so copy them to keep them.  Totals are ints over
+    `integer_rows(inst)`: agent k's true total times its row scale.
     """
     n, m = inst.n, inst.m
     required = n**m
     if required > limit:
         raise InstanceTooLarge(n, m, limit, required)
-    return _odometer(_numeric_rows(inst), n, m)
+    rows, _scales = integer_rows(inst)
+    return _odometer(rows, n, m)
 
 
 def _odometer(rows, n, m):
@@ -116,7 +109,8 @@ def is_envy_free(inst: Instance, y: DiscreteAssignment) -> Verdict:
     The certificate on failure is the lexicographically first envious pair.
     """
     check_assignment(inst, y)
-    values = [bundle_values([row] * inst.n, y.owner) for row in inst.utilities]
+    rows, _scales = integer_rows(inst)
+    values = [bundle_values([row] * inst.n, y.owner) for row in rows]
     for i in range(inst.n):
         for k in range(inst.n):
             if i != k and values[i][i] < values[i][k]:
@@ -134,7 +128,8 @@ def is_pareto_optimal_discrete(inst: Instance, y: DiscreteAssignment, limit=DEFA
     """
     check_assignment(inst, y)
     walk = assignments(inst, limit)
-    base = bundle_values(_numeric_rows(inst), y.owner)
+    rows, _scales = integer_rows(inst)
+    base = bundle_values(rows, y.owner)
     for owner, totals in walk:
         if totals != base and all(map(ge, totals, base)):
             return Verdict(False, DominatingAssignment(DiscreteAssignment(owner)))
@@ -159,17 +154,18 @@ def verify_ceei_frac(inst: Instance, y: DiscreteAssignment) -> Verdict:
     check_assignment(inst, y)
     n = inst.n
     bundles = y.bundles(n)
-    values = bundle_values(inst.utilities, y.owner)
+    rows, _scales = integer_rows(inst)
+    values = bundle_values(rows, y.owner)
     for i in range(n):
         if values[i] == 0:
-            wanted = next((j for j in range(inst.m) if inst.utilities[i][j] > 0), None)
+            wanted = next((j for j in range(inst.m) if rows[i][j] > 0), None)
             if wanted is None:
                 raise InvariantError([InstanceViolation("zero_row", agent=i)])
             return Verdict(False, ViolatingBundle(i, (wanted,)))
-    prices = [max(inst.utilities[k][j] / values[k] for k in range(n)) for j in range(inst.m)]
+    prices = [max(Fraction(rows[k][j], values[k]) for k in range(n)) for j in range(inst.m)]
     for i in range(n):
         for j in bundles[i]:
-            ratio = inst.utilities[i][j] / values[i]
+            ratio = Fraction(rows[i][j], values[i])
             if ratio != prices[j]:
                 return Verdict(False, KktViolation(i, j, prices[j] - ratio))
     return Verdict(True, PriceSupport(PriceVector(prices)))
@@ -200,8 +196,9 @@ def verify_ceei_disc(inst: Instance, y: DiscreteAssignment, limit=DEFAULT_BUNDLE
     # all bundles some agent strictly prefers to its own, recording the first
     # such agent per bundle for witness attribution
     claimant = {}
+    rows, _scales = integer_rows(inst)
     for i in range(n):
-        values = _mask_values(inst.utilities[i], m)
+        values = _mask_values(rows[i], m)
         threshold = values[own_mask[i]]
         for mask in range(1, num_masks):
             if values[mask] > threshold and mask not in claimant:
@@ -253,7 +250,7 @@ def verify_ceei_disc(inst: Instance, y: DiscreteAssignment, limit=DEFAULT_BUNDLE
 
 def _mask_values(row, m):
     """Utility of every object subset, as a table indexed by bitmask."""
-    values = [Fraction(0)] * (1 << m)
+    values = [0] * (1 << m)
     for mask in range(1, 1 << m):
         low = mask & -mask
         values[mask] = values[mask ^ low] + row[low.bit_length() - 1]

@@ -156,18 +156,12 @@ def binary_gap_example() -> Instance:
 # ---------------------------------------------------------------------------
 
 
-def _render_value(value: Fraction):
-    if value.denominator == 1:
-        return int(value)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def serialize_instance(inst: Instance) -> str:
     """Canonical single-line JSON document for an instance."""
     doc = {
         "agents": inst.n,
         "objects": inst.m,
-        "utilities": [[_render_value(v) for v in row] for row in inst.utilities],
+        "utilities": [[int(v) if v.denominator == 1 else str(v) for v in row] for row in inst.utilities],
     }
     return json.dumps(doc, separators=(",", ":"))
 
@@ -233,6 +227,8 @@ def _load_document(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentSyntaxError(exc.lineno, exc.colno, exc.msg) from exc
+    except RecursionError as exc:
+        raise DocumentSyntaxError(1, 1, "document nests too deeply") from exc
 
 
 def _expect_count(value, field):

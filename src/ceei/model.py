@@ -7,6 +7,7 @@ floating point appears only inside the iterative equilibrium solver.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -56,12 +57,6 @@ class Instance:
     def m(self) -> int:
         return len(self.utilities[0])
 
-    def utility(self, agent: int, obj: int) -> Fraction:
-        return self.utilities[agent][obj]
-
-    def row(self, agent: int) -> tuple:
-        return self.utilities[agent]
-
     def is_binary(self) -> bool:
         return all(v == 0 or v == 1 for row in self.utilities for v in row)
 
@@ -92,6 +87,21 @@ class InstanceViolation:
         if self.kind == "zero_column":
             return f"object {self.object} is valued by no agent"
         return f"utility of agent {self.agent} for object {self.object} is negative"
+
+
+def integer_rows(inst: Instance):
+    """Each utility row times the lcm of its denominators, as Python ints.
+
+    Returns (rows, scales); an integer row has scale 1.  Row scales keep every
+    bundle comparison and price ratio u_kj / v_k and multiply Nash welfare by
+    prod(scales).
+    """
+    rows, scales = [], []
+    for row in inst.utilities:
+        scale = math.lcm(*(v.denominator for v in row))
+        rows.append([v.numerator * (scale // v.denominator) for v in row])
+        scales.append(scale)
+    return rows, scales
 
 
 def validate_instance(inst: Instance) -> list:
@@ -146,9 +156,6 @@ class FractionalAssignment:
     @property
     def m(self) -> int:
         return len(self.rows[0])
-
-    def row(self, agent: int) -> tuple:
-        return self.rows[agent]
 
     def is_discrete(self) -> bool:
         return all(v == 0 or v == 1 for row in self.rows for v in row)
@@ -211,6 +218,8 @@ class DiscreteAssignment:
         owner = [None] * m
         for i, bundle in enumerate(bundles):
             for j in bundle:
+                if not 0 <= j < m:
+                    raise InvalidAssignment(f"object index {j} out of range for {m} objects")
                 if owner[j] is not None:
                     raise InvalidAssignment(f"object {j} assigned twice")
                 owner[j] = i
@@ -249,9 +258,6 @@ class PriceVector:
     @property
     def m(self) -> int:
         return len(self.prices)
-
-    def bundle_price(self, objects: Sequence[int]) -> Fraction:
-        return sum((self.prices[j] for j in objects), Fraction(0))
 
     def __getitem__(self, j: int) -> Fraction:
         return self.prices[j]

@@ -9,7 +9,9 @@ price-support notions and the equal-split finder for identical utilities.
 Ties are broken lexicographically by owner vector wherever the search is
 exhaustive, so optima are canonical and runs are reproducible.  Exhaustive
 searches walk `fairness.assignments` (one n^m guard); branch and bound and the
-partition search keep explicit stacks.  Nothing here recurses.
+partition search keep explicit stacks.  Nothing here recurses.  Every loop
+runs on the int rows of `model.integer_rows`; reported welfare divides out
+the product of their row scales.
 """
 
 from __future__ import annotations
@@ -30,12 +32,11 @@ from .errors import (
 )
 from .fairness import (
     DEFAULT_ENUM_LIMIT,
-    _numeric_rows,
     assignments,
     verify_ceei_disc,
     verify_ceei_frac,
 )
-from .model import DiscreteAssignment, Instance
+from .model import DiscreteAssignment, Instance, integer_rows
 
 
 @dataclass(frozen=True)
@@ -59,6 +60,7 @@ def brute_force_max_nash(inst: Instance, limit=DEFAULT_ENUM_LIMIT) -> SearchResu
     earlier vector, so the optimum is canonical.  This is the independent
     oracle for every other discrete-search claim in the package.
     """
+    _rows, scales = integer_rows(inst)
     best_owner = None
     best_welfare = -1
     leaves = 0
@@ -70,7 +72,7 @@ def brute_force_max_nash(inst: Instance, limit=DEFAULT_ENUM_LIMIT) -> SearchResu
             best_owner = tuple(owner)
     return SearchResult(
         best=DiscreteAssignment(best_owner),
-        welfare=Fraction(best_welfare),
+        welfare=Fraction(best_welfare, math.prod(scales)),
         nodes_explored=leaves,
         optimal=True,
     )
@@ -88,8 +90,9 @@ def max_nash_discrete(inst: Instance, budgets: Optional[SearchBudgets] = None) -
     """
     budgets = budgets or SearchBudgets()
     n, m = inst.n, inst.m
-    rows = _numeric_rows(inst)
-    order = sorted(range(m), key=lambda j: (-max(rows[i][j] for i in range(n)), j))
+    rows, scales = integer_rows(inst)
+    # compares utilities across agents, so it reads the unscaled ones
+    order = sorted(range(m), key=lambda j: (-max(row[j] for row in inst.utilities), j))
     # suffix[k][i]: utility mass agent i could still gain from objects order[k:]
     suffix = [[0] * n for _ in range(m + 1)]
     for k in range(m - 1, -1, -1):
@@ -145,7 +148,7 @@ def max_nash_discrete(inst: Instance, budgets: Optional[SearchBudgets] = None) -
             break
     return SearchResult(
         best=DiscreteAssignment(best_owner),
-        welfare=Fraction(best_welfare),
+        welfare=Fraction(best_welfare, math.prod(scales)),
         nodes_explored=nodes,
         optimal=not truncated,
     )
@@ -246,17 +249,15 @@ def find_ceei_disc_identical(inst: Instance) -> Optional[DiscreteAssignment]:
     With identical utilities, discrete price support holds exactly for the
     assignments splitting the weights into n equal-sum parts, so this is a
     number-partition search: largest weight first, capacity pruning, and
-    equal-load bins collapsed as symmetric.  Rational weights are scaled to
-    integers first; a total not divisible by n settles the answer at once.
+    equal-load bins collapsed as symmetric.  The weights are the shared
+    integer row; a total not divisible by n settles the answer at once.
     """
     for i, row in enumerate(inst.utilities):
         if row != inst.utilities[0]:
             raise NotIdenticalUtilities(i)
     n, m = inst.n, inst.m
-    scale = 1
-    for v in inst.utilities[0]:
-        scale = scale * v.denominator // math.gcd(scale, v.denominator)
-    weights = [int(v * scale) for v in inst.utilities[0]]
+    rows, _scales = integer_rows(inst)
+    weights = rows[0]
 
     total = sum(weights)
     if total % n:

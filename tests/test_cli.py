@@ -127,6 +127,15 @@ class TestCheck:
         )
         assert code == 2
 
+    def test_deeply_nested_document_exits_2(self, workdir, capsys):
+        (workdir / "deep.json").write_text("[" * 100000 + "]" * 100000)
+        code, report, err = run(
+            capsys, "check", workdir / "deep.json", workdir / "even.json", "ef"
+        )
+        assert code == 2
+        assert report is None
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
     def test_discrete_support_check(self, workdir, capsys):
         (workdir / "ident.json").write_text('{"agents":2,"objects":3,"utilities":[[2,1,1],[2,1,1]]}')
         (workdir / "split.json").write_text('{"owner":[0,1,1]}')

@@ -19,6 +19,7 @@ from ceei import (
     verify_ceei_disc,
     verify_ceei_frac,
 )
+from ceei.fairness import assignments
 from oracles import (
     all_discrete_assignments,
     recheck_discrete_price_support,
@@ -84,7 +85,7 @@ class TestParetoOptimal:
         rng = random.Random(300 + seed)
         n = rng.randint(2, 3)
         m = rng.randint(1, 6 if n == 2 else 4)
-        # odd seeds mix "p/q" utilities in, so the walk runs on Fractions
+        # odd seeds mix "p/q" utilities in, so the walk runs on scaled rows
         choices = [0, 1, 2, 5] + (["1/2", "2/3", "7/4"] if seed % 2 else [3])
         inst = Instance([[rng.choice(choices) for _ in range(m)] for _ in range(n)])
 
@@ -105,6 +106,21 @@ class TestParetoOptimal:
             assert verdict.holds == (first is None)
             if first is not None:
                 assert verdict.certificate.assignment == first
+
+
+def test_assignments_walk_int_totals_on_rational_utilities():
+    inst = Instance([["1/2", "3/4", 2], [1, "5/6", "7/9"]])
+    scales = (4, 18)
+    walked = 0
+    for owner, totals in assignments(inst):
+        walked += 1
+        assert all(type(t) is int for t in totals)
+        exact = [
+            sum((inst.utilities[i][j] for j, o in enumerate(owner) if o == i), Fraction(0))
+            for i in range(inst.n)
+        ]
+        assert [Fraction(t, s) for t, s in zip(totals, scales)] == exact
+    assert walked == 2**3
 
 
 class TestVerifyFractionalSupport:

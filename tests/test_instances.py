@@ -138,6 +138,13 @@ class TestDocuments:
             parse_instance('{"agents": 2,')
         assert excinfo.value.line == 1
 
+    def test_deeply_nested_json_is_syntax_error(self, separation):
+        deep = "[" * 100000 + "]" * 100000
+        with pytest.raises(DocumentSyntaxError):
+            parse_instance(deep)
+        with pytest.raises(DocumentSyntaxError):
+            parse_assignment(deep, separation)
+
     def test_shape_mismatch_is_schema_error(self):
         with pytest.raises(SchemaError):
             parse_instance('{"agents":2,"objects":2,"utilities":[[1,1]]}')

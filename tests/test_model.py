@@ -12,6 +12,7 @@ from ceei import (
     nash_welfare,
     validate_instance,
 )
+from ceei.model import integer_rows
 from oracles import all_discrete_assignments
 
 
@@ -61,6 +62,22 @@ class TestNashWelfare:
         for y in all_discrete_assignments(2, 4):
             swapped = DiscreteAssignment([1 - o for o in y.owner])
             assert nash_welfare(separation, y) == nash_welfare(flipped, swapped)
+
+
+class TestIntegerRows:
+    def test_integer_rows_keep_their_values(self, separation):
+        rows, scales = integer_rows(separation)
+        assert rows == [[95, 5, 2, 1], [1, 2, 5, 95]]
+        assert scales == [1, 1]
+        assert all(type(v) is int for row in rows for v in row)
+
+    def test_each_row_scaled_by_its_denominators_lcm(self):
+        inst = Instance([["1/2", "3/4", 2], [1, "5/6", "7/9"], ["0/1", 3, "2/3"]])
+        rows, scales = integer_rows(inst)
+        assert scales == [4, 18, 3]
+        assert rows == [[2, 3, 8], [18, 15, 14], [0, 9, 2]]
+        for row, scale, exact in zip(rows, scales, inst.utilities):
+            assert [Fraction(v, scale) for v in row] == list(exact)
 
 
 class TestValidateInstance:
@@ -114,6 +131,11 @@ class TestAssignments:
         y = DiscreteAssignment([0, 2, 1, 0])
         assert y.bundles(3) == [(0, 3), (2,), (1,)]
         assert DiscreteAssignment.from_bundles(4, y.bundles(3)) == y
+
+    @pytest.mark.parametrize("bundles", [[[0], [-1]], [[0], [5]], [[0, 2], [1]]])
+    def test_from_bundles_rejects_out_of_range_objects(self, bundles):
+        with pytest.raises(InvalidAssignment):
+            DiscreteAssignment.from_bundles(2, bundles)
 
     def test_instance_rejects_ragged_rows(self):
         with pytest.raises(DimensionMismatch):

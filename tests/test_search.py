@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -18,12 +20,15 @@ from ceei import (
     find_ceei_disc_identical,
     from_partition,
     gen_random,
+    is_envy_free,
+    is_pareto_optimal_discrete,
     max_nash_discrete,
     nash_welfare,
     PartitionInput,
     verify_ceei_disc,
     verify_ceei_frac,
 )
+from ceei.model import integer_rows
 from oracles import has_equal_bipartition, recheck_discrete_price_support
 
 
@@ -246,3 +251,41 @@ class TestExistsDiscreteSupport:
         inst = gen_random(3, 20, 3, seed=1)
         with pytest.raises(InstanceTooLarge):
             exists_ceei_disc_bruteforce(inst, limit=1000)
+
+
+def _rational_instance(seed):
+    """A random valid instance whose entries are integers over random denominators."""
+    rng = random.Random(900 + seed)
+    n = rng.randint(2, 3)
+    m = rng.randint(2, 6 if n == 2 else 5)
+    base = gen_random(n, m, 12, seed=seed)
+    return Instance([[v / rng.randint(1, 9) for v in row] for row in base.utilities]), rng
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_answers_match_the_instance_with_integer_rows(seed):
+    # every answer reads the rows only through per-agent comparisons, price
+    # ratios u_kj / v_k, or Nash welfare (which the scales multiply by their
+    # product), so the instance with integer rows must give the same ones
+    inst, rng = _rational_instance(seed)
+    rows, scales = integer_rows(inst)
+    assert any(s > 1 for s in scales)
+    scaled = Instance(rows)
+    scale = Fraction(math.prod(scales))
+    for _ in range(4):
+        y = DiscreteAssignment([rng.randrange(inst.n) for _ in range(inst.m)])
+        for verifier in (is_envy_free, is_pareto_optimal_discrete, verify_ceei_frac, verify_ceei_disc):
+            assert verifier(inst, y) == verifier(scaled, y)
+
+    brute, brute_scaled = brute_force_max_nash(inst), brute_force_max_nash(scaled)
+    assert brute.welfare == brute_scaled.welfare / scale
+    assert brute == dataclasses.replace(brute_scaled, welfare=brute.welfare)
+    # branch and bound orders objects by their best utility across agents,
+    # which row scaling may change, so only the canonical optimum is compared
+    bnb, bnb_scaled = max_nash_discrete(inst), max_nash_discrete(scaled)
+    assert (bnb.best, bnb.welfare, bnb.optimal) == (bnb_scaled.best, bnb_scaled.welfare / scale, True)
+    assert exists_ceei_frac_discrete(inst) == exists_ceei_frac_discrete(scaled)
+    assert exists_ceei_disc_bruteforce(inst) == exists_ceei_disc_bruteforce(scaled)
+
+    identical = Instance([inst.utilities[0]] * inst.n)
+    assert find_ceei_disc_identical(identical) == find_ceei_disc_identical(Instance([rows[0]] * inst.n))
