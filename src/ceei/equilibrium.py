@@ -17,6 +17,7 @@ certifies within the iteration budget the solver raises NonConvergence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -48,8 +49,8 @@ class SolverConfig:
     max_iterations: int = 100_000
 
     def __post_init__(self):
-        if self.convergence_tolerance <= 0:
-            raise ValueError("convergence_tolerance must be positive")
+        if not 0 < self.convergence_tolerance < math.inf:
+            raise ValueError("convergence_tolerance must be finite and positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 

@@ -7,8 +7,9 @@ Four notions are decided here:
 * price support over fractional demand (the strong notion), by an exact
   closed-form test in rational arithmetic;
 * price support over discrete demand (the weak notion), by maximizing a
-  uniform affordability slack with an exact simplex over the inclusion-minimal
-  strictly-better bundles.
+  uniform affordability slack over the inclusion-minimal strictly-better
+  bundles with `simplex.maximize`, an integer-pivoting simplex on 0/±1 rows
+  whose optimum and prices are exact rationals.
 
 Every verdict reads the int rows of `model.integer_rows` and bundle values
 from `bundle_values`.  Every n^m search, here and in `search`, walks the
@@ -221,19 +222,15 @@ def verify_ceei_disc(inst: Instance, y: DiscreteAssignment, limit=DEFAULT_BUNDLE
     # variables p_1..p_m, s with s = 1 + t; maximize s subject to
     #   s - p(B) <= 0   for each minimal strictly-better bundle B
     #   p(y_i)   <= 1   for each agent
-    objective = [Fraction(0)] * m + [Fraction(1)]
+    objective = [0] * m + [1]
     rows = []
     rhs = []
     for mask in minimal:
-        row = [Fraction(-1) if mask >> j & 1 else Fraction(0) for j in range(m)]
-        row.append(Fraction(1))
-        rows.append(row)
-        rhs.append(Fraction(0))
+        rows.append([-(mask >> j & 1) for j in range(m)] + [1])
+        rhs.append(0)
     for i in range(n):
-        row = [Fraction(1) if own_mask[i] >> j & 1 else Fraction(0) for j in range(m)]
-        row.append(Fraction(0))
-        rows.append(row)
-        rhs.append(Fraction(1))
+        rows.append([own_mask[i] >> j & 1 for j in range(m)] + [0])
+        rhs.append(1)
 
     value, solution = simplex.maximize(objective, rows, rhs)
     slack = value - 1

@@ -1,15 +1,21 @@
-"""Self-contained exact simplex over rationals for tiny LPs.
+"""Self-contained exact simplex with integer pivoting.
 
 Solves  max c.z  subject to  A z <= b,  z >= 0  with b >= 0, so the slack
-basis is feasible and no phase-1 is needed.  Bland's rule keeps the pivot
+basis is feasible and no phase-1 is needed.  The tableau is condensed (one
+column per nonbasic variable, none for slacks) and held as Python ints over
+one common denominator d: each row is scaled by the lcm of its denominators,
+and a pivot replaces every entry by a 2x2 determinant divided exactly by d
+(fraction-free pivoting, Edmonds 1967).  Bland's rule keeps the pivot
 sequence finite and deterministic despite the degenerate rows the CEEI-DISC
-verifier produces.  Intended for desk-scale problems only (tens of variables,
-hundreds of constraints).
+verifier produces; positive row scales and d change no sign and no ratio
+comparison, so the pivots, basis, value and solution are those of the
+rational tableau.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 class Unbounded(Exception):
@@ -24,61 +30,70 @@ def maximize(c, rows, rhs):
     """
     num_vars = len(c)
     num_cons = len(rows)
-    c = [Fraction(v) for v in c]
+    if len(rhs) != num_cons:
+        raise ValueError(f"{num_cons} constraints but {len(rhs)} right-hand sides")
     rhs = [Fraction(v) for v in rhs]
     if any(b < 0 for b in rhs):
         raise ValueError("rhs must be nonnegative for a slack start")
-
-    # tableau: one row per constraint, columns = vars + slacks + rhs
-    width = num_vars + num_cons + 1
-    tableau = []
     for r, row in enumerate(rows):
         if len(row) != num_vars:
             raise ValueError(f"constraint {r} has {len(row)} coefficients, expected {num_vars}")
-        t = [Fraction(v) for v in row] + [Fraction(0)] * num_cons + [rhs[r]]
-        t[num_vars + r] = Fraction(1)
-        tableau.append(t)
-    # objective row stores -c so optimality is "no negative entries"
-    obj = [-v for v in c] + [Fraction(0)] * (num_cons + 1)
+
+    # tableau: constraint rows [A_r | b_r], then the objective row [-c | 0];
+    # entry / d is the rational tableau entry, up to each row's positive scale
+    tableau = [_scaled([*row, b])[0] for row, b in zip(rows, rhs)]
+    objective, obj_scale = _scaled([-Fraction(v) for v in c] + [0])
+    tableau.append(objective)
+    d = 1
+    # original variable indices: structural 0..num_vars-1, slack num_vars+r
+    column_var = list(range(num_vars))
     basis = [num_vars + r for r in range(num_cons)]
 
     while True:
         # Bland: entering variable = lowest index with a negative reduced cost
-        enter = next((j for j in range(width - 1) if obj[j] < 0), None)
-        if enter is None:
+        negative = [j for j in range(num_vars) if objective[j] < 0]
+        if not negative:
             break
-        # ratio test; Bland tie-break on the leaving basic variable index
+        enter = min(negative, key=column_var.__getitem__)
+        # ratio test rhs/a by cross-multiplication; Bland tie-break on the
+        # leaving basic variable index
         leave = None
-        best = None
         for r in range(num_cons):
             a = tableau[r][enter]
             if a > 0:
-                ratio = tableau[r][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
-                    best = ratio
+                if leave is None:
+                    leave = r
+                    continue
+                here = tableau[r][-1] * tableau[leave][enter]
+                best = tableau[leave][-1] * a
+                if here < best or (here == best and basis[r] < basis[leave]):
                     leave = r
         if leave is None:
             raise Unbounded()
-        _pivot(tableau, obj, leave, enter)
-        basis[leave] = enter
+
+        pivot_row = tableau[leave]
+        pivot = pivot_row[enter]
+        for r, row in enumerate(tableau):
+            if r != leave:
+                factor = row[enter]
+                new_row = [(v * pivot - factor * w) // d for v, w in zip(row, pivot_row)]
+                new_row[enter] = -factor
+                tableau[r] = new_row
+        pivot_row[enter] = d
+        d = pivot
+        objective = tableau[-1]
+        column_var[enter], basis[leave] = basis[leave], column_var[enter]
 
     solution = [Fraction(0)] * num_vars
     for r, var in enumerate(basis):
         if var < num_vars:
-            solution[var] = tableau[r][-1]
-    value = sum((ci * zi for ci, zi in zip(c, solution)), Fraction(0))
+            solution[var] = Fraction(tableau[r][-1], d)
+    value = Fraction(objective[-1], d * obj_scale)
     return value, solution
 
 
-def _pivot(tableau, obj, row, col):
-    pivot = tableau[row][col]
-    tableau[row] = [v / pivot for v in tableau[row]]
-    pivot_row = tableau[row]
-    for r in range(len(tableau)):
-        if r != row and tableau[r][col] != 0:
-            factor = tableau[r][col]
-            tableau[r] = [v - factor * p for v, p in zip(tableau[r], pivot_row)]
-    if obj[col] != 0:
-        factor = obj[col]
-        for j in range(len(obj)):
-            obj[j] -= factor * pivot_row[j]
+def _scaled(values):
+    """The entries times the lcm of their denominators, as ints, and that lcm."""
+    values = [Fraction(v) for v in values]
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale

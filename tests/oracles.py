@@ -2,12 +2,13 @@
 
 Everything here deliberately avoids the implementations under test: the
 subset-sum check is a bitset dynamic program, the equal-split check is plain
-enumeration of owner vectors, and price-support certificates are re-verified
-directly from their defining inequalities.
+enumeration of owner vectors, price-support certificates are re-verified
+directly from their defining inequalities, and LP optima come from vertex
+enumeration rather than pivoting.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from ceei import DiscreteAssignment, bundle_utility
 
@@ -89,3 +90,41 @@ def recheck_discrete_price_support(inst, y, prices):
             if value > own_value and cost <= 1:
                 return False
     return True
+
+
+def lp_vertex_optimum(c, rows, rhs):
+    """Best c.z over the vertices of {rows z <= rhs, z >= 0}, or None if it has none.
+
+    A vertex is the unique solution of N tight constraints chosen among the
+    rows and the bounds z_j >= 0; every feasible one is a candidate.  Only
+    meaningful when the region is bounded, so that some vertex is optimal.
+    """
+    num_vars = len(c)
+    planes = [([Fraction(a) for a in row], Fraction(b)) for row, b in zip(rows, rhs)]
+    planes += [([Fraction(-(j == k)) for k in range(num_vars)], Fraction(0)) for j in range(num_vars)]
+    best = None
+    for tight in combinations(planes, num_vars):
+        point = _solve_square([a for a, _b in tight], [b for _a, b in tight])
+        if point is None:
+            continue
+        if all(sum(x * z for x, z in zip(a, point)) <= b for a, b in planes):
+            value = sum(Fraction(x) * z for x, z in zip(c, point))
+            if best is None or value > best:
+                best = value
+    return best
+
+
+def _solve_square(matrix, vector):
+    """The unique solution of matrix z = vector by Gaussian elimination, or None if singular."""
+    size = len(vector)
+    aug = [list(row) + [b] for row, b in zip(matrix, vector)]
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if aug[r][col] != 0), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        for r in range(size):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col] / aug[col][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    return [aug[r][-1] / aug[r][r] for r in range(size)]

@@ -66,6 +66,15 @@ class TestSolve:
         assert report is None
         assert "no equilibrium" in err
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf"])
+    def test_non_finite_tolerance_exits_2(self, workdir, capsys, tolerance):
+        code, report, err = run(
+            capsys, "solve", workdir / "separation.json", "--tolerance", tolerance
+        )
+        assert code == 2
+        assert report is None
+        assert "convergence_tolerance must be finite and positive" in err
+
     def test_utility_beyond_float_range_solves(self, workdir, capsys):
         huge = 10**400
         (workdir / "huge.json").write_text(

@@ -69,6 +69,11 @@ class TestSolveEg:
         assert excinfo.value.iterations == 1
         assert excinfo.value.residual > 1e-8
 
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), 0.0, -1e-10])
+    def test_tolerance_must_be_finite_and_positive(self, tolerance):
+        with pytest.raises(ValueError, match="finite and positive"):
+            SolverConfig(convergence_tolerance=tolerance)
+
     def test_seeded_runs_agree(self, separation):
         utilities = {tuple(solve_eg(separation, seed=s).u_star) for s in range(6)}
         prices = {tuple(solve_eg(separation, seed=s).p_star.prices) for s in range(6)}

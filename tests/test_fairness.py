@@ -186,6 +186,38 @@ class TestVerifyDiscreteSupport:
         assert verdict.holds
         assert verdict.certificate.prices.prices == (Fraction(1, 3),) * 3
 
+    # (agents, objects, max utility, seed, owner) -> certificate, recorded on
+    # the textbook rational tableau; every verdict here is decided by the LP,
+    # so a drift in the pivot rule changes the prices or the witness
+    PINNED = [
+        ((3, 10, 100, 0), [2, 0, 1, 2, 2, 0, 0, 0, 1, 0],
+         [Fraction(3, 7), Fraction(2, 7), Fraction(3, 7), Fraction(1, 7), Fraction(3, 7),
+          Fraction(1, 7), Fraction(2, 7), Fraction(1, 7), Fraction(4, 7), Fraction(1, 7)]),
+        ((2, 8, 100, 3), [1, 0, 1, 0, 1, 0, 1, 0],
+         [Fraction(1, 5), Fraction(3, 10), Fraction(3, 10), Fraction(1, 10), Fraction(3, 10),
+          Fraction(3, 10), Fraction(1, 5), Fraction(3, 10)]),
+        ((2, 6, 12, 2), [1, 1, 1, 0, 1, 0],
+         [Fraction(0), Fraction(1, 3), Fraction(1, 3), Fraction(2, 3), Fraction(1, 3), Fraction(1, 3)]),
+        ((3, 7, 12, 3), [1, 1, 0, 2, 2, 0, 2],
+         [Fraction(1, 3), Fraction(2, 3), Fraction(1, 2), Fraction(1, 3), Fraction(1, 6),
+          Fraction(1, 2), Fraction(1, 2)]),
+        ((2, 6, 12, 34), [1, 0, 0, 0, 1, 1], ViolatingBundle(0, (0, 2))),
+        ((2, 6, 12, 94), [0, 0, 1, 1, 1, 0], ViolatingBundle(0, (0, 3, 5))),
+        ((2, 6, 12, 122), [0, 1, 0, 1, 0, 1], ViolatingBundle(0, (0, 1, 2))),
+    ]
+
+    @pytest.mark.parametrize("shape, owner, expected", PINNED)
+    def test_pinned_lp_certificates(self, shape, owner, expected):
+        n, m, top, seed = shape
+        inst = gen_random(n, m, top, seed=seed)
+        verdict = verify_ceei_disc(inst, DiscreteAssignment(owner))
+        if isinstance(expected, ViolatingBundle):
+            assert not verdict.holds
+            assert verdict.certificate == expected
+        else:
+            assert verdict.holds
+            assert list(verdict.certificate.prices.prices) == expected
+
     def test_bundle_guard(self, separation):
         with pytest.raises(InstanceTooLarge):
             verify_ceei_disc(separation, EVEN, limit=8)
