@@ -9,6 +9,7 @@ diagnostics on stderr.  Exit codes are uniform across subcommands:
     3  the equilibrium solver found no exactly certified equilibrium
     4  an enumeration guard was exceeded
     5  a truncated search left the question undecided
+    6  internal error: an unexpected exception, reported by its type on stderr
 
 Exact rationals are reported as {"exact": "19/20", "decimal": 0.95} pairs,
 with a null decimal for values beyond float range; plain floats stay plain.
@@ -63,9 +64,11 @@ EXIT_INVALID = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_TOO_LARGE = 4
 EXIT_INCONCLUSIVE = 5
+EXIT_INTERNAL = 6
 
 # The exit code of each error a handler may raise, first match wins; any
-# other exception is a bug and propagates.
+# other exception is a bug and exits EXIT_INTERNAL, because an uncaught one
+# would exit 1 like a failed verdict.
 _ERROR_EXITS = (
     (NonConvergence, EXIT_NO_CONVERGENCE),
     (InstanceTooLarge, EXIT_TOO_LARGE),
@@ -73,7 +76,6 @@ _ERROR_EXITS = (
     (ValueError, EXIT_INVALID),
     (CeeiError, EXIT_INVALID),
 )
-_HANDLED = tuple(kind for kind, _code in _ERROR_EXITS)
 
 
 def main(argv=None) -> int:
@@ -82,9 +84,11 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         report, code = args.handler(args)
-    except _HANDLED as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return next(code for kind, code in _ERROR_EXITS if isinstance(exc, kind))
+    except Exception as exc:
+        code = next((code for kind, code in _ERROR_EXITS if isinstance(exc, kind)), EXIT_INTERNAL)
+        message = f"internal error: {exc!r}" if code == EXIT_INTERNAL else exc
+        print(f"error: {message}", file=sys.stderr)
+        return code
     report["timings"] = {"total_seconds": time.monotonic() - started}
     print(json.dumps(report, indent=2))
     return code

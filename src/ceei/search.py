@@ -2,9 +2,10 @@
 
 Welfare maximization comes in three flavours: plain enumeration (the oracle
 everything else is measured against), branch and bound with an additive
-optimistic bound, and a polynomial maximizer for 0/1 utilities built on
-bipartite flows.  On top of those sit the existence deciders for the two
-price-support notions and the equal-split finder for identical utilities.
+optimistic bound, and a polynomial augmenting-path maximizer for 0/1
+utilities.  On top of those sit the existence deciders for the two
+price-support notions, the fractional one polynomial on 0/1 utilities, and
+the equal-split finder for identical utilities.
 
 Ties are broken lexicographically by owner vector wherever the search is
 exhaustive, so optima are canonical and runs are reproducible.  Exhaustive
@@ -23,7 +24,7 @@ from fractions import Fraction
 from operator import add
 from typing import Optional
 
-from ._flow import max_flow
+from ._flow import max_flow  # noqa: F401  bench/tracing.py patches ceei.search.max_flow
 from .errors import (
     InconclusiveSearch,
     InstanceTooLarge,
@@ -159,12 +160,17 @@ def exists_ceei_frac_discrete(inst: Instance, budgets: Optional[SearchBudgets] =
 
     A discrete assignment is supportable against fractional demand exactly
     when it reaches the welfare optimum of the fractional relaxation, so it
-    suffices to test the discrete welfare maximizer.  Raises
-    InconclusiveSearch if the inner search was truncated.
+    suffices to test one discrete welfare maximizer: `binary_max_nash` (in
+    polynomial time, `budgets` unused) when every integer row is 0/1, else
+    branch and bound, raising InconclusiveSearch if a budget truncated it.
     """
-    result = max_nash_discrete(inst, budgets)
-    if not result.optimal:
-        raise InconclusiveSearch(result.nodes_explored, result.welfare)
+    rows, _scales = integer_rows(inst)
+    if all(v == 0 or v == 1 for row in rows for v in row):
+        result = binary_max_nash(Instance(rows))
+    else:
+        result = max_nash_discrete(inst, budgets)
+        if not result.optimal:
+            raise InconclusiveSearch(result.nodes_explored, result.welfare)
     if verify_ceei_frac(inst, result.best).holds:
         return result.best
     return None
@@ -173,74 +179,66 @@ def exists_ceei_frac_discrete(inst: Instance, budgets: Optional[SearchBudgets] =
 def binary_max_nash(inst: Instance) -> SearchResult:
     """Polynomial welfare maximizer for instances with all utilities 0 or 1.
 
-    With 0/1 utilities an agent's utility is just the number of owned objects
-    it values, so maximizing the product over the bipartite agent-object
-    graph is a concave separable maximization over a polymatroid: growing the
-    currently poorest agent that can still be grown (checked by a bipartite
-    matching feasibility flow) one valued object at a time is exact.  Agents
-    stuck at zero make every assignment worthless, in which case everything
-    goes to agent 0.
+    With 0/1 utilities an agent's utility is the number of owned objects it
+    values, so maximizing the product is a concave separable maximization
+    over a polymatroid: growing the poorest agent that can still grow (ties
+    to the lowest index) one valued object at a time is exact.  One matching
+    is kept throughout; as every other agent holds its count, agent i can
+    grow exactly when an alternating path (agent, object it values, that
+    object's owner, ...) reaches a free object, and flipping it changes no
+    other count.  An agent with no path never gets one later.  Agents stuck
+    at zero make every assignment worthless, so everything goes to agent 0,
+    as do objects nobody values.  `nodes_explored` counts path searches.
     """
     n, m = inst.n, inst.m
     valued = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(m):
-            v = inst.utilities[i][j]
+    for i, row in enumerate(inst.utilities):
+        for j, v in enumerate(row):
             if v != 0 and v != 1:
                 raise NotBinary(i, j, v)
             if v == 1:
                 valued[i].append(j)
 
-    source, sink = 0, n + m + 1
-    flows_run = 0
-
-    def feasible(counts):
-        nonlocal flows_run
-        flows_run += 1
-        edges = {}
-        for i in range(n):
-            if counts[i]:
-                edges[(source, 1 + i)] = counts[i]
-                for j in valued[i]:
-                    edges[(1 + i, 1 + n + j)] = 1
-        for j in range(m):
-            edges[(1 + n + j, sink)] = 1
-        total, flow = max_flow(n + m + 2, edges, source, sink)
-        return (total == sum(counts)), flow
-
-    counts = [0] * n
-    for _ in range(m):
-        grown = False
-        for i in sorted(range(n), key=lambda i: (counts[i], i)):
-            counts[i] += 1
-            ok, _flow = feasible(counts)
-            if ok:
-                grown = True
-                break
-            counts[i] -= 1
-        if not grown:  # cannot happen: every object is valued by someone
-            raise AssertionError("polymatroid greedy stalled before placing every object")
-
-    if min(counts) == 0:
-        return SearchResult(
-            best=DiscreteAssignment([0] * m),
-            welfare=Fraction(0),
-            nodes_explored=flows_run,
-            optimal=True,
-        )
-
-    _ok, flow = feasible(counts)
     owner = [None] * m
-    for (u, v), amount in flow.items():
-        if amount and u != source and v != sink:
-            owner[v - 1 - n] = u - 1
+    counts = [0] * n
+    free = len(set().union(*valued))  # valued objects nobody owns yet
+    growing = list(range(n))  # ascending, so min() breaks ties to the lowest index
+    searches = 0
+    while free and growing:
+        i = min(growing, key=counts.__getitem__)
+        searches += 1
+        if _augment(valued, owner, i):
+            counts[i] += 1
+            free -= 1
+        elif counts[i]:
+            growing.remove(i)
+        else:  # the welfare stays 0
+            break
     welfare = math.prod(counts)
     return SearchResult(
-        best=DiscreteAssignment(owner),
+        best=DiscreteAssignment([o if welfare and o is not None else 0 for o in owner]),
         welfare=Fraction(welfare),
-        nodes_explored=flows_run,
+        nodes_explored=searches,
         optimal=True,
     )
+
+
+def _augment(valued, owner, i) -> bool:
+    """Give agent i one more valued object along an alternating path, if any."""
+    via = {i: None}  # agent -> (the object it gives up, the agent taking it)
+    queue = [i]  # breadth first: the loop reaches the agents appended to it
+    for k in queue:
+        for j in valued[k]:
+            if owner[j] is None:
+                owner[j] = k
+                while via[k] is not None:
+                    j, k = via[k]
+                    owner[j] = k
+                return True
+            if owner[j] not in via:
+                via[owner[j]] = (j, k)
+                queue.append(owner[j])
+    return False
 
 
 def find_ceei_disc_identical(inst: Instance) -> Optional[DiscreteAssignment]:

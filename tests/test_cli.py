@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ceei import cli
 from ceei.cli import main
 
 
@@ -274,3 +275,13 @@ class TestReportShape:
             "agents": 2,
             "objects": 4,
         }
+
+    def test_unexpected_exception_exits_6_with_one_error_line(self, workdir, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_cmd_search", broken)
+        code, report, err = run(capsys, "search", workdir / "separation.json", "mnw")
+        assert code == 6
+        assert report is None
+        assert err.splitlines() == ["error: internal error: RuntimeError('boom')"]

@@ -10,6 +10,7 @@ from ceei import (
     InconclusiveSearch,
     Instance,
     InstanceTooLarge,
+    InvariantError,
     NotBinary,
     NotIdenticalUtilities,
     SearchBudgets,
@@ -130,6 +131,55 @@ class TestExistsFractionalSupport:
     def test_many_objects_do_not_exhaust_the_stack(self):
         assert exists_ceei_frac_discrete(Instance([[1] * 1500])) == DiscreteAssignment([0] * 1500)
 
+    @pytest.mark.parametrize(
+        "utilities, expected",
+        [([[1, 1, 0], [0, 1, 0]], DiscreteAssignment([0, 1, 0])), ([[1, 0], [1, 0]], None)],
+    )
+    def test_objects_nobody_values(self, utilities, expected):
+        assert exists_ceei_frac_discrete(Instance(utilities)) == expected
+
+    @pytest.mark.parametrize("utilities", [[[0, 0], [1, 1]], [[1, 1, 1], [0, 0, 0]], [[2, 0], [0, 0]]])
+    def test_zero_row_is_an_invariant_error(self, utilities):
+        with pytest.raises(InvariantError):
+            exists_ceei_frac_discrete(Instance(utilities))
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_binary_route_matches_branch_and_bound(self, seed):
+        rng = random.Random(2000 + seed)
+        inst = gen_random(rng.randint(1, 4), rng.randint(1, 9), 1, binary=True, seed=seed)
+        found = exists_ceei_frac_discrete(inst)
+        assert (found is not None) == verify_ceei_frac(inst, max_nash_discrete(inst).best).holds
+        if found is not None:
+            assert verify_ceei_frac(inst, found).holds
+            assert nash_welfare(inst, found) == brute_force_max_nash(inst).welfare
+
+    @pytest.mark.parametrize(
+        "utilities",
+        [
+            [["1/3", "1/3", 0], [0, "1/2", "1/2"]],
+            [["1/3", "1/3", 0, 0], [0, 0, "1/2", "1/2"]],
+            [["1/7", 0, "1/7"], ["1/5", "1/5", 0], [0, "1/4", 0]],
+        ],
+    )
+    def test_rational_rows_take_the_binary_route_of_their_integer_copy(self, utilities):
+        inst = Instance(utilities)
+        rows, _scales = integer_rows(inst)
+        assert all(v in (0, 1) for row in rows for v in row)
+        # the budget would truncate branch and bound at once, so a decided
+        # answer shows the binary route ran
+        budgets = SearchBudgets(max_nodes=1)
+        found = exists_ceei_frac_discrete(inst, budgets)
+        assert found == exists_ceei_frac_discrete(Instance(rows), budgets)
+        assert found is None or verify_ceei_frac(inst, found).holds
+
+    def test_large_binary_instance_is_decided_within_a_small_budget(self):
+        inst = gen_random(40, 200, 1, binary=True, seed=0)
+        found = exists_ceei_frac_discrete(inst, SearchBudgets(max_nodes=10_000))
+        assert found is not None
+        assert verify_ceei_frac(inst, found).holds
+        # price support certifies the maximizer's assignment optimal as well
+        assert verify_ceei_frac(inst, binary_max_nash(inst).best).holds
+
     @pytest.mark.parametrize("seed", range(12))
     def test_found_assignments_reach_the_fractional_optimum(self, seed):
         from ceei import solve_eg
@@ -178,6 +228,13 @@ class TestBinaryMaxNash:
 
     def test_deterministic_across_runs(self, binary_gap):
         assert binary_max_nash(binary_gap) == binary_max_nash(binary_gap)
+
+    @pytest.mark.parametrize("utilities", [[[1, 0], [1, 0]], [[1, 1, 0], [0, 1, 0]], [[0]]])
+    def test_objects_nobody_values_match_the_oracle(self, utilities):
+        inst = Instance(utilities)
+        result = binary_max_nash(inst)
+        assert result.welfare == brute_force_max_nash(inst).welfare
+        assert result.welfare == nash_welfare(inst, result.best)
 
 
 class TestIdenticalUtilitiesFinder:
