@@ -103,9 +103,11 @@ def _build_parser():
 
     solve = sub.add_parser("solve", help="compute the fractional equilibrium")
     solve.add_argument("instance", help="path to an instance document")
-    solve.add_argument("--tolerance", type=float, default=1e-10, help="relative utility convergence tolerance")
-    solve.add_argument("--max-iter", type=int, default=100_000)
-    solve.add_argument("--seed", type=int, default=None, help="seed for randomized starting bids")
+    solve.add_argument(
+        "--tolerance", type=float, default=1e-10, help="relative duality gap at which the solver gives up"
+    )
+    solve.add_argument("--max-iter", type=int, default=100_000, help="budget of Newton steps")
+    solve.add_argument("--seed", type=int, default=None, help="seed for randomized starting prices")
     solve.set_defaults(handler=_cmd_solve)
 
     check = sub.add_parser("check", help="verify a fairness notion for a discrete assignment")

@@ -1,18 +1,27 @@
 """Fractional competitive-equilibrium solver for linear utilities, unit budgets.
 
-The solver runs proportional-response dynamics in floating point: each agent
-splits its unit budget over objects in proportion to the utility each object
-contributed last round, prices are per-object bid totals, and allocations are
-bid shares.  Market clearing and budget exhaustion hold by construction at
-every iterate, so only bang-per-buck optimality has to converge.
+The equilibrium is the optimum of the Eisenberg-Gale program, and the solver
+works on its dual (Cole et al., EC 2017): minimize sum_j p_j - sum_i log beta_i
+subject to u_ij * beta_i <= p_j, where beta_i = 1/u_i is agent i's inverse utility
+and p_j object j's price, over the edges with u_ij > 0.  With only n + m
+variables, a log-barrier path-following Newton method in floating point
+solves it in tens of steps: each step solves one n x n Schur complement (the
+price block of the Hessian is diagonal), goes at most 0.9 of the way to where
+a slack s_ij = p_j - u_ij * beta_i or a beta_i would reach zero, and the barrier
+weight t grows tenfold once an iterate is centred.  On the central path agent
+i spends p_j / (t * s_ij) on object j.
 
-Once the utility vector is stable, the float iterate is used only to guess
-which agent-object edges carry spending: those whose bang per buck u_ij/p_j
-is within a relative 1e-4 of the agent's best.  From that guess the unique
+After each centring the float iterate is used only to guess which
+agent-object edges carry spending: those spending at least 1/sqrt(t), plus
+the top spender of any object left without one.  From that guess the unique
 equilibrium utilities and prices are reconstructed in exact rational
 arithmetic and verified against the optimality conditions.  Every returned
 solution is therefore exact, with a residual of literally zero; when no guess
-certifies within the iteration budget the solver raises NonConvergence.
+certifies before the relative duality gap falls below the tolerance, or
+within the step budget, the solver raises NonConvergence.
+
+numpy is imported inside `solve_eg`, so importing this module (and the CLI)
+does not load it.
 """
 
 from __future__ import annotations
@@ -21,8 +30,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
-
-import numpy as np
 
 from ._flow import max_flow
 from .errors import (
@@ -40,13 +47,13 @@ from .model import (
     validate_instance,
 )
 
-_TIGHT_RATIO = 1 - 1e-4  # float bang per buck this close to the best counts as tight
+_CENTRED = 0.5  # Newton decrement below which an iterate counts as centred
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    convergence_tolerance: float = 1e-10  # relative utility change between rounds
-    max_iterations: int = 100_000
+    convergence_tolerance: float = 1e-10  # relative duality gap at which the solver gives up
+    max_iterations: int = 100_000  # Newton steps
 
     def __post_init__(self):
         if not 0 < self.convergence_tolerance < math.inf:
@@ -151,62 +158,87 @@ def solve_eg(inst: Instance, config: Optional[SolverConfig] = None, seed=None) -
     """Maximize the sum of log utilities over fractional assignments.
 
     Returns the exact equilibrium allocation, the (unique) utility and price
-    vectors, and the iteration count.  `seed` switches the deterministic
-    uniform-bid start to seeded random bids; the answer does not depend on it.
-    Raises NonConvergence if no support guess certifies before the iterate
-    converges or the iteration budget runs out.
+    vectors, and the number of Newton steps taken.  `seed` switches the
+    uniform starting prices to seeded random ones; the answer does not depend
+    on it.  Raises NonConvergence if no support guess certifies before the
+    duality gap falls below the tolerance or the step budget runs out.
     """
+    import numpy as np
+
     cfg = config or SolverConfig()
     violations = validate_instance(inst)
     if violations:
         raise InvariantError(violations)
 
     n, m = inst.n, inst.m
-    # Scaling a row only rescales that agent's utility, so dividing each row by
+    # Scaling a row only rescales that agent's beta, so dividing each row by
     # its max (exactly, before rounding) keeps every float in range.
-    utilities = np.array([_row_over_max(row) for row in inst.utilities])
+    u = np.array([_row_over_max(row) for row in inst.utilities])
+    edges = np.array([[v > 0 for v in row] for row in inst.utilities])  # exact, not rounded
+    edge_count = int(edges.sum())  # one barrier term per edge; every object has one
     if seed is None:
-        bids = np.full((n, m), 1.0 / m)
+        p = np.full(m, n / m)
     else:
-        rng = np.random.default_rng(seed)
-        bids = rng.uniform(0.5, 1.5, size=(n, m))
-        bids /= bids.sum(axis=1, keepdims=True)
+        p = np.random.default_rng(seed).uniform(0.5, 1.5, size=m)
+        p *= n / p.sum()
+    beta = np.full(n, p.min() / 2)  # every u_ij <= 1, so every slack starts positive
 
-    # Certification only needs the spending support, which stabilizes long
-    # before the utilities do, so attempt it periodically once the iterate is
-    # near-stable; a successful attempt is exact and ends the solve early.
-    trigger = max(cfg.convergence_tolerance, 1e-6)
-    u_prev = None
-    last_attempt = None
-    for iterations in range(1, cfg.max_iterations + 1):
-        prices = bids.sum(axis=0)
-        shares = bids / np.maximum(prices, 1e-300)
-        gains = shares * utilities
-        u = gains.sum(axis=1)
-        delta = (
-            np.max(np.abs(u - u_prev) / np.maximum(u, 1e-300)) if u_prev is not None else np.inf
-        )
-        converged = delta < cfg.convergence_tolerance
-        due = delta < trigger and (last_attempt is None or iterations - last_attempt >= 250)
-        if converged or due or iterations == cfg.max_iterations:
-            last_attempt = iterations
-            certified = _certify(inst, utilities, prices)
-            if certified is not None:
-                x, u_star, p_star = certified
-                return EquilibriumSolution(
-                    x=x,
-                    u_star=u_star,
-                    p_star=p_star,
-                    iterations=iterations,
-                    kkt_residual=0.0,
-                    certified=True,
-                )
-            if converged:
+    gap = 0.1  # relative duality gap edges / (t * n) of the current central point
+    guess = np.zeros((n, m), dtype=bool)  # the first guess always differs: no object is held
+    # a float fault surfaces as a non-finite Newton step, which ends the solve
+    with np.errstate(all="ignore"):
+        for iterations in range(1, cfg.max_iterations + 1):
+            t = edge_count / (n * gap)
+            s = p - u * beta[:, None]
+            w = edges / s  # 1/s on edges, 0 elsewhere
+            wu = w * u
+            w2u = wu * w
+            g_beta = wu.sum(axis=1) - t / beta
+            g_p = t - w.sum(axis=0)
+            h_p = (w * w).sum(axis=0)
+            schur = np.diag(t / beta**2 + (wu * wu).sum(axis=1)) - (w2u / h_p) @ w2u.T
+            try:
+                d_beta = np.linalg.solve(schur, -g_beta - w2u @ (g_p / h_p))
+            except np.linalg.LinAlgError:
                 break
-        u_prev = u
-        bids = gains / np.maximum(u[:, None], 1e-300)
+            d_p = (w2u.T @ d_beta - g_p) / h_p
+            decrement = -(g_beta @ d_beta + g_p @ d_p)
+            if not np.isfinite(decrement):  # a NaN or infinite step makes it non-finite
+                break
+            # fraction to boundary: go at most 0.9 of the way to the nearest zero
+            value = np.concatenate((s[edges], beta))
+            change = np.concatenate(((d_p - u * d_beta[:, None])[edges], d_beta))
+            shrinking = change < 0
+            step = 1.0
+            if shrinking.any():
+                step = min(1.0, 0.9 * np.min(-value[shrinking] / change[shrinking]))
+            beta = beta + step * d_beta
+            p = p + step * d_p
+            if decrement > _CENTRED:
+                continue
+            # centred: edges spending at least 1/sqrt(t) form the support guess;
+            # every object is sold, so one the guess misses gets its top spender
+            spend = edges * p / (p - u * beta[:, None])  # t times p_j * x_ij on the path
+            tight = spend >= math.sqrt(t)
+            tight |= edges & ~tight.any(axis=0) & (spend == spend.max(axis=0))
+            if (tight != guess).any():
+                guess = tight
+                certified = _certify_support(inst, tight)
+                if certified is not None:
+                    x, u_star, p_star = certified
+                    return EquilibriumSolution(
+                        x=x,
+                        u_star=u_star,
+                        p_star=p_star,
+                        iterations=iterations,
+                        kkt_residual=0.0,
+                        certified=True,
+                    )
+            if gap < cfg.convergence_tolerance:
+                break
+            gap /= 10
 
-    raise NonConvergence(iterations, float(delta))
+    raise NonConvergence(iterations, gap)
 
 
 def _allocation_rows(inst, allocation):
@@ -225,14 +257,6 @@ def _allocation_rows(inst, allocation):
 def _row_over_max(row):
     top = max(row)
     return [float(v / top) for v in row]
-
-
-def _certify(inst, utilities, prices):
-    """Guess the spending support from float bang-per-buck tightness and certify it."""
-    ratios = utilities / np.maximum(prices, 1e-300)
-    best = ratios.max(axis=1, keepdims=True)
-    tight = (utilities > 0) & (ratios >= _TIGHT_RATIO * best)
-    return _certify_support(inst, tight)
 
 
 def _certify_support(inst, tight):

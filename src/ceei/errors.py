@@ -36,8 +36,8 @@ class InstanceTooLarge(CeeiError):
 class NonConvergence(CeeiError):
     """The equilibrium solver stopped without an exactly certified equilibrium.
 
-    `residual` is the last relative utility change between rounds of the
-    float iteration (infinite after a single round).
+    `iterations` counts the Newton steps taken and `residual` is the last
+    relative duality gap of the barrier method.
     """
 
     def __init__(self, iterations, residual):

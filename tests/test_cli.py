@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from ceei import cli
+from ceei import cli, gen_random
 from ceei.cli import main
 
 
@@ -85,6 +89,48 @@ class TestSolve:
         assert code == 0
         assert report["result"]["certified_exact"]
         assert report["result"]["u_star"][0] == {"exact": str(huge), "decimal": None}
+
+    def test_large_random_instance_solves(self, workdir, capsys):
+        rows = [[int(v) for v in row] for row in gen_random(20, 40, 100, seed=0).utilities]
+        document = {"agents": 20, "objects": 40, "utilities": rows}
+        (workdir / "r20x40.json").write_text(json.dumps(document))
+        code, report, _ = run(capsys, "solve", workdir / "r20x40.json")
+        assert code == 0
+        assert report["result"]["certified_exact"]
+
+    def test_utility_lost_to_float_rounding_solves(self, workdir, capsys):
+        (workdir / "lost.json").write_text(
+            f'{{"agents":2,"objects":2,"utilities":[[{10**400},1],[1,0]]}}'
+        )
+        code, report, _ = run(capsys, "solve", workdir / "lost.json")
+        assert code == 0
+        assert report["result"]["p_star"][1]["decimal"] == 0.0
+
+    def test_singular_newton_system_exits_3(self, workdir, capsys, monkeypatch):
+        import numpy
+
+        def singular(*_):
+            raise numpy.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(numpy.linalg, "solve", singular)
+        code, report, err = run(capsys, "solve", workdir / "separation.json")
+        assert code == 3
+        assert report is None
+        assert "no equilibrium" in err
+
+    def test_importing_the_cli_does_not_load_numpy(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        probe = "import sys, ceei.cli; print('numpy' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
 
 class TestCheck:

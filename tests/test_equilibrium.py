@@ -131,6 +131,64 @@ class TestSolveEg:
         assert sum(sol.p_star.prices) == inst.n
         assert kkt_residual(inst, sol.x, sol.p_star).max_violation == 0
 
+    @pytest.mark.parametrize("n, m", [(20, 40), (50, 100)])
+    def test_large_random_instances_certify(self, n, m):
+        inst = gen_random(n, m, 100, seed=0)
+        sol = solve_eg(inst)
+        assert sol.certified
+        assert sum(sol.p_star.prices) == inst.n
+
+    @pytest.mark.parametrize("big", [10**8, 10**400])
+    def test_tiny_spending_edge_certifies(self, big):
+        # agent 0 spends 2/(big + 1) on object 1, far below any spending
+        # threshold; at 10**400 row scaling even rounds its utility to 0.0
+        sol = solve_eg(Instance([[big, 1], [1, 0]]))
+        assert sol.u_star == (Fraction(big + 1, 2), Fraction(big + 1, 2 * big))
+        assert sol.p_star.prices == (Fraction(2 * big, big + 1), Fraction(2, big + 1))
+
+    def test_singular_newton_system_is_nonconvergence(self, separation, monkeypatch):
+        import numpy
+
+        def singular(*_):
+            raise numpy.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(numpy.linalg, "solve", singular)
+        with pytest.raises(NonConvergence) as excinfo:
+            solve_eg(separation)
+        assert excinfo.value.iterations == 1
+
+    def test_non_finite_newton_step_is_nonconvergence(self, separation, monkeypatch):
+        import numpy
+
+        monkeypatch.setattr(numpy.linalg, "solve", lambda a, b: numpy.full_like(b, numpy.nan))
+        with pytest.raises(NonConvergence) as excinfo:
+            solve_eg(separation)
+        assert excinfo.value.iterations == 1
+
+    def test_tie_heavy_instances_are_exact_equilibria(self):
+        rng = random.Random(23)
+        for k in range(45):
+            n, m = rng.randint(1, 5), rng.randint(1, 8)
+            if k % 3 == 0:
+                inst = gen_random(n, m, rng.randint(1, 3), seed=900 + k)
+            elif k % 3 == 1:
+                row = gen_random(1, m, rng.randint(1, 3), seed=900 + k).utilities[0]
+                inst = Instance([row] * n)
+            else:
+                inst = Instance(
+                    [[f"{rng.randint(1, 3)}/{rng.randint(1, 3)}" for _ in range(m)] for _ in range(n)]
+                )
+            sol, *others = [solve_eg(inst, seed=s) for s in (None, 1, 2)]
+            for other in others:
+                assert (other.u_star, other.p_star, other.x) == (sol.u_star, sol.p_star, sol.x)
+            u, x, p, v = inst.utilities, sol.x.rows, sol.p_star.prices, sol.u_star
+            for j in range(m):
+                assert sum(x[i][j] for i in range(n)) == 1
+            for i in range(n):
+                assert sum(x[i][j] * p[j] for j in range(m)) == 1
+                assert sum(u[i][j] * x[i][j] for j in range(m)) == v[i]
+                assert all(u[i][j] <= v[i] * p[j] for j in range(m))
+
     def test_welfare_dominates_random_fractional_assignments(self):
         rng = random.Random(5)
         for seed in range(8):
