@@ -10,6 +10,8 @@ diagnostics on stderr.  Exit codes are uniform across subcommands:
     4  an enumeration guard was exceeded
     5  a truncated search left the question undecided
     6  internal error: an unexpected exception, reported by its type on stderr
+  141  stdout was closed before the report was written, as in `| head -1`
+       (128 + SIGPIPE, the status a shell shows for a writer that signal ended)
 
 Exact rationals are reported as {"exact": "19/20", "decimal": 0.95} pairs,
 with a null decimal for values beyond float range; plain floats stay plain.
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -65,6 +68,7 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_TOO_LARGE = 4
 EXIT_INCONCLUSIVE = 5
 EXIT_INTERNAL = 6
+EXIT_CLOSED_PIPE = 141
 
 # The exit code of each error a handler may raise, first match wins; any
 # other exception is a bug and exits EXIT_INTERNAL, because an uncaught one
@@ -90,7 +94,17 @@ def main(argv=None) -> int:
         print(f"error: {message}", file=sys.stderr)
         return code
     report["timings"] = {"total_seconds": time.monotonic() - started}
-    print(json.dumps(report, indent=2))
+    try:
+        print(json.dumps(report, indent=2))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Nobody reads the report.  Point stdout at devnull, as Python's
+        # signal docs advise for SIGPIPE, so the interpreter's final flush
+        # does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_PIPE
     return code
 
 
@@ -123,8 +137,20 @@ def _build_parser():
         "target",
         choices=["mnw", "ceei-frac", "ceei-disc", "binary-mnw", "identical-ceei-disc"],
     )
-    searchp.add_argument("--limit-nodes", type=int, default=None)
-    searchp.add_argument("--limit-seconds", type=float, default=None)
+    searchp.add_argument(
+        "--limit-nodes",
+        type=int,
+        default=None,
+        help="node budget of the mnw and ceei-frac branch and bound; the enumeration guard of"
+        " ceei-disc; ignored by binary-mnw and identical-ceei-disc",
+    )
+    searchp.add_argument(
+        "--limit-seconds",
+        type=float,
+        default=None,
+        help="time budget of the mnw and ceei-frac branch and bound;"
+        " ignored by ceei-disc, binary-mnw and identical-ceei-disc",
+    )
     searchp.set_defaults(handler=_cmd_search)
 
     gen = sub.add_parser("gen", help="generate an instance document")

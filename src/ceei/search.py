@@ -9,8 +9,9 @@ the equal-split finder for identical utilities.
 
 Ties are broken lexicographically by owner vector wherever the search is
 exhaustive, so optima are canonical and runs are reproducible.  Exhaustive
-searches walk `fairness.assignments` (one n^m guard); branch and bound and the
-partition search keep explicit stacks.  Nothing here recurses.  Every loop
+searches walk `fairness.assignments` (one n^m guard); branch and bound keeps
+an explicit stack, and the equal-split search builds layers of load tuples
+from both ends of the weight order.  Nothing here recurses.  Every loop
 runs on the int rows of `model.integer_rows`; reported welfare divides out
 the product of their row scales.
 """
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
@@ -246,9 +248,20 @@ def find_ceei_disc_identical(inst: Instance) -> Optional[DiscreteAssignment]:
 
     With identical utilities, discrete price support holds exactly for the
     assignments splitting the weights into n equal-sum parts, so this is a
-    number-partition search: largest weight first, capacity pruning, and
-    equal-load bins collapsed as symmetric.  The weights are the shared
-    integer row; a total not divisible by n settles the answer at once.
+    number-partition search.  The weights are the shared integer row; a
+    total not divisible by n settles the answer at once.
+
+    The search meets in the middle over bin loads.  The weights, largest
+    first, are cut into a front and a back half, and each half is expanded
+    weight by weight into the distinct sorted load tuples it can reach with
+    no load above the target; bins of equal load are interchangeable, so a
+    weight enters only one of them.  A split exists iff the mirror of some
+    front tuple, the target minus each load, is a back tuple, since bins pair
+    up in any order.  Deduplication makes this the pseudo-polynomial DP for
+    fixed n, at most (target + 1)^n tuples a layer, and the halving makes it
+    Horowitz-Sahni's 2^(m/2) a half when the weights are large and distinct.
+    Memory is one back-pointer per distinct tuple over all layers, where a
+    depth-first search would need O(m).
     """
     for i, row in enumerate(inst.utilities):
         if row != inst.utilities[0]:
@@ -263,29 +276,49 @@ def find_ceei_disc_identical(inst: Instance) -> Optional[DiscreteAssignment]:
     target = total // n
 
     order = sorted(range(m), key=lambda j: (-weights[j], j))
-    loads = [0] * n
-    owner = [None] * m
+    front, back = order[: (m + 1) // 2], order[(m + 1) // 2 :]
+    front_layers = _load_layers(front, weights, n, target)
+    back_layers = _load_layers(back, weights, n, target)
+    for loads in front_layers[-1]:
+        mirror = [target - load for load in loads]
+        if tuple(sorted(mirror)) in back_layers[-1]:
+            owner = [None] * m
+            _place(front_layers, front, weights, list(loads), owner)
+            _place(back_layers, back, weights, mirror, owner)
+            return DiscreteAssignment(owner)
+    return None
 
-    # Place order[k] in the first bin from `start` on with room and a load no
-    # earlier bin shares; with none left, take order[k-1] back out of its bin
-    # (`owner` is the stack) and resume after that bin.
-    k, start = 0, 0
-    while k < m:
-        w = weights[order[k]]
-        for b in range(start, n):
-            if loads[b] + w <= target and loads[b] not in loads[:b]:
-                loads[b] += w
-                owner[order[k]] = b
-                k, start = k + 1, 0
-                break
-        else:
-            if k == 0:
-                return None
-            k -= 1
-            b = owner[order[k]]
-            loads[b] -= weights[order[k]]
-            start = b + 1
-    return DiscreteAssignment(owner)
+
+def _load_layers(objects, weights, n, target):
+    """layers[k] maps each ascending load tuple of n bins reachable by placing
+    objects[:k], no load above target, to (the tuple before objects[k-1] was
+    placed, the load of the bin it entered); layers[0] holds the empty bins."""
+    layers = [{(0,) * n: None}]
+    for j in objects:
+        w = weights[j]
+        layer = {}
+        for loads in layers[-1]:
+            for b, load in enumerate(loads):
+                if load + w > target:
+                    break
+                if b and load == loads[b - 1]:
+                    continue
+                k = bisect_right(loads, load + w, b + 1)
+                layer.setdefault(loads[:b] + loads[b + 1 : k] + (load + w,) + loads[k:], (loads, load))
+        layers.append(layer)
+    return layers
+
+
+def _place(layers, objects, weights, loads, owner):
+    """Give objects[k] a bin for every k, following the back-pointers of
+    `_load_layers` from the bins' final `loads`, which it empties: the last
+    object placed entered a bin now holding its old load plus its weight."""
+    state = tuple(sorted(loads))
+    for k in range(len(objects) - 1, -1, -1):
+        state, load = layers[k + 1][state]
+        b = loads.index(load + weights[objects[k]])
+        owner[objects[k]] = b
+        loads[b] = load
 
 
 def exists_ceei_disc_bruteforce(inst: Instance, limit=DEFAULT_ENUM_LIMIT):

@@ -331,3 +331,25 @@ class TestReportShape:
         assert code == 6
         assert report is None
         assert err.splitlines() == ["error: internal error: RuntimeError('boom')"]
+
+    def test_closed_stdout_exits_141_without_a_traceback(self, workdir):
+        # the read end closes before the child writes, so its report meets a
+        # broken pipe, as behind `| head -1` once head has exited
+        (workdir / "split.json").write_text('{"agents":2,"objects":3,"utilities":[[2,1,1],[2,1,1]]}')
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "ceei", "search", str(workdir / "split.json"), "identical-ceei-disc"],
+                env=dict(os.environ, PYTHONPATH=path),
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == cli.EXIT_CLOSED_PIPE == 141
+        assert done.stderr == ""

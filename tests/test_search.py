@@ -30,7 +30,7 @@ from ceei import (
     verify_ceei_frac,
 )
 from ceei.model import integer_rows
-from oracles import has_equal_bipartition, recheck_discrete_price_support
+from oracles import equal_split_exists, has_equal_bipartition, recheck_discrete_price_support
 
 
 class TestBruteForce:
@@ -282,6 +282,35 @@ class TestIdenticalUtilitiesFinder:
         values = [rng.randint(1, 20) for _ in range(rng.randint(1, 10))]
         inst = from_partition(PartitionInput(values))
         assert (find_ceei_disc_identical(inst) is not None) == has_equal_bipartition(values)
+
+    @pytest.mark.parametrize("seed", range(40))
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("high", [9, 1000])
+    def test_agrees_with_enumeration_oracle(self, seed, n, high):
+        rng = random.Random(f"{seed}:{n}:{high}")
+        m = rng.randint(1, {2: 9, 3: 8, 4: 7}[n])  # keeps the n^m oracle small
+        while True:  # an indivisible total would settle the answer at once
+            weights = [rng.randint(1, high) for _ in range(m)]
+            if sum(weights) % n == 0:
+                break
+        found = find_ceei_disc_identical(Instance([weights] * n))
+        assert (found is not None) == equal_split_exists(weights, n)
+        if found is not None:
+            sums = [sum(weights[j] for j in found.bundle(i)) for i in range(n)]
+            assert len(set(sums)) == 1
+
+    def test_large_distinct_weights_without_a_split(self):
+        # the offsets 2^(i+1) sum to less than 2^40, so equal sums would need
+        # equal counts and then equal offset sums, which two disjoint sets of
+        # distinct powers of two never have
+        weights = [2**40 + 2 ** (i + 1) for i in range(28)]
+        assert find_ceei_disc_identical(Instance([weights] * 2)) is None
+
+    def test_large_weights_each_used_twice_split(self):
+        weights = [2**40 + 2 ** (i + 1) for i in range(14) for _ in range(2)]
+        found = find_ceei_disc_identical(Instance([weights] * 2))
+        assert found is not None
+        assert sum(weights[j] for j in found.bundle(0)) == sum(weights[j] for j in found.bundle(1))
 
 
 class TestExistsDiscreteSupport:
