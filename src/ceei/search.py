@@ -10,10 +10,10 @@ the equal-split finder for identical utilities.
 Ties are broken lexicographically by owner vector wherever the search is
 exhaustive, so optima are canonical and runs are reproducible.  Exhaustive
 searches walk `fairness.assignments` (one n^m guard); branch and bound keeps
-an explicit stack, and the equal-split search builds layers of load tuples
-from both ends of the weight order.  Nothing here recurses.  Every loop
-runs on the int rows of `model.integer_rows`; reported welfare divides out
-the product of their row scales.
+an explicit stack, and the equal-split search races a depth-first search
+against a meet in the middle over load tuples.  Nothing here recurses.
+Every loop runs on the int rows of `model.integer_rows`; reported welfare
+divides out the product of their row scales.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from operator import add
 from typing import Optional
 
@@ -243,6 +244,13 @@ def _augment(valued, owner, i) -> bool:
     return False
 
 
+# The meet in the middle of `find_ceei_disc_identical` drops out of its race
+# once it would hold more load tuples than this, some 100-250 MB for up to a
+# dozen agents; the depth-first search, O(m) in memory, then goes on alone.
+IDENTICAL_TUPLE_LIMIT = 1 << 20
+_OUT_OF_ROOM = object()
+
+
 def find_ceei_disc_identical(inst: Instance) -> Optional[DiscreteAssignment]:
     """Equal-utility complete assignment for identical utility rows, or None.
 
@@ -251,17 +259,24 @@ def find_ceei_disc_identical(inst: Instance) -> Optional[DiscreteAssignment]:
     number-partition search.  The weights are the shared integer row; a
     total not divisible by n settles the answer at once.
 
-    The search meets in the middle over bin loads.  The weights, largest
-    first, are cut into a front and a back half, and each half is expanded
-    weight by weight into the distinct sorted load tuples it can reach with
-    no load above the target; bins of equal load are interchangeable, so a
-    weight enters only one of them.  A split exists iff the mirror of some
-    front tuple, the target minus each load, is a back tuple, since bins pair
-    up in any order.  Deduplication makes this the pseudo-polynomial DP for
-    fixed n, at most (target + 1)^n tuples a layer, and the halving makes it
-    Horowitz-Sahni's 2^(m/2) a half when the weights are large and distinct.
-    Memory is one back-pointer per distinct tuple over all layers, where a
-    depth-first search would need O(m).
+    Two exact searches run in lockstep, one unit of work each in turn, and
+    the first to finish answers.  The depth-first search places the weights
+    largest first in the first bin with room, bins of equal load counting as
+    one, in O(m) memory; it settles yes-instances with many small weights
+    almost at once.  The meet in the middle cuts the weights, largest first,
+    into a front and a back half and expands each half, one run of equal
+    weights at a time, into the distinct ascending load tuples it can reach
+    with no load above the target.  A split exists iff the mirror of some
+    front tuple, the target minus each load, is a back tuple, since bins
+    pair up in any order.  For fixed n this is pseudo-polynomial, at most
+    (target + 1)^(n-1) tuples a run, and Horowitz-Sahni's 2^(m/2) a half on
+    large distinct weights, where it settles no-instances that defeat the
+    depth-first search.  It keeps one back-pointer per distinct tuple per
+    run and drops out of the race past IDENTICAL_TUPLE_LIMIT of them.  The
+    time is thus within about twice the faster search's, or the depth-first
+    search's alone once the other has dropped out, and the memory within
+    O(m) plus the smaller of the work done and the limit.  Objects of weight
+    zero go to agent 0.
     """
     for i, row in enumerate(inst.utilities):
         if row != inst.utilities[0]:
@@ -275,50 +290,170 @@ def find_ceei_disc_identical(inst: Instance) -> Optional[DiscreteAssignment]:
         return None
     target = total // n
 
-    order = sorted(range(m), key=lambda j: (-weights[j], j))
-    front, back = order[: (m + 1) // 2], order[(m + 1) // 2 :]
-    front_layers = _load_layers(front, weights, n, target)
-    back_layers = _load_layers(back, weights, n, target)
-    for loads in front_layers[-1]:
+    order = _largest_first(weights)
+    owner = _race(_first_fit(order, weights, n, target), _meet_in_the_middle(order, weights, n, target))
+    return None if owner is None else DiscreteAssignment(owner)
+
+
+def _largest_first(weights):
+    """The objects of nonzero weight, largest first, ties by index."""
+    return sorted((j for j in range(len(weights)) if weights[j]), key=lambda j: (-weights[j], j))
+
+
+def _race(*searches):
+    """Advance the generators one step each in turn and return the return
+    value of the first to finish, unless that is _OUT_OF_ROOM: a search that
+    returns it drops out, and the last one left must decide."""
+    running = list(searches)
+    while True:
+        for search in running:
+            try:
+                next(search)
+            except StopIteration as finished:
+                if finished.value is not _OUT_OF_ROOM:
+                    return finished.value
+                running.remove(search)
+                break
+
+
+def _first_fit(order, weights, n, target):
+    """Depth-first equal split of the objects in `order`: an owner vector
+    (objects outside `order` with agent 0) or None, yielding once a node."""
+    loads = [0] * n
+    owner = [0] * len(weights)
+
+    # Place order[k] in the first bin from `start` on with room and a load no
+    # earlier bin shares; with none left, take order[k-1] back out of its bin
+    # (`owner` is the stack) and resume after that bin.
+    k, start = 0, 0
+    while k < len(order):
+        yield
+        w = weights[order[k]]
+        for b in range(start, n):
+            if loads[b] + w <= target and loads[b] not in loads[:b]:
+                loads[b] += w
+                owner[order[k]] = b
+                k, start = k + 1, 0
+                break
+        else:
+            if k == 0:
+                return None
+            k -= 1
+            b = owner[order[k]]
+            loads[b] -= weights[order[k]]
+            start = b + 1
+    return owner
+
+
+def _meet_in_the_middle(order, weights, n, target):
+    """Equal split of the objects in `order` from the load tuples of its two
+    halves: an owner vector (objects outside `order` with agent 0), None, or
+    _OUT_OF_ROOM past IDENTICAL_TUPLE_LIMIT tuples, yielding once per tuple
+    made or matched."""
+    half = (len(order) + 1) // 2
+    room = IDENTICAL_TUPLE_LIMIT
+    front = yield from _load_runs(order[:half], weights, n, target, room)
+    if front is None:
+        return _OUT_OF_ROOM
+    back = yield from _load_runs(order[half:], weights, n, target, room - sum(len(r) for _, r in front))
+    if back is None:
+        return _OUT_OF_ROOM
+    for loads in front[-1][1]:
+        yield
         mirror = [target - load for load in loads]
-        if tuple(sorted(mirror)) in back_layers[-1]:
-            owner = [None] * m
-            _place(front_layers, front, weights, list(loads), owner)
-            _place(back_layers, back, weights, mirror, owner)
-            return DiscreteAssignment(owner)
+        if tuple(sorted(mirror)) in back[-1][1]:
+            owner = [0] * len(weights)
+            _place(front, weights, list(loads), owner)
+            _place(back, weights, mirror, owner)
+            return owner
     return None
 
 
-def _load_layers(objects, weights, n, target):
-    """layers[k] maps each ascending load tuple of n bins reachable by placing
-    objects[:k], no load above target, to (the tuple before objects[k-1] was
-    placed, the load of the bin it entered); layers[0] holds the empty bins."""
-    layers = [{(0,) * n: None}]
-    for j in objects:
-        w = weights[j]
-        layer = {}
-        for loads in layers[-1]:
-            for b, load in enumerate(loads):
-                if load + w > target:
-                    break
-                if b and load == loads[b - 1]:
-                    continue
+def _load_runs(objects, weights, n, target, room):
+    """Cut `objects` into runs of equal weight and return [(run, reached)],
+    starting from ((), {empty bins: None}): `reached` maps each ascending
+    tuple of n loads, none above target, that placing every object up to the
+    end of the run can give, to one tuple reached before the run.  Yields
+    once per tuple made; None once the runs would hold more than `room`."""
+    runs = [((), {(0,) * n: None})]
+    for w, run in groupby(objects, key=weights.__getitem__):
+        run = tuple(run)
+        reached = {}
+        for before in runs[-1][1]:
+            for after in _spreads(before, w, len(run), target):
+                yield
+                if after not in reached:
+                    reached[after] = before
+                    room -= 1
+                    if room < 0:
+                        return None
+        runs.append((run, reached))
+    return runs
+
+
+def _spreads(loads, w, c, target):
+    """Every ascending load tuple reached by adding c copies of w > 0 to the
+    ascending bin `loads` with no load above target.  Bins of equal load take
+    non-increasing counts, so no two ways differ by a swap of such bins, and
+    every branch of the walk ends in a way."""
+    n = len(loads)
+    if c == 1:  # the common case, without the walk over counts
+        for b, load in enumerate(loads):
+            if load + w > target:
+                return
+            if b == 0 or load != loads[b - 1]:
                 k = bisect_right(loads, load + w, b + 1)
-                layer.setdefault(loads[:b] + loads[b + 1 : k] + (load + w,) + loads[k:], (loads, load))
-        layers.append(layer)
-    return layers
+                yield loads[:b] + loads[b + 1 : k] + (load + w,) + loads[k:]
+        return
+    caps = [min(c, (target - load) // w) for load in loads]
+    if sum(caps) < c:
+        return
+    # ends[i]: one past the last bin with the load of bin i; after[i]: the
+    # room in the bins from ends[i] on.  With counts[i] = v, bins i+1 ..
+    # ends[i]-1 take at most v each, so v >= (rem - after[i]) / (ends[i] - i).
+    ends, after = [n] * n, [0] * n
+    for i in range(n - 2, -1, -1):
+        ends[i] = ends[i + 1] if loads[i + 1] == loads[i] else i + 1
+        after[i] = after[i + 1] if loads[i + 1] == loads[i] else after[i + 1] + caps[i + 1] * (ends[i + 1] - i - 1)
+    counts, least = [0] * n, [0] * n
+    i, rem = 0, c
+    while True:
+        while i < n:
+            most = min(caps[i], rem) if i == 0 or loads[i] != loads[i - 1] else min(counts[i - 1], rem)
+            least[i] = max(0, -((after[i] - rem) // (ends[i] - i)))
+            counts[i] = most
+            rem -= most
+            i += 1
+        yield tuple(sorted(load + k * w for load, k in zip(loads, counts)))
+        rem = counts[-1]
+        i = n - 2
+        while i >= 0 and counts[i] == least[i]:
+            rem += counts[i]
+            i -= 1
+        if i < 0:
+            return
+        counts[i] -= 1
+        rem += 1
+        i += 1
 
 
-def _place(layers, objects, weights, loads, owner):
-    """Give objects[k] a bin for every k, following the back-pointers of
-    `_load_layers` from the bins' final `loads`, which it empties: the last
-    object placed entered a bin now holding its old load plus its weight."""
-    state = tuple(sorted(loads))
-    for k in range(len(objects) - 1, -1, -1):
-        state, load = layers[k + 1][state]
-        b = loads.index(load + weights[objects[k]])
-        owner[objects[k]] = b
-        loads[b] = load
+def _place(runs, weights, loads, owner):
+    """Give each object of `runs` a bin, following the tuples of
+    `_load_runs` back from the bins' final `loads`, which it empties."""
+    for run, reached in reversed(runs[1:]):
+        w = weights[run[0]]
+        before = reached[tuple(sorted(loads))]
+        # Each bin had a load of its residue mod w before the run; pairing
+        # both sides in ascending order is valid whenever any pairing is.
+        unpaired = {}
+        for load in reversed(before):
+            unpaired.setdefault(load % w, []).append(load)
+        objects = iter(run)
+        for b in sorted(range(len(loads)), key=loads.__getitem__):
+            old = unpaired[loads[b] % w].pop()
+            for _ in range((loads[b] - old) // w):
+                owner[next(objects)] = b
+            loads[b] = old
 
 
 def exists_ceei_disc_bruteforce(inst: Instance, limit=DEFAULT_ENUM_LIMIT):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,7 @@ from ceei import (
     verify_ceei_disc,
     verify_ceei_frac,
 )
+from ceei import search
 from ceei.model import integer_rows
 from oracles import equal_split_exists, has_equal_bipartition, recheck_discrete_price_support
 
@@ -311,6 +313,52 @@ class TestIdenticalUtilitiesFinder:
         found = find_ceei_disc_identical(Instance([weights] * 2))
         assert found is not None
         assert sum(weights[j] for j in found.bundle(0)) == sum(weights[j] for j in found.bundle(1))
+
+    @pytest.mark.parametrize("seed", range(60))
+    @pytest.mark.parametrize("engine", [search._first_fit, search._meet_in_the_middle], ids=["dfs", "mitm"])
+    def test_each_search_alone_agrees_with_enumeration_oracle(self, engine, seed):
+        # small weights with repeats and zeros, so runs of equal weight occur
+        rng = random.Random(seed)
+        n = rng.randint(2, 4)
+        m = rng.randint(1, {2: 9, 3: 8, 4: 7}[n])
+        while True:
+            weights = [rng.choice((0, 1, 2, 3, rng.randint(1, 12))) for _ in range(m)]
+            if sum(weights) % n == 0:
+                break
+        target = sum(weights) // n
+        owner = search._race(engine(search._largest_first(weights), weights, n, target))
+        assert (owner is not None) == equal_split_exists(weights, n)
+        if owner is not None:
+            sums = [0] * n
+            for j, b in enumerate(owner):
+                sums[b] += weights[j]
+            assert sums == [target] * n
+
+    def test_many_small_weights_among_three_agents_split_at_once(self):
+        start = time.perf_counter()
+        found = find_ceei_disc_identical(Instance([[1] * 3000] * 3))
+        assert time.perf_counter() - start < 10
+        assert [len(found.bundle(i)) for i in range(3)] == [1000, 1000, 1000]
+
+    def test_long_run_of_equal_weights_without_a_split(self):
+        # each third needs 1001, which from 2s takes the one 3, so two of
+        # them fall short
+        start = time.perf_counter()
+        assert find_ceei_disc_identical(Instance([[2] * 1500 + [3]] * 3)) is None
+        assert time.perf_counter() - start < 10
+
+    def test_meet_in_the_middle_drops_out_past_its_tuple_limit(self, monkeypatch):
+        monkeypatch.setattr(search, "IDENTICAL_TUPLE_LIMIT", 20)
+        weights = [2**40 + 2 ** (i + 1) for i in range(10)]
+        target = sum(weights) // 2
+        mitm = search._meet_in_the_middle(search._largest_first(weights), weights, 2, target)
+        with pytest.raises(StopIteration) as finished:
+            while True:
+                next(mitm)
+        assert finished.value.value is search._OUT_OF_ROOM
+        # the depth-first search then decides alone
+        assert find_ceei_disc_identical(Instance([weights] * 2)) is None
+        assert find_ceei_disc_identical(Instance([weights + weights] * 2)) is not None
 
 
 class TestExistsDiscreteSupport:
