@@ -7,8 +7,10 @@ def max_flow(num_nodes, edges, source, sink):
     """Return (flow value, flow dict) for the given capacitated digraph.
 
     `edges` maps (u, v) pairs to capacities.  Capacities may be ints or
-    Fractions; arithmetic stays exact either way.  The BFS augmenting order
-    is deterministic given the edge insertion order.
+    Fractions; arithmetic stays exact either way.  The one caller, the
+    equilibrium certifier, passes ints: every capacity times the prices'
+    common denominator.  The BFS augmenting order is deterministic given the
+    edge insertion order.
     """
     capacity = [dict() for _ in range(num_nodes)]
     for (u, v), cap in edges.items():

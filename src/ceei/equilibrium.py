@@ -11,14 +11,19 @@ a slack s_ij = p_j - u_ij * beta_i or a beta_i would reach zero, and the barrier
 weight t grows tenfold once an iterate is centred.  On the central path agent
 i spends p_j / (t * s_ij) on object j.
 
-After each centring the float iterate is used only to guess which
-agent-object edges carry spending: those spending at least 1/sqrt(t), plus
-the top spender of any object left without one.  From that guess the unique
-equilibrium utilities and prices are reconstructed in exact rational
-arithmetic and verified against the optimality conditions.  Every returned
-solution is therefore exact, with a residual of literally zero; when no guess
-certifies before the relative duality gap falls below the tolerance, or
-within the step budget, the solver raises NonConvergence.
+The solver reads the utilities only as the int rows of `model.integer_rows`;
+the float rows are each int row over its max, correctly rounded.  After each
+centring the float iterate is used only to guess which agent-object edges
+carry spending: those spending at least 1/sqrt(t), plus the top spender of
+any object left without one (where rounding ties two spenders, the exact bid
+u_ij * beta_i decides).  From that guess the unique equilibrium utilities and
+prices are reconstructed and verified against the optimality conditions in
+integer arithmetic: ratios propagate as reduced int pairs, optimality is one
+cross-multiplied comparison per entry over the prices' common denominator,
+and the money flow runs on int capacities scaled by that denominator.  Every
+returned solution is therefore exact, with a residual of literally zero; when
+no guess certifies before the relative duality gap falls below the
+tolerance, or within the step budget, the solver raises NonConvergence.
 
 numpy is imported inside `solve_eg`, so importing this module (and the CLI)
 does not load it.
@@ -43,6 +48,7 @@ from .model import (
     Instance,
     PriceVector,
     as_fractional,
+    integer_rows,
     to_rational,
     validate_instance,
 )
@@ -66,7 +72,7 @@ class SolverConfig:
 class EquilibriumSolution:
     """Equilibrium allocation, utilities, prices, and convergence diagnostics.
 
-    Every solution is certified in exact rational arithmetic: `u_star`,
+    Every solution is certified in exact integer arithmetic: `u_star`,
     `p_star` and `x` are exact, `certified` is always True and `kkt_residual`
     is always 0.0.  Both fields are kept for callers that read them.
     """
@@ -171,10 +177,12 @@ def solve_eg(inst: Instance, config: Optional[SolverConfig] = None, seed=None) -
         raise InvariantError(violations)
 
     n, m = inst.n, inst.m
+    rows, scales = integer_rows(inst)
+    tops = [max(row) for row in rows]
     # Scaling a row only rescales that agent's beta, so dividing each row by
-    # its max (exactly, before rounding) keeps every float in range.
-    u = np.array([_row_over_max(row) for row in inst.utilities])
-    edges = np.array([[v > 0 for v in row] for row in inst.utilities])  # exact, not rounded
+    # its max keeps every float in range; int / int rounds correctly.
+    u = np.array([[v / top for v in row] for row, top in zip(rows, tops)])
+    edges = np.array([[v > 0 for v in row] for row in rows])  # exact, not rounded
     edge_count = int(edges.sum())  # one barrier term per edge; every object has one
     if seed is None:
         p = np.full(m, n / m)
@@ -220,10 +228,17 @@ def solve_eg(inst: Instance, config: Optional[SolverConfig] = None, seed=None) -
             # every object is sold, so one the guess misses gets its top spender
             spend = edges * p / (p - u * beta[:, None])  # t times p_j * x_ij on the path
             tight = spend >= math.sqrt(t)
-            tight |= edges & ~tight.any(axis=0) & (spend == spend.max(axis=0))
+            top = edges & ~tight.any(axis=0) & (spend == spend.max(axis=0))
+            for j in np.flatnonzero(top.sum(axis=0) > 1):
+                # rounding can tie distinct bids u_ij * beta_i: the exact bid decides
+                holders = np.flatnonzero(top[:, j])
+                bids = [Fraction(rows[i][j], tops[i]) * Fraction(beta[i]) for i in holders]
+                best = max(bids)
+                top[holders, j] = [bid == best for bid in bids]
+            tight |= top
             if (tight != guess).any():
                 guess = tight
-                certified = _certify_support(inst, tight)
+                certified = _certify_support(rows, scales, tight.tolist())
                 if certified is not None:
                     x, u_star, p_star = certified
                     return EquilibriumSolution(
@@ -254,25 +269,21 @@ def _allocation_rows(inst, allocation):
     return rows
 
 
-def _row_over_max(row):
-    top = max(row)
-    return [float(v / top) for v in row]
-
-
-def _certify_support(inst, tight):
+def _certify_support(rows, scales, tight):
     """Reconstruct the exact equilibrium from a guessed spending support.
 
-    Edges marked in the boolean matrix `tight` are assumed to carry money.
+    `rows` and `scales` are `integer_rows(inst)`; the integer instance has the
+    same prices and allocation, and agent i's utility times scales[i].  Edges
+    marked in the nested boolean lists `tight` are assumed to carry money.
     Along any such edge the price is pinned to p_j = u_ij / u_i, which fixes
     every utility and price inside a connected component up to one scale; the
     scale follows from the component's agents spending their whole budgets.
     The reconstruction is then verified exactly: ratio consistency on the
     guessed edges, global optimality u_ij <= u_i * p_j, and existence of a
-    feasible exact money flow.  Any failure returns None.
+    feasible money flow.  Any failure returns None.
     """
-    n, m = inst.n, inst.m
-    utilities = inst.utilities
-    support = [[j for j in range(m) if tight[i, j]] for i in range(n)]
+    n, m = len(rows), len(rows[0])
+    support = [[j for j, held in enumerate(row) if held] for row in tight]
     if any(not edges for edges in support):
         return None
     by_object = [[] for _ in range(m)]
@@ -282,76 +293,93 @@ def _certify_support(inst, tight):
     if any(not holders for holders in by_object):
         return None
 
-    # propagate scale-free ratios: u_i = r_i * t_c, p_j = q_j / t_c
+    # propagate scale-free ratios as reduced int pairs (num, den):
+    # u_i = r_i * t_c and p_j = q_j / t_c, with u_ij = r_i * q_j on every edge
     agent_scale = [None] * n
     object_scale = [None] * m
     comps = []
     for seed_agent in range(n):
         if agent_scale[seed_agent] is not None:
             continue
-        comp = len(comps)
-        comps.append({"agents": [], "objects": []})
-        agent_scale[seed_agent] = Fraction(1)
-        stack = [("agent", seed_agent)]
+        agents, objects = [], []
+        comps.append((agents, objects))
+        agent_scale[seed_agent] = (1, 1)
+        stack = [seed_agent]  # agents as i, objects as ~j
         while stack:
-            kind, node = stack.pop()
-            if kind == "agent":
-                comps[comp]["agents"].append(node)
+            node = stack.pop()
+            if node >= 0:
+                agents.append(node)
+                a, b = agent_scale[node]
                 for j in support[node]:
-                    q = utilities[node][j] / agent_scale[node]
+                    num = rows[node][j] * b  # q_j = num / a
                     if object_scale[j] is None:
-                        object_scale[j] = q
-                        comps[comp]["objects"].append(j)
-                        stack.append(("object", j))
-                    elif object_scale[j] != q:
-                        return None  # inconsistent ratio cycle: support guess is wrong
+                        g = math.gcd(num, a)
+                        object_scale[j] = (num // g, a // g)
+                        objects.append(j)
+                        stack.append(~j)
+                    else:
+                        c, d = object_scale[j]
+                        if c * a != num * d:
+                            return None  # inconsistent ratio cycle: support guess is wrong
             else:
-                for i in by_object[node]:
-                    r = utilities[i][node] / object_scale[node]
+                j = ~node
+                c, d = object_scale[j]
+                for i in by_object[j]:
+                    num = rows[i][j] * d  # r_i = num / c
                     if agent_scale[i] is None:
-                        agent_scale[i] = r
-                        stack.append(("agent", i))
-                    elif agent_scale[i] != r:
-                        return None
+                        g = math.gcd(num, c)
+                        agent_scale[i] = (num // g, c // g)
+                        stack.append(i)
+                    else:
+                        a, b = agent_scale[i]
+                        if a * c != num * b:
+                            return None
 
+    # each component's prices sum to its agent count: t_c = sum(q_j) / k
     u_star = [None] * n
     p_star = [None] * m
-    for comp in comps:
-        scale = sum(object_scale[j] for j in comp["objects"]) / len(comp["agents"])
-        for i in comp["agents"]:
-            u_star[i] = agent_scale[i] * scale
-        for j in comp["objects"]:
-            p_star[j] = object_scale[j] / scale
-    if any(p is None for p in p_star):
-        return None
+    for agents, objects in comps:
+        k = len(agents)
+        lcd = math.lcm(*(object_scale[j][1] for j in objects))
+        q_sum = sum(c * (lcd // d) for c, d in (object_scale[j] for j in objects))  # sum(q_j) * lcd
+        for i in agents:
+            a, b = agent_scale[i]
+            u_star[i] = Fraction(a * q_sum, b * lcd * k)
+        for j in objects:
+            c, d = object_scale[j]
+            p_star[j] = Fraction(c * (lcd // d) * k, q_sum)
 
-    # global optimality: no agent sees a better-than-equilibrium ratio anywhere
-    for i in range(n):
-        for j in range(m):
-            if utilities[i][j] > u_star[i] * p_star[j]:
-                return None
+    # over the prices' common denominator D, p_j = P_j / D; with u_i = a_i / b_i,
+    # u_ij <= u_i * p_j is u_ij * b_i * D <= a_i * P_j, and equality marks a tie edge
+    denom = math.lcm(*(p.denominator for p in p_star))
+    scaled_prices = [p.numerator * (denom // p.denominator) for p in p_star]
+    tie_edges = []
+    for i, row in enumerate(rows):
+        a, bd = u_star[i].numerator, u_star[i].denominator * denom
+        for j, v in enumerate(row):
+            if v:
+                lhs, rhs = v * bd, a * scaled_prices[j]
+                if lhs > rhs:
+                    return None  # agent i sees a better-than-equilibrium ratio at j
+                if lhs == rhs:
+                    tie_edges.append((i, j))
 
-    # exact money flow on the maximal (tie-inclusive) support
-    tie_edges = [
-        (i, j)
-        for i in range(n)
-        for j in range(m)
-        if utilities[i][j] == u_star[i] * p_star[j] and utilities[i][j] > 0
-    ]
+    # money flow on the maximal (tie-inclusive) support, every capacity times D:
+    # D per agent budget and per tie edge, P_j per object
     source, sink = 0, n + m + 1
     edges = {}
     for i in range(n):
-        edges[(source, 1 + i)] = Fraction(1)
+        edges[(source, 1 + i)] = denom
     for j in range(m):
-        edges[(1 + n + j, sink)] = p_star[j]
+        edges[(1 + n + j, sink)] = scaled_prices[j]
     for i, j in tie_edges:
-        edges[(1 + i, 1 + n + j)] = Fraction(1)
+        edges[(1 + i, 1 + n + j)] = denom
     total, flow = max_flow(n + m + 2, edges, source, sink)
-    if total != n:
+    if total != n * denom:
         return None
 
-    rows = [[Fraction(0)] * m for _ in range(n)]
+    x = [[0] * m for _ in range(n)]
     for i, j in tie_edges:
-        rows[i][j] = flow[(1 + i, 1 + n + j)] / p_star[j]
-    x = FractionalAssignment(rows)
-    return x, tuple(u_star), PriceVector(p_star)
+        x[i][j] = Fraction(flow[(1 + i, 1 + n + j)], scaled_prices[j])
+    u_star = tuple(u / s for u, s in zip(u_star, scales))
+    return FractionalAssignment(x), u_star, PriceVector(p_star)

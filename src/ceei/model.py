@@ -17,6 +17,8 @@ from .errors import DimensionMismatch, InvalidAssignment
 
 def to_rational(value) -> Fraction:
     """Coerce ints, strings like '19/20', floats and Fractions to Fraction."""
+    if type(value) is Fraction:
+        return value  # immutable, so it can be shared
     if isinstance(value, bool):
         raise TypeError("booleans are not valid utilities")
     return Fraction(value)
@@ -107,14 +109,15 @@ def integer_rows(inst: Instance):
 def validate_instance(inst: Instance) -> list:
     """Return every violated instance invariant (empty list means valid)."""
     violations = []
+    # a Fraction's sign is its numerator's
     for i, row in enumerate(inst.utilities):
         for j, v in enumerate(row):
-            if v < 0:
+            if v.numerator < 0:
                 violations.append(InstanceViolation("negative_entry", agent=i, object=j))
-        if not any(v > 0 for v in row):
+        if not any(v.numerator > 0 for v in row):
             violations.append(InstanceViolation("zero_row", agent=i))
     for j in range(inst.m):
-        if not any(inst.utilities[i][j] > 0 for i in range(inst.n)):
+        if not any(row[j].numerator > 0 for row in inst.utilities):
             violations.append(InstanceViolation("zero_column", object=j))
     return violations
 
@@ -132,17 +135,22 @@ class FractionalAssignment:
         for i, row in enumerate(mat):
             if len(row) != m:
                 raise DimensionMismatch(f"assignment row {i}", m, len(row))
-        for i, row in enumerate(mat):
-            for j, v in enumerate(row):
-                if v < 0 or v > 1:
+        # a Fraction keeps its denominator positive, so 0 <= v <= 1 is
+        # 0 <= num <= den, and a column sums to 1 over its common denominator
+        ratios = [[(v.numerator, v.denominator) for v in row] for row in mat]
+        for i, row in enumerate(ratios):
+            for j, (num, den) in enumerate(row):
+                if num < 0 or num > den:
                     raise InvalidAssignment(
-                        f"share of object {j} for agent {i} is {v}, outside [0, 1]"
+                        f"share of object {j} for agent {i} is {mat[i][j]}, outside [0, 1]"
                     )
         for j in range(m):
-            total = sum(row[j] for row in mat)
-            if total != 1:
+            column = [row[j] for row in ratios]
+            den = math.lcm(*(d for _, d in column))
+            total = sum(num * (den // d) for num, d in column)
+            if total != den:
                 raise InvalidAssignment(
-                    f"object {j} is allocated {total} in total, not 1"
+                    f"object {j} is allocated {Fraction(total, den)} in total, not 1"
                 )
         object.__setattr__(self, "rows", mat)
 

@@ -106,6 +106,16 @@ class TestSolve:
         assert code == 0
         assert report["result"]["p_star"][1]["decimal"] == 0.0
 
+    def test_object_valued_only_below_float_range_solves(self, workdir, capsys):
+        huge = 10**400
+        (workdir / "tied.json").write_text(
+            f'{{"agents":2,"objects":3,"utilities":[[{huge},1,0],[{huge},2,1]]}}'
+        )
+        code, report, _ = run(capsys, "solve", workdir / "tied.json")
+        assert code == 0
+        assert report["result"]["certified_exact"]
+        assert report["result"]["p_star"][2]["exact"] == f"2/{huge + 3}"
+
     def test_singular_newton_system_exits_3(self, workdir, capsys, monkeypatch):
         import numpy
 

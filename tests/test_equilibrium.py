@@ -16,6 +16,8 @@ from ceei import (
     nash_welfare,
     solve_eg,
 )
+from ceei.equilibrium import _certify_support
+from ceei.model import integer_rows
 from oracles import random_fractional_welfare
 
 
@@ -146,6 +148,34 @@ class TestSolveEg:
         assert sol.u_star == (Fraction(big + 1, 2), Fraction(big + 1, 2 * big))
         assert sol.p_star.prices == (Fraction(2 * big, big + 1), Fraction(2, big + 1))
 
+    def test_object_valued_only_below_float_range_certifies(self):
+        # both entries of object 1 round to 0.0 after row scaling, so both
+        # agents tie as its top float spender; the exact bid picks agent 1
+        big = 10**400
+        inst = Instance([[big, 1, 0], [big, 2, 1]])
+        sol = solve_eg(inst)
+        assert sol.u_star == (Fraction(big + 3, 2),) * 2
+        assert sol.p_star.prices == (
+            Fraction(2 * big, big + 3),
+            Fraction(4, big + 3),
+            Fraction(2, big + 3),
+        )
+        assert kkt_residual(inst, sol.x, sol.p_star).max_violation == 0
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_rational_rows_solve_like_their_integer_rows(self, seed):
+        # the solver reads the rows only as integer_rows, and row scaling
+        # rescales only that agent's utility
+        rng = random.Random(700 + seed)
+        n, m = rng.randint(2, 6), rng.randint(2, 12)
+        base = gen_random(n, m, 30, seed=700 + seed)
+        inst = Instance([[v / rng.randint(1, 12) for v in row] for row in base.utilities])
+        rows, scales = integer_rows(inst)
+        assert any(s > 1 for s in scales)
+        sol, integral = solve_eg(inst, seed=seed), solve_eg(Instance(rows), seed=seed)
+        assert sol.u_star == tuple(u / s for u, s in zip(integral.u_star, scales))
+        assert (sol.p_star, sol.x, sol.iterations) == (integral.p_star, integral.x, integral.iterations)
+
     def test_singular_newton_system_is_nonconvergence(self, separation, monkeypatch):
         import numpy
 
@@ -196,6 +226,48 @@ class TestSolveEg:
             optimum = float(nash_welfare(inst, solve_eg(inst).x))
             for _ in range(200):
                 assert random_fractional_welfare(inst, rng) <= optimum * (1 + 1e-9)
+
+
+class TestCertifySupport:
+    """Each way a guessed support is rejected, and one it is accepted."""
+
+    @staticmethod
+    def certify(utilities, tight):
+        rows, scales = integer_rows(Instance(utilities))
+        return _certify_support(rows, scales, tight)
+
+    def test_correct_guess_gives_the_exact_equilibrium(self):
+        # row 0 has scale 2 and prices share the denominator 3
+        sol = self.certify([["1/2", "1/2", 0], [0, 1, 1]], [[1, 1, 0], [0, 1, 1]])
+        assert sol is not None
+        x, u_star, p_star = sol
+        assert u_star == (Fraction(3, 4), Fraction(3, 2))
+        assert p_star.prices == (Fraction(2, 3),) * 3
+        assert x.rows == ((1, Fraction(1, 2), 0), (0, Fraction(1, 2), 1))
+
+    def test_agent_left_without_support(self):
+        assert self.certify([[1, 1], [1, 1]], [[1, 1], [0, 0]]) is None
+
+    def test_object_left_without_support(self):
+        assert self.certify([[1, 1], [1, 1]], [[1, 0], [1, 0]]) is None
+
+    def test_inconsistent_cycle_seen_from_an_agent(self):
+        # agent 1 reaches object 0 at ratio 4 where agent 0 fixed it at 1
+        assert self.certify([[1, 2], [2, 1]], [[1, 1], [1, 1]]) is None
+
+    def test_inconsistent_cycle_seen_from_an_object(self):
+        # object 1 is reached through agent 2 before agent 1 is expanded
+        tight = [[1, 0], [1, 1], [1, 1]]
+        assert self.certify([[1, 0], [1, 1], [1, 2]], tight) is None
+
+    def test_better_ratio_off_the_support(self):
+        # the swapped support prices both objects at 1, where agent 0 gets 2 from object 0
+        assert self.certify([[2, 1], [1, 2]], [[0, 1], [1, 0]]) is None
+
+    def test_infeasible_money_flow(self):
+        # prices 3/2 pass every ratio check, but agents 0 and 1 can spend
+        # their budgets only on object 0
+        assert self.certify([[1, 0], [1, 0], [1, 1]], [[1, 0], [1, 0], [1, 1]]) is None
 
 
 class TestPricesFromUtilities:

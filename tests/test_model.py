@@ -122,6 +122,20 @@ class TestAssignments:
         with pytest.raises(InvalidAssignment):
             FractionalAssignment([[2, 1], [-1, 0]])
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[2, 1], [-1, 0]], "share of object 0 for agent 0 is 2, outside [0, 1]"),
+            ([[-1, 0], [2, 1]], "share of object 0 for agent 0 is -1, outside [0, 1]"),
+            ([["1/2", 1], ["1/4", 0]], "object 0 is allocated 3/4 in total, not 1"),
+            ([["1/3", 1], ["2/3", "1/6"]], "object 1 is allocated 7/6 in total, not 1"),
+        ],
+    )
+    def test_rejection_names_the_first_bad_entry(self, rows, message):
+        with pytest.raises(InvalidAssignment) as excinfo:
+            FractionalAssignment(rows)
+        assert str(excinfo.value) == message
+
     def test_fractional_entries_cannot_convert(self):
         x = FractionalAssignment([[Fraction(1, 2)], [Fraction(1, 2)]])
         with pytest.raises(InvalidAssignment):
