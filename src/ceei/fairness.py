@@ -3,17 +3,23 @@
 Four notions are decided here:
 
 * envy-freeness, by direct pairwise comparison;
-* Pareto optimality, by guarded brute force over all discrete assignments;
+* Pareto optimality, by a guarded depth-first search over discrete
+  assignments that drops every prefix after which, even with all objects
+  still unassigned, some agent cannot reach its own total or the agents'
+  summed total cannot rise above its own;
 * price support over fractional demand (the strong notion), by an exact
   closed-form test in rational arithmetic;
 * price support over discrete demand (the weak notion), by maximizing a
   uniform affordability slack over the inclusion-minimal strictly-better
-  bundles with `simplex.maximize`, an integer-pivoting simplex on 0/±1 rows
-  whose optimum and prices are exact rationals.
+  bundles (picked by a subset DP) with `simplex.maximize`, an
+  integer-pivoting simplex on 0/±1 rows whose optimum and prices are exact
+  rationals.
 
 Every verdict reads the int rows of `model.integer_rows` and bundle values
-from `bundle_values`.  Every n^m search, here and in `search`, walks the
-owner vectors through `assignments`: one guard, one odometer, no recursion.
+from `bundle_values`.  The exhaustive n^m searches, here and in `search`,
+walk the owner vectors through `assignments`: one guard, one odometer, no
+recursion.  The Pareto test visits the same order under the same limit but
+prunes it, with an explicit stack.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from .model import (
     PriceVector,
     ViolatingBundle,
     integer_rows,
+    validate_instance,
 )
 
 DEFAULT_ENUM_LIMIT = 20_000_000
@@ -74,6 +81,18 @@ def assignments(inst: Instance, limit=DEFAULT_ENUM_LIMIT):
         raise InstanceTooLarge(n, m, limit, required)
     rows, _scales = integer_rows(inst)
     return _odometer(rows, n, m)
+
+
+def _nonnegative_rows(inst: Instance):
+    """`integer_rows(inst)`, or InvariantError naming every negative entry.
+
+    The searches' pruning bounds assume no utility is negative; zero rows
+    and columns are fine.
+    """
+    negative = [v for v in validate_instance(inst) if v.kind == "negative_entry"]
+    if negative:
+        raise InvariantError(negative)
+    return integer_rows(inst)
 
 
 def _odometer(rows, n, m):
@@ -120,21 +139,83 @@ def is_envy_free(inst: Instance, y: DiscreteAssignment) -> Verdict:
 
 
 def is_pareto_optimal_discrete(inst: Instance, y: DiscreteAssignment, limit=DEFAULT_ENUM_LIMIT) -> Verdict:
-    """Brute-force Pareto test over all n^m discrete assignments.
+    """Exact Pareto test by a pruned search over all n^m discrete assignments.
 
-    The certificate on failure is the lexicographically first dominating
-    assignment.  Raises InstanceTooLarge when n^m exceeds `limit`; general
-    discrete Pareto testing is intractable, so the guard is part of the
-    contract rather than a soft warning.
+    Objects 0..m-1 are assigned in turn, agent 0 first, so complete
+    assignments come in lexicographic owner-vector order.  A prefix is
+    dropped as soon as some agent could not reach its total under y even
+    with every object still unassigned, or when the agents' summed total
+    could not exceed its sum under y even with each object still unassigned
+    going to the agent valuing it most (a dominating assignment exceeds it).
+    Only prefixes without a dominating completion are dropped, so the
+    certificate on failure is the lexicographically first dominating
+    assignment, as a walk over all n^m would give.
+
+    Raises InstanceTooLarge when n^m exceeds `limit`, before searching;
+    general discrete Pareto testing is intractable, so the guard is part of
+    the contract rather than a soft warning.  Raises InvariantError on
+    negative utilities, which the pruning cannot handle.
     """
     check_assignment(inst, y)
-    walk = assignments(inst, limit)
-    rows, _scales = integer_rows(inst)
-    base = bundle_values(rows, y.owner)
-    for owner, totals in walk:
-        if totals != base and all(map(ge, totals, base)):
-            return Verdict(False, DominatingAssignment(DiscreteAssignment(owner)))
-    return Verdict(True, None)
+    required = inst.n**inst.m
+    if required > limit:
+        raise InstanceTooLarge(inst.n, inst.m, limit, required)
+    rows, _scales = _nonnegative_rows(inst)
+    owner = _first_dominating(rows, bundle_values(rows, y.owner))
+    if owner is None:
+        return Verdict(True, None)
+    return Verdict(False, DominatingAssignment(DiscreteAssignment(owner)))
+
+
+def _first_dominating(rows, base):
+    """The lexicographically first owner vector giving every agent at least
+    its `base` total and some agent more, or None; rows are nonnegative."""
+    n, m = len(rows), len(rows[0])
+    cols = list(zip(*rows))
+    col_best = [max(col) for col in cols]
+    # slack[i]: agent i's total so far plus all it values among the objects
+    # still unassigned, minus base[i].  gain: the agents' summed total so far
+    # plus the best value of each object still unassigned, minus sum(base),
+    # which a dominating assignment exceeds.  A prefix is live while every
+    # slack is >= 0 and gain is > 0; both hold at every leaf reached.
+    slack = [sum(row) - b for row, b in zip(rows, base)]
+    gain = sum(col_best) - sum(base)
+    owner = [0] * m
+
+    # Depth-first with the path kept in `owner`: object j tries agents from
+    # `start` on; giving it to agent a costs every other agent i col[i] of
+    # slack and costs gain col_best[j] - col[a].  With no agent left, take
+    # object j-1 back and resume after its agent.
+    j, start = 0, 0
+    while j < m:
+        col = cols[j]
+        short = [i for i in range(n) if slack[i] < col[i]]  # agents that cannot let j go
+        if len(short) > 1:
+            agents = ()
+        elif short:
+            agents = short if short[0] >= start else ()
+        else:
+            agents = range(start, n)
+        for a in agents:
+            if gain + col[a] > col_best[j]:
+                for i in range(n):
+                    slack[i] -= col[i]
+                slack[a] += col[a]
+                gain -= col_best[j] - col[a]
+                owner[j] = a
+                j, start = j + 1, 0
+                break
+        else:
+            if j == 0:
+                return None
+            j -= 1
+            col, a = cols[j], owner[j]
+            for i in range(n):
+                slack[i] += col[i]
+            slack[a] -= col[a]
+            gain += col_best[j] - col[a]
+            start = a + 1
+    return owner
 
 
 def verify_ceei_frac(inst: Instance, y: DiscreteAssignment) -> Verdict:
@@ -259,9 +340,28 @@ def _mask_objects(mask):
 
 
 def _inclusion_minimal(masks):
-    """Filter a set of bitmasks down to its inclusion-minimal members."""
-    kept = []
-    for mask in sorted(masks, key=lambda v: (bin(v).count("1"), v)):
-        if not any(kept_mask & mask == kept_mask for kept_mask in kept):
-            kept.append(mask)
-    return kept
+    """The inclusion-minimal members of a set of bitmasks, ascending.
+
+    A subset DP over every mask up to the largest: a mask is minimal iff it
+    is a member and no mask with one bit removed is a member or contains
+    one.  It runs bit-parallel, O(2^m * m) in all: byte s of each int flags
+    mask s, and one shift per bit b moves every flag of a mask without b to
+    the same mask with b.
+    """
+    width = 1 << max(masks).bit_length()
+    flags = bytearray(width)
+    for mask in masks:
+        flags[mask] = 1
+    members = int.from_bytes(flags, "little")
+    steps = []  # (flags of the masks without bit b, shift to add bit b)
+    for b in range(width.bit_length() - 1):
+        run = 1 << b
+        steps.append((int.from_bytes((b"\1" * run + b"\0" * run) * (width // (2 * run)), "little"), 8 * run))
+    contains = members  # flags the masks containing a member
+    for without, shift in steps:
+        contains |= (contains & without) << shift
+    above = 0  # flags the masks strictly containing a member
+    for without, shift in steps:
+        above |= (contains & without) << shift
+    flags = (members & ~above).to_bytes(width, "little")
+    return [mask for mask in range(width) if flags[mask]]

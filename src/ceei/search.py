@@ -1,14 +1,16 @@
 """Exact desk-scale search over discrete assignments.
 
 Welfare maximization comes in three flavours: plain enumeration (the oracle
-everything else is measured against), branch and bound with an additive
-optimistic bound, and a polynomial augmenting-path maximizer for 0/1
-utilities.  On top of those sit the existence deciders for the two
-price-support notions, the fractional one polynomial on 0/1 utilities, and
-the equal-split finder for identical utilities.
+everything else is measured against), branch and bound from a greedy
+incumbent under an additive and an integer AM-GM optimistic bound, and a
+polynomial augmenting-path maximizer for 0/1 utilities.  On top of those
+sit the existence deciders for the two price-support notions, the
+fractional one polynomial on 0/1 utilities, and the equal-split finder for
+identical utilities.
 
 Ties are broken lexicographically by owner vector wherever the search is
-exhaustive, so optima are canonical and runs are reproducible.  Exhaustive
+exhaustive, so optima are canonical and runs are reproducible; the bounds
+keep ties, so pruning changes only how many nodes are explored.  Exhaustive
 searches walk `fairness.assignments` (one n^m guard); branch and bound keeps
 an explicit stack, and the equal-split search races a depth-first search
 against a meet in the middle over load tuples.  Nothing here recurses.
@@ -36,7 +38,9 @@ from .errors import (
 )
 from .fairness import (
     DEFAULT_ENUM_LIMIT,
+    _nonnegative_rows,
     assignments,
+    bundle_values,
     verify_ceei_disc,
     verify_ceei_frac,
 )
@@ -86,15 +90,22 @@ def max_nash_discrete(inst: Instance, budgets: Optional[SearchBudgets] = None) -
     """Branch-and-bound welfare maximization over discrete assignments.
 
     Objects are assigned in decreasing order of their best single-agent
-    utility; the bound at a node credits every agent with all utility mass
-    still unassigned, which is loose but exact and cheap.  Welfare ties are
-    resolved toward the lexicographically smaller owner vector, matching the
+    utility, starting from a greedy incumbent (`_greedy`).  A node is kept
+    while two exact bounds on every completion's welfare reach the
+    incumbent's: the additive one credits every agent with all utility still
+    unassigned, and the AM-GM one weighs each agent's total by the inverse
+    of its row total, so that the objects left can add at most their best
+    weighted value to the weighted sum, and the product is at most the
+    n-th power of that sum's mean.  Ties are kept, so welfare ties resolve
+    toward the lexicographically smaller owner vector, matching the
     enumeration oracle.  Exhausting a node or time budget truncates the
-    search and sets `optimal = False` instead of raising.
+    search and sets `optimal = False` instead of raising; the result is then
+    the greedy assignment or a better one.  Raises InvariantError on
+    negative utilities, which the bounds cannot handle.
     """
     budgets = budgets or SearchBudgets()
     n, m = inst.n, inst.m
-    rows, scales = integer_rows(inst)
+    rows, scales = _nonnegative_rows(inst)
     # compares utilities across agents, so it reads the unscaled ones
     order = sorted(range(m), key=lambda j: (-max(row[j] for row in inst.utilities), j))
     # suffix[k][i]: utility mass agent i could still gain from objects order[k:]
@@ -103,16 +114,27 @@ def max_nash_discrete(inst: Instance, budgets: Optional[SearchBudgets] = None) -
         j = order[k]
         for i in range(n):
             suffix[k][i] = suffix[k + 1][i] + rows[i][j]
+    # AM-GM: with c_i = max(1, row total), C = prod(c_i) and D_i = C / c_i,
+    # prod(x_i) = C * prod(x_i / c_i) <= S^n / (n^n * C^(n-1)) for any
+    # S >= sum(x_i * D_i); reach[k] bounds what objects order[k:] add to it.
+    # A node is kept iff its S reaches the least integer whose n-th power is
+    # at least best * n^n * C^(n-1), recomputed only when `best` improves.
+    caps = [max(1, sum(row)) for row in rows]
+    whole = math.prod(caps)
+    weighted = [[v * (whole // c) for v in row] for row, c in zip(rows, caps)]
+    reach = [0] * (m + 1)
+    for k in range(m - 1, -1, -1):
+        reach[k] = reach[k + 1] + max(row[order[k]] for row in weighted)
+    amgm_scale = n**n * whole ** (n - 1)
 
+    deadline = time.monotonic() + budgets.max_seconds if budgets.max_seconds is not None else None
+    best_owner, best_welfare = _greedy(rows, order, weighted)
+    amgm_floor = _root_ceil(best_welfare * amgm_scale, n)
     owner = [0] * m
     totals = [0] * n
-    # seed the incumbent with the all-to-agent-0 assignment (welfare 0 unless
-    # n == 1) so truncated searches still return a complete result
-    best_owner = tuple([0] * m)
-    best_welfare = sum(rows[0]) if n == 1 else 0
+    weighted_sum = 0  # sum(totals[i] * D_i)
     nodes = 0
     truncated = False
-    deadline = time.monotonic() + budgets.max_seconds if budgets.max_seconds is not None else None
 
     # Depth-first over order[0..m-1] with the path kept in `owner`: entering a
     # node at depth k counts it, scores a leaf or descends into agent 0, and a
@@ -130,12 +152,14 @@ def max_nash_discrete(inst: Instance, budgets: Optional[SearchBudgets] = None) -
             if welfare > best_welfare or (welfare == best_welfare and tuple(owner) < best_owner):
                 best_welfare = welfare
                 best_owner = tuple(owner)
-        else:
+                amgm_floor = _root_ceil(best_welfare * amgm_scale, n)
+        elif weighted_sum + reach[k] >= amgm_floor:
             bound = math.prod(map(add, totals, suffix[k]))
             if bound >= best_welfare and (bound or best_welfare):
                 j = order[k]
                 owner[j] = 0
                 totals[0] += rows[0][j]
+                weighted_sum += weighted[0][j]
                 k += 1
                 continue
         while k:
@@ -143,9 +167,11 @@ def max_nash_discrete(inst: Instance, budgets: Optional[SearchBudgets] = None) -
             j = order[k]
             i = owner[j]
             totals[i] -= rows[i][j]
+            weighted_sum -= weighted[i][j]
             if i + 1 < n:
                 owner[j] = i + 1
                 totals[i + 1] += rows[i + 1][j]
+                weighted_sum += weighted[i + 1][j]
                 k += 1
                 break
         else:
@@ -156,6 +182,66 @@ def max_nash_discrete(inst: Instance, budgets: Optional[SearchBudgets] = None) -
         nodes_explored=nodes,
         optimal=not truncated,
     )
+
+
+def _root_ceil(value, n):
+    """The least integer s >= 0 with s**n >= value."""
+    if value <= 0:
+        return 0
+    # Newton's step from above, exact in integers, falls to the floor of the
+    # n-th root and then stops decreasing
+    s = 1 << -(-value.bit_length() // n)
+    while True:
+        t = ((n - 1) * s + value // s ** (n - 1)) // n
+        if t >= s:
+            break
+        s = t
+    return s if s**n >= value else s + 1
+
+
+def _greedy(rows, order, weighted):
+    """A deterministic first incumbent: (owner tuple, integer welfare).
+
+    Each object in `order` goes to the agent it raises most in proportion
+    to its total so far: agents still at zero first, among them the one
+    valuing it most against its row total (`weighted`), ties to the lowest
+    index.  Then, if every agent got something, single objects move to
+    another agent while that raises the welfare.  A zero welfare falls back
+    to the all-zero owner vector, the lexicographically first assignment,
+    which is worth 0 as well.
+    """
+    n, m = len(rows), len(rows[0])
+    owner = [0] * m
+    totals = [0] * n
+    for j in order:
+        a = 0
+        for i in range(1, n):
+            if totals[a] and not totals[i]:
+                better = rows[i][j] > 0
+            elif totals[i] and not totals[a]:
+                better = not rows[a][j] and rows[i][j] > 0
+            elif totals[i]:
+                better = rows[i][j] * totals[a] > rows[a][j] * totals[i]
+            else:
+                better = weighted[i][j] > weighted[a][j]
+            if better:
+                a = i
+        owner[j] = a
+        totals[a] += rows[a][j]
+    moved = all(totals)
+    while moved:
+        moved = False
+        for j in range(m):
+            a = owner[j]
+            for b in range(n):
+                # moving j from a to b changes only these two factors
+                if b != a and (totals[a] - rows[a][j]) * (totals[b] + rows[b][j]) > totals[a] * totals[b]:
+                    totals[a] -= rows[a][j]
+                    totals[b] += rows[b][j]
+                    owner[j], moved = b, True
+                    break
+    welfare = math.prod(totals)
+    return tuple(owner if welfare else [0] * m), welfare
 
 
 def exists_ceei_frac_discrete(inst: Instance, budgets: Optional[SearchBudgets] = None):
@@ -460,13 +546,20 @@ def exists_ceei_disc_bruteforce(inst: Instance, limit=DEFAULT_ENUM_LIMIT):
     """First discrete assignment with discrete price support, plus its prices.
 
     Enumerates owner vectors lexicographically and runs the exact slack test
-    on each, so the cost is n^m price LPs; strictly a desk-scale instrument.
-    Returns (assignment, prices) or None.
+    on each envy-free one, so the cost is up to n^m price LPs; strictly a
+    desk-scale instrument.  Discrete price support implies envy-freeness (an
+    envied bundle is a strictly better bundle inside someone's affordable
+    one), so skipping the others changes no answer.  Returns (assignment,
+    prices) or None.
     """
     walk = assignments(inst, limit)
     if (1 << inst.m) > limit:
         raise InstanceTooLarge(inst.n, inst.m, limit, 1 << inst.m)
-    for owner, _totals in walk:
+    rows, _scales = integer_rows(inst)
+    n = inst.n
+    for owner, totals in walk:
+        if any(max(bundle_values([row] * n, owner)) > total for row, total in zip(rows, totals)):
+            continue
         y = DiscreteAssignment(owner)
         verdict = verify_ceei_disc(inst, y, limit=limit)
         if verdict.holds:

@@ -1,16 +1,36 @@
 """Independent test oracles.
 
 Everything here deliberately avoids the implementations under test: the
-subset-sum check is a bitset dynamic program, the equal-split check is plain
-enumeration of owner vectors, price-support certificates are re-verified
-directly from their defining inequalities, and LP optima come from vertex
-enumeration rather than pivoting.
+subset-sum check is a bitset dynamic program, the equal-split and Pareto
+checks are plain enumeration of owner vectors, price-support certificates
+are re-verified directly from their defining inequalities, LP optima come
+from vertex enumeration rather than pivoting, and inclusion-minimal masks
+come from pairwise subset tests.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 
-from ceei import DiscreteAssignment, bundle_utility
+from ceei import DiscreteAssignment, Instance, bundle_utility
+
+# entry pools for small random instances: many zeros, "p/q" entries, and
+# entries too large for floats
+ENTRY_KINDS = (
+    [0, 0, 0, 1, 2, 3],
+    [0, 1, "1/2", "2/3", "7/4", "5/3"],
+    [0, 1, 10**400, 10**400 + 1, 3 * 10**400],
+    list(range(10)),
+)
+
+
+def mixed_instance(rng, max_agents=4, max_objects=7, max_assignments=1024):
+    """A random instance of one ENTRY_KINDS pool with n^m at most `max_assignments`."""
+    n = rng.randint(1, max_agents)
+    m = rng.randint(1, max_objects)
+    while n**m > max_assignments:
+        m -= 1
+    kind = rng.choice(ENTRY_KINDS)
+    return Instance([[rng.choice(kind) for _ in range(m)] for _ in range(n)])
 
 
 def subset_sum_reachable(values, target):
@@ -45,6 +65,28 @@ def equal_split_exists(weights, parts):
 def all_discrete_assignments(n, m):
     for owner in product(range(n), repeat=m):
         yield DiscreteAssignment(owner)
+
+
+def first_dominating_assignment(inst, y):
+    """Enumerate owner vectors lexicographically; the first Pareto-dominating y, or None."""
+
+    def values(owner):
+        return [
+            sum((inst.utilities[i][j] for j, o in enumerate(owner) if o == i), Fraction(0))
+            for i in range(inst.n)
+        ]
+
+    base = values(y.owner)
+    for owner in product(range(inst.n), repeat=inst.m):
+        totals = values(owner)
+        if totals != base and all(a >= b for a, b in zip(totals, base)):
+            return DiscreteAssignment(owner)
+    return None
+
+
+def inclusion_minimal_pairwise(masks):
+    """Members of a set of bitmasks with no other member inside them, ascending."""
+    return sorted(a for a in masks if not any(b != a and b & a == b for b in masks))
 
 
 def random_fractional_welfare(inst, rng):

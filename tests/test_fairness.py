@@ -5,9 +5,11 @@ import pytest
 
 from ceei import (
     DiscreteAssignment,
+    DominatingAssignment,
     EnvyPair,
     Instance,
     InstanceTooLarge,
+    InstanceViolation,
     InvariantError,
     KktViolation,
     ViolatingBundle,
@@ -19,9 +21,12 @@ from ceei import (
     verify_ceei_disc,
     verify_ceei_frac,
 )
-from ceei.fairness import assignments
+from ceei.fairness import _inclusion_minimal, assignments
 from oracles import (
     all_discrete_assignments,
+    first_dominating_assignment,
+    inclusion_minimal_pairwise,
+    mixed_instance,
     recheck_discrete_price_support,
     recheck_fractional_price_support,
 )
@@ -106,6 +111,37 @@ class TestParetoOptimal:
             assert verdict.holds == (first is None)
             if first is not None:
                 assert verdict.certificate.assignment == first
+
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_the_enumeration_oracle(self, seed):
+        rng = random.Random(4000 + seed)
+        inst = mixed_instance(rng)
+        for _ in range(3):
+            y = DiscreteAssignment([rng.randrange(inst.n) for _ in range(inst.m)])
+            first = first_dominating_assignment(inst, y)
+            verdict = is_pareto_optimal_discrete(inst, y)
+            assert verdict.holds == (first is None)
+            assert verdict.certificate == (None if first is None else DominatingAssignment(first))
+
+    def test_guard_comes_before_the_search(self):
+        inst = gen_random(3, 15, 9, seed=0)
+        with pytest.raises(InstanceTooLarge):
+            is_pareto_optimal_discrete(inst, DiscreteAssignment([0] * 15), limit=3**15 - 1)
+
+    def test_negative_utilities_are_rejected(self):
+        inst = Instance([[-3, -2, -2], [-3, 1, "-1/2"]])
+        with pytest.raises(InvariantError) as raised:
+            is_pareto_optimal_discrete(inst, DiscreteAssignment([0, 1, 1]))
+        assert raised.value.violations == [
+            InstanceViolation("negative_entry", agent=i, object=j) for i, j in ((0, 0), (0, 1), (0, 2), (1, 0), (1, 2))
+        ]
+
+    def test_zero_rows_and_columns_are_accepted(self):
+        inst = Instance([[0, 0, 1], [0, 0, 0]])
+        assert is_pareto_optimal_discrete(inst, DiscreteAssignment([1, 1, 0])).holds
+        verdict = is_pareto_optimal_discrete(inst, DiscreteAssignment([1, 1, 1]))
+        assert verdict.certificate == DominatingAssignment(DiscreteAssignment([0, 0, 0]))
 
 
 def test_assignments_walk_int_totals_on_rational_utilities():
@@ -221,6 +257,13 @@ class TestVerifyDiscreteSupport:
     def test_bundle_guard(self, separation):
         with pytest.raises(InstanceTooLarge):
             verify_ceei_disc(separation, EVEN, limit=8)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_inclusion_minimal_matches_pairwise_filter(self, seed):
+        rng = random.Random(seed)
+        m = rng.randint(1, 9)
+        masks = {rng.randrange(1, 1 << m) for _ in range(rng.randint(1, 3 * m))}
+        assert _inclusion_minimal(masks) == inclusion_minimal_pairwise(masks)
 
 
 class TestNotionRelations:

@@ -32,7 +32,13 @@ from ceei import (
 )
 from ceei import search
 from ceei.model import integer_rows
-from oracles import equal_split_exists, has_equal_bipartition, recheck_discrete_price_support
+from oracles import (
+    all_discrete_assignments,
+    equal_split_exists,
+    has_equal_bipartition,
+    mixed_instance,
+    recheck_discrete_price_support,
+)
 
 
 class TestBruteForce:
@@ -102,6 +108,45 @@ class TestBranchAndBound:
         first = max_nash_discrete(separation)
         second = max_nash_discrete(separation)
         assert first == second
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_witness_matches_brute_force_on_mixed_entries(self, seed):
+        inst = mixed_instance(random.Random(5000 + seed))
+        exhaustive = brute_force_max_nash(inst)
+        bounded = max_nash_discrete(inst)
+        assert bounded.optimal
+        assert (bounded.best, bounded.welfare) == (exhaustive.best, exhaustive.welfare)
+
+    def test_random_4x13_is_decided_within_a_small_budget(self):
+        # the additive bound alone needed 1.87M nodes here
+        inst = gen_random(4, 13, 100, seed=2)
+        result = max_nash_discrete(inst, SearchBudgets(max_nodes=50_000))
+        assert result.optimal
+        assert result.welfare == nash_welfare(inst, result.best) == 2972952576
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_truncated_search_keeps_at_least_the_greedy_welfare(self, seed):
+        inst = gen_random(3, 9, 20, seed=seed)
+        greedy = max_nash_discrete(inst, SearchBudgets(max_nodes=1))
+        assert not greedy.optimal and greedy.welfare > 0
+        assert greedy.welfare == nash_welfare(inst, greedy.best)
+        welfare = greedy.welfare
+        for budget in (10, 100, 1000):
+            result = max_nash_discrete(inst, SearchBudgets(max_nodes=budget))
+            assert result.welfare >= welfare
+            welfare = result.welfare
+        assert welfare <= max_nash_discrete(inst).welfare
+
+    @pytest.mark.parametrize("search_fn", [max_nash_discrete, exists_ceei_frac_discrete])
+    def test_negative_utilities_are_rejected(self, search_fn):
+        with pytest.raises(InvariantError) as raised:
+            search_fn(Instance([[-3, -2, -2], [-3, 1, 2]]))
+        assert [(v.kind, v.agent, v.object) for v in raised.value.violations] == [
+            ("negative_entry", 0, 0),
+            ("negative_entry", 0, 1),
+            ("negative_entry", 0, 2),
+            ("negative_entry", 1, 0),
+        ]
 
     def test_node_budget_stops_a_deep_search_cleanly(self):
         result = max_nash_discrete(Instance([[1] * 1200] * 2), SearchBudgets(max_nodes=5000))
@@ -385,6 +430,17 @@ class TestExistsDiscreteSupport:
         inst = gen_random(3, 20, 3, seed=1)
         with pytest.raises(InstanceTooLarge):
             exists_ceei_disc_bruteforce(inst, limit=1000)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_envy_filter_matches_the_unfiltered_loop(self, seed):
+        inst = mixed_instance(random.Random(6000 + seed), max_agents=3, max_objects=6, max_assignments=243)
+        unfiltered = None
+        for y in all_discrete_assignments(inst.n, inst.m):
+            verdict = verify_ceei_disc(inst, y)
+            if verdict.holds:
+                unfiltered = (y, verdict.certificate.prices)
+                break
+        assert exists_ceei_disc_bruteforce(inst) == unfiltered
 
 
 def _rational_instance(seed):
