@@ -24,6 +24,7 @@ import json
 import os
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 from . import search
@@ -348,7 +349,10 @@ def _number(value):
             decimal = float(value)
         except OverflowError:
             decimal = None
-        return {"exact": str(value), "decimal": decimal}
+        # Decimal writes ints past sys.get_int_max_str_digits(), which str()
+        # obeys; the limit stays in force for parsing input
+        num, den = str(Decimal(value.numerator)), str(Decimal(value.denominator))
+        return {"exact": num if den == "1" else f"{num}/{den}", "decimal": decimal}
     return value
 
 

@@ -129,7 +129,9 @@ class SchemaError(CeeiError):
 
 
 class InvariantError(CeeiError):
-    """A parsed instance violates the model invariants."""
+    """Utilities violate the model invariants: `Instance` raises it for
+    negative entries, and the callers that need positive rows or columns
+    (`parse_instance`, `solve_eg`, `verify_ceei_frac`) for zero ones."""
 
     def __init__(self, violations):
         self.violations = list(violations)

@@ -16,7 +16,9 @@ Four notions are decided here:
   rationals.
 
 Every verdict reads the int rows of `model.integer_rows` and bundle values
-from `bundle_values`.  The exhaustive n^m searches, here and in `search`,
+from `bundle_values`.  `Instance` rejects negative utilities, so adding an
+object never lowers a bundle's value; the Pareto prunes and the bundle DP
+rely on it.  The exhaustive n^m searches, here and in `search`,
 walk the owner vectors through `assignments`: one guard, one odometer, no
 recursion.  The Pareto test visits the same order under the same limit but
 prunes it, with an explicit stack.
@@ -43,7 +45,6 @@ from .model import (
     PriceVector,
     ViolatingBundle,
     integer_rows,
-    validate_instance,
 )
 
 DEFAULT_ENUM_LIMIT = 20_000_000
@@ -81,18 +82,6 @@ def assignments(inst: Instance, limit=DEFAULT_ENUM_LIMIT):
         raise InstanceTooLarge(n, m, limit, required)
     rows, _scales = integer_rows(inst)
     return _odometer(rows, n, m)
-
-
-def _nonnegative_rows(inst: Instance):
-    """`integer_rows(inst)`, or InvariantError naming every negative entry.
-
-    The searches' pruning bounds assume no utility is negative; zero rows
-    and columns are fine.
-    """
-    negative = [v for v in validate_instance(inst) if v.kind == "negative_entry"]
-    if negative:
-        raise InvariantError(negative)
-    return integer_rows(inst)
 
 
 def _odometer(rows, n, m):
@@ -153,14 +142,13 @@ def is_pareto_optimal_discrete(inst: Instance, y: DiscreteAssignment, limit=DEFA
 
     Raises InstanceTooLarge when n^m exceeds `limit`, before searching;
     general discrete Pareto testing is intractable, so the guard is part of
-    the contract rather than a soft warning.  Raises InvariantError on
-    negative utilities, which the pruning cannot handle.
+    the contract rather than a soft warning.  Zero rows and columns are fine.
     """
     check_assignment(inst, y)
     required = inst.n**inst.m
     if required > limit:
         raise InstanceTooLarge(inst.n, inst.m, limit, required)
-    rows, _scales = _nonnegative_rows(inst)
+    rows, _scales = integer_rows(inst)
     owner = _first_dominating(rows, bundle_values(rows, y.owner))
     if owner is None:
         return Verdict(True, None)
@@ -169,7 +157,8 @@ def is_pareto_optimal_discrete(inst: Instance, y: DiscreteAssignment, limit=DEFA
 
 def _first_dominating(rows, base):
     """The lexicographically first owner vector giving every agent at least
-    its `base` total and some agent more, or None; rows are nonnegative."""
+    its `base` total and some agent more, or None; the prunes need the
+    nonnegative rows `Instance` guarantees."""
     n, m = len(rows), len(rows[0])
     cols = list(zip(*rows))
     col_best = [max(col) for col in cols]
@@ -342,11 +331,12 @@ def _mask_objects(mask):
 def _inclusion_minimal(masks):
     """The inclusion-minimal members of a set of bitmasks, ascending.
 
-    A subset DP over every mask up to the largest: a mask is minimal iff it
-    is a member and no mask with one bit removed is a member or contains
-    one.  It runs bit-parallel, O(2^m * m) in all: byte s of each int flags
-    mask s, and one shift per bit b moves every flag of a mask without b to
-    the same mask with b.
+    Precondition: the set is closed under supersets among the masks as wide
+    as its largest member, as the strictly-better bundles of nonnegative
+    rows are.  A member is then minimal iff no mask with one bit removed is
+    a member.  It runs bit-parallel, O(2^m * m) in all: byte s of each int
+    flags mask s, and one shift per bit b moves every flag of a mask without
+    b to the same mask with b.
     """
     width = 1 << max(masks).bit_length()
     flags = bytearray(width)
@@ -357,11 +347,8 @@ def _inclusion_minimal(masks):
     for b in range(width.bit_length() - 1):
         run = 1 << b
         steps.append((int.from_bytes((b"\1" * run + b"\0" * run) * (width // (2 * run)), "little"), 8 * run))
-    contains = members  # flags the masks containing a member
+    above = 0  # flags the masks with a member one bit below them
     for without, shift in steps:
-        contains |= (contains & without) << shift
-    above = 0  # flags the masks strictly containing a member
-    for without, shift in steps:
-        above |= (contains & without) << shift
+        above |= (members & without) << shift
     flags = (members & ~above).to_bytes(width, "little")
     return [mask for mask in range(width) if flags[mask]]

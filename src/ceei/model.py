@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .errors import DimensionMismatch, InvalidAssignment
+from .errors import DimensionMismatch, InvalidAssignment, InvariantError
 
 
 def to_rational(value) -> Fraction:
@@ -28,10 +28,10 @@ class Instance:
     """An assignment problem: n agents, m objects, an n x m utility matrix.
 
     The matrix is stored as a tuple of row tuples of Fractions and is
-    immutable after construction.  Construction only enforces shape; the
-    positivity invariants (every row and every column has a positive entry)
-    are reported by :func:`validate_instance` so that callers can surface
-    all violations at once.
+    immutable after construction.  The objects are goods: construction
+    raises InvariantError naming every negative entry, which every verdict,
+    bound and prune downstream relies on.  The positivity invariants (a
+    positive entry in every row and column) are left to `validate_instance`.
     """
 
     __slots__ = ("utilities",)
@@ -46,6 +46,10 @@ class Instance:
         for i, row in enumerate(rows):
             if len(row) != width:
                 raise DimensionMismatch(f"utility row {i}", width, len(row))
+        # a Fraction's sign is its numerator's
+        negative = [(i, j) for i, row in enumerate(rows) for j, v in enumerate(row) if v.numerator < 0]
+        if negative:
+            raise InvariantError(InstanceViolation("negative_entry", agent=i, object=j) for i, j in negative)
         object.__setattr__(self, "utilities", rows)
 
     def __setattr__(self, name, value):
@@ -107,17 +111,14 @@ def integer_rows(inst: Instance):
 
 
 def validate_instance(inst: Instance) -> list:
-    """Return every violated instance invariant (empty list means valid)."""
+    """Every zero row and zero column (empty list means valid); `Instance`
+    already rejects negative entries."""
     violations = []
-    # a Fraction's sign is its numerator's
     for i, row in enumerate(inst.utilities):
-        for j, v in enumerate(row):
-            if v.numerator < 0:
-                violations.append(InstanceViolation("negative_entry", agent=i, object=j))
-        if not any(v.numerator > 0 for v in row):
+        if not any(row):
             violations.append(InstanceViolation("zero_row", agent=i))
     for j in range(inst.m):
-        if not any(row[j].numerator > 0 for row in inst.utilities):
+        if not any(row[j] for row in inst.utilities):
             violations.append(InstanceViolation("zero_column", object=j))
     return violations
 
@@ -192,7 +193,12 @@ class DiscreteAssignment:
     __slots__ = ("owner",)
 
     def __init__(self, owner: Sequence[int]):
-        owners = tuple(int(o) for o in owner)
+        owners = tuple(owner)
+        # anything with __index__ (numpy ints too) but bool, which is an int
+        bad = next((j for j, o in enumerate(owners) if isinstance(o, bool) or not hasattr(o, "__index__")), None)
+        if bad is not None:
+            raise InvalidAssignment(f"owner of object {bad} is {owners[bad]!r}, not an agent index")
+        owners = tuple(o.__index__() for o in owners)
         if not owners:
             raise InvalidAssignment("an assignment needs at least one object")
         if any(o < 0 for o in owners):

@@ -38,7 +38,6 @@ from .errors import (
 )
 from .fairness import (
     DEFAULT_ENUM_LIMIT,
-    _nonnegative_rows,
     assignments,
     bundle_values,
     verify_ceei_disc,
@@ -100,12 +99,12 @@ def max_nash_discrete(inst: Instance, budgets: Optional[SearchBudgets] = None) -
     toward the lexicographically smaller owner vector, matching the
     enumeration oracle.  Exhausting a node or time budget truncates the
     search and sets `optimal = False` instead of raising; the result is then
-    the greedy assignment or a better one.  Raises InvariantError on
-    negative utilities, which the bounds cannot handle.
+    the greedy assignment or a better one.  Both bounds need the
+    nonnegative utilities that `Instance` guarantees.
     """
     budgets = budgets or SearchBudgets()
     n, m = inst.n, inst.m
-    rows, scales = _nonnegative_rows(inst)
+    rows, scales = integer_rows(inst)
     # compares utilities across agents, so it reads the unscaled ones
     order = sorted(range(m), key=lambda j: (-max(row[j] for row in inst.utilities), j))
     # suffix[k][i]: utility mass agent i could still gain from objects order[k:]

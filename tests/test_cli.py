@@ -235,6 +235,17 @@ class TestSearch:
         assert report["result"]["welfare"]["exact"] == "10000"
         assert report["result"]["status"] == "optimal"
 
+    def test_welfare_past_the_int_to_str_limit_gets_a_report(self, workdir, capsys):
+        huge = 10**4000  # 4001 digits parse under Python's 4300-digit limit
+        (workdir / "huge.json").write_text(
+            f'{{"agents":2,"objects":2,"utilities":[[{huge},1],[1,{huge}]]}}'
+        )
+        code, report, _ = run(capsys, "search", workdir / "huge.json", "mnw")
+        assert code == 0
+        welfare = report["result"]["welfare"]
+        assert welfare["decimal"] is None
+        assert welfare["exact"] == "1" + "0" * 8000  # 8001 digits
+
     def test_truncated_search_exits_5(self, workdir, capsys):
         code, report, _ = run(
             capsys, "search", workdir / "separation.json", "ceei-frac", "--limit-nodes", 2

@@ -7,7 +7,9 @@ from ceei import (
     DiscreteAssignment,
     FractionalAssignment,
     Instance,
+    InstanceViolation,
     InvalidAssignment,
+    InvariantError,
     bundle_utility,
     nash_welfare,
     validate_instance,
@@ -99,9 +101,27 @@ class TestValidateInstance:
         assert violations[0].agent == 1
 
     def test_negative_entry_reported(self):
-        inst = Instance([[1, -1], [1, 2]])
-        kinds = {v.kind for v in validate_instance(inst)}
+        with pytest.raises(InvariantError) as raised:
+            validate_instance(Instance([[1, -1], [1, 2]]))
+        kinds = {v.kind for v in raised.value.violations}
         assert "negative_entry" in kinds
+
+    # each once passed into the verifiers and searches and got a wrong
+    # answer: a CEEI verdict with prices (1, 1), Nash welfare 12 from two
+    # negative totals, no equal split of {3, -1} | {2}
+    @pytest.mark.parametrize(
+        "utilities, negative",
+        [
+            ([[-1, -1], [1, 1]], [(0, 0), (0, 1)]),
+            ([[3, -1, 2]] * 2, [(0, 1), (1, 1)]),
+            ([[-3, -2, -2], [-3, 1, 2]], [(0, 0), (0, 1), (0, 2), (1, 0)]),
+            ([[0, "-1/2"]], [(0, 1)]),
+        ],
+    )
+    def test_instance_names_every_negative_entry(self, utilities, negative):
+        with pytest.raises(InvariantError) as raised:
+            Instance(utilities)
+        assert raised.value.violations == [InstanceViolation("negative_entry", agent=i, object=j) for i, j in negative]
 
 
 class TestAssignments:
@@ -145,6 +165,17 @@ class TestAssignments:
         y = DiscreteAssignment([0, 2, 1, 0])
         assert y.bundles(3) == [(0, 3), (2,), (1,)]
         assert DiscreteAssignment.from_bundles(4, y.bundles(3)) == y
+
+    @pytest.mark.parametrize("owner", [[0.7, 1.9], [True, False], ["1"], [0, Fraction(1)], [None]])
+    def test_owners_must_be_integers(self, owner):
+        with pytest.raises(InvalidAssignment, match="not an agent index"):
+            DiscreteAssignment(owner)
+
+    def test_index_types_are_owners(self):
+        numpy = pytest.importorskip("numpy")
+        y = DiscreteAssignment(numpy.array([1, 0, 1]))
+        assert y == DiscreteAssignment([1, 0, 1])
+        assert all(type(o) is int for o in y.owner)
 
     @pytest.mark.parametrize("bundles", [[[0], [-1]], [[0], [5]], [[0, 2], [1]]])
     def test_from_bundles_rejects_out_of_range_objects(self, bundles):
