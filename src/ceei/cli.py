@@ -142,8 +142,8 @@ def _build_parser():
         "--limit-nodes",
         type=int,
         default=None,
-        help="node budget of the mnw and ceei-frac branch and bound; the enumeration guard of"
-        " ceei-disc; ignored by binary-mnw and identical-ceei-disc",
+        help="node budget of the mnw and ceei-frac branch and bound (ignored by ceei-frac on 0/1"
+        " rows); the n^m guard of ceei-disc; ignored by binary-mnw and identical-ceei-disc",
     )
     searchp.add_argument(
         "--limit-seconds",

@@ -9,11 +9,11 @@ Four notions are decided here:
   summed total cannot rise above its own;
 * price support over fractional demand (the strong notion), by an exact
   closed-form test in rational arithmetic;
-* price support over discrete demand (the weak notion), by maximizing a
-  uniform affordability slack over the inclusion-minimal strictly-better
-  bundles (picked by a subset DP) with `simplex.maximize`, an
-  integer-pivoting simplex on 0/±1 rows whose optimum and prices are exact
-  rationals.
+* price support over discrete demand (the weak notion): refuted by envy
+  outright, else by maximizing a uniform affordability slack over the
+  inclusion-minimal strictly-better bundles (picked by a subset DP) with
+  `simplex.maximize`, an integer-pivoting simplex on 0/±1 rows whose
+  optimum and prices are exact rationals.
 
 Every verdict reads the int rows of `model.integer_rows` and bundle values
 from `bundle_values`.  `Instance` rejects negative utilities, so adding an
@@ -247,18 +247,25 @@ def verify_ceei_disc(inst: Instance, y: DiscreteAssignment, limit=DEFAULT_BUNDLE
 
     Searches for prices p >= 0 under which every agent can afford its own
     bundle while every strictly better bundle costs strictly more than the
-    unit budget.  Bundles of equal value impose no constraint.  Strictness is
-    decided by maximizing a uniform slack t over the inclusion-minimal
-    strictly-better bundles (supersets cost at least as much, so they are
-    implied); the notion holds iff the optimal slack is positive.
+    unit budget.  Bundles of equal value impose no constraint.  An envied
+    bundle is strictly better and affordable, so `is_envy_free`'s pair (i, k)
+    refutes support at once, with k's whole bundle as i's witness.
+    Otherwise strictness is decided by maximizing a uniform slack t over the
+    inclusion-minimal strictly-better bundles (supersets cost at least as
+    much, so they are implied); the notion holds iff the optimal slack is
+    positive.
 
-    Raises InstanceTooLarge when 2^m bundle enumerations exceed `limit`.
+    Raises InstanceTooLarge when 2^m bundle enumerations exceed `limit`,
+    before the envy test; the existence search has no bundle guard of its own.
     """
     check_assignment(inst, y)
     n, m = inst.n, inst.m
     num_masks = 1 << m
     if num_masks > limit:
         raise InstanceTooLarge(n, m, limit, num_masks)
+    envy = is_envy_free(inst, y).certificate
+    if envy is not None:
+        return Verdict(False, ViolatingBundle(envy.envious, y.bundle(envy.envied)))
 
     own_mask = [0] * n
     for j, o in enumerate(y.owner):
@@ -281,13 +288,6 @@ def verify_ceei_disc(inst: Instance, y: DiscreteAssignment, limit=DEFAULT_BUNDLE
 
     minimal = _inclusion_minimal(claimant)
     minimal.sort(key=lambda mask: (claimant[mask], _mask_objects(mask)))
-
-    # a preferred bundle inside someone's bundle can never cost more than a
-    # whole affordable bundle, so it refutes price support outright
-    for mask in minimal:
-        for k in range(n):
-            if mask & ~own_mask[k] == 0:
-                return Verdict(False, ViolatingBundle(claimant[mask], _mask_objects(mask)))
 
     # variables p_1..p_m, s with s = 1 + t; maximize s subject to
     #   s - p(B) <= 0   for each minimal strictly-better bundle B

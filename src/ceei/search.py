@@ -32,7 +32,6 @@ from typing import Optional
 from ._flow import max_flow  # noqa: F401  bench/tracing.py patches ceei.search.max_flow
 from .errors import (
     InconclusiveSearch,
-    InstanceTooLarge,
     NotBinary,
     NotIdenticalUtilities,
 )
@@ -549,18 +548,18 @@ def exists_ceei_disc_bruteforce(inst: Instance, limit=DEFAULT_ENUM_LIMIT):
     desk-scale instrument.  Discrete price support implies envy-freeness (an
     envied bundle is a strictly better bundle inside someone's affordable
     one), so skipping the others changes no answer.  Returns (assignment,
-    prices) or None.
+    prices) or None.  `limit` guards the n^m walk only; the first envy-free
+    owner vector meets `verify_ceei_disc`'s own 2^m bundle guard, which
+    raises InstanceTooLarge past 16 objects.
     """
     walk = assignments(inst, limit)
-    if (1 << inst.m) > limit:
-        raise InstanceTooLarge(inst.n, inst.m, limit, 1 << inst.m)
     rows, _scales = integer_rows(inst)
     n = inst.n
     for owner, totals in walk:
         if any(max(bundle_values([row] * n, owner)) > total for row, total in zip(rows, totals)):
             continue
         y = DiscreteAssignment(owner)
-        verdict = verify_ceei_disc(inst, y, limit=limit)
+        verdict = verify_ceei_disc(inst, y)
         if verdict.holds:
             return y, verdict.certificate.prices
     return None

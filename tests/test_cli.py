@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ceei import cli, gen_random
+from ceei import cli, gen_random, serialize_instance
 from ceei.cli import main
 
 
@@ -26,6 +26,48 @@ def workdir(tmp_path):
 
 def _uniform_doc(n, m):
     return json.dumps({"agents": n, "objects": m, "utilities": [[1] * m] * n})
+
+
+NON_SOLVER_PROBE = """
+import contextlib, io, sys
+from ceei import (
+    DiscreteAssignment, Instance, binary_max_nash, brute_force_max_nash, exists_ceei_disc_bruteforce,
+    exists_ceei_frac_discrete, find_ceei_disc_identical, is_envy_free, is_pareto_optimal_discrete,
+    max_nash_discrete, verify_ceei_disc, verify_ceei_frac,
+)
+from ceei.cli import main
+
+inst, binary = Instance([[95, 5, 2, 1], [1, 2, 5, 95]]), Instance([[1, 1, 0], [0, 1, 1]])
+for verifier in (is_envy_free, is_pareto_optimal_discrete, verify_ceei_frac, verify_ceei_disc):
+    verifier(inst, DiscreteAssignment([0, 0, 1, 1]))
+for search in (brute_force_max_nash, max_nash_discrete, exists_ceei_frac_discrete, exists_ceei_disc_bruteforce):
+    search(inst)
+binary_max_nash(binary)
+exists_ceei_frac_discrete(binary)
+find_ceei_disc_identical(Instance([[2, 1, 1], [2, 1, 1]]))
+separation, even, binary_gap, ident, out = sys.argv[1:]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["check", separation, even, notion]) for notion in ("ef", "po", "ceei-frac", "ceei-disc")]
+    codes += [main(["search", separation, target]) for target in ("mnw", "ceei-frac", "ceei-disc")]
+    codes += [main(["search", binary_gap, "binary-mnw"]), main(["search", ident, "identical-ceei-disc"])]
+    codes += [main(["gen", "random", "--out", out]), main(["gen", "partition", "--set", "2,1,1", "--out", out])]
+print(codes, "numpy" in sys.modules)
+"""
+
+
+def _fresh_python(probe, *args):
+    """stdout of `probe` run in a new interpreter that imports ceei from this tree."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", probe, *map(str, args)],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
 
 
 def run(capsys, *argv):
@@ -67,6 +109,13 @@ class TestSolve:
         code, report, err = run(
             capsys, "solve", workdir / "separation.json", "--max-iter", 1
         )
+        assert code == 3
+        assert report is None
+        assert "no equilibrium" in err
+
+    def test_loose_tolerance_exits_3(self, workdir, capsys):
+        (workdir / "r4x8.json").write_text(serialize_instance(gen_random(4, 8, 100, seed=1)))
+        code, report, err = run(capsys, "solve", workdir / "r4x8.json", "--tolerance", 0.5)
         assert code == 3
         assert report is None
         assert "no equilibrium" in err
@@ -129,18 +178,13 @@ class TestSolve:
         assert "no equilibrium" in err
 
     def test_importing_the_cli_does_not_load_numpy(self):
-        src = str(Path(cli.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        probe = "import sys, ceei.cli; print('numpy' in sys.modules)"
-        done = subprocess.run(
-            [sys.executable, "-c", probe],
-            env=dict(os.environ, PYTHONPATH=path),
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "False"
+        assert _fresh_python("import sys, ceei.cli; print('numpy' in sys.modules)") == "False"
+
+    def test_non_solver_entry_points_do_not_load_numpy(self, workdir):
+        # numpy costs ~11 MB of resident memory; only solve_eg may load it
+        (workdir / "ident.json").write_text('{"agents":2,"objects":3,"utilities":[[2,1,1],[2,1,1]]}')
+        args = [workdir / name for name in ("separation.json", "even.json", "binary_gap.json", "ident.json")]
+        assert _fresh_python(NON_SOLVER_PROBE, *args, workdir / "gen.json") == "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0] False"
 
 
 class TestCheck:

@@ -71,6 +71,14 @@ class TestSolveEg:
         assert excinfo.value.iterations == 1
         assert excinfo.value.residual > 1e-8
 
+    def test_no_convergence_once_the_gap_is_below_the_tolerance(self):
+        # no support guess certifies before the gap falls under a loose
+        # tolerance, so the solver gives up after the step that got it there
+        with pytest.raises(NonConvergence) as excinfo:
+            solve_eg(gen_random(4, 8, 100, seed=1), SolverConfig(convergence_tolerance=0.5))
+        assert excinfo.value.iterations == 6
+        assert excinfo.value.residual == 0.1
+
     @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), 0.0, -1e-10])
     def test_tolerance_must_be_finite_and_positive(self, tolerance):
         with pytest.raises(ValueError, match="finite and positive"):

@@ -4,12 +4,14 @@ from fractions import Fraction
 import pytest
 
 from ceei import (
+    DimensionMismatch,
     DiscreteAssignment,
     DominatingAssignment,
     EnvyPair,
     Instance,
     InstanceTooLarge,
     InstanceViolation,
+    InvalidAssignment,
     InvariantError,
     KktViolation,
     ViolatingBundle,
@@ -143,6 +145,22 @@ class TestParetoOptimal:
         assert verdict.certificate == DominatingAssignment(DiscreteAssignment([0, 0, 0]))
 
 
+VERIFIERS = [is_envy_free, is_pareto_optimal_discrete, verify_ceei_frac, verify_ceei_disc]
+
+
+@pytest.mark.parametrize("verifier", VERIFIERS)
+def test_assignment_of_the_wrong_length_is_rejected(verifier, separation):
+    with pytest.raises(DimensionMismatch) as excinfo:
+        verifier(separation, DiscreteAssignment([0, 1, 1]))
+    assert (excinfo.value.what, excinfo.value.expected, excinfo.value.got) == ("assignment", 4, 3)
+
+
+@pytest.mark.parametrize("verifier", VERIFIERS)
+def test_owner_beyond_the_agents_is_rejected(verifier, separation):
+    with pytest.raises(InvalidAssignment, match="out of range for 2 agents"):
+        verifier(separation, DiscreteAssignment([0, 1, 2, 1]))
+
+
 def test_assignments_walk_int_totals_on_rational_utilities():
     inst = Instance([["1/2", "3/4", 2], [1, "5/6", "7/9"]])
     scales = (4, 18)
@@ -256,6 +274,23 @@ class TestVerifyDiscreteSupport:
     def test_bundle_guard(self, separation):
         with pytest.raises(InstanceTooLarge):
             verify_ceei_disc(separation, EVEN, limit=8)
+
+    def test_envy_is_refuted_with_the_envied_bundle(self):
+        # an envied bundle is strictly better and affordable, so envy decides
+        # the verdict before any LP, with is_envy_free's pair as the witness
+        rng = random.Random(7000)
+        envious = 0
+        for _ in range(200):
+            inst = mixed_instance(rng, max_agents=3, max_objects=8, max_assignments=6561)
+            for _ in range(6):
+                y = DiscreteAssignment([rng.randrange(inst.n) for _ in range(inst.m)])
+                envy = is_envy_free(inst, y).certificate
+                if envy is not None:
+                    envious += 1
+                    verdict = verify_ceei_disc(inst, y)
+                    assert not verdict.holds
+                    assert verdict.certificate == ViolatingBundle(envy.envious, y.bundle(envy.envied))
+        assert envious > 300
 
     @pytest.mark.parametrize("seed", range(30))
     def test_inclusion_minimal_matches_pairwise_filter(self, seed):

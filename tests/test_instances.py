@@ -23,6 +23,7 @@ from ceei import (
     serialize_instance,
     validate_instance,
 )
+from ceei import cli
 from oracles import has_equal_bipartition
 
 SEPARATION_DOC = '{"agents":2,"objects":4,"utilities":[[95,5,2,1],[1,2,5,95]]}'
@@ -37,6 +38,11 @@ class TestPartitionBuilder:
     def test_singleton(self):
         inst = from_partition(PartitionInput([1]))
         assert (inst.n, inst.m) == (2, 1)
+
+    def test_non_positive_integer_rejected(self):
+        with pytest.raises(SchemaError) as excinfo:
+            PartitionInput([2, 0, 1])
+        assert excinfo.value.field == "integers"
 
     def test_yes_instance_fixture(self):
         values = [3, 3, 2, 2, 2]
@@ -152,6 +158,29 @@ class TestDocuments:
     def test_unknown_field_rejected(self):
         with pytest.raises(SchemaError):
             parse_instance('{"agents":1,"objects":1,"utilities":[[1]],"extra":0}')
+
+    @pytest.mark.parametrize(
+        "document, field",
+        [
+            ("[1, 2]", "document"),
+            ('{"objects":1,"utilities":[[1]]}', "agents"),
+            ('{"agents":2,"objects":2,"utilities":[[1,1],[1]]}', "utilities"),
+            ('{"agents":1,"objects":0,"utilities":[[]]}', "objects"),
+            ('{"agents":1,"objects":2,"utilities":[[1,true]]}', "utilities[0][1]"),
+            ('{"agents":1,"objects":2,"utilities":[[1,"1/0"]]}', "utilities[0][1]"),
+            ('{"agents":2,"objects":1,"utilities":[[1],[null]]}', "utilities[1][0]"),
+        ],
+    )
+    def test_rejection_names_the_field(self, document, field, tmp_path, capsys):
+        with pytest.raises(SchemaError) as excinfo:
+            parse_instance(document)
+        assert excinfo.value.field == field
+        path = tmp_path / "doc.json"
+        path.write_text(document)
+        assert cli.main(["search", str(path), "mnw"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith(f"error: field '{field}'")
 
     def test_invariant_violations_reported_via_validate(self):
         with pytest.raises(InvariantError) as excinfo:

@@ -27,10 +27,12 @@ from ceei import (
     max_nash_discrete,
     nash_welfare,
     PartitionInput,
+    serialize_instance,
     verify_ceei_disc,
     verify_ceei_frac,
 )
-from ceei import search
+from ceei import cli, search
+from ceei.fairness import DEFAULT_BUNDLE_LIMIT
 from ceei.model import integer_rows
 from oracles import (
     all_discrete_assignments,
@@ -430,6 +432,24 @@ class TestExistsDiscreteSupport:
         inst = gen_random(3, 20, 3, seed=1)
         with pytest.raises(InstanceTooLarge):
             exists_ceei_disc_bruteforce(inst, limit=1000)
+
+    def test_bundle_guard_is_the_verifiers(self):
+        # 2^17 owner vectors pass the n^m guard; the first envy-free one
+        # meets verify_ceei_disc's 2^m bundle guard, the only one
+        start = time.perf_counter()
+        with pytest.raises(InstanceTooLarge) as excinfo:
+            exists_ceei_disc_bruteforce(gen_random(2, 17, 9, seed=0))
+        assert time.perf_counter() - start < 1.0
+        assert excinfo.value.limit == DEFAULT_BUNDLE_LIMIT
+        assert excinfo.value.required == 2**17
+
+    def test_cli_exits_4_at_the_bundle_guard(self, tmp_path, capsys):
+        path = tmp_path / "r2x17.json"
+        path.write_text(serialize_instance(gen_random(2, 17, 9, seed=0)))
+        assert cli.main(["search", str(path), "ceei-disc"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
 
     @pytest.mark.parametrize("seed", range(24))
     def test_envy_filter_matches_the_unfiltered_loop(self, seed):
