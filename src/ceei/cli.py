@@ -129,7 +129,12 @@ def _build_parser():
     check.add_argument("instance")
     check.add_argument("assignment", help="path to an {\"owner\": [...]} document")
     check.add_argument("notion", choices=["ef", "po", "ceei-frac", "ceei-disc"])
-    check.add_argument("--limit-nodes", type=int, default=None, help="enumeration guard override")
+    check.add_argument(
+        "--limit-nodes",
+        type=int,
+        default=None,
+        help="the n^m guard of po and the 2^m bundle guard of ceei-disc; ignored by ef and ceei-frac",
+    )
     check.set_defaults(handler=_cmd_check)
 
     searchp = sub.add_parser("search", help="search for discrete assignments")

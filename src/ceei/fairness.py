@@ -11,13 +11,13 @@ Four notions are decided here:
   closed-form test in rational arithmetic;
 * price support over discrete demand (the weak notion): refuted by envy
   outright, else by maximizing a uniform affordability slack over the
-  inclusion-minimal strictly-better bundles (picked by a subset DP) with
-  `simplex.maximize`, an integer-pivoting simplex on 0/±1 rows whose
-  optimum and prices are exact rationals.
+  inclusion-minimal strictly-better bundles (enumerated directly by a
+  pruned walk per agent) with `simplex.maximize`, an integer-pivoting
+  simplex on 0/±1 rows whose optimum and prices are exact rationals.
 
 Every verdict reads the int rows of `model.integer_rows` and bundle values
 from `bundle_values`.  `Instance` rejects negative utilities, so adding an
-object never lowers a bundle's value; the Pareto prunes and the bundle DP
+object never lowers a bundle's value; the Pareto prunes and the bundle walk
 rely on it.  The exhaustive n^m searches, here and in `search`,
 walk the owner vectors through `assignments`: one guard, one odometer, no
 recursion.  The Pareto test visits the same order under the same limit but
@@ -255,100 +255,76 @@ def verify_ceei_disc(inst: Instance, y: DiscreteAssignment, limit=DEFAULT_BUNDLE
     much, so they are implied); the notion holds iff the optimal slack is
     positive.
 
-    Raises InstanceTooLarge when 2^m bundle enumerations exceed `limit`,
+    Raises InstanceTooLarge when the 2^m bundles it considers exceed `limit`,
     before the envy test; the existence search has no bundle guard of its own.
     """
     check_assignment(inst, y)
     n, m = inst.n, inst.m
-    num_masks = 1 << m
-    if num_masks > limit:
-        raise InstanceTooLarge(n, m, limit, num_masks)
+    required = 1 << m
+    if required > limit:
+        raise InstanceTooLarge(n, m, limit, required)
     envy = is_envy_free(inst, y).certificate
     if envy is not None:
         return Verdict(False, ViolatingBundle(envy.envious, y.bundle(envy.envied)))
 
-    own_mask = [0] * n
-    for j, o in enumerate(y.owner):
-        own_mask[o] |= 1 << j
-
-    # all bundles some agent strictly prefers to its own, recording the first
-    # such agent per bundle for witness attribution
-    claimant = {}
     rows, _scales = integer_rows(inst)
-    for i in range(n):
-        values = _mask_values(rows[i], m)
-        threshold = values[own_mask[i]]
-        for mask in range(1, num_masks):
-            if values[mask] > threshold and mask not in claimant:
-                claimant[mask] = i
-
-    if not claimant:
-        uniform = Fraction(1, m)
-        return Verdict(True, PriceSupport(PriceVector([uniform] * m)))
-
-    minimal = _inclusion_minimal(claimant)
-    minimal.sort(key=lambda mask: (claimant[mask], _mask_objects(mask)))
+    minimal = _minimal_better_bundles(rows, bundle_values(rows, y.owner))
+    if not minimal:
+        return Verdict(True, PriceSupport(PriceVector([Fraction(1, m)] * m)))
 
     # variables p_1..p_m, s with s = 1 + t; maximize s subject to
     #   s - p(B) <= 0   for each minimal strictly-better bundle B
     #   p(y_i)   <= 1   for each agent
     objective = [0] * m + [1]
-    rows = []
-    rhs = []
-    for mask in minimal:
-        rows.append([-(mask >> j & 1) for j in range(m)] + [1])
-        rhs.append(0)
-    for i in range(n):
-        rows.append([own_mask[i] >> j & 1 for j in range(m)] + [0])
-        rhs.append(1)
+    lp_rows = [[-(j in bundle) for j in range(m)] + [1] for _agent, bundle in minimal]
+    lp_rows += [[int(j in bundle) for j in range(m)] + [0] for bundle in y.bundles(n)]
+    rhs = [0] * len(minimal) + [1] * n
 
-    value, solution = simplex.maximize(objective, rows, rhs)
+    value, solution = simplex.maximize(objective, lp_rows, rhs)
     slack = value - 1
     prices = solution[:m]
     if slack > 0:
         return Verdict(True, PriceSupport(PriceVector(prices)))
-    for mask in minimal:
-        cost = sum(prices[j] for j in _mask_objects(mask))
-        if cost <= 1:
-            return Verdict(False, ViolatingBundle(claimant[mask], _mask_objects(mask)))
+    for agent, bundle in minimal:
+        if sum(prices[j] for j in bundle) <= 1:
+            return Verdict(False, ViolatingBundle(agent, bundle))
     # unreachable: the optimal slack is attained by some bundle constraint
     raise AssertionError("slack LP returned no binding bundle")
 
 
-def _mask_values(row, m):
-    """Utility of every object subset, as a table indexed by bitmask."""
-    values = [0] * (1 << m)
-    for mask in range(1, 1 << m):
-        low = mask & -mask
-        values[mask] = values[mask ^ low] + row[low.bit_length() - 1]
-    return values
+def _minimal_better_bundles(rows, own):
+    """The inclusion-minimal bundles some agent values above its `own` total,
+    as (first such agent, objects ascending) pairs in that order.
 
-
-def _mask_objects(mask):
-    return tuple(j for j in range(mask.bit_length()) if mask >> j & 1)
-
-
-def _inclusion_minimal(masks):
-    """The inclusion-minimal members of a set of bitmasks, ascending.
-
-    Precondition: the set is closed under supersets among the masks as wide
-    as its largest member, as the strictly-better bundles of nonnegative
-    rows are.  A member is then minimal iff no mask with one bit removed is
-    a member.  It runs bit-parallel, O(2^m * m) in all: byte s of each int
-    flags mask s, and one shift per bit b moves every flag of a mask without
-    b to the same mask with b.
+    Rows are nonnegative, so a bundle minimal for one agent holds only
+    objects it values.  A depth-first walk adds those largest first; a
+    bundle ends at the object that lifts it above the agent's total, its
+    least valued one, and a branch ends once the objects left cannot lift
+    it.  A bundle so found is minimal among all agents' iff no agent values
+    it, less its least valued object, above its own total; every agent that
+    prefers such a bundle finds it, so the first walk to find it names the
+    first agent.
     """
-    width = 1 << max(masks).bit_length()
-    flags = bytearray(width)
-    for mask in masks:
-        flags[mask] = 1
-    members = int.from_bytes(flags, "little")
-    steps = []  # (flags of the masks without bit b, shift to add bit b)
-    for b in range(width.bit_length() - 1):
-        run = 1 << b
-        steps.append((int.from_bytes((b"\1" * run + b"\0" * run) * (width // (2 * run)), "little"), 8 * run))
-    above = 0  # flags the masks with a member one bit below them
-    for without, shift in steps:
-        above |= (members & without) << shift
-    flags = (members & ~above).to_bytes(width, "little")
-    return [mask for mask in range(width) if flags[mask]]
+    found = {}
+    for i, (row, total) in enumerate(zip(rows, own)):
+        order = sorted((j for j, v in enumerate(row) if v), key=lambda j: -row[j])
+        stack = [(0, 0, sum(row), ())]  # (position in order, value, value of order[position:], objects)
+        while stack:
+            start, value, rest, chosen = stack.pop()
+            for p, j in enumerate(order[start:], start + 1):
+                if value + rest <= total:
+                    break
+                rest -= row[j]
+                if value + row[j] > total:
+                    found.setdefault(tuple(sorted(chosen + (j,))), i)
+                else:
+                    stack.append((p, value + row[j], rest, chosen + (j,)))
+    minimal = []
+    for bundle, agent in found.items():
+        for row, total in zip(rows, own):
+            values = [row[j] for j in bundle]
+            if sum(values) - min(values) > total:
+                break  # this agent strictly prefers a smaller bundle
+        else:
+            minimal.append((agent, bundle))
+    return sorted(minimal)

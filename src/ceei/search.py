@@ -50,6 +50,10 @@ class SearchBudgets:
     max_nodes: Optional[int] = None
     max_seconds: Optional[float] = None
 
+    def __post_init__(self):
+        if self.max_seconds is not None and not 0 <= self.max_seconds < math.inf:
+            raise ValueError("max_seconds must be finite and nonnegative")
+
 
 @dataclass(frozen=True)
 class SearchResult:

@@ -5,7 +5,7 @@ subset-sum check is a bitset dynamic program, the equal-split and Pareto
 checks are plain enumeration of owner vectors, price-support certificates
 are re-verified directly from their defining inequalities, LP optima come
 from vertex enumeration rather than pivoting, and inclusion-minimal masks
-come from pairwise subset tests.
+come from pairwise subset tests over a scan of every subset.
 """
 
 from fractions import Fraction
@@ -87,6 +87,22 @@ def first_dominating_assignment(inst, y):
 def inclusion_minimal_pairwise(masks):
     """Members of a set of bitmasks with no other member inside them, ascending."""
     return sorted(a for a in masks if not any(b != a and b & a == b for b in masks))
+
+
+def minimal_better_bundles(rows, own):
+    """Scan all 2^m subsets: the inclusion-minimal ones that some agent values
+    above its `own` total, as (first such agent, objects) pairs in that order."""
+    m = len(rows[0])
+    claimant = {}
+    for mask in range(1, 1 << m):
+        objects = [j for j in range(m) if mask >> j & 1]
+        agent = next((i for i, row in enumerate(rows) if sum(row[j] for j in objects) > own[i]), None)
+        if agent is not None:
+            claimant[mask] = agent
+    return sorted(
+        (claimant[mask], tuple(j for j in range(m) if mask >> j & 1))
+        for mask in inclusion_minimal_pairwise(claimant)
+    )
 
 
 def random_fractional_welfare(inst, rng):

@@ -328,6 +328,15 @@ class TestSearch:
         assert report["result"]["status"] == "truncated"
         assert report["result"]["nodes_explored"] == 5000
 
+    @pytest.mark.parametrize("seconds", ["nan", "inf", "-1"])
+    def test_unusable_time_budget_exits_2(self, workdir, capsys, seconds):
+        code, report, err = run(
+            capsys, "search", workdir / "separation.json", "mnw", "--limit-seconds", seconds
+        )
+        assert code == 2
+        assert report is None
+        assert err == "error: max_seconds must be finite and nonnegative\n"
+
 
 class TestGen:
     def test_partition_document(self, workdir, capsys):

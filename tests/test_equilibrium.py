@@ -6,6 +6,8 @@ import pytest
 from ceei import (
     DiscreteAssignment,
     Instance,
+    InstanceViolation,
+    InvariantError,
     NonConvergence,
     SolverConfig,
     ZeroUtility,
@@ -83,6 +85,15 @@ class TestSolveEg:
     def test_tolerance_must_be_finite_and_positive(self, tolerance):
         with pytest.raises(ValueError, match="finite and positive"):
             SolverConfig(convergence_tolerance=tolerance)
+
+    def test_step_budget_must_be_positive(self):
+        with pytest.raises(ValueError, match="max_iterations must be at least 1"):
+            SolverConfig(max_iterations=0)
+
+    def test_zero_column_is_an_invariant_error(self):
+        with pytest.raises(InvariantError) as excinfo:
+            solve_eg(Instance([[1, 0, 2], [3, 0, 1]]))
+        assert excinfo.value.violations == [InstanceViolation("zero_column", object=1)]
 
     def test_seeded_runs_agree(self, separation):
         utilities = {tuple(solve_eg(separation, seed=s).u_star) for s in range(6)}

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -19,15 +20,17 @@ from ceei import (
     gen_random,
     is_envy_free,
     is_pareto_optimal_discrete,
+    max_nash_discrete,
     nash_welfare,
     verify_ceei_disc,
     verify_ceei_frac,
 )
-from ceei.fairness import _inclusion_minimal, assignments
+from ceei.fairness import _minimal_better_bundles, assignments, bundle_values
+from ceei.model import integer_rows
 from oracles import (
     all_discrete_assignments,
     first_dominating_assignment,
-    inclusion_minimal_pairwise,
+    minimal_better_bundles,
     mixed_instance,
     recheck_discrete_price_support,
     recheck_fractional_price_support,
@@ -293,14 +296,30 @@ class TestVerifyDiscreteSupport:
         assert envious > 300
 
     @pytest.mark.parametrize("seed", range(30))
-    def test_inclusion_minimal_matches_pairwise_filter(self, seed):
-        # the strictly-better bundles of nonnegative rows are closed under
-        # supersets, so the DP sees only such families
+    def test_minimal_better_bundles_match_the_subset_scan(self, seed):
+        # zeros and ties in every pool; every third seed copies one row to all
+        # agents, so each bundle is claimed by several agents at once
         rng = random.Random(seed)
-        m = rng.randint(1, 9)
-        seeds = {rng.randrange(1, 1 << m) for _ in range(rng.randint(1, 3 * m))}
-        masks = {mask for mask in range(1, 1 << m) if any(mask & s == s for s in seeds)}
-        assert _inclusion_minimal(masks) == inclusion_minimal_pairwise(masks)
+        n = seed % 4 + 1
+        for _ in range(10):
+            m = rng.randint(1, 8)
+            pool = rng.choice([[0, 0, 1, 1, 2], [0, 3, 3, 5, 5, 8], list(range(10))])
+            rows = [[rng.choice(pool) for _ in range(m)] for _ in range(n)]
+            if seed % 3 == 0:
+                rows = [rows[0]] * n
+            owner = [rng.randrange(n) for _ in range(m)]
+            own = bundle_values(rows, owner)
+            assert _minimal_better_bundles(rows, own) == minimal_better_bundles(rows, own)
+
+    def test_minimal_better_bundles_at_the_guard(self):
+        # m = 16 is the most the default bundle guard admits
+        inst = gen_random(2, 16, 100, seed=0)
+        rows, _scales = integer_rows(inst)
+        own = bundle_values(rows, max_nash_discrete(inst).best.owner)
+        started = time.perf_counter()
+        minimal = _minimal_better_bundles(rows, own)
+        assert time.perf_counter() - started < 1
+        assert len(minimal) == 2604
 
 
 class TestNotionRelations:

@@ -10,6 +10,7 @@ from ceei import (
     InstanceViolation,
     InvalidAssignment,
     InvariantError,
+    PriceVector,
     bundle_utility,
     nash_welfare,
     validate_instance,
@@ -185,6 +186,35 @@ class TestAssignments:
     def test_instance_rejects_ragged_rows(self):
         with pytest.raises(DimensionMismatch):
             Instance([[1, 2], [1]])
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Instance([]), "an instance needs at least one agent"),
+            (lambda: Instance([[]]), "an instance needs at least one object"),
+            (lambda: FractionalAssignment([]), "an assignment needs at least one agent and object"),
+            (lambda: DiscreteAssignment([]), "an assignment needs at least one object"),
+            (lambda: DiscreteAssignment([-1]), "owner indices must be nonnegative"),
+            (lambda: DiscreteAssignment([0, 2]).to_fractional(2), "owner index out of range for 2 agents"),
+            (lambda: DiscreteAssignment.from_bundles(2, [[0, 1], [1]]), "object 1 assigned twice"),
+            (lambda: DiscreteAssignment.from_bundles(4, [[0], [2]]), "objects [1, 3] are unassigned"),
+            (lambda: PriceVector([]), "a price vector needs at least one object"),
+            (lambda: PriceVector([1, "-1/2"]), "price of object 1 is -1/2, negative"),
+        ],
+    )
+    def test_rejection_message_names_the_offender(self, build, message):
+        with pytest.raises(InvalidAssignment) as excinfo:
+            build()
+        assert str(excinfo.value) == message
+
+    def test_boolean_utility_is_rejected(self):
+        with pytest.raises(TypeError, match="booleans are not valid utilities"):
+            Instance([[True]])
+
+    def test_ragged_fractional_rows_are_rejected(self):
+        with pytest.raises(DimensionMismatch) as excinfo:
+            FractionalAssignment([[1, 0], [0]])
+        assert (excinfo.value.what, excinfo.value.expected, excinfo.value.got) == ("assignment row 1", 2, 1)
 
     def test_immutability(self, separation):
         with pytest.raises(AttributeError):
