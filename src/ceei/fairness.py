@@ -18,10 +18,12 @@ Four notions are decided here:
 Every verdict reads the int rows of `model.integer_rows` and bundle values
 from `bundle_values`.  `Instance` rejects negative utilities, so adding an
 object never lowers a bundle's value; the Pareto prunes and the bundle walk
-rely on it.  The exhaustive n^m searches, here and in `search`,
-walk the owner vectors through `assignments`: one guard, one odometer, no
-recursion.  The Pareto test visits the same order under the same limit but
-prunes it, with an explicit stack.
+rely on it.  Every enumeration, here and in `search`, passes one guard
+(`_guard`), which also rejects limits below 1.  The exhaustive searches
+walk owner vectors with one odometer, with no recursion: the discrete
+existence search through `assignments`, the brute force through
+`_odometer` itself.  The Pareto test visits the same order under the
+same limit but prunes it, with an explicit stack.
 """
 
 from __future__ import annotations
@@ -68,6 +70,15 @@ def bundle_values(rows, owner):
     return values
 
 
+def _guard(inst: Instance, limit, required):
+    """Raise ValueError for a `limit` below 1 and InstanceTooLarge when an
+    enumeration of `required` steps exceeds it."""
+    if limit < 1:
+        raise ValueError(f"an enumeration limit must be at least 1, not {limit}")
+    if required > limit:
+        raise InstanceTooLarge(inst.n, inst.m, limit, required)
+
+
 def assignments(inst: Instance, limit=DEFAULT_ENUM_LIMIT):
     """Every owner vector in lexicographic order, with each agent's own total.
 
@@ -77,9 +88,7 @@ def assignments(inst: Instance, limit=DEFAULT_ENUM_LIMIT):
     `integer_rows(inst)`: agent k's true total times its row scale.
     """
     n, m = inst.n, inst.m
-    required = n**m
-    if required > limit:
-        raise InstanceTooLarge(n, m, limit, required)
+    _guard(inst, limit, n**m)
     rows, _scales = integer_rows(inst)
     return _odometer(rows, n, m)
 
@@ -145,9 +154,7 @@ def is_pareto_optimal_discrete(inst: Instance, y: DiscreteAssignment, limit=DEFA
     the contract rather than a soft warning.  Zero rows and columns are fine.
     """
     check_assignment(inst, y)
-    required = inst.n**inst.m
-    if required > limit:
-        raise InstanceTooLarge(inst.n, inst.m, limit, required)
+    _guard(inst, limit, inst.n**inst.m)
     rows, _scales = integer_rows(inst)
     owner = _first_dominating(rows, bundle_values(rows, y.owner))
     if owner is None:
@@ -260,9 +267,7 @@ def verify_ceei_disc(inst: Instance, y: DiscreteAssignment, limit=DEFAULT_BUNDLE
     """
     check_assignment(inst, y)
     n, m = inst.n, inst.m
-    required = 1 << m
-    if required > limit:
-        raise InstanceTooLarge(n, m, limit, required)
+    _guard(inst, limit, 1 << m)
     envy = is_envy_free(inst, y).certificate
     if envy is not None:
         return Verdict(False, ViolatingBundle(envy.envious, y.bundle(envy.envied)))

@@ -10,10 +10,14 @@ identical utilities.
 
 Ties are broken lexicographically by owner vector wherever the search is
 exhaustive, so optima are canonical and runs are reproducible; the bounds
-keep ties, so pruning changes only how many nodes are explored.  Exhaustive
-searches walk `fairness.assignments` (one n^m guard); branch and bound keeps
-an explicit stack, and the equal-split search races a depth-first search
-against a meet in the middle over load tuples.  Nothing here recurses.
+keep ties, so pruning changes only how many nodes are explored.  Both
+exhaustive searches pass the one n^m guard of `fairness`.  The discrete
+existence search walks `fairness.assignments`.  For few agents, the brute
+force walks the owner vectors of the first objects with the same odometer,
+and scores each together with a whole block of owner vectors of the last
+objects in one pass.  Branch and bound keeps an explicit stack, and the equal-split search
+races a depth-first search against a meet in the middle over load tuples.
+Nothing here recurses.
 Every loop runs on the int rows of `model.integer_rows`; reported welfare
 divides out the product of their row scales.
 """
@@ -25,8 +29,8 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
-from operator import add
+from itertools import groupby, repeat
+from operator import add, indexOf, mul
 from typing import Optional
 
 from ._flow import max_flow  # noqa: F401  bench/tracing.py patches ceei.search.max_flow
@@ -37,6 +41,8 @@ from .errors import (
 )
 from .fairness import (
     DEFAULT_ENUM_LIMIT,
+    _guard,
+    _odometer,
     assignments,
     bundle_values,
     verify_ceei_disc,
@@ -51,6 +57,8 @@ class SearchBudgets:
     max_seconds: Optional[float] = None
 
     def __post_init__(self):
+        if self.max_nodes is not None and self.max_nodes < 1:
+            raise ValueError("max_nodes must be at least 1")
         if self.max_seconds is not None and not 0 <= self.max_seconds < math.inf:
             raise ValueError("max_seconds must be finite and nonnegative")
 
@@ -63,29 +71,95 @@ class SearchResult:
     optimal: bool  # False when a node or time budget truncated the search
 
 
-def brute_force_max_nash(inst: Instance, limit=DEFAULT_ENUM_LIMIT) -> SearchResult:
-    """Enumerate all n^m complete assignments and keep the welfare maximum.
+# The brute force scores blocks of at most _TAIL_BLOCK owner vectors of the
+# last objects.  Scoring one there takes 2n - 1 int operations, which past
+# _BLOCK_AGENTS agents cost more than one product of running totals.
+_TAIL_BLOCK = 256
+_BLOCK_AGENTS = 7
 
-    Enumeration is in lexicographic owner-vector order and ties keep the
-    earlier vector, so the optimum is canonical.  This is the independent
+
+def brute_force_max_nash(inst: Instance, limit=DEFAULT_ENUM_LIMIT) -> SearchResult:
+    """Score all n^m complete assignments and keep the welfare maximum.
+
+    Up to _BLOCK_AGENTS agents, the objects split into a head and a tail:
+    the last k objects, for the largest k with n^k at most _TAIL_BLOCK.
+    Each agent's totals under the n^k tail owner vectors are built once, in
+    lexicographic order.  The odometer of `fairness` walks the head owner
+    vectors in lexicographic order, and each scores its whole block of
+    tails in one chained `map` pass.  A tail whose vector of totals an
+    earlier one had is skipped, and so is a head, as long as the set of
+    head vectors stays small; that is exact, since equal totals score alike
+    and the earlier owner vector wins ties.  With more agents, the odometer
+    walks all n^m owner vectors and scores each on its own.  A score
+    replaces the incumbent only when strictly higher, so the optimum is the
+    lexicographically first one.  Nothing is bounded or pruned, and
+    `nodes_explored` counts all n^m owner vectors.  This is the independent
     oracle for every other discrete-search claim in the package.
     """
-    _rows, scales = integer_rows(inst)
-    best_owner = None
-    best_welfare = -1
-    leaves = 0
-    for owner, totals in assignments(inst, limit):
-        leaves += 1
-        welfare = math.prod(totals)
-        if welfare > best_welfare:
-            best_welfare = welfare
-            best_owner = tuple(owner)
+    n, m = inst.n, inst.m
+    required = n**m
+    _guard(inst, limit, required)
+    rows, scales = integer_rows(inst)
+    if n <= _BLOCK_AGENTS:
+        best_welfare, best_owner = _best_in_blocks(rows, n, m)
+    else:
+        best_welfare, best_owner = -1, None
+        for owner, totals in _odometer(rows, n, m):
+            welfare = math.prod(totals)
+            if welfare > best_welfare:
+                best_welfare, best_owner = welfare, tuple(owner)
     return SearchResult(
         best=DiscreteAssignment(best_owner),
         welfare=Fraction(best_welfare, math.prod(scales)),
-        nodes_explored=leaves,
+        nodes_explored=required,
         optimal=True,
     )
+
+
+def _best_in_blocks(rows, n, m):
+    """The largest welfare and the first owner vector reaching it, scored a
+    head owner vector at a time against a block of tail owner vectors."""
+    k = 0
+    while k < m and n ** (k + 1) <= _TAIL_BLOCK:
+        k += 1
+    head = m - k
+    # tails[i][t]: agent i's total over the tail under the t-th tail owner
+    # vector; putting object j in front repeats the vectors n times, agent
+    # i's copy with row[j] added
+    tails = [[0]] * n
+    for j in range(m - 1, head - 1, -1):
+        tails = [
+            col * i + list(map(row[j].__add__, col)) + col * (n - 1 - i)
+            for i, (row, col) in enumerate(zip(rows, tails))
+        ]
+    first = {}
+    for t, vector in enumerate(zip(*tails)):
+        first.setdefault(vector, t)
+    index = list(first.values())
+    cols = list(zip(*first))
+
+    def scores(totals):  # the welfare of each kept tail after this head, lazily
+        block = map(add, cols[0], repeat(totals[0]))
+        for i in range(1, n):
+            block = map(mul, block, map(add, cols[i], repeat(totals[i])))
+        return block
+
+    best_welfare, best_owner = -1, None
+    # head total vectors scored so far, at most 2^18 ints, so that memory
+    # stays small; later repeats score alike
+    seen, room = set(), (1 << 18) // n
+    for owner, totals in _odometer(rows, n, head):
+        key = tuple(totals)
+        if key in seen:
+            continue
+        if len(seen) < room:
+            seen.add(key)
+        welfare = max(scores(totals))
+        if welfare > best_welfare:
+            best_welfare = welfare
+            t = index[indexOf(scores(totals), welfare)]
+            best_owner = (*owner, *(t // n**e % n for e in reversed(range(k))))
+    return best_welfare, best_owner
 
 
 def max_nash_discrete(inst: Instance, budgets: Optional[SearchBudgets] = None) -> SearchResult:

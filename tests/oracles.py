@@ -1,8 +1,8 @@
 """Independent test oracles.
 
 Everything here deliberately avoids the implementations under test: the
-subset-sum check is a bitset dynamic program, the equal-split and Pareto
-checks are plain enumeration of owner vectors, price-support certificates
+subset-sum check is a bitset dynamic program, the equal-split, Pareto and
+max-Nash checks are plain enumeration of owner vectors, price-support certificates
 are re-verified directly from their defining inequalities, LP optima come
 from vertex enumeration rather than pivoting, and inclusion-minimal masks
 come from pairwise subset tests over a scan of every subset.
@@ -65,6 +65,22 @@ def equal_split_exists(weights, parts):
 def all_discrete_assignments(n, m):
     for owner in product(range(n), repeat=m):
         yield DiscreteAssignment(owner)
+
+
+def max_nash_by_product(inst):
+    """Enumerate owner vectors lexicographically: the first of maximum Nash
+    welfare, as (DiscreteAssignment, Fraction welfare)."""
+    best, best_welfare = None, Fraction(-1)
+    for owner in product(range(inst.n), repeat=inst.m):
+        totals = [Fraction(0)] * inst.n
+        for j, o in enumerate(owner):
+            totals[o] += inst.utilities[o][j]
+        welfare = Fraction(1)
+        for total in totals:
+            welfare *= total
+        if welfare > best_welfare:
+            best, best_welfare = owner, welfare
+    return DiscreteAssignment(best), best_welfare
 
 
 def first_dominating_assignment(inst, y):

@@ -212,6 +212,26 @@ class TestCheck:
         assert cert["type"] == "price_support"
         assert [p["exact"] for p in cert["prices"]] == ["19/20", "1/20", "1/20", "19/20"]
 
+    @pytest.mark.parametrize("notion", ["po", "ceei-disc"])
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_guard_below_one_exits_2(self, workdir, capsys, notion, limit):
+        code, report, err = run(
+            capsys, "check", workdir / "separation.json", workdir / "even.json", notion,
+            "--limit-nodes", limit,
+        )
+        assert code == 2
+        assert report is None
+        assert err == f"error: an enumeration limit must be at least 1, not {limit}\n"
+
+    @pytest.mark.parametrize("notion", ["po", "ceei-disc"])
+    def test_guard_of_one_still_exits_4(self, workdir, capsys, notion):
+        code, _, err = run(
+            capsys, "check", workdir / "separation.json", workdir / "even.json", notion,
+            "--limit-nodes", 1,
+        )
+        assert code == 4
+        assert "above the limit of 1" in err
+
     def test_po_guard_exits_4(self, workdir, capsys):
         code, _, err = run(
             capsys,
@@ -289,6 +309,21 @@ class TestSearch:
         welfare = report["result"]["welfare"]
         assert welfare["decimal"] is None
         assert welfare["exact"] == "1" + "0" * 8000  # 8001 digits
+
+    @pytest.mark.parametrize("target", ["mnw", "ceei-frac", "ceei-disc"])
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_node_limit_below_one_exits_2(self, workdir, capsys, target, limit):
+        code, report, err = run(
+            capsys, "search", workdir / "separation.json", target, "--limit-nodes", limit
+        )
+        assert code == 2
+        assert report is None
+        assert err == "error: max_nodes must be at least 1\n"
+
+    @pytest.mark.parametrize("target, expected", [("mnw", 5), ("ceei-frac", 5), ("ceei-disc", 4)])
+    def test_node_limit_of_one_keeps_its_exit(self, workdir, capsys, target, expected):
+        code, _, _ = run(capsys, "search", workdir / "separation.json", target, "--limit-nodes", 1)
+        assert code == expected
 
     def test_truncated_search_exits_5(self, workdir, capsys):
         code, report, _ = run(

@@ -85,6 +85,11 @@ class TestParetoOptimal:
         with pytest.raises(InstanceTooLarge):
             is_pareto_optimal_discrete(separation, EVEN, limit=10)
 
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_limit_below_one_is_rejected(self, separation, limit):
+        with pytest.raises(ValueError, match="enumeration limit must be at least 1"):
+            is_pareto_optimal_discrete(separation, EVEN, limit=limit)
+
     def test_many_objects_do_not_exhaust_the_stack(self):
         # 1^1500 = 1 passes the guard; the walk must not recurse per object
         inst = Instance([[1] * 1500])
@@ -277,6 +282,11 @@ class TestVerifyDiscreteSupport:
     def test_bundle_guard(self, separation):
         with pytest.raises(InstanceTooLarge):
             verify_ceei_disc(separation, EVEN, limit=8)
+
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_limit_below_one_is_rejected(self, separation, limit):
+        with pytest.raises(ValueError, match="enumeration limit must be at least 1"):
+            verify_ceei_disc(separation, EVEN, limit=limit)
 
     def test_envy_is_refuted_with_the_envied_bundle(self):
         # an envied bundle is strictly better and affordable, so envy decides

@@ -38,12 +38,60 @@ from oracles import (
     all_discrete_assignments,
     equal_split_exists,
     has_equal_bipartition,
+    max_nash_by_product,
     mixed_instance,
     recheck_discrete_price_support,
 )
 
 
+def _product_oracle_cases():
+    rng = random.Random(8100)
+    cases = [
+        pytest.param(mixed_instance(rng, max_objects=9, max_assignments=2048), id=f"mixed-{k}")
+        for k in range(24)
+    ]
+    for n, m in ((2, 11), (3, 7), (4, 5), (4, 6), (5, 4)):
+        rows = [[rng.randint(0, 1) for _ in range(m)] for _ in range(n)]
+        cases.append(pytest.param(Instance(rows), id=f"binary-{n}x{m}"))
+    # with blocks of 256 tails for up to 7 agents: no head at 2x8 and 3x5,
+    # a one-object tail at 7x1; past 7 agents no blocks at all
+    return cases + [
+        pytest.param(Instance([[0] * 6] * 3), id="all-zero"),  # the all-zero owner vector wins
+        pytest.param(Instance([[0, 0, 1, 0, 0], [0, 0, 0, 0, 0], [1, 0, 0, 0, 1]]), id="zero-row"),
+        pytest.param(gen_random(2, 8, 9, seed=1), id="no-head-2x8"),
+        pytest.param(gen_random(3, 5, 3, seed=2), id="no-head-3x5"),
+        pytest.param(gen_random(7, 1, 9, seed=3), id="one-tail-object-7x1"),
+        pytest.param(gen_random(7, 4, 9, seed=4), id="blocks-7x4"),
+        pytest.param(gen_random(8, 3, 9, seed=5), id="no-blocks-8x3"),
+        pytest.param(gen_random(17, 2, 9, seed=6), id="no-blocks-17x2"),
+        pytest.param(Instance([[3, 0, 1, 4, 1, 5, 9, 2, 6, 5, 3]]), id="one-agent"),
+    ]
+
+
 class TestBruteForce:
+    @pytest.mark.parametrize("inst", _product_oracle_cases())
+    def test_matches_the_product_oracle(self, inst):
+        best, welfare = max_nash_by_product(inst)
+        result = brute_force_max_nash(inst)
+        assert (result.best, result.welfare) == (best, welfare)
+        assert result.nodes_explored == inst.n**inst.m
+        assert result.optimal
+
+    def test_decides_4_agents_and_10_binary_objects_quickly(self):
+        # 4^10 owner vectors, about 0.7 s when each was scored on its own
+        # and 5 ms when scored in blocks (2-core VM)
+        inst = gen_random(4, 10, 1, binary=True, seed=0)
+        start = time.perf_counter()
+        result = brute_force_max_nash(inst)
+        assert time.perf_counter() - start < 0.3
+        assert result.nodes_explored == 4**10
+        assert result.welfare == binary_max_nash(inst).welfare
+
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_limit_below_one_is_rejected(self, separation, limit):
+        with pytest.raises(ValueError, match="enumeration limit must be at least 1"):
+            brute_force_max_nash(separation, limit=limit)
+
     def test_separation_instance(self, separation):
         result = brute_force_max_nash(separation)
         assert result.welfare == 10000
@@ -155,6 +203,11 @@ class TestBranchAndBound:
         assert not result.optimal
         assert result.nodes_explored == 5000
         assert result.best.m == 1200
+
+    @pytest.mark.parametrize("nodes", [0, -1])
+    def test_node_budget_below_one_is_rejected(self, nodes):
+        with pytest.raises(ValueError, match="max_nodes must be at least 1"):
+            SearchBudgets(max_nodes=nodes)
 
     @pytest.mark.parametrize("seconds", [math.nan, math.inf, -1])
     def test_unusable_time_budget_is_rejected(self, seconds):
@@ -438,6 +491,10 @@ class TestExistsDiscreteSupport:
         inst = gen_random(3, 20, 3, seed=1)
         with pytest.raises(InstanceTooLarge):
             exists_ceei_disc_bruteforce(inst, limit=1000)
+
+    def test_limit_below_one_is_rejected(self, separation):
+        with pytest.raises(ValueError, match="enumeration limit must be at least 1"):
+            exists_ceei_disc_bruteforce(separation, limit=0)
 
     def test_bundle_guard_is_the_verifiers(self):
         # 2^17 owner vectors pass the n^m guard; the first envy-free one
