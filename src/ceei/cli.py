@@ -131,9 +131,10 @@ def _build_parser():
     check.add_argument("notion", choices=["ef", "po", "ceei-frac", "ceei-disc"])
     check.add_argument(
         "--limit-nodes",
-        type=int,
+        type=_limit,
         default=None,
-        help="the n^m guard of po and the 2^m bundle guard of ceei-disc; ignored by ef and ceei-frac",
+        help="at least 1: the n^m guard of po and the 2^m bundle guard of ceei-disc;"
+        " ignored by ef and ceei-frac",
     )
     check.set_defaults(handler=_cmd_check)
 
@@ -145,10 +146,11 @@ def _build_parser():
     )
     searchp.add_argument(
         "--limit-nodes",
-        type=int,
+        type=_limit,
         default=None,
-        help="node budget of the mnw and ceei-frac branch and bound (ignored by ceei-frac on 0/1"
-        " rows); the n^m guard of ceei-disc; ignored by binary-mnw and identical-ceei-disc",
+        help="at least 1: node budget of the mnw and ceei-frac branch and bound (ignored by"
+        " ceei-frac on 0/1 rows); the n^m guard of ceei-disc; ignored by binary-mnw and"
+        " identical-ceei-disc",
     )
     searchp.add_argument(
         "--limit-seconds",
@@ -173,6 +175,18 @@ def _build_parser():
     gen.set_defaults(handler=_cmd_gen)
 
     return parser
+
+
+def _limit(text):
+    """The type of --limit-nodes: an int of at least 1, for every command
+    that takes it, whether or not its target uses it."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an int of at least 1, not {text!r}")
+    return value
 
 
 def _cmd_solve(args):

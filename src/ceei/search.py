@@ -12,10 +12,10 @@ Ties are broken lexicographically by owner vector wherever the search is
 exhaustive, so optima are canonical and runs are reproducible; the bounds
 keep ties, so pruning changes only how many nodes are explored.  Both
 exhaustive searches pass the one n^m guard of `fairness`.  The discrete
-existence search walks `fairness.assignments`.  For few agents, the brute
-force walks the owner vectors of the first objects with the same odometer,
-and scores each together with a whole block of owner vectors of the last
-objects in one pass.  Branch and bound keeps an explicit stack, and the equal-split search
+existence search walks `fairness.assignments`.  The brute force walks the
+owner vectors of the first objects with the same odometer, and scores each
+together with a whole block of owner vectors of the last objects in one
+pass.  Branch and bound keeps an explicit stack, and the equal-split search
 races a depth-first search against a meet in the middle over load tuples.
 Nothing here recurses.
 Every loop runs on the int rows of `model.integer_rows`; reported welfare
@@ -71,56 +71,35 @@ class SearchResult:
     optimal: bool  # False when a node or time budget truncated the search
 
 
-# The brute force scores blocks of at most _TAIL_BLOCK owner vectors of the
-# last objects.  Scoring one there takes 2n - 1 int operations, which past
-# _BLOCK_AGENTS agents cost more than one product of running totals.
+# The brute force scores each owner vector of the first objects against a
+# block of at most _TAIL_BLOCK owner vectors of the last objects.
 _TAIL_BLOCK = 256
-_BLOCK_AGENTS = 7
 
 
 def brute_force_max_nash(inst: Instance, limit=DEFAULT_ENUM_LIMIT) -> SearchResult:
     """Score all n^m complete assignments and keep the welfare maximum.
 
-    Up to _BLOCK_AGENTS agents, the objects split into a head and a tail:
-    the last k objects, for the largest k with n^k at most _TAIL_BLOCK.
-    Each agent's totals under the n^k tail owner vectors are built once, in
-    lexicographic order.  The odometer of `fairness` walks the head owner
-    vectors in lexicographic order, and each scores its whole block of
-    tails in one chained `map` pass.  A tail whose vector of totals an
-    earlier one had is skipped, and so is a head, as long as the set of
-    head vectors stays small; that is exact, since equal totals score alike
-    and the earlier owner vector wins ties.  With more agents, the odometer
-    walks all n^m owner vectors and scores each on its own.  A score
-    replaces the incumbent only when strictly higher, so the optimum is the
-    lexicographically first one.  Nothing is bounded or pruned, and
-    `nodes_explored` counts all n^m owner vectors.  This is the independent
-    oracle for every other discrete-search claim in the package.
+    The objects split into a head and a tail: the last k objects, for the
+    largest k with n^k at most _TAIL_BLOCK, or one object when n alone
+    exceeds it, since a block of one scores slowest.  Each agent's totals
+    under the n^k tail owner vectors are built once, in lexicographic
+    order, and a tail whose vector of totals an earlier tail had is
+    dropped; that is
+    exact, since equal totals score alike and the earlier owner vector wins
+    ties.  The odometer of `fairness` walks the head owner vectors in
+    lexicographic order, and each scores its whole block of tails in one
+    chained `map` pass.  A score replaces the incumbent only when strictly
+    higher, so the optimum is the lexicographically first one.  Nothing is
+    bounded or pruned, and `nodes_explored` counts all n^m owner vectors.
+    This is the independent oracle for every other discrete-search claim in
+    the package.
     """
     n, m = inst.n, inst.m
     required = n**m
     _guard(inst, limit, required)
     rows, scales = integer_rows(inst)
-    if n <= _BLOCK_AGENTS:
-        best_welfare, best_owner = _best_in_blocks(rows, n, m)
-    else:
-        best_welfare, best_owner = -1, None
-        for owner, totals in _odometer(rows, n, m):
-            welfare = math.prod(totals)
-            if welfare > best_welfare:
-                best_welfare, best_owner = welfare, tuple(owner)
-    return SearchResult(
-        best=DiscreteAssignment(best_owner),
-        welfare=Fraction(best_welfare, math.prod(scales)),
-        nodes_explored=required,
-        optimal=True,
-    )
-
-
-def _best_in_blocks(rows, n, m):
-    """The largest welfare and the first owner vector reaching it, scored a
-    head owner vector at a time against a block of tail owner vectors."""
     k = 0
-    while k < m and n ** (k + 1) <= _TAIL_BLOCK:
+    while k < m and n ** (k + 1) <= max(_TAIL_BLOCK, n):
         k += 1
     head = m - k
     # tails[i][t]: agent i's total over the tail under the t-th tail owner
@@ -145,21 +124,18 @@ def _best_in_blocks(rows, n, m):
         return block
 
     best_welfare, best_owner = -1, None
-    # head total vectors scored so far, at most 2^18 ints, so that memory
-    # stays small; later repeats score alike
-    seen, room = set(), (1 << 18) // n
     for owner, totals in _odometer(rows, n, head):
-        key = tuple(totals)
-        if key in seen:
-            continue
-        if len(seen) < room:
-            seen.add(key)
         welfare = max(scores(totals))
         if welfare > best_welfare:
             best_welfare = welfare
             t = index[indexOf(scores(totals), welfare)]
             best_owner = (*owner, *(t // n**e % n for e in reversed(range(k))))
-    return best_welfare, best_owner
+    return SearchResult(
+        best=DiscreteAssignment(best_owner),
+        welfare=Fraction(best_welfare, math.prod(scales)),
+        nodes_explored=required,
+        optimal=True,
+    )
 
 
 def max_nash_discrete(inst: Instance, budgets: Optional[SearchBudgets] = None) -> SearchResult:

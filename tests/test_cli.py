@@ -77,6 +77,14 @@ def run(capsys, *argv):
     return code, report, captured.err
 
 
+def run_invalid(capsys, *argv):
+    """Exit code, stdout and stderr of arguments that the parser rejects."""
+    with pytest.raises(SystemExit) as exit_info:
+        main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    return exit_info.value.code, captured.out, captured.err
+
+
 class TestSolve:
     def test_solve_reports_exact_equilibrium(self, workdir, capsys):
         code, report, _ = run(capsys, "solve", workdir / "separation.json")
@@ -212,16 +220,18 @@ class TestCheck:
         assert cert["type"] == "price_support"
         assert [p["exact"] for p in cert["prices"]] == ["19/20", "1/20", "1/20", "19/20"]
 
-    @pytest.mark.parametrize("notion", ["po", "ceei-disc"])
+    @pytest.mark.parametrize("notion", ["ef", "po", "ceei-frac", "ceei-disc"])
     @pytest.mark.parametrize("limit", ["0", "-1"])
-    def test_guard_below_one_exits_2(self, workdir, capsys, notion, limit):
-        code, report, err = run(
+    def test_limit_below_one_exits_2(self, workdir, capsys, notion, limit):
+        code, out, err = run_invalid(
             capsys, "check", workdir / "separation.json", workdir / "even.json", notion,
             "--limit-nodes", limit,
         )
         assert code == 2
-        assert report is None
-        assert err == f"error: an enumeration limit must be at least 1, not {limit}\n"
+        assert out == ""
+        assert err.splitlines()[-1] == (
+            f"ceei check: error: argument --limit-nodes: must be an int of at least 1, not '{limit}'"
+        )
 
     @pytest.mark.parametrize("notion", ["po", "ceei-disc"])
     def test_guard_of_one_still_exits_4(self, workdir, capsys, notion):
@@ -310,15 +320,26 @@ class TestSearch:
         assert welfare["decimal"] is None
         assert welfare["exact"] == "1" + "0" * 8000  # 8001 digits
 
-    @pytest.mark.parametrize("target", ["mnw", "ceei-frac", "ceei-disc"])
+    @pytest.mark.parametrize(
+        "target", ["mnw", "ceei-frac", "ceei-disc", "binary-mnw", "identical-ceei-disc"]
+    )
     @pytest.mark.parametrize("limit", ["0", "-1"])
     def test_node_limit_below_one_exits_2(self, workdir, capsys, target, limit):
-        code, report, err = run(
+        code, out, err = run_invalid(
             capsys, "search", workdir / "separation.json", target, "--limit-nodes", limit
         )
         assert code == 2
-        assert report is None
-        assert err == "error: max_nodes must be at least 1\n"
+        assert out == ""
+        assert err.splitlines()[-1] == (
+            f"ceei search: error: argument --limit-nodes: must be an int of at least 1, not '{limit}'"
+        )
+
+    def test_node_limit_must_be_an_int(self, workdir, capsys):
+        code, _, err = run_invalid(
+            capsys, "search", workdir / "separation.json", "mnw", "--limit-nodes", "1.5"
+        )
+        assert code == 2
+        assert err.endswith("must be an int of at least 1, not '1.5'\n")
 
     @pytest.mark.parametrize("target, expected", [("mnw", 5), ("ceei-frac", 5), ("ceei-disc", 4)])
     def test_node_limit_of_one_keeps_its_exit(self, workdir, capsys, target, expected):

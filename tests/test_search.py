@@ -53,8 +53,8 @@ def _product_oracle_cases():
     for n, m in ((2, 11), (3, 7), (4, 5), (4, 6), (5, 4)):
         rows = [[rng.randint(0, 1) for _ in range(m)] for _ in range(n)]
         cases.append(pytest.param(Instance(rows), id=f"binary-{n}x{m}"))
-    # with blocks of 256 tails for up to 7 agents: no head at 2x8 and 3x5,
-    # a one-object tail at 7x1; past 7 agents no blocks at all
+    # with blocks of at most 256 tails: no head at 2x8 and 3x5, a one-object
+    # tail at 7x1 and 17x2, and past 256 agents a block of one object
     return cases + [
         pytest.param(Instance([[0] * 6] * 3), id="all-zero"),  # the all-zero owner vector wins
         pytest.param(Instance([[0, 0, 1, 0, 0], [0, 0, 0, 0, 0], [1, 0, 0, 0, 1]]), id="zero-row"),
@@ -62,8 +62,9 @@ def _product_oracle_cases():
         pytest.param(gen_random(3, 5, 3, seed=2), id="no-head-3x5"),
         pytest.param(gen_random(7, 1, 9, seed=3), id="one-tail-object-7x1"),
         pytest.param(gen_random(7, 4, 9, seed=4), id="blocks-7x4"),
-        pytest.param(gen_random(8, 3, 9, seed=5), id="no-blocks-8x3"),
-        pytest.param(gen_random(17, 2, 9, seed=6), id="no-blocks-17x2"),
+        pytest.param(gen_random(8, 3, 9, seed=5), id="blocks-8x3"),
+        pytest.param(gen_random(17, 2, 9, seed=6), id="one-tail-object-17x2"),
+        pytest.param(gen_random(257, 1, 9, seed=7), id="one-tail-object-257x1"),
         pytest.param(Instance([[3, 0, 1, 4, 1, 5, 9, 2, 6, 5, 3]]), id="one-agent"),
     ]
 
@@ -79,7 +80,7 @@ class TestBruteForce:
 
     def test_decides_4_agents_and_10_binary_objects_quickly(self):
         # 4^10 owner vectors, about 0.7 s when each was scored on its own
-        # and 5 ms when scored in blocks (2-core VM)
+        # and 0.06 s when scored in blocks (2-core VM)
         inst = gen_random(4, 10, 1, binary=True, seed=0)
         start = time.perf_counter()
         result = brute_force_max_nash(inst)
