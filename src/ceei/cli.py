@@ -216,11 +216,11 @@ def _cmd_check(args):
     if args.notion == "ef":
         verdict = is_envy_free(inst, y)
     elif args.notion == "po":
-        verdict = _guarded(is_pareto_optimal_discrete, inst, y, args.limit_nodes)
+        verdict = is_pareto_optimal_discrete(inst, y, args.limit_nodes)
     elif args.notion == "ceei-frac":
         verdict = verify_ceei_frac(inst, y)
     else:
-        verdict = _guarded(verify_ceei_disc, inst, y, args.limit_nodes)
+        verdict = verify_ceei_disc(inst, y, args.limit_nodes)
     report = _report("check", inst)
     report["config"] = {"notion": args.notion, "limit_nodes": args.limit_nodes}
     report["result"] = {
@@ -229,12 +229,6 @@ def _cmd_check(args):
         "certificate": _certificate(verdict.certificate),
     }
     return report, EXIT_HOLDS if verdict.holds else EXIT_FAILS
-
-
-def _guarded(op, inst, y, limit):
-    if limit is None:
-        return op(inst, y)
-    return op(inst, y, limit=limit)
 
 
 def _cmd_search(args):
@@ -277,8 +271,7 @@ def _cmd_search(args):
         return report, EXIT_HOLDS
 
     if args.target == "ceei-disc":
-        limit = args.limit_nodes if args.limit_nodes is not None else search.DEFAULT_ENUM_LIMIT
-        found = search.exists_ceei_disc_bruteforce(inst, limit=limit)
+        found = search.exists_ceei_disc_bruteforce(inst, limit=args.limit_nodes)
         if found is None:
             report["result"] = {"status": "none"}
             return report, EXIT_FAILS

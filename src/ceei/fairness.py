@@ -2,7 +2,7 @@
 
 Four notions are decided here:
 
-* envy-freeness, by direct pairwise comparison;
+* envy-freeness, by direct pairwise comparison in `_first_envy`;
 * Pareto optimality, by a guarded depth-first search over discrete
   assignments that drops every prefix after which, even with all objects
   still unassigned, some agent cannot reach its own total or the agents'
@@ -19,11 +19,11 @@ Every verdict reads the int rows of `model.integer_rows` and bundle values
 from `bundle_values`.  `Instance` rejects negative utilities, so adding an
 object never lowers a bundle's value; the Pareto prunes and the bundle walk
 rely on it.  Every enumeration, here and in `search`, passes one guard
-(`_guard`), which also rejects limits below 1.  The exhaustive searches
-walk owner vectors with one odometer, with no recursion: the discrete
-existence search through `assignments`, the brute force through
-`_odometer` itself.  The Pareto test visits the same order under the
-same limit but prunes it, with an explicit stack.
+(`_guard`): a `limit` of None means DEFAULT_BUNDLE_LIMIT for the 2^m
+bundles of `verify_ceei_disc` and DEFAULT_ENUM_LIMIT for every n^m walk,
+and a limit below 1 is rejected.  The exhaustive searches in `search` walk
+owner vectors with one odometer (`_odometer`), with no recursion.  The
+Pareto test visits the same order under the same limit but prunes it.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ class Verdict:
 def bundle_values(rows, owner):
     """values[k]: rows[k] summed over the objects `owner` gives agent k.
 
-    Pass one row n times to value every bundle with that row.
+    Pass one row n times to value every bundle with that row (`_first_envy`).
     """
     values = [0] * len(rows)
     for j, k in enumerate(owner):
@@ -70,30 +70,20 @@ def bundle_values(rows, owner):
     return values
 
 
-def _guard(inst: Instance, limit, required):
-    """Raise ValueError for a `limit` below 1 and InstanceTooLarge when an
-    enumeration of `required` steps exceeds it."""
+def _guard(inst: Instance, limit, required, default=DEFAULT_ENUM_LIMIT):
+    """Raise ValueError for a `limit` below 1 (None means `default`) and
+    InstanceTooLarge when an enumeration of `required` steps exceeds it."""
+    limit = default if limit is None else limit
     if limit < 1:
         raise ValueError(f"an enumeration limit must be at least 1, not {limit}")
     if required > limit:
         raise InstanceTooLarge(inst.n, inst.m, limit, required)
 
 
-def assignments(inst: Instance, limit=DEFAULT_ENUM_LIMIT):
-    """Every owner vector in lexicographic order, with each agent's own total.
-
-    Raises InstanceTooLarge at once when n^m exceeds `limit`.  Yields
-    (owner, totals) pairs; a flat odometer updates both lists in place at
-    amortized O(1) per step, so copy them to keep them.  Totals are ints over
-    `integer_rows(inst)`: agent k's true total times its row scale.
-    """
-    n, m = inst.n, inst.m
-    _guard(inst, limit, n**m)
-    rows, _scales = integer_rows(inst)
-    return _odometer(rows, n, m)
-
-
 def _odometer(rows, n, m):
+    """Every owner vector of m objects in lexicographic order, with each
+    agent's own total over `rows`, as (owner, totals) lists that a flat
+    odometer updates in place at amortized O(1) a step: copy to keep them."""
     owner = [0] * m
     totals = bundle_values(rows, owner)
     last = n - 1
@@ -128,15 +118,23 @@ def is_envy_free(inst: Instance, y: DiscreteAssignment) -> Verdict:
     """
     check_assignment(inst, y)
     rows, _scales = integer_rows(inst)
-    values = [bundle_values([row] * inst.n, y.owner) for row in rows]
-    for i in range(inst.n):
-        for k in range(inst.n):
-            if i != k and values[i][i] < values[i][k]:
-                return Verdict(False, EnvyPair(i, k))
-    return Verdict(True, None)
+    envy = _first_envy(rows, y.owner)
+    return Verdict(envy is None, None if envy is None else EnvyPair(*envy))
 
 
-def is_pareto_optimal_discrete(inst: Instance, y: DiscreteAssignment, limit=DEFAULT_ENUM_LIMIT) -> Verdict:
+def _first_envy(rows, owner):
+    """The lexicographically first (envious, envied) pair of agents under the
+    owner vector, or None: agent i envies agent k when rows[i] values k's
+    bundle above i's own."""
+    for i, row in enumerate(rows):
+        values = bundle_values([row] * len(rows), owner)
+        own = values[i]
+        if max(values) > own:
+            return i, next(k for k, value in enumerate(values) if value > own)
+    return None
+
+
+def is_pareto_optimal_discrete(inst: Instance, y: DiscreteAssignment, limit=None) -> Verdict:
     """Exact Pareto test by a pruned search over all n^m discrete assignments.
 
     Objects 0..m-1 are assigned in turn, agent 0 first, so complete
@@ -249,13 +247,13 @@ def verify_ceei_frac(inst: Instance, y: DiscreteAssignment) -> Verdict:
     return Verdict(True, PriceSupport(PriceVector(prices)))
 
 
-def verify_ceei_disc(inst: Instance, y: DiscreteAssignment, limit=DEFAULT_BUNDLE_LIMIT) -> Verdict:
+def verify_ceei_disc(inst: Instance, y: DiscreteAssignment, limit=None) -> Verdict:
     """Price-feasibility test against discrete demand, by exact slack LP.
 
     Searches for prices p >= 0 under which every agent can afford its own
     bundle while every strictly better bundle costs strictly more than the
     unit budget.  Bundles of equal value impose no constraint.  An envied
-    bundle is strictly better and affordable, so `is_envy_free`'s pair (i, k)
+    bundle is strictly better and affordable, so `_first_envy`'s pair (i, k)
     refutes support at once, with k's whole bundle as i's witness.
     Otherwise strictness is decided by maximizing a uniform slack t over the
     inclusion-minimal strictly-better bundles (supersets cost at least as
@@ -267,12 +265,12 @@ def verify_ceei_disc(inst: Instance, y: DiscreteAssignment, limit=DEFAULT_BUNDLE
     """
     check_assignment(inst, y)
     n, m = inst.n, inst.m
-    _guard(inst, limit, 1 << m)
-    envy = is_envy_free(inst, y).certificate
-    if envy is not None:
-        return Verdict(False, ViolatingBundle(envy.envious, y.bundle(envy.envied)))
-
+    _guard(inst, limit, 1 << m, DEFAULT_BUNDLE_LIMIT)
     rows, _scales = integer_rows(inst)
+    envy = _first_envy(rows, y.owner)
+    if envy is not None:
+        return Verdict(False, ViolatingBundle(envy[0], y.bundle(envy[1])))
+
     minimal = _minimal_better_bundles(rows, bundle_values(rows, y.owner))
     if not minimal:
         return Verdict(True, PriceSupport(PriceVector([Fraction(1, m)] * m)))

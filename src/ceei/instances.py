@@ -27,7 +27,7 @@ from .errors import (
     SumMismatch,
     WindowViolation,
 )
-from .model import DiscreteAssignment, Instance, validate_instance
+from .model import DiscreteAssignment, Instance, _is_index, validate_instance
 
 _RATIONAL_RE = re.compile(r"^(0|[1-9][0-9]*)/([1-9][0-9]*)$")
 
@@ -44,7 +44,7 @@ class PartitionInput:
     integers: tuple
 
     def __init__(self, integers):
-        values = tuple(int(v) for v in integers)
+        values = tuple(_int(v, "integers", f"entry {j}: ") for j, v in enumerate(integers))
         if not values:
             raise EmptyMultiset("a partition input needs at least one integer")
         if any(v < 1 for v in values):
@@ -64,8 +64,8 @@ class ThreePartitionInput:
     bound: int
 
     def __init__(self, weights, bound):
-        values = tuple(int(v) for v in weights)
-        bound = int(bound)
+        values = tuple(_int(w, "weights", f"entry {j}: ") for j, w in enumerate(weights))
+        bound = _int(bound, "bound")
         if not values or len(values) % 3:
             raise SchemaError("weights", "need a positive multiple of 3 weights")
         groups = len(values) // 3
@@ -80,6 +80,13 @@ class ThreePartitionInput:
     @property
     def groups(self) -> int:
         return len(self.weights) // 3
+
+
+def _int(value, field, where=""):
+    """`value` as an int if `model._is_index`; int() truncates 1.5 and takes True."""
+    if not _is_index(value):
+        raise SchemaError(field, f"{where}{value!r} is not an integer")
+    return value.__index__()
 
 
 def from_partition(pin: PartitionInput) -> Instance:

@@ -24,6 +24,11 @@ def to_rational(value) -> Fraction:
     return Fraction(value)
 
 
+def _is_index(value) -> bool:
+    """Anything with __index__ (numpy ints too) but bool, which is an int."""
+    return hasattr(value, "__index__") and not isinstance(value, bool)
+
+
 class Instance:
     """An assignment problem: n agents, m objects, an n x m utility matrix.
 
@@ -194,8 +199,7 @@ class DiscreteAssignment:
 
     def __init__(self, owner: Sequence[int]):
         owners = tuple(owner)
-        # anything with __index__ (numpy ints too) but bool, which is an int
-        bad = next((j for j, o in enumerate(owners) if isinstance(o, bool) or not hasattr(o, "__index__")), None)
+        bad = next((j for j, o in enumerate(owners) if not _is_index(o)), None)
         if bad is not None:
             raise InvalidAssignment(f"owner of object {bad} is {owners[bad]!r}, not an agent index")
         owners = tuple(o.__index__() for o in owners)

@@ -11,11 +11,11 @@ identical utilities.
 Ties are broken lexicographically by owner vector wherever the search is
 exhaustive, so optima are canonical and runs are reproducible; the bounds
 keep ties, so pruning changes only how many nodes are explored.  Both
-exhaustive searches pass the one n^m guard of `fairness`.  The discrete
-existence search walks `fairness.assignments`.  The brute force walks the
-owner vectors of the first objects with the same odometer, and scores each
-together with a whole block of owner vectors of the last objects in one
-pass.  Branch and bound keeps an explicit stack, and the equal-split search
+exhaustive searches pass the one n^m guard of `fairness` and walk its
+odometer, the existence search skipping the owner vectors that
+`fairness._first_envy` finds envy in, and the brute force scoring each owner
+vector of the first objects with a block of those of the last in one pass.
+Branch and bound keeps an explicit stack, and the equal-split search
 races a depth-first search against a meet in the middle over load tuples.
 Nothing here recurses.
 Every loop runs on the int rows of `model.integer_rows`; reported welfare
@@ -40,11 +40,9 @@ from .errors import (
     NotIdenticalUtilities,
 )
 from .fairness import (
-    DEFAULT_ENUM_LIMIT,
+    _first_envy,
     _guard,
     _odometer,
-    assignments,
-    bundle_values,
     verify_ceei_disc,
     verify_ceei_frac,
 )
@@ -76,7 +74,7 @@ class SearchResult:
 _TAIL_BLOCK = 256
 
 
-def brute_force_max_nash(inst: Instance, limit=DEFAULT_ENUM_LIMIT) -> SearchResult:
+def brute_force_max_nash(inst: Instance, limit=None) -> SearchResult:
     """Score all n^m complete assignments and keep the welfare maximum.
 
     The objects split into a head and a tail: the last k objects, for the
@@ -594,26 +592,25 @@ def _place(runs, weights, loads, owner):
             loads[b] = old
 
 
-def exists_ceei_disc_bruteforce(inst: Instance, limit=DEFAULT_ENUM_LIMIT):
+def exists_ceei_disc_bruteforce(inst: Instance, limit=None):
     """First discrete assignment with discrete price support, plus its prices.
 
     Enumerates owner vectors lexicographically and runs the exact slack test
     on each envy-free one, so the cost is up to n^m price LPs; strictly a
     desk-scale instrument.  Discrete price support implies envy-freeness (an
     envied bundle is a strictly better bundle inside someone's affordable
-    one), so skipping the others changes no answer.  Returns (assignment,
-    prices) or None.  `limit` guards the n^m walk only; the first envy-free
-    owner vector meets `verify_ceei_disc`'s own 2^m bundle guard, which
-    raises InstanceTooLarge past 16 objects.
+    one), so skipping those `fairness._first_envy` finds envy in changes no
+    answer.  Returns (assignment, prices) or None.  `limit` guards the n^m
+    walk only.  The first envy-free owner vector, if any, meets
+    `verify_ceei_disc`'s own 2^m bundle guard, which raises
+    InstanceTooLarge past 16 objects.
     """
-    walk = assignments(inst, limit)
+    _guard(inst, limit, inst.n**inst.m)
     rows, _scales = integer_rows(inst)
-    n = inst.n
-    for owner, totals in walk:
-        if any(max(bundle_values([row] * n, owner)) > total for row, total in zip(rows, totals)):
-            continue
-        y = DiscreteAssignment(owner)
-        verdict = verify_ceei_disc(inst, y)
-        if verdict.holds:
-            return y, verdict.certificate.prices
+    for owner, _totals in _odometer(rows, inst.n, inst.m):
+        if _first_envy(rows, owner) is None:
+            y = DiscreteAssignment(owner)
+            verdict = verify_ceei_disc(inst, y)
+            if verdict.holds:
+                return y, verdict.certificate.prices
     return None

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the implementations under test: the
 subset-sum check is a bitset dynamic program, the equal-split, Pareto and
-max-Nash checks are plain enumeration of owner vectors, price-support certificates
+max-Nash checks are plain enumeration of owner vectors, the envy check
+values every bundle for every agent, price-support certificates
 are re-verified directly from their defining inequalities, LP optima come
 from vertex enumeration rather than pivoting, and inclusion-minimal masks
 come from pairwise subset tests over a scan of every subset.
@@ -81,6 +82,20 @@ def max_nash_by_product(inst):
         if welfare > best_welfare:
             best, best_welfare = owner, welfare
     return DiscreteAssignment(best), best_welfare
+
+
+def first_envy_pair(inst, y):
+    """Check every ordered pair of agents in order: the first (i, k) with i
+    valuing k's bundle under y above its own, in Fractions, or None."""
+
+    def value(i, k):
+        return bundle_utility(inst, i, [int(o == k) for o in y.owner])
+
+    for i in range(inst.n):
+        for k in range(inst.n):
+            if i != k and value(i, i) < value(i, k):
+                return i, k
+    return None
 
 
 def first_dominating_assignment(inst, y):

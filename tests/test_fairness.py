@@ -25,11 +25,12 @@ from ceei import (
     verify_ceei_disc,
     verify_ceei_frac,
 )
-from ceei.fairness import _minimal_better_bundles, assignments, bundle_values
+from ceei.fairness import _minimal_better_bundles, _odometer, bundle_values
 from ceei.model import integer_rows
 from oracles import (
     all_discrete_assignments,
     first_dominating_assignment,
+    first_envy_pair,
     minimal_better_bundles,
     mixed_instance,
     recheck_discrete_price_support,
@@ -60,6 +61,20 @@ class TestEnvyFree:
         own = bundle_utility(separation, pair.envious, [0, 0, 0, 0])
         other = bundle_utility(separation, pair.envious, [1, 1, 1, 1])
         assert own < other
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_both_verifiers_name_the_oracles_pair(self, seed):
+        inst = mixed_instance(random.Random(7300 + seed), max_assignments=256)
+        for y in all_discrete_assignments(inst.n, inst.m):
+            pair = first_envy_pair(inst, y)
+            verdict = is_envy_free(inst, y)
+            if pair is None:
+                assert verdict.holds and verdict.certificate is None
+                continue
+            assert not verdict.holds and verdict.certificate == EnvyPair(*pair)
+            refuted = verify_ceei_disc(inst, y)
+            assert not refuted.holds
+            assert refuted.certificate == ViolatingBundle(pair[0], y.bundle(pair[1]))
 
 
 class TestParetoOptimal:
@@ -172,8 +187,9 @@ def test_owner_beyond_the_agents_is_rejected(verifier, separation):
 def test_assignments_walk_int_totals_on_rational_utilities():
     inst = Instance([["1/2", "3/4", 2], [1, "5/6", "7/9"]])
     scales = (4, 18)
+    rows, _scales = integer_rows(inst)
     walked = 0
-    for owner, totals in assignments(inst):
+    for owner, totals in _odometer(rows, inst.n, inst.m):
         walked += 1
         assert all(type(t) is int for t in totals)
         exact = [

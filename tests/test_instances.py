@@ -26,6 +26,16 @@ from ceei import (
 from ceei import cli
 from oracles import has_equal_bipartition
 
+# entries that int() would take: it truncates floats and Fractions, reads
+# strings, and counts True as 1
+NOT_INTEGERS = [
+    pytest.param(1.5, id="float"),
+    pytest.param(2.0, id="integral-float"),
+    pytest.param(True, id="bool"),
+    pytest.param(Fraction(2), id="fraction"),
+    pytest.param("2", id="str"),
+]
+
 SEPARATION_DOC = '{"agents":2,"objects":4,"utilities":[[95,5,2,1],[1,2,5,95]]}'
 
 
@@ -58,6 +68,24 @@ class TestPartitionBuilder:
         inst = from_partition(PartitionInput([3, 1, 1]))
         assert inst.m == 3
 
+    @pytest.mark.parametrize("bad", NOT_INTEGERS)
+    def test_non_integer_rejected_by_position(self, bad):
+        with pytest.raises(SchemaError, match=r"entry 1: .* is not an integer") as excinfo:
+            PartitionInput([2, bad, 1])
+        assert excinfo.value.field == "integers"
+
+    def test_half_is_not_truncated_into_an_even_split(self):
+        # int() made {1.5, 1} the multiset {1, 1}, which splits evenly
+        with pytest.raises(SchemaError, match="entry 0: 1.5 is not an integer"):
+            PartitionInput([1.5, 1])
+
+    def test_numpy_ints_pass_as_ints(self):
+        import numpy
+
+        pin = PartitionInput([numpy.int64(2), numpy.int32(1), 1])
+        assert pin.integers == (2, 1, 1)
+        assert all(type(v) is int for v in pin.integers)
+
 
 class TestThreePartitionBuilder:
     def test_two_group_fixture(self):
@@ -82,6 +110,30 @@ class TestThreePartitionBuilder:
     def test_group_count_must_divide(self):
         with pytest.raises(SchemaError):
             ThreePartitionInput([3, 3, 4, 3], 10)
+
+    @pytest.mark.parametrize("bad", NOT_INTEGERS)
+    def test_non_integer_weight_rejected_by_position(self, bad):
+        weights = [3, 3, 4, 3, 3, 4]
+        weights[2] = bad
+        with pytest.raises(SchemaError, match=r"entry 2: .* is not an integer") as excinfo:
+            ThreePartitionInput(weights, 10)
+        assert excinfo.value.field == "weights"
+
+    @pytest.mark.parametrize(
+        "bad", [10.5, 10.0, True, Fraction(10), "10"], ids=["float", "integral-float", "bool", "fraction", "str"]
+    )
+    def test_non_integer_bound_rejected(self, bad):
+        # int() made 10.5 the bound 10, which these weights meet
+        with pytest.raises(SchemaError, match="is not an integer") as excinfo:
+            ThreePartitionInput([3, 3, 4, 3, 3, 4], bad)
+        assert excinfo.value.field == "bound"
+
+    def test_numpy_ints_pass_as_ints(self):
+        import numpy
+
+        tin = ThreePartitionInput([numpy.int64(3), 3, 4, 3, 3, numpy.int32(4)], numpy.int64(10))
+        assert (tin.weights, tin.bound) == ((3, 3, 4, 3, 3, 4), 10)
+        assert all(type(v) is int for v in (*tin.weights, tin.bound))
 
 
 class TestRandomGenerator:

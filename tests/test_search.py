@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import random
 import time
@@ -32,7 +33,7 @@ from ceei import (
     verify_ceei_frac,
 )
 from ceei import cli, search
-from ceei.fairness import DEFAULT_BUNDLE_LIMIT
+from ceei.fairness import DEFAULT_BUNDLE_LIMIT, DEFAULT_ENUM_LIMIT
 from ceei.model import integer_rows
 from oracles import (
     all_discrete_assignments,
@@ -515,6 +516,15 @@ class TestExistsDiscreteSupport:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
 
+    def test_cli_exits_1_past_16_objects_without_an_envy_free_owner_vector(self, tmp_path, capsys):
+        # both agents value object 0 above everything else together, so
+        # whoever lacks it envies; no owner vector reaches the verifier or
+        # its bundle guard, and the walk over all 2^17 answers "none"
+        path = tmp_path / "envious2x17.json"
+        path.write_text(serialize_instance(Instance([[100] + [1] * 16, [100] + [0] * 16])))
+        assert cli.main(["search", str(path), "ceei-disc"]) == 1
+        assert json.loads(capsys.readouterr().out)["result"] == {"status": "none"}
+
     @pytest.mark.parametrize("seed", range(24))
     def test_envy_filter_matches_the_unfiltered_loop(self, seed):
         inst = mixed_instance(random.Random(6000 + seed), max_agents=3, max_objects=6, max_assignments=243)
@@ -534,6 +544,32 @@ def _rational_instance(seed):
     m = rng.randint(2, 6 if n == 2 else 5)
     base = gen_random(n, m, 12, seed=seed)
     return Instance([[v / rng.randint(1, 9) for v in row] for row in base.utilities]), rng
+
+
+GUARDED = [
+    pytest.param(
+        lambda inst, limit: is_pareto_optimal_discrete(inst, DiscreteAssignment([0] * inst.m), limit=limit),
+        DEFAULT_ENUM_LIMIT,
+        id="is_pareto_optimal_discrete",
+    ),
+    pytest.param(
+        lambda inst, limit: verify_ceei_disc(inst, DiscreteAssignment([0] * inst.m), limit=limit),
+        DEFAULT_BUNDLE_LIMIT,
+        id="verify_ceei_disc",
+    ),
+    pytest.param(brute_force_max_nash, DEFAULT_ENUM_LIMIT, id="brute_force_max_nash"),
+    pytest.param(exists_ceei_disc_bruteforce, DEFAULT_ENUM_LIMIT, id="exists_ceei_disc_bruteforce"),
+]
+
+
+@pytest.mark.parametrize("call, default", GUARDED)
+def test_limit_none_is_the_default_and_zero_is_rejected(call, default):
+    # 2^25 owner vectors and 2^25 bundles: past both defaults
+    with pytest.raises(InstanceTooLarge) as excinfo:
+        call(Instance([[1] * 25] * 2), limit=None)
+    assert (excinfo.value.limit, excinfo.value.required) == (default, 2**25)
+    with pytest.raises(ValueError, match="enumeration limit must be at least 1, not 0"):
+        call(Instance([[1, 2], [2, 1]]), limit=0)
 
 
 @pytest.mark.parametrize("seed", range(16))
