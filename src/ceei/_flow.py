@@ -6,18 +6,18 @@ from collections import deque
 def max_flow(num_nodes, edges, source, sink):
     """Return (flow value, flow dict) for the given capacitated digraph.
 
-    `edges` maps (u, v) pairs to capacities.  Capacities may be ints or
-    Fractions; arithmetic stays exact either way.  The one caller, the
-    equilibrium certifier, passes ints: every capacity times the prices'
-    common denominator.  The BFS augmenting order is deterministic given the
-    edge insertion order.
+    `edges` maps (u, v) pairs to int or Fraction capacities, and arithmetic
+    stays exact either way.  No edge's reverse may also be an edge: each
+    edge's flow is read off its residual, as its capacity minus what is left.
+    The one caller, the equilibrium certifier, passes int capacities on edges
+    source -> agent -> object -> sink.  The BFS augmenting order is
+    deterministic given the edge insertion order.
     """
     capacity = [dict() for _ in range(num_nodes)]
     for (u, v), cap in edges.items():
-        capacity[u][v] = capacity[u].get(v, 0) + cap
-        capacity[v].setdefault(u, 0)
+        capacity[u][v] = cap
+        capacity[v][u] = 0
 
-    flow = {pair: 0 for pair in edges}
     total = 0
     while True:
         parent = [None] * num_nodes
@@ -31,24 +31,14 @@ def max_flow(num_nodes, edges, source, sink):
                     queue.append(v)
         if parent[sink] is None:
             break
-        # bottleneck along the augmenting path
-        bottleneck = None
+        path = []
         v = sink
         while v != source:
-            u = parent[v]
-            cap = capacity[u][v]
-            if bottleneck is None or cap < bottleneck:
-                bottleneck = cap
-            v = u
-        v = sink
-        while v != source:
-            u = parent[v]
+            path.append((parent[v], v))
+            v = parent[v]
+        bottleneck = min(capacity[u][v] for u, v in path)
+        for u, v in path:
             capacity[u][v] -= bottleneck
             capacity[v][u] += bottleneck
-            if (u, v) in flow:
-                flow[(u, v)] += bottleneck
-            else:
-                flow[(v, u)] -= bottleneck
-            v = u
         total += bottleneck
-    return total, flow
+    return total, {(u, v): cap - capacity[u][v] for (u, v), cap in edges.items()}

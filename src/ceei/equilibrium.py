@@ -17,10 +17,12 @@ centring the float iterate is used only to guess which agent-object edges
 carry spending: those spending at least 1/sqrt(t), plus the top spender of
 any object left without one (where rounding ties two spenders, the exact bid
 u_ij * beta_i decides).  From that guess the unique equilibrium utilities and
-prices are reconstructed and verified against the optimality conditions in
-integer arithmetic: ratios propagate as reduced int pairs, optimality is one
-cross-multiplied comparison per entry over the prices' common denominator,
-and the money flow runs on int capacities scaled by that denominator.  Every
+prices are reconstructed and verified in integer arithmetic on one support
+graph, agents as nodes 0..n-1 and objects as n..n+m-1.  One rule, the same
+from either end of an edge, propagates ratios as reduced int pairs: the far
+end's is u_ij over the near end's.  Optimality is one cross-multiplied
+comparison per entry over the prices' common denominator, and the money flow
+runs on the same nodes with int capacities scaled by that denominator.  Every
 returned solution is therefore exact, with a residual of literally zero; when
 no guess certifies before the relative duality gap falls below the
 tolerance, or within the step budget, the solver raises NonConvergence.
@@ -274,80 +276,58 @@ def _certify_support(rows, scales, tight):
 
     `rows` and `scales` are `integer_rows(inst)`; the integer instance has the
     same prices and allocation, and agent i's utility times scales[i].  Edges
-    marked in the nested boolean lists `tight` are assumed to carry money.
-    Along any such edge the price is pinned to p_j = u_ij / u_i, which fixes
-    every utility and price inside a connected component up to one scale; the
-    scale follows from the component's agents spending their whole budgets.
-    The reconstruction is then verified exactly: ratio consistency on the
-    guessed edges, global optimality u_ij <= u_i * p_j, and existence of a
-    feasible money flow.  Any failure returns None.
+    marked in the nested boolean lists `tight` (all with u_ij > 0) are assumed
+    to carry money.  On the support graph agent i is node i and object j node
+    n + j.  An edge pins p_j = u_ij / u_i, so u_i = r_i * t and p_j = q_j / t
+    with u_ij = r_i * q_j: from either end, the far end's ratio is u_ij over
+    the near end's.  That fixes a component up to its scale t, which follows
+    from its agents spending their whole budgets.  The reconstruction is then
+    verified exactly: every node has an edge, ratios agree around every cycle,
+    u_ij <= u_i * p_j holds globally, and a feasible money flow exists.  Any
+    failure returns None.
     """
     n, m = len(rows), len(rows[0])
-    support = [[j for j, held in enumerate(row) if held] for row in tight]
-    if any(not edges for edges in support):
-        return None
-    by_object = [[] for _ in range(m)]
-    for i, edges in enumerate(support):
-        for j in edges:
-            by_object[j].append(i)
-    if any(not holders for holders in by_object):
+    links = [[] for _ in range(n + m)]  # (far node, u_ij) for each support edge
+    for i, row in enumerate(tight):
+        for j, held in enumerate(row):
+            if held:
+                links[i].append((n + j, rows[i][j]))
+                links[n + j].append((i, rows[i][j]))
+    if not all(links):
         return None
 
-    # propagate scale-free ratios as reduced int pairs (num, den):
-    # u_i = r_i * t_c and p_j = q_j / t_c, with u_ij = r_i * q_j on every edge
-    agent_scale = [None] * n
-    object_scale = [None] * m
-    comps = []
-    for seed_agent in range(n):
-        if agent_scale[seed_agent] is not None:
+    # ratios r_i and q_j as reduced int pairs (num, den), then u_i and p_j
+    ratio = [None] * (n + m)
+    value = [None] * (n + m)
+    for seed in range(n):
+        if ratio[seed] is not None:
             continue
-        agents, objects = [], []
-        comps.append((agents, objects))
-        agent_scale[seed_agent] = (1, 1)
-        stack = [seed_agent]  # agents as i, objects as ~j
-        while stack:
-            node = stack.pop()
-            if node >= 0:
-                agents.append(node)
-                a, b = agent_scale[node]
-                for j in support[node]:
-                    num = rows[node][j] * b  # q_j = num / a
-                    if object_scale[j] is None:
-                        g = math.gcd(num, a)
-                        object_scale[j] = (num // g, a // g)
-                        objects.append(j)
-                        stack.append(~j)
-                    else:
-                        c, d = object_scale[j]
-                        if c * a != num * d:
-                            return None  # inconsistent ratio cycle: support guess is wrong
+        ratio[seed] = (1, 1)
+        comp = [seed]
+        for node in comp:  # the list grows as the walk reaches new nodes
+            a, b = ratio[node]
+            for far, v in links[node]:
+                num = v * b  # the far end's ratio is num / a
+                if ratio[far] is None:
+                    g = math.gcd(num, a)
+                    ratio[far] = (num // g, a // g)
+                    comp.append(far)
+                else:
+                    c, d = ratio[far]
+                    if c * a != num * d:
+                        return None  # inconsistent ratio cycle: support guess is wrong
+        # the component's prices sum to its agent count: t_c = sum(q_j) / k
+        objects = [ratio[node] for node in comp if node >= n]
+        k = len(comp) - len(objects)
+        lcd = math.lcm(*(d for _, d in objects))
+        q_sum = sum(c * (lcd // d) for c, d in objects)  # sum(q_j) * lcd
+        for node in comp:
+            a, b = ratio[node]
+            if node < n:
+                value[node] = Fraction(a * q_sum, b * lcd * k)
             else:
-                j = ~node
-                c, d = object_scale[j]
-                for i in by_object[j]:
-                    num = rows[i][j] * d  # r_i = num / c
-                    if agent_scale[i] is None:
-                        g = math.gcd(num, c)
-                        agent_scale[i] = (num // g, c // g)
-                        stack.append(i)
-                    else:
-                        a, b = agent_scale[i]
-                        if a * c != num * b:
-                            return None
-
-    # each component's prices sum to its agent count: t_c = sum(q_j) / k
-    u_star = [None] * n
-    p_star = [None] * m
-    for agents, objects in comps:
-        k = len(agents)
-        lcd = math.lcm(*(object_scale[j][1] for j in objects))
-        q_sum = sum(c * (lcd // d) for c, d in (object_scale[j] for j in objects))  # sum(q_j) * lcd
-        for i in agents:
-            a, b = agent_scale[i]
-            u_star[i] = Fraction(a * q_sum, b * lcd * k)
-        for j in objects:
-            c, d = object_scale[j]
-            p_star[j] = Fraction(c * (lcd // d) * k, q_sum)
+                value[node] = Fraction(a * (lcd // b) * k, q_sum)
+    u_star, p_star = value[:n], value[n:]
 
     # over the prices' common denominator D, p_j = P_j / D; with u_i = a_i / b_i,
     # u_ij <= u_i * p_j is u_ij * b_i * D <= a_i * P_j, and equality marks a tie edge
@@ -365,21 +345,17 @@ def _certify_support(rows, scales, tight):
                     tie_edges.append((i, j))
 
     # money flow on the maximal (tie-inclusive) support, every capacity times D:
-    # D per agent budget and per tie edge, P_j per object
-    source, sink = 0, n + m + 1
-    edges = {}
-    for i in range(n):
-        edges[(source, 1 + i)] = denom
-    for j in range(m):
-        edges[(1 + n + j, sink)] = scaled_prices[j]
-    for i, j in tie_edges:
-        edges[(1 + i, 1 + n + j)] = denom
+    # D per agent budget and per tie edge, P_j per object; source and sink last
+    source, sink = n + m, n + m + 1
+    edges = {(source, i): denom for i in range(n)}
+    edges |= {(n + j, sink): price for j, price in enumerate(scaled_prices)}
+    edges |= {(i, n + j): denom for i, j in tie_edges}
     total, flow = max_flow(n + m + 2, edges, source, sink)
     if total != n * denom:
         return None
 
     x = [[0] * m for _ in range(n)]
     for i, j in tie_edges:
-        x[i][j] = Fraction(flow[(1 + i, 1 + n + j)], scaled_prices[j])
+        x[i][j] = Fraction(flow[(i, n + j)], scaled_prices[j])
     u_star = tuple(u / s for u, s in zip(u_star, scales))
     return FractionalAssignment(x), u_star, PriceVector(p_star)

@@ -1,5 +1,21 @@
 """Exception types shared across the toolkit."""
 
+from fractions import Fraction
+
+
+def bounded(value):
+    """`value` as short message text: an int of 30 or more digits, alone or in
+    a Fraction, shows its leading digits and digit count (`67910...(4335
+    digits)` for 2**14400), since str() raises ValueError past 4300 digits."""
+    if isinstance(value, Fraction):
+        text = bounded(value.numerator)
+        return text if value.denominator == 1 else f"{text}/{bounded(value.denominator)}"
+    if not isinstance(value, int) or abs(value) < 10**29:
+        return str(value)
+    shift = int(abs(value).bit_length() * 0.30103) - 20  # at least 9, below the digit count
+    lead = str(abs(value) // 10**shift)
+    return f"{'-' if value < 0 else ''}{lead[:5]}...({shift + len(lead)} digits)"
+
 
 class CeeiError(Exception):
     """Base class for all toolkit errors."""
@@ -29,7 +45,7 @@ class InstanceTooLarge(CeeiError):
         self.required = required
         super().__init__(
             f"instance with {agents} agents and {objects} objects needs "
-            f"{required} enumeration steps, above the limit of {limit}"
+            f"{bounded(required)} enumeration steps, above the limit of {bounded(limit)}"
         )
 
 
@@ -64,7 +80,7 @@ class NotBinary(CeeiError):
         self.agent = agent
         self.object = obj
         self.value = value
-        super().__init__(f"utility of agent {agent} for object {obj} is {value}, not 0/1")
+        super().__init__(f"utility of agent {agent} for object {obj} is {bounded(value)}, not 0/1")
 
 
 class NotIdenticalUtilities(CeeiError):
@@ -98,7 +114,8 @@ class WindowViolation(CeeiError):
         self.weight = weight
         self.bound = bound
         super().__init__(
-            f"weight {weight} at position {index} violates {bound}/4 < w < {bound}/2"
+            f"weight {bounded(weight)} at position {index} violates "
+            f"{bounded(bound)}/4 < w < {bounded(bound)}/2"
         )
 
 
@@ -108,7 +125,7 @@ class SumMismatch(CeeiError):
     def __init__(self, total, expected):
         self.total = total
         self.expected = expected
-        super().__init__(f"weights sum to {total}, expected {expected}")
+        super().__init__(f"weights sum to {bounded(total)}, expected {bounded(expected)}")
 
 
 class DocumentSyntaxError(CeeiError):

@@ -394,6 +394,24 @@ class TestSearch:
         assert err == "error: max_seconds must be finite and nonnegative\n"
 
 
+@pytest.mark.parametrize(
+    "argv", [("check", "po"), ("check", "ceei-disc"), ("search", "ceei-disc")], ids=" ".join
+)
+def test_guard_past_the_int_to_str_limit_exits_4(workdir, capsys, argv):
+    # 2^14400 owner vectors and bundles: a count of 4335 digits
+    (workdir / "wide.json").write_text(
+        json.dumps({"agents": 2, "objects": 14400, "utilities": [[1] * 14400, [2] * 14400]})
+    )
+    (workdir / "all_zero.json").write_text(json.dumps({"owner": [0] * 14400}))
+    command, target = argv
+    docs = [workdir / "wide.json"] + ([workdir / "all_zero.json"] if command == "check" else [])
+    code, report, err = run(capsys, command, *docs, target)
+    assert code == 4
+    assert report is None
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "needs 67910...(4335 digits) enumeration steps" in err
+
+
 class TestGen:
     def test_partition_document(self, workdir, capsys):
         out = workdir / "part.json"

@@ -289,6 +289,61 @@ class TestCertifySupport:
         assert self.certify([[1, 0], [1, 0], [1, 1]], [[1, 0], [1, 0], [1, 1]]) is None
 
 
+def _sweep_instance(rng):
+    """A small instance with every row and column positive: int, "p/q" or
+    tie-heavy entries, the last with at most two distinct rows."""
+    n, m = rng.randint(1, 4), rng.randint(1, 6)
+    pool = rng.choice(([0, 1, 2, 3, 5], [0, 1, "1/2", "2/3", "7/4"], [0, 1, 1, 2]))
+    rows = [[rng.choice(pool) for _ in range(m)] for _ in range(n)]
+    if pool[-1] == 2:
+        rows = [list(rng.choice(rows[:2])) for _ in range(n)]
+    for row in rows:
+        if not any(row):
+            row[rng.randrange(m)] = 1
+    for j in range(m):
+        if not any(row[j] for row in rows):
+            rows[rng.randrange(n)][j] = 1
+    return Instance(rows)
+
+
+class TestCertifierSoundness:
+    """The certifier against the solver's answer and against `kkt_residual`."""
+
+    def test_support_of_the_solution_reproduces_it(self):
+        rng = random.Random(31)
+        for _ in range(150):
+            inst = _sweep_instance(rng)
+            sol = solve_eg(inst)
+            rows, scales = integer_rows(inst)
+            tight = [[share > 0 for share in row] for row in sol.x.rows]
+            x, u_star, p_star = _certify_support(rows, scales, tight)
+            assert (x, u_star, p_star) == (sol.x, sol.u_star, sol.p_star)
+
+    def test_every_accepted_guess_is_an_exact_equilibrium(self):
+        rng = random.Random(37)
+        accepted = rejected = 0
+        for _ in range(150):
+            inst = _sweep_instance(rng)
+            rows, scales = integer_rows(inst)
+            for _ in range(20):
+                tight = [[v > 0 and rng.random() < 0.6 for v in row] for row in rows]
+                certified = _certify_support(rows, scales, tight)
+                if certified is None:
+                    rejected += 1
+                    continue
+                accepted += 1
+                x, _, p_star = certified
+                assert kkt_residual(inst, x, p_star).max_violation == 0
+        assert accepted > 100 and rejected > 100
+
+    def test_inconsistent_cycle_rejects_a_guess_whose_spanning_tree_certifies(self):
+        # the walk prices both objects from agent 0 and reaches agent 1 through
+        # object 0; edge (1, 1) then closes a cycle needing u_11 = 2, not 1
+        rows, scales = integer_rows(Instance([[2, 2], [2, 1]]))
+        assert _certify_support(rows, scales, [[1, 1], [1, 0]]) is not None
+        assert _certify_support(rows, scales, [[1, 1], [1, 1]]) is None
+
+
 class TestPricesFromUtilities:
     def test_separation_instance(self, separation):
         prices = equilibrium_prices_from_utilities(separation, (100, 100))
