@@ -26,6 +26,7 @@ from .errors import (
     SchemaError,
     SumMismatch,
     WindowViolation,
+    bounded,
 )
 from .model import DiscreteAssignment, Instance, _is_index, validate_instance
 
@@ -85,7 +86,7 @@ class ThreePartitionInput:
 def _int(value, field, where=""):
     """`value` as an int if `model._is_index`; int() truncates 1.5 and takes True."""
     if not _is_index(value):
-        raise SchemaError(field, f"{where}{value!r} is not an integer")
+        raise SchemaError(field, f"{where}{bounded(value)} is not an integer")
     return value.__index__()
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .errors import DimensionMismatch, InvalidAssignment, InvariantError
+from .errors import DimensionMismatch, InvalidAssignment, InvariantError, bounded
 
 
 def to_rational(value) -> Fraction:
@@ -201,7 +201,7 @@ class DiscreteAssignment:
         owners = tuple(owner)
         bad = next((j for j, o in enumerate(owners) if not _is_index(o)), None)
         if bad is not None:
-            raise InvalidAssignment(f"owner of object {bad} is {owners[bad]!r}, not an agent index")
+            raise InvalidAssignment(f"owner of object {bad} is {bounded(owners[bad])}, not an agent index")
         owners = tuple(o.__index__() for o in owners)
         if not owners:
             raise InvalidAssignment("an assignment needs at least one object")
@@ -237,7 +237,7 @@ class DiscreteAssignment:
         for i, bundle in enumerate(bundles):
             for j in bundle:
                 if not 0 <= j < m:
-                    raise InvalidAssignment(f"object index {j} out of range for {m} objects")
+                    raise InvalidAssignment(f"object index {bounded(j)} out of range for {m} objects")
                 if owner[j] is not None:
                     raise InvalidAssignment(f"object {j} assigned twice")
                 owner[j] = i
@@ -267,7 +267,7 @@ class PriceVector:
             raise InvalidAssignment("a price vector needs at least one object")
         for j, p in enumerate(values):
             if p < 0:
-                raise InvalidAssignment(f"price of object {j} is {p}, negative")
+                raise InvalidAssignment(f"price of object {j} is {bounded(p)}, negative")
         object.__setattr__(self, "prices", values)
 
     def __setattr__(self, name, value):

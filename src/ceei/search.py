@@ -11,10 +11,9 @@ identical utilities.
 Ties are broken lexicographically by owner vector wherever the search is
 exhaustive, so optima are canonical and runs are reproducible; the bounds
 keep ties, so pruning changes only how many nodes are explored.  Both
-exhaustive searches pass the one n^m guard of `fairness` and walk its
-odometer, the existence search skipping the owner vectors that
-`fairness._first_envy` finds envy in, and the brute force scoring each owner
-vector of the first objects with a block of those of the last in one pass.
+exhaustive searches pass the one n^m guard of `fairness`: the existence
+search walks its odometer past owner vectors with envy, and the brute force
+meets in the middle over the Pareto fronts of two object halves.
 Branch and bound keeps an explicit stack, and the equal-split search
 races a depth-first search against a meet in the middle over load tuples.
 Nothing here recurses.
@@ -69,71 +68,72 @@ class SearchResult:
     optimal: bool  # False when a node or time budget truncated the search
 
 
-# The brute force scores each owner vector of the first objects against a
-# block of at most _TAIL_BLOCK owner vectors of the last objects.
-_TAIL_BLOCK = 256
-
-
 def brute_force_max_nash(inst: Instance, limit=None) -> SearchResult:
-    """Score all n^m complete assignments and keep the welfare maximum.
+    """The welfare maximum over all n^m complete assignments, exactly.
 
-    The objects split into a head and a tail: the last k objects, for the
-    largest k with n^k at most _TAIL_BLOCK, or one object when n alone
-    exceeds it, since a block of one scores slowest.  Each agent's totals
-    under the n^k tail owner vectors are built once, in lexicographic
-    order, and a tail whose vector of totals an earlier tail had is
-    dropped; that is
-    exact, since equal totals score alike and the earlier owner vector wins
-    ties.  The odometer of `fairness` walks the head owner vectors in
-    lexicographic order, and each scores its whole block of tails in one
-    chained `map` pass.  A score replaces the incumbent only when strictly
-    higher, so the optimum is the lexicographically first one.  Nothing is
-    bounded or pruned, and `nodes_explored` counts all n^m owner vectors.
-    This is the independent oracle for every other discrete-search claim in
-    the package.
+    Head totals (the first m - m//2 objects') a >= b with a != b give
+    prod(a + c) >= prod(b + c) for all tail totals c, strictly when positive,
+    so a positive optimum has halves on both `_pareto_front`s.  Head totals,
+    in their owners' lexicographic order, each score the tail front in one
+    chained `map` pass, and only a strictly higher score replaces the
+    incumbent: the optimum is the lexicographically first, at welfare 0 the
+    all-zero owner vector that the fronts may drop.  `nodes_explored` is n^m.
+    This is the independent oracle for every other discrete-search claim.
     """
     n, m = inst.n, inst.m
     required = n**m
     _guard(inst, limit, required)
     rows, scales = integer_rows(inst)
-    k = 0
-    while k < m and n ** (k + 1) <= max(_TAIL_BLOCK, n):
-        k += 1
-    head = m - k
-    # tails[i][t]: agent i's total over the tail under the t-th tail owner
-    # vector; putting object j in front repeats the vectors n times, agent
-    # i's copy with row[j] added
-    tails = [[0]] * n
-    for j in range(m - 1, head - 1, -1):
-        tails = [
-            col * i + list(map(row[j].__add__, col)) + col * (n - 1 - i)
-            for i, (row, col) in enumerate(zip(rows, tails))
-        ]
-    first = {}
-    for t, vector in enumerate(zip(*tails)):
-        first.setdefault(vector, t)
-    index = list(first.values())
-    cols = list(zip(*first))
+    head = _pareto_front(rows, range(m - m // 2))
+    tail = _pareto_front(rows, range(m - m // 2, m))
+    cols = list(zip(*tail))
+    tail_owners = list(tail.values())
 
-    def scores(totals):  # the welfare of each kept tail after this head, lazily
+    def scores(totals):  # the welfare of each tail on the front after this head, lazily
         block = map(add, cols[0], repeat(totals[0]))
         for i in range(1, n):
             block = map(mul, block, map(add, cols[i], repeat(totals[i])))
         return block
 
-    best_welfare, best_owner = -1, None
-    for owner, totals in _odometer(rows, n, head):
+    best_welfare, best_owner = 0, (0,) * m
+    for totals, owner in head.items():
         welfare = max(scores(totals))
         if welfare > best_welfare:
             best_welfare = welfare
-            t = index[indexOf(scores(totals), welfare)]
-            best_owner = (*owner, *(t // n**e % n for e in reversed(range(k))))
+            best_owner = owner + tail_owners[indexOf(scores(totals), welfare)]
     return SearchResult(
         best=DiscreteAssignment(best_owner),
         welfare=Fraction(best_welfare, math.prod(scales)),
         nodes_explored=required,
         optimal=True,
     )
+
+
+def _pareto_front(rows, objects):
+    """{totals: lexicographically first owner tuple} over the owner vectors
+    of `objects`, in owner order, minus totals another weakly exceeds for
+    every agent.  Each object extends every kept owner by each agent; the
+    extensions of dropped totals would be dominated too.  Only sums larger
+    than a vector's can dominate it, so identical rows compare nothing."""
+    front = {(0,) * len(rows): ()}
+    for j in objects:
+        candidates = {}
+        for totals, owner in front.items():
+            for i, row in enumerate(rows):
+                candidates.setdefault(totals[:i] + (totals[i] + row[j],) + totals[i + 1 :], (*owner, i))
+        kept = set()
+        for _, group in groupby(sorted(candidates, key=sum, reverse=True), key=sum):
+            kept |= {t for t in group if not _exceeded(kept, t)}
+        front = {t: owner for t, owner in candidates.items() if t in kept}
+    return front
+
+
+def _exceeded(vectors, t):
+    """Whether some of `vectors` is at least t everywhere; nothing is negative, so t's zeros hold."""
+    for i, v in enumerate(t):
+        if v and vectors:
+            vectors = [k for k in vectors if k[i] >= v]
+    return bool(vectors)
 
 
 def max_nash_discrete(inst: Instance, budgets: Optional[SearchBudgets] = None) -> SearchResult:

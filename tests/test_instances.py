@@ -74,6 +74,11 @@ class TestPartitionBuilder:
             PartitionInput([2, bad, 1])
         assert excinfo.value.field == "integers"
 
+    def test_huge_fraction_is_rejected_by_message(self):
+        # str() refuses ints past 4300 digits; the message shows it bounded
+        with pytest.raises(SchemaError, match=r"entry 0: 10000\.\.\.\(5001 digits\)/3 is not an integer"):
+            PartitionInput([Fraction(10**5000, 3)])
+
     def test_half_is_not_truncated_into_an_even_split(self):
         # int() made {1.5, 1} the multiset {1, 1}, which splits evenly
         with pytest.raises(SchemaError, match="entry 0: 1.5 is not an integer"):

@@ -207,6 +207,19 @@ class TestAssignments:
             build()
         assert str(excinfo.value) == message
 
+    # str() refuses ints past 4300 digits; the messages show them bounded
+    def test_huge_negative_price_is_rejected_by_message(self):
+        with pytest.raises(InvalidAssignment, match=r"price of object 0 is -10000\.\.\.\(5001 digits\), negative"):
+            PriceVector([-(10**5000)])
+
+    def test_huge_object_index_in_a_bundle_is_rejected_by_message(self):
+        with pytest.raises(InvalidAssignment, match=r"object index 10000\.\.\.\(5001 digits\) out of range"):
+            DiscreteAssignment.from_bundles(1, [[10**5000]])
+
+    def test_huge_fraction_owner_is_rejected_by_message(self):
+        with pytest.raises(InvalidAssignment, match=r"is 10000\.\.\.\(5001 digits\)/3, not an agent index"):
+            DiscreteAssignment([Fraction(10**5000, 3)])
+
     def test_boolean_utility_is_rejected(self):
         with pytest.raises(TypeError, match="booleans are not valid utilities"):
             Instance([[True]])

@@ -54,8 +54,10 @@ def _product_oracle_cases():
     for n, m in ((2, 11), (3, 7), (4, 5), (4, 6), (5, 4)):
         rows = [[rng.randint(0, 1) for _ in range(m)] for _ in range(n)]
         cases.append(pytest.param(Instance(rows), id=f"binary-{n}x{m}"))
-    # with blocks of at most 256 tails: no head at 2x8 and 3x5, a one-object
-    # tail at 7x1 and 17x2, and past 256 agents a block of one object
+    # the brute force scores the Pareto fronts of a head of m - m//2 objects
+    # and a tail of m//2: an empty tail at one object (7x1, 257x1), fronts of
+    # many agents over few objects (7x4, 8x3, 17x2), a welfare-0 optimum
+    # whose halves dominance drops, and identical rows where it drops nothing
     return cases + [
         pytest.param(Instance([[0] * 6] * 3), id="all-zero"),  # the all-zero owner vector wins
         pytest.param(Instance([[0, 0, 1, 0, 0], [0, 0, 0, 0, 0], [1, 0, 0, 0, 1]]), id="zero-row"),
@@ -67,6 +69,12 @@ def _product_oracle_cases():
         pytest.param(gen_random(17, 2, 9, seed=6), id="one-tail-object-17x2"),
         pytest.param(gen_random(257, 1, 9, seed=7), id="one-tail-object-257x1"),
         pytest.param(Instance([[3, 0, 1, 4, 1, 5, 9, 2, 6, 5, 3]]), id="one-agent"),
+        # welfare 0, and the front of object 0 drops the all-zero owner's (0, 0, 0)
+        pytest.param(Instance([[0, 1], [1, 0], [0, 0]]), id="zero-welfare-dominated-halves"),
+        pytest.param(Instance([[5, 3, 8, 1, 9, 2, 7]] * 3), id="identical-rows-undominated"),
+        pytest.param(
+            Instance([[1, 0, 0, 0, 1, 0, 0], [1, 1, 0, 1, 0, 1, 1], [0, 1, 1, 1, 0, 0, 1]]), id="binary-sparse-agent-0"
+        ),
     ]
 
 
@@ -88,6 +96,17 @@ class TestBruteForce:
         assert time.perf_counter() - start < 0.3
         assert result.nodes_explored == 4**10
         assert result.welfare == binary_max_nash(inst).welfare
+
+    def test_decides_4_agents_and_12_objects_within_a_second(self):
+        # 4^12 owner vectors, about 4.3 s when each head scored a block of
+        # 256 tails and under 0.1 s over the two halves' Pareto fronts (2-core VM)
+        inst = gen_random(4, 12, 100, seed=0)
+        start = time.perf_counter()
+        result = brute_force_max_nash(inst)
+        assert time.perf_counter() - start < 1
+        assert result.nodes_explored == 4**12
+        expected = max_nash_discrete(inst)  # the same lexicographic tie-break
+        assert (result.best, result.welfare) == (expected.best, expected.welfare)
 
     @pytest.mark.parametrize("limit", [0, -1])
     def test_limit_below_one_is_rejected(self, separation, limit):
