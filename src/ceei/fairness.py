@@ -21,9 +21,9 @@ object never lowers a bundle's value; the Pareto prunes and the bundle walk
 rely on it.  Every enumeration, here and in `search`, passes one guard
 (`_guard`): a `limit` of None means DEFAULT_BUNDLE_LIMIT for the 2^m
 bundles of `verify_ceei_disc` and DEFAULT_ENUM_LIMIT for every n^m walk,
-and a limit below 1 is rejected.  The exhaustive searches in `search` walk
-owner vectors with one odometer (`_odometer`), with no recursion.  The
-Pareto test visits the same order under the same limit but prunes it.
+and a limit below 1 is rejected.  The exhaustive searches in `search` visit
+owner vectors in lexicographic order, with no recursion; the Pareto test
+visits the same order under the same limit but prunes it.
 """
 
 from __future__ import annotations
@@ -78,29 +78,6 @@ def _guard(inst: Instance, limit, required, default=DEFAULT_ENUM_LIMIT):
         raise ValueError(f"an enumeration limit must be at least 1, not {limit}")
     if required > limit:
         raise InstanceTooLarge(inst.n, inst.m, limit, required)
-
-
-def _odometer(rows, n, m):
-    """Every owner vector of m objects in lexicographic order, with each
-    agent's own total over `rows`, as (owner, totals) lists that a flat
-    odometer updates in place at amortized O(1) a step: copy to keep them."""
-    owner = [0] * m
-    totals = bundle_values(rows, owner)
-    last = n - 1
-    while True:
-        yield owner, totals
-        j = m - 1
-        while j >= 0 and owner[j] == last:
-            owner[j] = 0
-            totals[last] -= rows[last][j]
-            totals[0] += rows[0][j]
-            j -= 1
-        if j < 0:
-            return
-        i = owner[j]
-        owner[j] = i + 1
-        totals[i] -= rows[i][j]
-        totals[i + 1] += rows[i + 1][j]
 
 
 def check_assignment(inst: Instance, y: DiscreteAssignment):

@@ -29,17 +29,19 @@ def _is_index(value) -> bool:
     return hasattr(value, "__index__") and not isinstance(value, bool)
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Instance:
     """An assignment problem: n agents, m objects, an n x m utility matrix.
 
-    The matrix is stored as a tuple of row tuples of Fractions and is
-    immutable after construction.  The objects are goods: construction
-    raises InvariantError naming every negative entry, which every verdict,
-    bound and prune downstream relies on.  The positivity invariants (a
-    positive entry in every row and column) are left to `validate_instance`.
+    The matrix is a tuple of row tuples of Fractions.  Like the three value
+    types below, this frozen dataclass compares, hashes, pickles and copies
+    by value.  The objects are goods: construction raises InvariantError
+    naming every negative entry, which every verdict, bound and prune
+    downstream relies on.  The positivity invariants (a positive entry in
+    every row and column) are left to `validate_instance`.
     """
 
-    __slots__ = ("utilities",)
+    utilities: tuple
 
     def __init__(self, utilities: Sequence[Sequence]):
         rows = tuple(tuple(to_rational(v) for v in row) for row in utilities)
@@ -57,9 +59,6 @@ class Instance:
             raise InvariantError(InstanceViolation("negative_entry", agent=i, object=j) for i, j in negative)
         object.__setattr__(self, "utilities", rows)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Instance is immutable")
-
     @property
     def n(self) -> int:
         return len(self.utilities)
@@ -73,12 +72,6 @@ class Instance:
 
     def has_identical_rows(self) -> bool:
         return all(row == self.utilities[0] for row in self.utilities)
-
-    def __eq__(self, other):
-        return isinstance(other, Instance) and self.utilities == other.utilities
-
-    def __hash__(self):
-        return hash(self.utilities)
 
     def __repr__(self):
         return f"Instance(n={self.n}, m={self.m})"
@@ -128,10 +121,11 @@ def validate_instance(inst: Instance) -> list:
     return violations
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class FractionalAssignment:
     """An n x m matrix of fractions in [0, 1] whose columns each sum to 1."""
 
-    __slots__ = ("rows",)
+    rows: tuple
 
     def __init__(self, rows: Sequence[Sequence]):
         mat = tuple(tuple(to_rational(v) for v in row) for row in rows)
@@ -160,9 +154,6 @@ class FractionalAssignment:
                 )
         object.__setattr__(self, "rows", mat)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FractionalAssignment is immutable")
-
     @property
     def n(self) -> int:
         return len(self.rows)
@@ -182,20 +173,15 @@ class FractionalAssignment:
             owner.append(next(i for i in range(self.n) if self.rows[i][j] == 1))
         return DiscreteAssignment(owner)
 
-    def __eq__(self, other):
-        return isinstance(other, FractionalAssignment) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
     def __repr__(self):
         return f"FractionalAssignment(n={self.n}, m={self.m})"
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class DiscreteAssignment:
     """A complete discrete assignment, stored as one owner per object."""
 
-    __slots__ = ("owner",)
+    owner: tuple
 
     def __init__(self, owner: Sequence[int]):
         owners = tuple(owner)
@@ -208,9 +194,6 @@ class DiscreteAssignment:
         if any(o < 0 for o in owners):
             raise InvalidAssignment("owner indices must be nonnegative")
         object.__setattr__(self, "owner", owners)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DiscreteAssignment is immutable")
 
     @property
     def m(self) -> int:
@@ -246,20 +229,15 @@ class DiscreteAssignment:
             raise InvalidAssignment(f"objects {missing} are unassigned")
         return cls(owner)
 
-    def __eq__(self, other):
-        return isinstance(other, DiscreteAssignment) and self.owner == other.owner
-
-    def __hash__(self):
-        return hash(self.owner)
-
     def __repr__(self):
         return f"DiscreteAssignment({list(self.owner)})"
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class PriceVector:
     """One nonnegative price per object; every agent has budget 1."""
 
-    __slots__ = ("prices",)
+    prices: tuple
 
     def __init__(self, prices: Sequence):
         values = tuple(to_rational(p) for p in prices)
@@ -270,9 +248,6 @@ class PriceVector:
                 raise InvalidAssignment(f"price of object {j} is {bounded(p)}, negative")
         object.__setattr__(self, "prices", values)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PriceVector is immutable")
-
     @property
     def m(self) -> int:
         return len(self.prices)
@@ -282,12 +257,6 @@ class PriceVector:
 
     def __iter__(self):
         return iter(self.prices)
-
-    def __eq__(self, other):
-        return isinstance(other, PriceVector) and self.prices == other.prices
-
-    def __hash__(self):
-        return hash(self.prices)
 
     def __repr__(self):
         return f"PriceVector({[str(p) for p in self.prices]})"

@@ -12,8 +12,8 @@ Ties are broken lexicographically by owner vector wherever the search is
 exhaustive, so optima are canonical and runs are reproducible; the bounds
 keep ties, so pruning changes only how many nodes are explored.  Both
 exhaustive searches pass the one n^m guard of `fairness`: the existence
-search walks its odometer past owner vectors with envy, and the brute force
-meets in the middle over the Pareto fronts of two object halves.
+search walks `itertools.product` past owner vectors with envy, and the brute
+force meets in the middle over the Pareto fronts of two object halves.
 Branch and bound keeps an explicit stack, and the equal-split search
 races a depth-first search against a meet in the middle over load tuples.
 Nothing here recurses.
@@ -28,7 +28,7 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby, repeat
+from itertools import groupby, product, repeat
 from operator import add, indexOf, mul
 from typing import Optional
 
@@ -41,7 +41,6 @@ from .errors import (
 from .fairness import (
     _first_envy,
     _guard,
-    _odometer,
     verify_ceei_disc,
     verify_ceei_frac,
 )
@@ -76,13 +75,16 @@ def brute_force_max_nash(inst: Instance, limit=None) -> SearchResult:
     so a positive optimum has halves on both `_pareto_front`s.  Head totals,
     in their owners' lexicographic order, each score the tail front in one
     chained `map` pass, and only a strictly higher score replaces the
-    incumbent: the optimum is the lexicographically first, at welfare 0 the
-    all-zero owner vector that the fronts may drop.  `nodes_explored` is n^m.
+    incumbent: the optimum is the lexicographically first, at welfare 0
+    (always when n > m, which skips the fronts) the all-zero owner vector
+    that the fronts may drop.  `nodes_explored` is n^m.
     This is the independent oracle for every other discrete-search claim.
     """
     n, m = inst.n, inst.m
     required = n**m
     _guard(inst, limit, required)
+    if n > m:  # some agent gets nothing under every owner vector
+        return SearchResult(DiscreteAssignment((0,) * m), Fraction(0), required, True)
     rows, scales = integer_rows(inst)
     head = _pareto_front(rows, range(m - m // 2))
     tail = _pareto_front(rows, range(m - m // 2, m))
@@ -595,19 +597,19 @@ def _place(runs, weights, loads, owner):
 def exists_ceei_disc_bruteforce(inst: Instance, limit=None):
     """First discrete assignment with discrete price support, plus its prices.
 
-    Enumerates owner vectors lexicographically and runs the exact slack test
-    on each envy-free one, so the cost is up to n^m price LPs; strictly a
-    desk-scale instrument.  Discrete price support implies envy-freeness (an
-    envied bundle is a strictly better bundle inside someone's affordable
-    one), so skipping those `fairness._first_envy` finds envy in changes no
-    answer.  Returns (assignment, prices) or None.  `limit` guards the n^m
-    walk only.  The first envy-free owner vector, if any, meets
-    `verify_ceei_disc`'s own 2^m bundle guard, which raises
-    InstanceTooLarge past 16 objects.
+    Walks owner vectors in `itertools.product`'s lexicographic order and
+    runs the exact slack test on each envy-free one, so the cost is up to
+    n^m price LPs; strictly a desk-scale instrument.  Discrete price support
+    implies envy-freeness (an envied bundle is a strictly better bundle
+    inside someone's affordable one), so skipping those
+    `fairness._first_envy` finds envy in changes no answer.  Returns
+    (assignment, prices) or None.  `limit` guards the n^m walk only.  The
+    first envy-free owner vector, if any, meets `verify_ceei_disc`'s own 2^m
+    bundle guard, which raises InstanceTooLarge past 16 objects.
     """
     _guard(inst, limit, inst.n**inst.m)
     rows, _scales = integer_rows(inst)
-    for owner, _totals in _odometer(rows, inst.n, inst.m):
+    for owner in product(range(inst.n), repeat=inst.m):
         if _first_envy(rows, owner) is None:
             y = DiscreteAssignment(owner)
             verdict = verify_ceei_disc(inst, y)

@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -25,7 +26,7 @@ from ceei import (
     verify_ceei_disc,
     verify_ceei_frac,
 )
-from ceei.fairness import _minimal_better_bundles, _odometer, bundle_values
+from ceei.fairness import _minimal_better_bundles, bundle_values
 from ceei.model import integer_rows
 from oracles import (
     all_discrete_assignments,
@@ -189,8 +190,9 @@ def test_assignments_walk_int_totals_on_rational_utilities():
     scales = (4, 18)
     rows, _scales = integer_rows(inst)
     walked = 0
-    for owner, totals in _odometer(rows, inst.n, inst.m):
+    for owner in product(range(inst.n), repeat=inst.m):
         walked += 1
+        totals = bundle_values(rows, owner)
         assert all(type(t) is int for t in totals)
         exact = [
             sum((inst.utilities[i][j] for j, o in enumerate(owner) if o == i), Fraction(0))

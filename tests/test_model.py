@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -11,12 +13,22 @@ from ceei import (
     InvalidAssignment,
     InvariantError,
     PriceVector,
+    brute_force_max_nash,
     bundle_utility,
     nash_welfare,
+    separation_example,
     validate_instance,
+    verify_ceei_disc,
 )
 from ceei.model import integer_rows
 from oracles import all_discrete_assignments
+
+_VALUES = [
+    (Instance([[1, "1/2"], [3, 0]]), "utilities"),
+    (FractionalAssignment([["1/3", 1], ["2/3", 0]]), "rows"),
+    (DiscreteAssignment([1, 0, 1]), "owner"),
+    (PriceVector([1, "3/4"]), "prices"),
+]
 
 
 class TestBundleUtility:
@@ -232,3 +244,28 @@ class TestAssignments:
     def test_immutability(self, separation):
         with pytest.raises(AttributeError):
             separation.utilities = ()
+        for value, field in _VALUES:
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+                setattr(value, field, ())
+            with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+                delattr(value, field)
+            assert getattr(value, field)
+
+    @pytest.mark.parametrize(
+        "value",
+        [value for value, _field in _VALUES]
+        + [
+            brute_force_max_nash(separation_example()),
+            verify_ceei_disc(Instance([[2, 1], [1, 2]]), DiscreteAssignment([0, 1])),
+        ],
+        ids=lambda value: type(value).__name__,
+    )
+    @pytest.mark.parametrize(
+        "round_trip", [lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy], ids=["pickle", "copy", "deepcopy"]
+    )
+    def test_values_pickle_and_copy_to_equal_values(self, value, round_trip):
+        twin = round_trip(value)
+        assert type(twin) is type(value)
+        assert twin == value
+        assert hash(twin) == hash(value)
+

@@ -16,6 +16,7 @@ from ceei import (
     NotBinary,
     NotIdenticalUtilities,
     SearchBudgets,
+    SearchResult,
     binary_max_nash,
     brute_force_max_nash,
     exists_ceei_disc_bruteforce,
@@ -55,9 +56,9 @@ def _product_oracle_cases():
         rows = [[rng.randint(0, 1) for _ in range(m)] for _ in range(n)]
         cases.append(pytest.param(Instance(rows), id=f"binary-{n}x{m}"))
     # the brute force scores the Pareto fronts of a head of m - m//2 objects
-    # and a tail of m//2: an empty tail at one object (7x1, 257x1), fronts of
-    # many agents over few objects (7x4, 8x3, 17x2), a welfare-0 optimum
-    # whose halves dominance drops, and identical rows where it drops nothing
+    # and a tail of m//2: more agents than objects skip the fronts (7x1,
+    # 257x1, 7x4, 8x3, 17x2), a welfare-0 optimum whose halves dominance
+    # drops, and identical rows where it drops nothing
     return cases + [
         pytest.param(Instance([[0] * 6] * 3), id="all-zero"),  # the all-zero owner vector wins
         pytest.param(Instance([[0, 0, 1, 0, 0], [0, 0, 0, 0, 0], [1, 0, 0, 0, 1]]), id="zero-row"),
@@ -107,6 +108,15 @@ class TestBruteForce:
         assert result.nodes_explored == 4**12
         expected = max_nash_discrete(inst)  # the same lexicographic tie-break
         assert (result.best, result.welfare) == (expected.best, expected.welfare)
+
+    def test_more_agents_than_objects_return_the_zero_owner_vector_at_once(self):
+        # 257^2 owner vectors all score 0; about 1.3 s when both fronts were
+        # still built (2-core VM)
+        inst = gen_random(257, 2, 9, seed=1)
+        start = time.perf_counter()
+        result = brute_force_max_nash(inst)
+        assert time.perf_counter() - start < 0.1
+        assert result == SearchResult(DiscreteAssignment([0, 0]), Fraction(0), 257**2, True)
 
     @pytest.mark.parametrize("limit", [0, -1])
     def test_limit_below_one_is_rejected(self, separation, limit):
