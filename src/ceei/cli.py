@@ -13,6 +13,14 @@ diagnostics on stderr.  Exit codes are uniform across subcommands:
   141  stdout was closed before the report was written, as in `| head -1`
        (128 + SIGPIPE, the status a shell shows for a writer that signal ended)
 
+A report holds, in this order, "command"; "instance" (digest, agents,
+objects); "config", the options the handler read; "result"; and "timings".
+`_report` writes the first three and the handler the result, so each
+subcommand has one report path.  The existence targets of `search` share
+one {"status": "none"} result and one {"status": "found", "owner": ...}
+result, to which ceei-disc adds "prices" and identical-ceei-disc
+"utility_per_agent".
+
 Exact rationals are reported as {"exact": "19/20", "decimal": 0.95} pairs,
 with a null decimal for values beyond float range; plain floats stay plain.
 """
@@ -190,15 +198,10 @@ def _limit(text):
 
 
 def _cmd_solve(args):
-    inst = _read_instance(args.instance)
+    inst = parse_instance(_read(args.instance))
     config = SolverConfig(convergence_tolerance=args.tolerance, max_iterations=args.max_iter)
     solution = solve_eg(inst, config, seed=args.seed)
-    report = _report("solve", inst)
-    report["config"] = {
-        "tolerance": args.tolerance,
-        "max_iter": args.max_iter,
-        "seed": args.seed,
-    }
+    report = _report("solve", inst, {"tolerance": args.tolerance, "max_iter": args.max_iter, "seed": args.seed})
     report["result"] = {
         "u_star": [_number(u) for u in solution.u_star],
         "p_star": [_number(p) for p in solution.p_star],
@@ -211,7 +214,7 @@ def _cmd_solve(args):
 
 
 def _cmd_check(args):
-    inst = _read_instance(args.instance)
+    inst = parse_instance(_read(args.instance))
     y = parse_assignment(_read(args.assignment), inst)
     if args.notion == "ef":
         verdict = is_envy_free(inst, y)
@@ -221,8 +224,7 @@ def _cmd_check(args):
         verdict = verify_ceei_frac(inst, y)
     else:
         verdict = verify_ceei_disc(inst, y, args.limit_nodes)
-    report = _report("check", inst)
-    report["config"] = {"notion": args.notion, "limit_nodes": args.limit_nodes}
+    report = _report("check", inst, {"notion": args.notion, "limit_nodes": args.limit_nodes})
     report["result"] = {
         "owner": list(y.owner),
         "holds": verdict.holds,
@@ -232,20 +234,16 @@ def _cmd_check(args):
 
 
 def _cmd_search(args):
-    inst = _read_instance(args.instance)
+    inst = parse_instance(_read(args.instance))
     budgets = search.SearchBudgets(max_nodes=args.limit_nodes, max_seconds=args.limit_seconds)
-    report = _report("search", inst)
-    report["config"] = {
-        "target": args.target,
-        "limit_nodes": args.limit_nodes,
-        "limit_seconds": args.limit_seconds,
-    }
+    report = _report(
+        "search",
+        inst,
+        {"target": args.target, "limit_nodes": args.limit_nodes, "limit_seconds": args.limit_seconds},
+    )
 
     if args.target in ("mnw", "binary-mnw"):
-        if args.target == "mnw":
-            result = search.max_nash_discrete(inst, budgets)
-        else:
-            result = search.binary_max_nash(inst)
+        result = search.max_nash_discrete(inst, budgets) if args.target == "mnw" else search.binary_max_nash(inst)
         report["result"] = {
             "status": "optimal" if result.optimal else "truncated",
             "owner": list(result.best.owner),
@@ -254,6 +252,8 @@ def _cmd_search(args):
         }
         return report, EXIT_HOLDS if result.optimal else EXIT_INCONCLUSIVE
 
+    # the existence targets share one report; `extra` is what only one of them adds
+    extra = {}
     if args.target == "ceei-frac":
         try:
             found = search.exists_ceei_frac_discrete(inst, budgets)
@@ -264,35 +264,17 @@ def _cmd_search(args):
                 "best_welfare": _number(exc.best_welfare),
             }
             return report, EXIT_INCONCLUSIVE
-        if found is None:
-            report["result"] = {"status": "none"}
-            return report, EXIT_FAILS
-        report["result"] = {"status": "found", "owner": list(found.owner)}
-        return report, EXIT_HOLDS
-
-    if args.target == "ceei-disc":
-        found = search.exists_ceei_disc_bruteforce(inst, limit=args.limit_nodes)
-        if found is None:
-            report["result"] = {"status": "none"}
-            return report, EXIT_FAILS
-        y, prices = found
-        report["result"] = {
-            "status": "found",
-            "owner": list(y.owner),
-            "prices": [_number(p) for p in prices],
-        }
-        return report, EXIT_HOLDS
-
-    found = search.find_ceei_disc_identical(inst)
+    elif args.target == "ceei-disc":
+        found, prices = search.exists_ceei_disc_bruteforce(inst, limit=args.limit_nodes) or (None, ())
+        extra = {"prices": [_number(p) for p in prices]}
+    else:
+        found = search.find_ceei_disc_identical(inst)
+        if found is not None:
+            extra = {"utility_per_agent": _number(bundle_values(inst.utilities, found.owner)[0])}
     if found is None:
         report["result"] = {"status": "none"}
         return report, EXIT_FAILS
-    utility = bundle_values(inst.utilities, found.owner)[0]
-    report["result"] = {
-        "status": "found",
-        "owner": list(found.owner),
-        "utility_per_agent": _number(utility),
-    }
+    report["result"] = {"status": "found", "owner": list(found.owner), **extra}
     return report, EXIT_HOLDS
 
 
@@ -322,8 +304,7 @@ def _cmd_gen(args):
     document = serialize_instance(inst)
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(document + "\n")
-    report = _report("gen", inst)
-    report["config"] = {"kind": args.kind, **params}
+    report = _report("gen", inst, {"kind": args.kind, **params})
     report["result"] = {"written": args.out}
     return report, EXIT_HOLDS
 
@@ -340,11 +321,7 @@ def _read(path):
         return handle.read()
 
 
-def _read_instance(path):
-    return parse_instance(_read(path))
-
-
-def _report(command, inst):
+def _report(command, inst, config):
     return {
         "command": command,
         "instance": {
@@ -352,6 +329,7 @@ def _report(command, inst):
             "agents": inst.n,
             "objects": inst.m,
         },
+        "config": config,
     }
 
 

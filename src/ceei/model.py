@@ -29,7 +29,7 @@ def _is_index(value) -> bool:
     return hasattr(value, "__index__") and not isinstance(value, bool)
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
+@dataclass(frozen=True, init=False, repr=False)
 class Instance:
     """An assignment problem: n agents, m objects, an n x m utility matrix.
 
@@ -121,7 +121,7 @@ def validate_instance(inst: Instance) -> list:
     return violations
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
+@dataclass(frozen=True, init=False, repr=False)
 class FractionalAssignment:
     """An n x m matrix of fractions in [0, 1] whose columns each sum to 1."""
 
@@ -177,7 +177,7 @@ class FractionalAssignment:
         return f"FractionalAssignment(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
+@dataclass(frozen=True, init=False, repr=False)
 class DiscreteAssignment:
     """A complete discrete assignment, stored as one owner per object."""
 
@@ -233,7 +233,7 @@ class DiscreteAssignment:
         return f"DiscreteAssignment({list(self.owner)})"
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
+@dataclass(frozen=True, init=False, repr=False)
 class PriceVector:
     """One nonnegative price per object; every agent has budget 1."""
 

@@ -276,6 +276,23 @@ class TestCheck:
         assert report is None
         assert err.count("\n") == 1 and err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "owner, notion, certificate",
+        [
+            ([1, 1, 1, 1], "ef", {"type": "envy_pair", "envious": 0, "envied": 1}),
+            ([1, 0, 0, 0], "po", {"type": "dominating_assignment", "owner": [0, 0, 0, 1]}),
+            ([1, 1, 1, 1], "ceei-disc", {"type": "violating_bundle", "agent": 0, "objects": [0, 1, 2, 3]}),
+        ],
+        ids=["ef", "po", "ceei-disc"],
+    )
+    def test_failing_verdict_reports_its_certificate(self, workdir, capsys, owner, notion, certificate):
+        (workdir / "owner.json").write_text(json.dumps({"owner": owner}))
+        code, report, _ = run(
+            capsys, "check", workdir / "separation.json", workdir / "owner.json", notion
+        )
+        assert code == 1
+        assert report["result"] == {"owner": owner, "holds": False, "certificate": certificate}
+
     def test_discrete_support_check(self, workdir, capsys):
         (workdir / "ident.json").write_text('{"agents":2,"objects":3,"utilities":[[2,1,1],[2,1,1]]}')
         (workdir / "split.json").write_text('{"owner":[0,1,1]}')
@@ -302,6 +319,16 @@ class TestSearch:
         code, report, _ = run(capsys, "search", workdir / "odd.json", "identical-ceei-disc")
         assert code == 1
         assert report["result"]["status"] == "none"
+
+    def test_identical_split_reports_the_common_utility(self, workdir, capsys):
+        (workdir / "ident.json").write_text('{"agents":2,"objects":3,"utilities":[[2,1,1],[2,1,1]]}')
+        code, report, _ = run(capsys, "search", workdir / "ident.json", "identical-ceei-disc")
+        assert code == 0
+        assert report["result"] == {
+            "status": "found",
+            "owner": [0, 1, 1],
+            "utility_per_agent": {"exact": "2", "decimal": 2.0},
+        }
 
     def test_mnw_reports_welfare(self, workdir, capsys):
         code, report, _ = run(capsys, "search", workdir / "separation.json", "mnw")
@@ -440,6 +467,37 @@ class TestGen:
         )
         assert code == 2
         assert "violates" in err
+
+    def test_three_partition_config(self, workdir, capsys):
+        out = workdir / "three.json"
+        code, report, _ = run(
+            capsys, "gen", "3partition", "--weights", "3,3,4,3,3,4", "--bound", 10, "--out", out
+        )
+        assert code == 0
+        assert report["config"] == {"kind": "3partition", "weights": "3,3,4,3,3,4", "bound": 10}
+        assert report["result"] == {"written": str(out)}
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["partition"], "field 'set'"),
+            (
+                ["3partition", "--weights", "3,3,4"],
+                "field 'weights': 3partition generation needs --weights and --bound",
+            ),
+            (
+                ["3partition", "--weights", "3,x", "--bound", "10"],
+                "field 'weights': expected comma-separated integers",
+            ),
+        ],
+        ids=["no-set", "no-bound", "bad-weights"],
+    )
+    def test_missing_or_malformed_integers_exit_2(self, workdir, capsys, args, message):
+        code, report, err = run(capsys, "gen", *args, "--out", workdir / "x.json")
+        assert code == 2
+        assert report is None
+        assert message in err
+        assert not (workdir / "x.json").exists()
 
     def test_generated_instances_are_readable_by_solve(self, workdir, capsys):
         out = workdir / "g.json"

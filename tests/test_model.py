@@ -250,6 +250,10 @@ class TestAssignments:
             with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
                 delattr(value, field)
             assert getattr(value, field)
+            with pytest.raises(AttributeError):
+                value.not_a_field = 1
+            with pytest.raises(AttributeError):
+                del value.not_a_field
 
     @pytest.mark.parametrize(
         "value",
