@@ -10,12 +10,22 @@ sequence finite and deterministic despite the degenerate rows the CEEI-DISC
 verifier produces; positive row scales and d change no sign and no ratio
 comparison, so the pivots, basis, value and solution are those of the
 rational tableau.
+
+On the verifier's 0/±1 rows most pivot elements equal d.  A pivot equal to
+d leaves d as it is, and the step of an entry v of a row with entering
+entry f against the pivot row's w reduces exactly to v - f*w // d: d
+divides v*d and the whole numerator v*d - f*w, so it divides f*w.  A row
+with f = 0 is then left alone, and a row with f = ±d subtracts or adds the
+pivot row.  That is the general step with the pivot equal to d, not a
+different one, so the tableau holds the same ints after every pivot, and
+the pivots, value and solution stay those of the rational tableau.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import add, sub
 
 
 class Unbounded(Exception):
@@ -32,7 +42,7 @@ def maximize(c, rows, rhs):
     num_cons = len(rows)
     if len(rhs) != num_cons:
         raise ValueError(f"{num_cons} constraints but {len(rhs)} right-hand sides")
-    rhs = [Fraction(v) for v in rhs]
+    rhs = [_rational(v) for v in rhs]
     if any(b < 0 for b in rhs):
         raise ValueError("rhs must be nonnegative for a slack start")
     for r, row in enumerate(rows):
@@ -42,7 +52,8 @@ def maximize(c, rows, rhs):
     # tableau: constraint rows [A_r | b_r], then the objective row [-c | 0];
     # entry / d is the rational tableau entry, up to each row's positive scale
     tableau = [_scaled([*row, b])[0] for row, b in zip(rows, rhs)]
-    objective, obj_scale = _scaled([-Fraction(v) for v in c] + [0])
+    objective, obj_scale = _scaled([*c, 0])
+    objective = [-v for v in objective]
     tableau.append(objective)
     d = 1
     # original variable indices: structural 0..num_vars-1, slack num_vars+r
@@ -58,27 +69,37 @@ def maximize(c, rows, rhs):
         # ratio test rhs/a by cross-multiplication; Bland tie-break on the
         # leaving basic variable index
         leave = None
-        for r in range(num_cons):
-            a = tableau[r][enter]
+        for r, row in enumerate(tableau[:num_cons]):
+            a = row[enter]
             if a > 0:
-                if leave is None:
-                    leave = r
-                    continue
-                here = tableau[r][-1] * tableau[leave][enter]
-                best = tableau[leave][-1] * a
-                if here < best or (here == best and basis[r] < basis[leave]):
-                    leave = r
+                if leave is not None:
+                    here = row[-1] * leave_a
+                    best = leave_b * a
+                    if here > best or (here == best and basis[r] > basis[leave]):
+                        continue
+                leave, leave_a, leave_b = r, a, row[-1]
         if leave is None:
             raise Unbounded()
 
         pivot_row = tableau[leave]
         pivot = pivot_row[enter]
+        # pivot == d: (v*pivot - factor*w) // d == v - factor*w // d exactly
+        # (d divides v*d and the numerator, hence factor*w), and d stays
+        unit = pivot == d
         for r, row in enumerate(tableau):
-            if r != leave:
-                factor = row[enter]
+            factor = row[enter]
+            if r == leave or (unit and not factor):
+                continue
+            if not unit:
                 new_row = [(v * pivot - factor * w) // d for v, w in zip(row, pivot_row)]
-                new_row[enter] = -factor
-                tableau[r] = new_row
+            elif factor == d:
+                new_row = list(map(sub, row, pivot_row))
+            elif factor == -d:
+                new_row = list(map(add, row, pivot_row))
+            else:
+                new_row = [v - factor * w // d for v, w in zip(row, pivot_row)]
+            new_row[enter] = -factor
+            tableau[r] = new_row
         pivot_row[enter] = d
         d = pivot
         objective = tableau[-1]
@@ -92,8 +113,13 @@ def maximize(c, rows, rhs):
     return value, solution
 
 
+def _rational(value):
+    """An int as it is (it has a numerator and a denominator), anything else as a Fraction."""
+    return value if isinstance(value, int) else Fraction(value)
+
+
 def _scaled(values):
     """The entries times the lcm of their denominators, as ints, and that lcm."""
-    values = [Fraction(v) for v in values]
+    values = [_rational(v) for v in values]
     scale = lcm(*(v.denominator for v in values))
     return [v.numerator * (scale // v.denominator) for v in values], scale

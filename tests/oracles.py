@@ -5,7 +5,8 @@ subset-sum check is a bitset dynamic program, the equal-split, Pareto and
 max-Nash checks are plain enumeration of owner vectors, the envy check
 values every bundle for every agent, price-support certificates
 are re-verified directly from their defining inequalities, LP optima come
-from vertex enumeration rather than pivoting, and inclusion-minimal masks
+from vertex enumeration rather than pivoting, LP solutions from a textbook
+rational tableau rather than integer pivoting, and inclusion-minimal masks
 come from pairwise subset tests over a scan of every subset.
 """
 
@@ -201,6 +202,49 @@ def lp_vertex_optimum(c, rows, rhs):
             if best is None or value > best:
                 best = value
     return best
+
+
+def bland_tableau(c, rows, rhs):
+    """(value, solution) of max c.z over {rows z <= rhs, z >= 0}, rhs >= 0, or
+    None if the objective is unbounded.
+
+    The textbook simplex: a full tableau of Fractions with one explicit slack
+    column per row, started from the slack basis.  Bland's rule by original
+    variable index (structural 0..n-1, then the slacks): the lowest-index
+    variable with a negative reduced cost enters, and the ratio test breaks
+    ties towards the lowest-index basic variable.
+    """
+    num_vars, num_cons = len(c), len(rows)
+    width = num_vars + num_cons
+    tableau = [
+        [Fraction(a) for a in row] + [Fraction(int(r == s)) for s in range(num_cons)] + [Fraction(b)]
+        for r, (row, b) in enumerate(zip(rows, rhs))
+    ]
+    cost = [-Fraction(v) for v in c] + [Fraction(0)] * (num_cons + 1)
+    basis = list(range(num_vars, width))
+    while True:
+        enter = next((j for j in range(width) if cost[j] < 0), None)
+        if enter is None:
+            break
+        ratios = [(row[-1] / row[enter], basis[r], r) for r, row in enumerate(tableau) if row[enter] > 0]
+        if not ratios:
+            return None
+        leave = min(ratios)[2]
+        pivot_row = [v / tableau[leave][enter] for v in tableau[leave]]
+        tableau = [pivot_row if r == leave else _eliminate(row, pivot_row, enter) for r, row in enumerate(tableau)]
+        cost = _eliminate(cost, pivot_row, enter)
+        basis[leave] = enter
+    solution = [Fraction(0)] * num_vars
+    for r, var in enumerate(basis):
+        if var < num_vars:
+            solution[var] = tableau[r][-1]
+    return cost[-1], solution
+
+
+def _eliminate(row, pivot_row, enter):
+    """row minus the multiple of pivot_row that zeroes its `enter` entry."""
+    factor = row[enter]
+    return [v - factor * w if w else v for v, w in zip(row, pivot_row)]
 
 
 def _solve_square(matrix, vector):

@@ -26,10 +26,12 @@ from ceei import (
     verify_ceei_disc,
     verify_ceei_frac,
 )
+from ceei import simplex
 from ceei.fairness import _minimal_better_bundles, bundle_values
 from ceei.model import integer_rows
 from oracles import (
     all_discrete_assignments,
+    bland_tableau,
     first_dominating_assignment,
     first_envy_pair,
     minimal_better_bundles,
@@ -296,6 +298,27 @@ class TestVerifyDiscreteSupport:
         else:
             assert verdict.holds
             assert list(verdict.certificate.prices.prices) == expected
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_certificates_match_the_textbook_tableau(self, seed, monkeypatch):
+        # the same verdict and certificate with the LP solved on the rational
+        # tableau, for max-Nash and random owners alike
+        rng = random.Random(seed)
+        cases = []
+        for _ in range(20):
+            inst = gen_random(rng.randint(2, 3), rng.randint(3, 8), 12, seed=rng.randrange(10**6))
+            cases.append((inst, max_nash_discrete(inst).best))
+            cases += [(inst, DiscreteAssignment([rng.randrange(inst.n) for _ in range(inst.m)])) for _ in range(3)]
+        verdicts = [verify_ceei_disc(inst, y) for inst, y in cases]
+        solved = []
+
+        def textbook(c, rows, rhs):
+            solved.append(len(rows))
+            return bland_tableau(c, rows, rhs)
+
+        monkeypatch.setattr(simplex, "maximize", textbook)
+        assert [verify_ceei_disc(inst, y) for inst, y in cases] == verdicts
+        assert solved
 
     def test_bundle_guard(self, separation):
         with pytest.raises(InstanceTooLarge):

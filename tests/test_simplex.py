@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ceei.simplex import Unbounded, maximize
-from oracles import lp_vertex_optimum
+from oracles import bland_tableau, lp_vertex_optimum
 
 
 def _random_entry(rng, fractions):
@@ -29,6 +29,38 @@ def _random_lp(rng, fractions):
     rows.append([rng.randint(1, 3) for _ in range(num_vars)])
     rhs.append(rng.randint(0, 6))
     return c, rows, rhs
+
+
+def _verifier_lp(rng):
+    """The CEEI-disc slack LP's shape: variables p_1..p_m, s; a degenerate row
+    s - p(B) <= 0 per bundle B and a row p(y_i) <= 1 per agent's bundle."""
+    m, n = rng.randint(1, 8), rng.randint(1, 3)
+    owner = [rng.randrange(n) for _ in range(m)]
+    rows = []
+    for _ in range(rng.randint(1, 12)):
+        bundle = {j for j in range(m) if rng.random() < 0.4} or {rng.randrange(m)}
+        rows.append([-(j in bundle) for j in range(m)] + [1])
+    rhs = [0] * len(rows)
+    for i in range(n):
+        rows.append([int(o == i) for o in owner] + [0])
+        rhs.append(1)
+    return [0] * m + [1], rows, rhs
+
+
+def _wide_lp(rng):
+    """A bounded LP of 10**400-sized and p/q entries, so pivots leave the
+    common denominator."""
+    big = 10**400
+
+    def entry():
+        return rng.choice([0, 1, -1, big, big + 1, -3 * big, Fraction(rng.randint(-7, 7), rng.randint(1, 9))])
+
+    num_vars = rng.randint(1, 4)
+    rows = [[entry() for _ in range(num_vars)] for _ in range(rng.randint(0, 4))]
+    rhs = [rng.choice([0, 1, big, Fraction(rng.randint(0, 9), rng.randint(1, 9))]) for _ in rows]
+    rows.append([rng.choice([1, big, Fraction(1, rng.randint(1, 9))]) for _ in range(num_vars)])
+    rhs.append(rng.choice([1, big, Fraction(rng.randint(1, 9), rng.randint(1, 9))]))
+    return [entry() for _ in range(num_vars)], rows, rhs
 
 
 def test_textbook_two_variable_problem():
@@ -110,3 +142,33 @@ def test_column_without_positive_entry_is_unbounded(seed):
             row[j] = -abs(row[j])
         with pytest.raises(Unbounded):
             maximize(c, rows, rhs)
+
+
+LP_SHAPES = {
+    "ints": lambda rng: _random_lp(rng, fractions=False),
+    "fractions": lambda rng: _random_lp(rng, fractions=True),
+    "verifier": _verifier_lp,
+    "huge": _wide_lp,
+}
+
+
+# the integer tableau pivots as the rational one does, so the whole solution
+# vector, not just the optimum, is the textbook tableau's
+@pytest.mark.parametrize("shape", LP_SHAPES)
+@pytest.mark.parametrize("seed", range(4))
+def test_solution_matches_the_textbook_tableau(shape, seed):
+    rng = random.Random(200 + seed)
+    for _ in range(40):
+        lp = LP_SHAPES[shape](rng)
+        assert maximize(*lp) == bland_tableau(*lp)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_ints_fractions_and_strings_give_one_answer(seed):
+    rng = random.Random(500 + seed)
+    for _ in range(30):
+        c, rows, rhs = _verifier_lp(rng) if rng.random() < 0.5 else _random_lp(rng, fractions=False)
+        expected = maximize(c, rows, rhs)
+        for kind in (Fraction, str):
+            written = [kind(v) for v in c], [[kind(a) for a in row] for row in rows], [kind(b) for b in rhs]
+            assert maximize(*written) == expected
