@@ -11,7 +11,7 @@ a slack s_ij = p_j - u_ij * beta_i or a beta_i would reach zero, and the barrier
 weight t grows tenfold once an iterate is centred.  On the central path agent
 i spends p_j / (t * s_ij) on object j.
 
-The solver reads the utilities only as the int rows of `model.integer_rows`;
+The solver reads the utilities only as the int rows `Instance.int_rows`;
 the float rows are each int row over its max, correctly rounded.  After each
 centring the float iterate is used only to guess which agent-object edges
 carry spending: those spending at least 1/sqrt(t), plus the top spender of
@@ -50,7 +50,6 @@ from .model import (
     Instance,
     PriceVector,
     as_fractional,
-    integer_rows,
     to_rational,
     validate_instance,
 )
@@ -184,7 +183,7 @@ def solve_eg(inst: Instance, config: Optional[SolverConfig] = None, seed=None) -
         raise InvariantError(violations)
 
     n, m = inst.n, inst.m
-    rows, scales = integer_rows(inst)
+    rows, scales = inst.int_rows, inst.scales
     tops = [max(row) for row in rows]
     # Scaling a row only rescales that agent's beta, so dividing each row by
     # its max keeps every float in range; int / int rounds correctly.
@@ -279,17 +278,17 @@ def _allocation_rows(inst, allocation):
 def _certify_support(rows, scales, tight):
     """Reconstruct the exact equilibrium from a guessed spending support.
 
-    `rows` and `scales` are `integer_rows(inst)`; the integer instance has the
-    same prices and allocation, and agent i's utility times scales[i].  Edges
-    marked in the nested boolean lists `tight` (all with u_ij > 0) are assumed
-    to carry money.  On the support graph agent i is node i and object j node
-    n + j.  An edge pins p_j = u_ij / u_i, so u_i = r_i * t and p_j = q_j / t
-    with u_ij = r_i * q_j: from either end, the far end's ratio is u_ij over
-    the near end's.  That fixes a component up to its scale t, which follows
-    from its agents spending their whole budgets.  The reconstruction is then
-    verified exactly: every node has an edge, ratios agree around every cycle,
-    u_ij <= u_i * p_j holds globally, and a feasible money flow exists.  Any
-    failure returns None.
+    `rows` and `scales` are `Instance.int_rows` and `Instance.scales`; the
+    integer instance has the same prices and allocation, and agent i's utility
+    times scales[i].  Edges marked in the nested boolean lists `tight` (all
+    with u_ij > 0) are assumed to carry money.  On the support graph agent i
+    is node i and object j node n + j.  An edge pins p_j = u_ij / u_i, so
+    u_i = r_i * t and p_j = q_j / t with u_ij = r_i * q_j: from either end,
+    the far end's ratio is u_ij over the near end's.  That fixes a component
+    up to its scale t, which follows from its agents spending their whole
+    budgets.  The reconstruction is then verified exactly: every node has an
+    edge, ratios agree around every cycle, u_ij <= u_i * p_j holds globally,
+    and a feasible money flow exists.  Any failure returns None.
     """
     n, m = len(rows), len(rows[0])
     links = [[] for _ in range(n + m)]  # (far node, u_ij) for each support edge

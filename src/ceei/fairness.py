@@ -15,8 +15,8 @@ Four notions are decided here:
   pruned walk per agent) with `simplex.maximize`, an integer-pivoting
   simplex on 0/±1 rows whose optimum and prices are exact rationals.
 
-Every verdict reads the int rows of `model.integer_rows` and bundle values
-from `bundle_values`.  `Instance` rejects negative utilities, so adding an
+Every verdict reads the int rows `Instance.int_rows` and bundle values from
+`bundle_values`.  `Instance` rejects negative utilities, so adding an
 object never lowers a bundle's value; the Pareto prunes and the bundle walk
 rely on it.  Every enumeration, here and in `search`, passes one guard
 (`_guard`): a `limit` of None means DEFAULT_BUNDLE_LIMIT for the 2^m
@@ -46,7 +46,6 @@ from .model import (
     PriceSupport,
     PriceVector,
     ViolatingBundle,
-    integer_rows,
 )
 
 DEFAULT_ENUM_LIMIT = 20_000_000
@@ -94,8 +93,7 @@ def is_envy_free(inst: Instance, y: DiscreteAssignment) -> Verdict:
     The certificate on failure is the lexicographically first envious pair.
     """
     check_assignment(inst, y)
-    rows, _scales = integer_rows(inst)
-    envy = _first_envy(rows, y.owner)
+    envy = _first_envy(inst.int_rows, y.owner)
     return Verdict(envy is None, None if envy is None else EnvyPair(*envy))
 
 
@@ -130,11 +128,9 @@ def is_pareto_optimal_discrete(inst: Instance, y: DiscreteAssignment, limit=None
     """
     check_assignment(inst, y)
     _guard(inst, limit, inst.n**inst.m)
-    rows, _scales = integer_rows(inst)
+    rows = inst.int_rows
     owner = _first_dominating(rows, bundle_values(rows, y.owner))
-    if owner is None:
-        return Verdict(True, None)
-    return Verdict(False, DominatingAssignment(DiscreteAssignment(owner)))
+    return Verdict(owner is None, None if owner is None else DominatingAssignment(DiscreteAssignment(owner)))
 
 
 def _first_dominating(rows, base):
@@ -207,7 +203,7 @@ def verify_ceei_frac(inst: Instance, y: DiscreteAssignment) -> Verdict:
     check_assignment(inst, y)
     n = inst.n
     bundles = y.bundles(n)
-    rows, _scales = integer_rows(inst)
+    rows = inst.int_rows
     values = bundle_values(rows, y.owner)
     for i in range(n):
         if values[i] == 0:
@@ -243,7 +239,7 @@ def verify_ceei_disc(inst: Instance, y: DiscreteAssignment, limit=None) -> Verdi
     check_assignment(inst, y)
     n, m = inst.n, inst.m
     _guard(inst, limit, 1 << m, DEFAULT_BUNDLE_LIMIT)
-    rows, _scales = integer_rows(inst)
+    rows = inst.int_rows
     envy = _first_envy(rows, y.owner)
     if envy is not None:
         return Verdict(False, ViolatingBundle(envy[0], y.bundle(envy[1])))

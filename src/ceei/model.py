@@ -10,18 +10,28 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .errors import DimensionMismatch, InvalidAssignment, InvariantError, bounded
 
 
 def to_rational(value) -> Fraction:
-    """Coerce ints, strings like '19/20', floats and Fractions to Fraction."""
+    """Coerce ints, strings like '19/20', finite floats and Fractions to Fraction."""
     if type(value) is Fraction:
         return value  # immutable, so it can be shared
     if isinstance(value, bool):
         raise TypeError("booleans are not valid utilities")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{value} is not a finite number")
     return Fraction(value)
+
+
+def _rational_row(row) -> tuple:
+    """A row as Fractions; a str or bytes row, whose digits `to_rational` takes, is a TypeError."""
+    if isinstance(row, (str, bytes)):
+        raise TypeError(f"a row must be a sequence of numbers, not {type(row).__name__}")
+    return tuple(to_rational(v) for v in row)
 
 
 def _is_index(value) -> bool:
@@ -44,7 +54,7 @@ class Instance:
     utilities: tuple
 
     def __init__(self, utilities: Sequence[Sequence]):
-        rows = tuple(tuple(to_rational(v) for v in row) for row in utilities)
+        rows = tuple(map(_rational_row, utilities))
         if not rows:
             raise InvalidAssignment("an instance needs at least one agent")
         width = len(rows[0])
@@ -66,6 +76,18 @@ class Instance:
     @property
     def m(self) -> int:
         return len(self.utilities[0])
+
+    @cached_property
+    def scales(self) -> tuple:
+        """Per row, the lcm of its denominators.  Scaling a row keeps its bundle
+        comparisons and price ratios and multiplies Nash welfare by the scale."""
+        return tuple(math.lcm(*(v.denominator for v in row)) for row in self.utilities)
+
+    @cached_property
+    def int_rows(self) -> tuple:
+        """Each utility row times its scale, as ints; the verifiers and searches run on these."""
+        pairs = zip(self.utilities, self.scales)
+        return tuple(tuple(v.numerator * (s // v.denominator) for v in row) for row, s in pairs)
 
     def is_binary(self) -> bool:
         return all(v == 0 or v == 1 for row in self.utilities for v in row)
@@ -93,21 +115,6 @@ class InstanceViolation:
         return f"utility of agent {self.agent} for object {self.object} is negative"
 
 
-def integer_rows(inst: Instance):
-    """Each utility row times the lcm of its denominators, as Python ints.
-
-    Returns (rows, scales); an integer row has scale 1.  Row scales keep every
-    bundle comparison and price ratio u_kj / v_k and multiply Nash welfare by
-    prod(scales).
-    """
-    rows, scales = [], []
-    for row in inst.utilities:
-        scale = math.lcm(*(v.denominator for v in row))
-        rows.append([v.numerator * (scale // v.denominator) for v in row])
-        scales.append(scale)
-    return rows, scales
-
-
 def validate_instance(inst: Instance) -> list:
     """Every zero row and zero column (empty list means valid); `Instance`
     already rejects negative entries."""
@@ -128,7 +135,7 @@ class FractionalAssignment:
     rows: tuple
 
     def __init__(self, rows: Sequence[Sequence]):
-        mat = tuple(tuple(to_rational(v) for v in row) for row in rows)
+        mat = tuple(map(_rational_row, rows))
         if not mat or not mat[0]:
             raise InvalidAssignment("an assignment needs at least one agent and object")
         m = len(mat[0])
@@ -240,7 +247,7 @@ class PriceVector:
     prices: tuple
 
     def __init__(self, prices: Sequence):
-        values = tuple(to_rational(p) for p in prices)
+        values = _rational_row(prices)
         if not values:
             raise InvalidAssignment("a price vector needs at least one object")
         for j, p in enumerate(values):

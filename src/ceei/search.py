@@ -17,8 +17,8 @@ force meets in the middle over the Pareto fronts of two object halves.
 Branch and bound keeps an explicit stack, and the equal-split search
 races a depth-first search against a meet in the middle over load tuples.
 Nothing here recurses.
-Every loop runs on the int rows of `model.integer_rows`; reported welfare
-divides out the product of their row scales.
+Every loop runs on the int rows `Instance.int_rows`; reported welfare
+divides out the product of `Instance.scales`.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .fairness import (
     verify_ceei_disc,
     verify_ceei_frac,
 )
-from .model import DiscreteAssignment, Instance, integer_rows
+from .model import DiscreteAssignment, Instance
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,7 @@ def brute_force_max_nash(inst: Instance, limit=None) -> SearchResult:
     _guard(inst, limit, required)
     if n > m:  # some agent gets nothing under every owner vector
         return SearchResult(DiscreteAssignment((0,) * m), Fraction(0), required, True)
-    rows, scales = integer_rows(inst)
+    rows = inst.int_rows
     head = _pareto_front(rows, range(m - m // 2))
     tail = _pareto_front(rows, range(m - m // 2, m))
     cols = list(zip(*tail))
@@ -105,7 +105,7 @@ def brute_force_max_nash(inst: Instance, limit=None) -> SearchResult:
             best_owner = owner + tail_owners[indexOf(scores(totals), welfare)]
     return SearchResult(
         best=DiscreteAssignment(best_owner),
-        welfare=Fraction(best_welfare, math.prod(scales)),
+        welfare=Fraction(best_welfare, math.prod(inst.scales)),
         nodes_explored=required,
         optimal=True,
     )
@@ -157,7 +157,7 @@ def max_nash_discrete(inst: Instance, budgets: Optional[SearchBudgets] = None) -
     """
     budgets = budgets or SearchBudgets()
     n, m = inst.n, inst.m
-    rows, scales = integer_rows(inst)
+    rows = inst.int_rows
     # compares utilities across agents, so it reads the unscaled ones
     order = sorted(range(m), key=lambda j: (-max(row[j] for row in inst.utilities), j))
     # suffix[k][i]: utility mass agent i could still gain from objects order[k:]
@@ -230,7 +230,7 @@ def max_nash_discrete(inst: Instance, budgets: Optional[SearchBudgets] = None) -
             break
     return SearchResult(
         best=DiscreteAssignment(best_owner),
-        welfare=Fraction(best_welfare, math.prod(scales)),
+        welfare=Fraction(best_welfare, math.prod(inst.scales)),
         nodes_explored=nodes,
         optimal=not truncated,
     )
@@ -305,9 +305,8 @@ def exists_ceei_frac_discrete(inst: Instance, budgets: Optional[SearchBudgets] =
     polynomial time, `budgets` unused) when every integer row is 0/1, else
     branch and bound, raising InconclusiveSearch if a budget truncated it.
     """
-    rows, _scales = integer_rows(inst)
-    if all(v == 0 or v == 1 for row in rows for v in row):
-        result = binary_max_nash(Instance(rows))
+    if all(v == 0 or v == 1 for row in inst.int_rows for v in row):
+        result = binary_max_nash(Instance(inst.int_rows))
     else:
         result = max_nash_discrete(inst, budgets)
         if not result.optimal:
@@ -420,8 +419,7 @@ def find_ceei_disc_identical(inst: Instance) -> Optional[DiscreteAssignment]:
         if row != inst.utilities[0]:
             raise NotIdenticalUtilities(i)
     n, m = inst.n, inst.m
-    rows, _scales = integer_rows(inst)
-    weights = rows[0]
+    weights = inst.int_rows[0]
 
     total = sum(weights)
     if total % n:
@@ -608,9 +606,8 @@ def exists_ceei_disc_bruteforce(inst: Instance, limit=None):
     bundle guard, which raises InstanceTooLarge past 16 objects.
     """
     _guard(inst, limit, inst.n**inst.m)
-    rows, _scales = integer_rows(inst)
     for owner in product(range(inst.n), repeat=inst.m):
-        if _first_envy(rows, owner) is None:
+        if _first_envy(inst.int_rows, owner) is None:
             y = DiscreteAssignment(owner)
             verdict = verify_ceei_disc(inst, y)
             if verdict.holds:

@@ -19,7 +19,6 @@ from ceei import (
     solve_eg,
 )
 from ceei.equilibrium import _certify_support
-from ceei.model import integer_rows
 from oracles import random_fractional_welfare
 
 
@@ -182,14 +181,14 @@ class TestSolveEg:
         assert kkt_residual(inst, sol.x, sol.p_star).max_violation == 0
 
     @pytest.mark.parametrize("seed", range(12))
-    def test_rational_rows_solve_like_their_integer_rows(self, seed):
-        # the solver reads the rows only as integer_rows, and row scaling
+    def test_rational_rows_solve_like_their_int_rows(self, seed):
+        # the solver reads the rows only as int_rows, and row scaling
         # rescales only that agent's utility
         rng = random.Random(700 + seed)
         n, m = rng.randint(2, 6), rng.randint(2, 12)
         base = gen_random(n, m, 30, seed=700 + seed)
         inst = Instance([[v / rng.randint(1, 12) for v in row] for row in base.utilities])
-        rows, scales = integer_rows(inst)
+        rows, scales = inst.int_rows, inst.scales
         assert any(s > 1 for s in scales)
         sol, integral = solve_eg(inst, seed=seed), solve_eg(Instance(rows), seed=seed)
         assert sol.u_star == tuple(u / s for u, s in zip(integral.u_star, scales))
@@ -252,7 +251,8 @@ class TestCertifySupport:
 
     @staticmethod
     def certify(utilities, tight):
-        rows, scales = integer_rows(Instance(utilities))
+        inst = Instance(utilities)
+        rows, scales = inst.int_rows, inst.scales
         return _certify_support(rows, scales, tight)
 
     def test_correct_guess_gives_the_exact_equilibrium(self):
@@ -314,7 +314,7 @@ class TestCertifierSoundness:
         for _ in range(150):
             inst = _sweep_instance(rng)
             sol = solve_eg(inst)
-            rows, scales = integer_rows(inst)
+            rows, scales = inst.int_rows, inst.scales
             tight = [[share > 0 for share in row] for row in sol.x.rows]
             x, u_star, p_star = _certify_support(rows, scales, tight)
             assert (x, u_star, p_star) == (sol.x, sol.u_star, sol.p_star)
@@ -324,7 +324,7 @@ class TestCertifierSoundness:
         accepted = rejected = 0
         for _ in range(150):
             inst = _sweep_instance(rng)
-            rows, scales = integer_rows(inst)
+            rows, scales = inst.int_rows, inst.scales
             for _ in range(20):
                 tight = [[v > 0 and rng.random() < 0.6 for v in row] for row in rows]
                 certified = _certify_support(rows, scales, tight)
@@ -339,7 +339,8 @@ class TestCertifierSoundness:
     def test_inconsistent_cycle_rejects_a_guess_whose_spanning_tree_certifies(self):
         # the walk prices both objects from agent 0 and reaches agent 1 through
         # object 0; edge (1, 1) then closes a cycle needing u_11 = 2, not 1
-        rows, scales = integer_rows(Instance([[2, 2], [2, 1]]))
+        inst = Instance([[2, 2], [2, 1]])
+        rows, scales = inst.int_rows, inst.scales
         assert _certify_support(rows, scales, [[1, 1], [1, 0]]) is not None
         assert _certify_support(rows, scales, [[1, 1], [1, 1]]) is None
 

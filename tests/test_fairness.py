@@ -28,7 +28,6 @@ from ceei import (
 )
 from ceei import simplex
 from ceei.fairness import _minimal_better_bundles, bundle_values
-from ceei.model import integer_rows
 from oracles import (
     all_discrete_assignments,
     bland_tableau,
@@ -190,7 +189,7 @@ def test_owner_beyond_the_agents_is_rejected(verifier, separation):
 def test_assignments_walk_int_totals_on_rational_utilities():
     inst = Instance([["1/2", "3/4", 2], [1, "5/6", "7/9"]])
     scales = (4, 18)
-    rows, _scales = integer_rows(inst)
+    rows = inst.int_rows
     walked = 0
     for owner in product(range(inst.n), repeat=inst.m):
         walked += 1
@@ -365,7 +364,7 @@ class TestVerifyDiscreteSupport:
     def test_minimal_better_bundles_at_the_guard(self):
         # m = 16 is the most the default bundle guard admits
         inst = gen_random(2, 16, 100, seed=0)
-        rows, _scales = integer_rows(inst)
+        rows = inst.int_rows
         own = bundle_values(rows, max_nash_discrete(inst).best.owner)
         started = time.perf_counter()
         minimal = _minimal_better_bundles(rows, own)

@@ -1,4 +1,6 @@
 import copy
+import dataclasses
+import math
 import pickle
 from fractions import Fraction
 
@@ -20,7 +22,6 @@ from ceei import (
     validate_instance,
     verify_ceei_disc,
 )
-from ceei.model import integer_rows
 from oracles import all_discrete_assignments
 
 _VALUES = [
@@ -80,19 +81,49 @@ class TestNashWelfare:
 
 
 class TestIntegerRows:
-    def test_integer_rows_keep_their_values(self, separation):
-        rows, scales = integer_rows(separation)
-        assert rows == [[95, 5, 2, 1], [1, 2, 5, 95]]
-        assert scales == [1, 1]
-        assert all(type(v) is int for row in rows for v in row)
+    def test_int_rows_keep_their_values(self, separation):
+        assert separation.int_rows == ((95, 5, 2, 1), (1, 2, 5, 95))
+        assert separation.scales == (1, 1)
+        assert all(type(v) is int for row in separation.int_rows for v in row)
 
     def test_each_row_scaled_by_its_denominators_lcm(self):
         inst = Instance([["1/2", "3/4", 2], [1, "5/6", "7/9"], ["0/1", 3, "2/3"]])
-        rows, scales = integer_rows(inst)
-        assert scales == [4, 18, 3]
-        assert rows == [[2, 3, 8], [18, 15, 14], [0, 9, 2]]
-        for row, scale, exact in zip(rows, scales, inst.utilities):
-            assert [Fraction(v, scale) for v in row] == list(exact)
+        assert inst.scales == (4, 18, 3)
+        assert inst.int_rows == ((2, 3, 8), (18, 15, 14), (0, 9, 2))
+        assert type(inst.int_rows) is tuple and all(type(row) is tuple for row in inst.int_rows)
+        for row, scale, exact in zip(inst.int_rows, inst.scales, inst.utilities):
+            assert tuple(Fraction(v, scale) for v in row) == exact
+
+    def test_rows_are_computed_once(self):
+        inst = Instance([["1/2", 1], [3, "2/3"]])
+        assert inst.int_rows is inst.int_rows
+        assert inst.scales is inst.scales
+
+    def test_equal_instances_have_equal_rows(self):
+        a, b = Instance([["2/4", 1]]), Instance([["1/2", 1]])
+        assert a.int_rows == ((1, 2),)  # read on one side only
+        assert a == b and hash(a) == hash(b)
+        assert (a.int_rows, a.scales) == (b.int_rows, b.scales) == (((1, 2),), (2,))
+
+    @pytest.mark.parametrize(
+        "round_trip",
+        [lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy, dataclasses.replace],
+        ids=["pickle", "copy", "deepcopy", "replace"],
+    )
+    @pytest.mark.parametrize("read_first", [False, True], ids=["unread", "read"])
+    def test_copies_have_equal_rows(self, round_trip, read_first):
+        inst = Instance([["1/2", "3/4", 2], [1, "5/6", "7/9"]])
+        if read_first:
+            inst.int_rows
+        twin = round_trip(inst)
+        assert twin == inst and hash(twin) == hash(inst)
+        assert (twin.int_rows, twin.scales) == (inst.int_rows, inst.scales)
+
+    def test_rows_cannot_be_assigned(self, separation):
+        for name in ("int_rows", "scales"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(separation, name, ((1,),))
+        assert separation.int_rows == ((95, 5, 2, 1), (1, 2, 5, 95))
 
 
 class TestValidateInstance:
@@ -235,6 +266,33 @@ class TestAssignments:
     def test_boolean_utility_is_rejected(self):
         with pytest.raises(TypeError, match="booleans are not valid utilities"):
             Instance([[True]])
+
+    # a string is iterable and its characters are digits: "95" once built
+    # the 1x2 instance ((9, 5),) and "12" a 2x1 one
+    @pytest.mark.parametrize("matrix", ["12", b"12", ["95"], [[1], "2"], [b"\x01\x02"]], ids=repr)
+    @pytest.mark.parametrize("build", [Instance, FractionalAssignment], ids=lambda c: c.__name__)
+    def test_string_matrices_and_rows_are_rejected(self, build, matrix):
+        with pytest.raises(TypeError):
+            build(matrix)
+
+    @pytest.mark.parametrize("prices", ["12", b"12"], ids=repr)
+    def test_string_price_vectors_are_rejected(self, prices):
+        with pytest.raises(TypeError):
+            PriceVector(prices)
+
+    def test_rows_may_come_from_an_iterator(self):
+        assert Instance(iter([[1, "1/2"], (2, 0)])) == Instance([[1, "1/2"], [2, 0]])
+
+    # Fraction raises OverflowError for an infinity but ValueError for NaN
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=repr)
+    @pytest.mark.parametrize(
+        "build",
+        [lambda v: Instance([[v]]), lambda v: PriceVector([v]), lambda v: FractionalAssignment([[v]])],
+        ids=["Instance", "PriceVector", "FractionalAssignment"],
+    )
+    def test_non_finite_floats_are_value_errors(self, build, value):
+        with pytest.raises(ValueError, match="is not a finite number"):
+            build(value)
 
     def test_ragged_fractional_rows_are_rejected(self):
         with pytest.raises(DimensionMismatch) as excinfo:

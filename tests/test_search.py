@@ -35,7 +35,6 @@ from ceei import (
 )
 from ceei import cli, search
 from ceei.fairness import DEFAULT_BUNDLE_LIMIT, DEFAULT_ENUM_LIMIT
-from ceei.model import integer_rows
 from oracles import (
     all_discrete_assignments,
     equal_split_exists,
@@ -302,7 +301,7 @@ class TestExistsFractionalSupport:
     )
     def test_rational_rows_take_the_binary_route_of_their_integer_copy(self, utilities):
         inst = Instance(utilities)
-        rows, _scales = integer_rows(inst)
+        rows = inst.int_rows
         assert all(v in (0, 1) for row in rows for v in row)
         # the budget would truncate branch and bound at once, so a decided
         # answer shows the binary route ran
@@ -602,12 +601,12 @@ def test_limit_none_is_the_default_and_zero_is_rejected(call, default):
 
 
 @pytest.mark.parametrize("seed", range(16))
-def test_answers_match_the_instance_with_integer_rows(seed):
+def test_answers_match_the_instance_with_int_rows(seed):
     # every answer reads the rows only through per-agent comparisons, price
     # ratios u_kj / v_k, or Nash welfare (which the scales multiply by their
     # product), so the instance with integer rows must give the same ones
     inst, rng = _rational_instance(seed)
-    rows, scales = integer_rows(inst)
+    rows, scales = inst.int_rows, inst.scales
     assert any(s > 1 for s in scales)
     scaled = Instance(rows)
     scale = Fraction(math.prod(scales))
