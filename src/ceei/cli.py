@@ -36,7 +36,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 from . import search
-from .equilibrium import SolverConfig, solve_eg
+from .equilibrium import solve_eg
 from .errors import (
     CeeiError,
     InconclusiveSearch,
@@ -126,10 +126,6 @@ def _build_parser():
 
     solve = sub.add_parser("solve", help="compute the fractional equilibrium")
     solve.add_argument("instance", help="path to an instance document")
-    solve.add_argument(
-        "--tolerance", type=float, default=1e-10, help="relative duality gap at which the solver gives up"
-    )
-    solve.add_argument("--max-iter", type=int, default=100_000, help="budget of Newton steps")
     solve.add_argument("--seed", type=int, default=None, help="seed for randomized starting prices")
     solve.set_defaults(handler=_cmd_solve)
 
@@ -159,13 +155,6 @@ def _build_parser():
         help="at least 1: node budget of the mnw and ceei-frac branch and bound (ignored by"
         " ceei-frac on 0/1 rows); the n^m guard of ceei-disc; ignored by binary-mnw and"
         " identical-ceei-disc",
-    )
-    searchp.add_argument(
-        "--limit-seconds",
-        type=float,
-        default=None,
-        help="time budget of the mnw and ceei-frac branch and bound;"
-        " ignored by ceei-disc, binary-mnw and identical-ceei-disc",
     )
     searchp.set_defaults(handler=_cmd_search)
 
@@ -199,9 +188,8 @@ def _limit(text):
 
 def _cmd_solve(args):
     inst = parse_instance(_read(args.instance))
-    config = SolverConfig(convergence_tolerance=args.tolerance, max_iterations=args.max_iter)
-    solution = solve_eg(inst, config, seed=args.seed)
-    report = _report("solve", inst, {"tolerance": args.tolerance, "max_iter": args.max_iter, "seed": args.seed})
+    solution = solve_eg(inst, seed=args.seed)
+    report = _report("solve", inst, {"seed": args.seed})
     report["result"] = {
         "u_star": [_number(u) for u in solution.u_star],
         "p_star": [_number(p) for p in solution.p_star],
@@ -235,12 +223,8 @@ def _cmd_check(args):
 
 def _cmd_search(args):
     inst = parse_instance(_read(args.instance))
-    budgets = search.SearchBudgets(max_nodes=args.limit_nodes, max_seconds=args.limit_seconds)
-    report = _report(
-        "search",
-        inst,
-        {"target": args.target, "limit_nodes": args.limit_nodes, "limit_seconds": args.limit_seconds},
-    )
+    budgets = search.SearchBudgets(max_nodes=args.limit_nodes)
+    report = _report("search", inst, {"target": args.target, "limit_nodes": args.limit_nodes})
 
     if args.target in ("mnw", "binary-mnw"):
         result = search.max_nash_discrete(inst, budgets) if args.target == "mnw" else search.binary_max_nash(inst)

@@ -24,8 +24,8 @@ end's is u_ij over the near end's.  Optimality is one cross-multiplied
 comparison per entry over the prices' common denominator, and the money flow
 runs on the same nodes with int capacities scaled by that denominator.  Every
 returned solution is therefore exact, with a residual of literally zero; when
-no guess certifies before the relative duality gap falls below the
-tolerance, or within the step budget, the solver raises NonConvergence.
+no guess certifies before the relative duality gap falls below 1e-10, or
+within 100,000 Newton steps, the solver raises NonConvergence.
 
 numpy is imported inside `solve_eg`, so importing this module (and the CLI)
 does not load it.
@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ._flow import max_flow
 from .errors import (
@@ -49,24 +49,14 @@ from .model import (
     FractionalAssignment,
     Instance,
     PriceVector,
+    _rational_row,
     as_fractional,
-    to_rational,
     validate_instance,
 )
 
 _CENTRED = 0.5  # Newton decrement below which an iterate counts as centred
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    convergence_tolerance: float = 1e-10  # relative duality gap at which the solver gives up
-    max_iterations: int = 100_000  # Newton steps
-
-    def __post_init__(self):
-        if not 0 < self.convergence_tolerance < math.inf:
-            raise ValueError("convergence_tolerance must be finite and positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+_GAP_FLOOR = 1e-10  # relative duality gap below which the solver gives up
+_MAX_STEPS = 100_000  # Newton steps before the solver gives up
 
 
 @dataclass(frozen=True)
@@ -112,7 +102,7 @@ def equilibrium_prices_from_utilities(inst: Instance, utilities: Sequence) -> Pr
     so an object's price is pinned by the agent extracting the most from it.
     Raises ZeroUtility if some u_i is zero.
     """
-    u = [to_rational(v) for v in utilities]
+    u = _rational_row(utilities)
     if len(u) != inst.n:
         raise DimensionMismatch("utility vector", inst.n, len(u))
     for i, v in enumerate(u):
@@ -133,7 +123,7 @@ def kkt_residual(inst: Instance, allocation, prices) -> ResidualReport:
     the agent's best ratio, on every positive entry.
     """
     rows = _allocation_rows(inst, allocation)
-    p = [to_rational(v) for v in (prices.prices if isinstance(prices, PriceVector) else prices)]
+    p = _rational_row(prices)
     if len(p) != inst.m:
         raise DimensionMismatch("price vector", inst.m, len(p))
 
@@ -166,18 +156,17 @@ def kkt_residual(inst: Instance, allocation, prices) -> ResidualReport:
     return ResidualReport(clearing, budget, worst_gap, negativity)
 
 
-def solve_eg(inst: Instance, config: Optional[SolverConfig] = None, seed=None) -> EquilibriumSolution:
+def solve_eg(inst: Instance, seed=None) -> EquilibriumSolution:
     """Maximize the sum of log utilities over fractional assignments.
 
     Returns the exact equilibrium allocation, the (unique) utility and price
     vectors, and the number of Newton steps taken.  `seed` switches the
     uniform starting prices to seeded random ones; the answer does not depend
     on it.  Raises NonConvergence if no support guess certifies before the
-    duality gap falls below the tolerance or the step budget runs out.
+    duality gap falls below 1e-10 or within 100,000 Newton steps.
     """
     import numpy as np
 
-    cfg = config or SolverConfig()
     violations = validate_instance(inst)
     if violations:
         raise InvariantError(violations)
@@ -201,7 +190,7 @@ def solve_eg(inst: Instance, config: Optional[SolverConfig] = None, seed=None) -
     guess = np.zeros((n, m), dtype=bool)  # the first guess always differs: no object is held
     # a float fault surfaces as a non-finite Newton step, which ends the solve
     with np.errstate(all="ignore"):
-        for iterations in range(1, cfg.max_iterations + 1):
+        for iterations in range(1, _MAX_STEPS + 1):
             t = edge_count / (n * gap)
             s = p - u * beta[:, None]
             w = edges / s  # 1/s on edges, 0 elsewhere
@@ -255,7 +244,7 @@ def solve_eg(inst: Instance, config: Optional[SolverConfig] = None, seed=None) -
                         kkt_residual=0.0,
                         certified=True,
                     )
-            if gap < cfg.convergence_tolerance:
+            if gap < _GAP_FLOOR:
                 break
             gap /= 10
 
@@ -266,7 +255,7 @@ def _allocation_rows(inst, allocation):
     x = allocation
     if hasattr(x, "to_fractional") or isinstance(x, FractionalAssignment):
         return as_fractional(inst, x).rows
-    rows = [tuple(to_rational(v) for v in row) for row in x]
+    rows = [_rational_row(row) for row in x]
     if len(rows) != inst.n:
         raise DimensionMismatch("allocation rows", inst.n, len(rows))
     for i, row in enumerate(rows):

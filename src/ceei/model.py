@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence, Union
@@ -17,12 +18,15 @@ from .errors import DimensionMismatch, InvalidAssignment, InvariantError, bounde
 
 
 def to_rational(value) -> Fraction:
-    """Coerce ints, strings like '19/20', finite floats and Fractions to Fraction."""
+    """Coerce ints, strings like '19/20', finite floats and Decimals, and Fractions to Fraction."""
     if type(value) is Fraction:
         return value  # immutable, so it can be shared
     if isinstance(value, bool):
         raise TypeError("booleans are not valid utilities")
-    if isinstance(value, float) and not math.isfinite(value):
+    # Decimal.is_finite, since math.isfinite would round Decimal("1e400") to inf
+    if (isinstance(value, float) and not math.isfinite(value)) or (
+        isinstance(value, Decimal) and not value.is_finite()
+    ):
         raise ValueError(f"{value} is not a finite number")
     return Fraction(value)
 
@@ -327,7 +331,7 @@ def bundle_utility(inst: Instance, agent: int, row: Sequence) -> Fraction:
     `row` holds one share in [0, 1] per object; a discrete bundle is the
     special case of 0/1 shares.
     """
-    shares = [to_rational(v) for v in row]
+    shares = _rational_row(row)
     if len(shares) != inst.m:
         raise DimensionMismatch("allocation row", inst.m, len(shares))
     if not 0 <= agent < inst.n:

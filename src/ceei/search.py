@@ -24,7 +24,6 @@ divides out the product of `Instance.scales`.
 from __future__ import annotations
 
 import math
-import time
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,13 +49,10 @@ from .model import DiscreteAssignment, Instance
 @dataclass(frozen=True)
 class SearchBudgets:
     max_nodes: Optional[int] = None
-    max_seconds: Optional[float] = None
 
     def __post_init__(self):
         if self.max_nodes is not None and self.max_nodes < 1:
             raise ValueError("max_nodes must be at least 1")
-        if self.max_seconds is not None and not 0 <= self.max_seconds < math.inf:
-            raise ValueError("max_seconds must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -64,7 +60,7 @@ class SearchResult:
     best: DiscreteAssignment
     welfare: Fraction
     nodes_explored: int
-    optimal: bool  # False when a node or time budget truncated the search
+    optimal: bool  # False when the node budget truncated the search
 
 
 def brute_force_max_nash(inst: Instance, limit=None) -> SearchResult:
@@ -150,10 +146,10 @@ def max_nash_discrete(inst: Instance, budgets: Optional[SearchBudgets] = None) -
     weighted value to the weighted sum, and the product is at most the
     n-th power of that sum's mean.  Ties are kept, so welfare ties resolve
     toward the lexicographically smaller owner vector, matching the
-    enumeration oracle.  Exhausting a node or time budget truncates the
-    search and sets `optimal = False` instead of raising; the result is then
-    the greedy assignment or a better one.  Both bounds need the
-    nonnegative utilities that `Instance` guarantees.
+    enumeration oracle.  Exhausting the node budget truncates the search
+    and sets `optimal = False` instead of raising; the result is then the
+    greedy assignment or a better one.  Both bounds need the nonnegative
+    utilities that `Instance` guarantees.
     """
     budgets = budgets or SearchBudgets()
     n, m = inst.n, inst.m
@@ -179,7 +175,6 @@ def max_nash_discrete(inst: Instance, budgets: Optional[SearchBudgets] = None) -
         reach[k] = reach[k + 1] + max(row[order[k]] for row in weighted)
     amgm_scale = n**n * whole ** (n - 1)
 
-    deadline = time.monotonic() + budgets.max_seconds if budgets.max_seconds is not None else None
     best_owner, best_welfare = _greedy(rows, order, weighted)
     amgm_floor = _root_ceil(best_welfare * amgm_scale, n)
     owner = [0] * m
@@ -194,9 +189,7 @@ def max_nash_discrete(inst: Instance, budgets: Optional[SearchBudgets] = None) -
     k = 0
     while True:
         nodes += 1
-        if (budgets.max_nodes is not None and nodes >= budgets.max_nodes) or (
-            deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline
-        ):
+        if budgets.max_nodes is not None and nodes >= budgets.max_nodes:
             truncated = True
             break
         if k == m:
@@ -303,7 +296,7 @@ def exists_ceei_frac_discrete(inst: Instance, budgets: Optional[SearchBudgets] =
     when it reaches the welfare optimum of the fractional relaxation, so it
     suffices to test one discrete welfare maximizer: `binary_max_nash` (in
     polynomial time, `budgets` unused) when every integer row is 0/1, else
-    branch and bound, raising InconclusiveSearch if a budget truncated it.
+    branch and bound, raising InconclusiveSearch if its node budget truncated it.
     """
     if all(v == 0 or v == 1 for row in inst.int_rows for v in row):
         result = binary_max_nash(Instance(inst.int_rows))

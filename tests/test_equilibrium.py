@@ -4,12 +4,13 @@ from fractions import Fraction
 import pytest
 
 from ceei import (
+    DimensionMismatch,
     DiscreteAssignment,
+    FractionalAssignment,
     Instance,
     InstanceViolation,
     InvariantError,
     NonConvergence,
-    SolverConfig,
     ZeroUtility,
     bundle_utility,
     equilibrium_prices_from_utilities,
@@ -66,28 +67,21 @@ class TestSolveEg:
             sol = solve_eg(inst)
             assert sum(sol.p_star.prices) == inst.n
 
-    def test_no_convergence_in_one_iteration(self, separation):
+    def test_no_convergence_in_one_iteration(self, separation, monkeypatch):
+        monkeypatch.setattr("ceei.equilibrium._MAX_STEPS", 1)
         with pytest.raises(NonConvergence) as excinfo:
-            solve_eg(separation, SolverConfig(max_iterations=1))
+            solve_eg(separation)
         assert excinfo.value.iterations == 1
         assert excinfo.value.residual > 1e-8
 
-    def test_no_convergence_once_the_gap_is_below_the_tolerance(self):
+    def test_no_convergence_once_the_gap_is_below_the_tolerance(self, monkeypatch):
         # no support guess certifies before the gap falls under a loose
         # tolerance, so the solver gives up after the step that got it there
+        monkeypatch.setattr("ceei.equilibrium._GAP_FLOOR", 0.5)
         with pytest.raises(NonConvergence) as excinfo:
-            solve_eg(gen_random(4, 8, 100, seed=1), SolverConfig(convergence_tolerance=0.5))
+            solve_eg(gen_random(4, 8, 100, seed=1))
         assert excinfo.value.iterations == 6
         assert excinfo.value.residual == 0.1
-
-    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), 0.0, -1e-10])
-    def test_tolerance_must_be_finite_and_positive(self, tolerance):
-        with pytest.raises(ValueError, match="finite and positive"):
-            SolverConfig(convergence_tolerance=tolerance)
-
-    def test_step_budget_must_be_positive(self):
-        with pytest.raises(ValueError, match="max_iterations must be at least 1"):
-            SolverConfig(max_iterations=0)
 
     def test_zero_column_is_an_invariant_error(self):
         with pytest.raises(InvariantError) as excinfo:
@@ -399,3 +393,45 @@ class TestKktResidual:
             [Fraction(-1, 4)],
         )
         assert report.price_negativity == Fraction(1, 4)
+
+    def test_valued_free_object_beats_every_priced_one(self):
+        # each agent values object 1, which costs nothing, so holding the
+        # priced object 0 misses the best ratio by all of it
+        report = kkt_residual(Instance([[1, 1], [1, 1]]), [[1, 0], [0, 1]], [1, 0])
+        assert report.bang_per_buck == 1
+
+
+_SQUARE = Instance([[1, 1], [1, 1]])
+_SHAPE_ERRORS = [
+    (lambda: equilibrium_prices_from_utilities(_SQUARE, [1]), "utility vector", 2, 1),
+    (lambda: kkt_residual(_SQUARE, [[1, 0], [0, 1]], [1]), "price vector", 2, 1),
+    (lambda: kkt_residual(_SQUARE, [[1, 1]], [1, 1]), "allocation rows", 2, 1),
+    (lambda: kkt_residual(_SQUARE, [[1, 0], [0]], [1, 1]), "allocation row 1", 2, 1),
+    (lambda: nash_welfare(_SQUARE, DiscreteAssignment([0, 1, 1])), "assignment", 2, 3),
+    (lambda: nash_welfare(_SQUARE, FractionalAssignment([[1, 1]])), "assignment rows", 2, 1),
+    (lambda: nash_welfare(_SQUARE, FractionalAssignment([[1], [0]])), "assignment columns", 2, 1),
+    (lambda: bundle_utility(_SQUARE, 2, [1, 0]), "agent index", 2, 2),
+]
+
+
+class TestRawIntake:
+    # a str is iterable and its characters are digits, so "10" once read as (1, 0)
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: kkt_residual(_SQUARE, ["10", "01"], [1, 1]),
+            lambda: kkt_residual(_SQUARE, [[1, 0], [0, 1]], "11"),
+            lambda: equilibrium_prices_from_utilities(_SQUARE, "12"),
+            lambda: bundle_utility(Instance([[3, 5]]), 0, "10"),
+        ],
+        ids=["allocation rows", "prices", "utilities", "bundle row"],
+    )
+    def test_string_vectors_are_rejected(self, call):
+        with pytest.raises(TypeError, match="not str"):
+            call()
+
+    @pytest.mark.parametrize("call, what, expected, got", _SHAPE_ERRORS, ids=[case[1] for case in _SHAPE_ERRORS])
+    def test_wrong_shapes_name_what_mismatched(self, call, what, expected, got):
+        with pytest.raises(DimensionMismatch) as excinfo:
+            call()
+        assert (excinfo.value.what, excinfo.value.expected, excinfo.value.got) == (what, expected, got)

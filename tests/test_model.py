@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import pickle
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -284,7 +285,11 @@ class TestAssignments:
         assert Instance(iter([[1, "1/2"], (2, 0)])) == Instance([[1, "1/2"], [2, 0]])
 
     # Fraction raises OverflowError for an infinity but ValueError for NaN
-    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=repr)
+    @pytest.mark.parametrize(
+        "value",
+        [math.inf, -math.inf, math.nan, Decimal("Infinity"), Decimal("-Infinity"), Decimal("NaN"), Decimal("sNaN")],
+        ids=repr,
+    )
     @pytest.mark.parametrize(
         "build",
         [lambda v: Instance([[v]]), lambda v: PriceVector([v]), lambda v: FractionalAssignment([[v]])],
@@ -293,6 +298,9 @@ class TestAssignments:
     def test_non_finite_floats_are_value_errors(self, build, value):
         with pytest.raises(ValueError, match="is not a finite number"):
             build(value)
+
+    def test_decimal_beyond_float_range_stays_exact(self):
+        assert PriceVector([Decimal("1e400")]).prices == (10**400,)
 
     def test_ragged_fractional_rows_are_rejected(self):
         with pytest.raises(DimensionMismatch) as excinfo:
