@@ -45,7 +45,7 @@ from .errors import (
     SchemaError,
 )
 from .fairness import (
-    bundle_values,
+    _check_limit,
     is_envy_free,
     is_pareto_optimal_discrete,
     verify_ceei_disc,
@@ -68,6 +68,7 @@ from .model import (
     KktViolation,
     PriceSupport,
     ViolatingBundle,
+    bundle_values,
 )
 
 EXIT_HOLDS = 0
@@ -175,14 +176,13 @@ def _build_parser():
 
 
 def _limit(text):
-    """The type of --limit-nodes: an int of at least 1, for every command
-    that takes it, whether or not its target uses it."""
+    """The type of --limit-nodes: an int that passes `_check_limit`, for every
+    command that takes it, whether or not its target uses it."""
     try:
         value = int(text)
+        _check_limit(value)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an int of at least 1, not {text!r}")
+        raise argparse.ArgumentTypeError(f"must be an int of at least 1, not {text!r}") from None
     return value
 
 
@@ -223,11 +223,11 @@ def _cmd_check(args):
 
 def _cmd_search(args):
     inst = parse_instance(_read(args.instance))
-    budgets = search.SearchBudgets(max_nodes=args.limit_nodes)
-    report = _report("search", inst, {"target": args.target, "limit_nodes": args.limit_nodes})
+    limit = args.limit_nodes
+    report = _report("search", inst, {"target": args.target, "limit_nodes": limit})
 
     if args.target in ("mnw", "binary-mnw"):
-        result = search.max_nash_discrete(inst, budgets) if args.target == "mnw" else search.binary_max_nash(inst)
+        result = search.max_nash_discrete(inst, limit=limit) if args.target == "mnw" else search.binary_max_nash(inst)
         report["result"] = {
             "status": "optimal" if result.optimal else "truncated",
             "owner": list(result.best.owner),
@@ -240,7 +240,7 @@ def _cmd_search(args):
     extra = {}
     if args.target == "ceei-frac":
         try:
-            found = search.exists_ceei_frac_discrete(inst, budgets)
+            found = search.exists_ceei_frac_discrete(inst, limit=limit)
         except InconclusiveSearch as exc:
             report["result"] = {
                 "status": "inconclusive",
@@ -249,7 +249,7 @@ def _cmd_search(args):
             }
             return report, EXIT_INCONCLUSIVE
     elif args.target == "ceei-disc":
-        found, prices = search.exists_ceei_disc_bruteforce(inst, limit=args.limit_nodes) or (None, ())
+        found, prices = search.exists_ceei_disc_bruteforce(inst, limit=limit) or (None, ())
         extra = {"prices": [_number(p) for p in prices]}
     else:
         found = search.find_ceei_disc_identical(inst)

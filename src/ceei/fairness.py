@@ -15,26 +15,27 @@ Four notions are decided here:
   pruned walk per agent) with `simplex.maximize`, an integer-pivoting
   simplex on 0/±1 rows whose optimum and prices are exact rationals.
 
-Every verdict reads the int rows `Instance.int_rows` and bundle values from
-`bundle_values`.  `Instance` rejects negative utilities, so adding an
+Every verdict checks its assignment with `model.check_assignment`, then
+reads the int rows `Instance.int_rows` and bundle values from
+`model.bundle_values`.  `Instance` rejects negative utilities, so adding an
 object never lowers a bundle's value; the Pareto prunes and the bundle walk
 rely on it.  Every enumeration, here and in `search`, passes one guard
 (`_guard`): a `limit` of None means DEFAULT_BUNDLE_LIMIT for the 2^m
-bundles of `verify_ceei_disc` and DEFAULT_ENUM_LIMIT for every n^m walk,
-and a limit below 1 is rejected.  The exhaustive searches in `search` visit
-owner vectors in lexicographic order, with no recursion; the Pareto test
-visits the same order under the same limit but prunes it.
+bundles of `verify_ceei_disc` and DEFAULT_ENUM_LIMIT for every n^m walk.
+`_check_limit` rejects a limit below 1, here and in `search`'s node limit.
+The exhaustive searches in `search` visit owner vectors in lexicographic
+order, with no recursion; the Pareto test visits the same order under the
+same limit but prunes it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import ge
 from typing import Optional
 
 from . import simplex
-from .errors import DimensionMismatch, InstanceTooLarge, InvalidAssignment, InvariantError
+from .errors import InstanceTooLarge, InvariantError
 from .model import (
     Certificate,
     DiscreteAssignment,
@@ -46,6 +47,8 @@ from .model import (
     PriceSupport,
     PriceVector,
     ViolatingBundle,
+    bundle_values,
+    check_assignment,
 )
 
 DEFAULT_ENUM_LIMIT = 20_000_000
@@ -58,33 +61,19 @@ class Verdict:
     certificate: Optional[Certificate]
 
 
-def bundle_values(rows, owner):
-    """values[k]: rows[k] summed over the objects `owner` gives agent k.
-
-    Pass one row n times to value every bundle with that row (`_first_envy`).
-    """
-    values = [0] * len(rows)
-    for j, k in enumerate(owner):
-        values[k] += rows[k][j]
-    return values
+def _check_limit(limit):
+    """Raise ValueError for an enumeration limit below 1; None passes."""
+    if limit is not None and limit < 1:
+        raise ValueError(f"an enumeration limit must be at least 1, not {limit}")
 
 
 def _guard(inst: Instance, limit, required, default=DEFAULT_ENUM_LIMIT):
-    """Raise ValueError for a `limit` below 1 (None means `default`) and
-    InstanceTooLarge when an enumeration of `required` steps exceeds it."""
+    """`_check_limit`, then InstanceTooLarge when an enumeration of
+    `required` steps exceeds `limit` (None means `default`)."""
+    _check_limit(limit)
     limit = default if limit is None else limit
-    if limit < 1:
-        raise ValueError(f"an enumeration limit must be at least 1, not {limit}")
     if required > limit:
         raise InstanceTooLarge(inst.n, inst.m, limit, required)
-
-
-def check_assignment(inst: Instance, y: DiscreteAssignment):
-    """Raise unless y is a complete assignment of this instance's objects."""
-    if y.m != inst.m:
-        raise DimensionMismatch("assignment", inst.m, y.m)
-    if any(o >= inst.n for o in y.owner):
-        raise InvalidAssignment(f"owner index out of range for {inst.n} agents")
 
 
 def is_envy_free(inst: Instance, y: DiscreteAssignment) -> Verdict:

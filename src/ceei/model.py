@@ -325,6 +325,25 @@ Certificate = Union[EnvyPair, DominatingAssignment, PriceSupport, ViolatingBundl
 # ---------------------------------------------------------------------------
 
 
+def check_assignment(inst: Instance, y: DiscreteAssignment):
+    """Raise unless y is a complete assignment of this instance's objects."""
+    if y.m != inst.m:
+        raise DimensionMismatch("assignment", inst.m, y.m)
+    if any(o >= inst.n for o in y.owner):
+        raise InvalidAssignment(f"owner index out of range for {inst.n} agents")
+
+
+def bundle_values(rows, owner):
+    """values[k]: rows[k] summed over the objects `owner` gives agent k.
+
+    Pass one row n times to value every bundle with that row (`fairness._first_envy`).
+    """
+    values = [0] * len(rows)
+    for j, k in enumerate(owner):
+        values[k] += rows[k][j]
+    return values
+
+
 def bundle_utility(inst: Instance, agent: int, row: Sequence) -> Fraction:
     """Additive utility of `agent` for an allocation row, exactly.
 
@@ -335,37 +354,33 @@ def bundle_utility(inst: Instance, agent: int, row: Sequence) -> Fraction:
     if len(shares) != inst.m:
         raise DimensionMismatch("allocation row", inst.m, len(shares))
     if not 0 <= agent < inst.n:
-        raise DimensionMismatch("agent index", inst.n, agent)
+        raise InvalidAssignment(f"agent index {bounded(agent)} out of range for {inst.n} agents")
     u = inst.utilities[agent]
     return sum((s * u[j] for j, s in enumerate(shares)), Fraction(0))
 
 
 def agent_utilities(inst: Instance, x) -> tuple:
     """Utility vector of an assignment (fractional or discrete), exactly."""
+    if isinstance(x, DiscreteAssignment):
+        check_assignment(inst, x)
+        return tuple(map(Fraction, bundle_values(inst.utilities, x.owner)))
     x = as_fractional(inst, x)
     return tuple(bundle_utility(inst, i, x.rows[i]) for i in range(inst.n))
 
 
 def nash_welfare(inst: Instance, x) -> Fraction:
-    """Product of all agent utilities; 0 as soon as one agent gets nothing."""
-    welfare = Fraction(1)
-    for u in agent_utilities(inst, x):
-        if u == 0:
-            return Fraction(0)
-        welfare *= u
-    return welfare
+    """Product of all agent utilities; 0 when some agent gets nothing."""
+    return math.prod(agent_utilities(inst, x))
 
 
 def as_fractional(inst: Instance, x) -> FractionalAssignment:
-    """Normalize discrete or fractional input to a FractionalAssignment."""
+    """Normalize discrete or fractional input, or raw rows, to a FractionalAssignment."""
     if isinstance(x, DiscreteAssignment):
-        if x.m != inst.m:
-            raise DimensionMismatch("assignment", inst.m, x.m)
+        check_assignment(inst, x)
         return x.to_fractional(inst.n)
-    if isinstance(x, FractionalAssignment):
-        if x.n != inst.n:
-            raise DimensionMismatch("assignment rows", inst.n, x.n)
-        if x.m != inst.m:
-            raise DimensionMismatch("assignment columns", inst.m, x.m)
-        return x
-    return FractionalAssignment(x)
+    x = x if isinstance(x, FractionalAssignment) else FractionalAssignment(x)
+    if x.n != inst.n:
+        raise DimensionMismatch("assignment rows", inst.n, x.n)
+    if x.m != inst.m:
+        raise DimensionMismatch("assignment columns", inst.m, x.m)
+    return x

@@ -38,21 +38,13 @@ from .errors import (
     NotIdenticalUtilities,
 )
 from .fairness import (
+    _check_limit,
     _first_envy,
     _guard,
     verify_ceei_disc,
     verify_ceei_frac,
 )
 from .model import DiscreteAssignment, Instance
-
-
-@dataclass(frozen=True)
-class SearchBudgets:
-    max_nodes: Optional[int] = None
-
-    def __post_init__(self):
-        if self.max_nodes is not None and self.max_nodes < 1:
-            raise ValueError("max_nodes must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -134,7 +126,7 @@ def _exceeded(vectors, t):
     return bool(vectors)
 
 
-def max_nash_discrete(inst: Instance, budgets: Optional[SearchBudgets] = None) -> SearchResult:
+def max_nash_discrete(inst: Instance, limit=None) -> SearchResult:
     """Branch-and-bound welfare maximization over discrete assignments.
 
     Objects are assigned in decreasing order of their best single-agent
@@ -146,12 +138,12 @@ def max_nash_discrete(inst: Instance, budgets: Optional[SearchBudgets] = None) -
     weighted value to the weighted sum, and the product is at most the
     n-th power of that sum's mean.  Ties are kept, so welfare ties resolve
     toward the lexicographically smaller owner vector, matching the
-    enumeration oracle.  Exhausting the node budget truncates the search
-    and sets `optimal = False` instead of raising; the result is then the
-    greedy assignment or a better one.  Both bounds need the nonnegative
-    utilities that `Instance` guarantees.
+    enumeration oracle.  Reaching `limit` nodes (None: no limit; below 1: a
+    ValueError) truncates the search and sets `optimal = False` instead of
+    raising; the result is then the greedy assignment or a better one.  Both
+    bounds need the nonnegative utilities that `Instance` guarantees.
     """
-    budgets = budgets or SearchBudgets()
+    _check_limit(limit)
     n, m = inst.n, inst.m
     rows = inst.int_rows
     # compares utilities across agents, so it reads the unscaled ones
@@ -189,7 +181,7 @@ def max_nash_discrete(inst: Instance, budgets: Optional[SearchBudgets] = None) -
     k = 0
     while True:
         nodes += 1
-        if budgets.max_nodes is not None and nodes >= budgets.max_nodes:
+        if limit is not None and nodes >= limit:
             truncated = True
             break
         if k == m:
@@ -289,19 +281,20 @@ def _greedy(rows, order, weighted):
     return tuple(owner if welfare else [0] * m), welfare
 
 
-def exists_ceei_frac_discrete(inst: Instance, budgets: Optional[SearchBudgets] = None):
+def exists_ceei_frac_discrete(inst: Instance, limit=None):
     """Return a discrete assignment with fractional price support, or None.
 
     A discrete assignment is supportable against fractional demand exactly
     when it reaches the welfare optimum of the fractional relaxation, so it
     suffices to test one discrete welfare maximizer: `binary_max_nash` (in
-    polynomial time, `budgets` unused) when every integer row is 0/1, else
-    branch and bound, raising InconclusiveSearch if its node budget truncated it.
+    polynomial time, `limit` checked but unused) when every integer row is
+    0/1, else branch and bound, raising InconclusiveSearch if `limit` truncated it.
     """
+    _check_limit(limit)
     if all(v == 0 or v == 1 for row in inst.int_rows for v in row):
         result = binary_max_nash(Instance(inst.int_rows))
     else:
-        result = max_nash_discrete(inst, budgets)
+        result = max_nash_discrete(inst, limit)
         if not result.optimal:
             raise InconclusiveSearch(result.nodes_explored, result.welfare)
     if verify_ceei_frac(inst, result.best).holds:

@@ -9,6 +9,7 @@ from ceei import (
     FractionalAssignment,
     Instance,
     InstanceViolation,
+    InvalidAssignment,
     InvariantError,
     NonConvergence,
     ZeroUtility,
@@ -410,8 +411,12 @@ _SHAPE_ERRORS = [
     (lambda: nash_welfare(_SQUARE, DiscreteAssignment([0, 1, 1])), "assignment", 2, 3),
     (lambda: nash_welfare(_SQUARE, FractionalAssignment([[1, 1]])), "assignment rows", 2, 1),
     (lambda: nash_welfare(_SQUARE, FractionalAssignment([[1], [0]])), "assignment columns", 2, 1),
-    (lambda: bundle_utility(_SQUARE, 2, [1, 0]), "agent index", 2, 2),
 ]
+# raw rows meet the same shape checks as a FractionalAssignment
+_RAW_ROW_ERRORS = {
+    "raw rows, one short": (lambda: nash_welfare(_SQUARE, [[1, 1]]), "assignment rows", 2, 1),
+    "raw rows, one over": (lambda: nash_welfare(_SQUARE, [[1, 0], [0, 1], [0, 0]]), "assignment rows", 2, 3),
+}
 
 
 class TestRawIntake:
@@ -430,8 +435,16 @@ class TestRawIntake:
         with pytest.raises(TypeError, match="not str"):
             call()
 
-    @pytest.mark.parametrize("call, what, expected, got", _SHAPE_ERRORS, ids=[case[1] for case in _SHAPE_ERRORS])
+    @pytest.mark.parametrize(
+        "call, what, expected, got",
+        _SHAPE_ERRORS + list(_RAW_ROW_ERRORS.values()),
+        ids=[case[1] for case in _SHAPE_ERRORS] + list(_RAW_ROW_ERRORS),
+    )
     def test_wrong_shapes_name_what_mismatched(self, call, what, expected, got):
         with pytest.raises(DimensionMismatch) as excinfo:
             call()
         assert (excinfo.value.what, excinfo.value.expected, excinfo.value.got) == (what, expected, got)
+
+    def test_agent_index_out_of_range_is_an_invalid_assignment(self):
+        with pytest.raises(InvalidAssignment, match="^agent index 2 out of range for 2 agents$"):
+            bundle_utility(_SQUARE, 2, [1, 0])

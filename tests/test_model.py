@@ -16,6 +16,7 @@ from ceei import (
     InvalidAssignment,
     InvariantError,
     PriceVector,
+    agent_utilities,
     brute_force_max_nash,
     bundle_utility,
     nash_welfare,
@@ -79,6 +80,26 @@ class TestNashWelfare:
         for y in all_discrete_assignments(2, 4):
             swapped = DiscreteAssignment([1 - o for o in y.owner])
             assert nash_welfare(separation, y) == nash_welfare(flipped, swapped)
+
+
+class TestAgentUtilities:
+    @pytest.mark.parametrize(
+        "utilities",
+        [
+            [[19, 1, 1, 19], [1, 100, 1, 1]],
+            [[1, "1/2", 0], ["2/3", 0, 3]],
+            [["1/3", "1/3", 0], [0, "1/2", "1/2"], ["3/4", 0, 1]],
+        ],
+    )
+    def test_owner_vector_matches_its_fractional_matrix(self, utilities):
+        # every instance has owner vectors leaving some agent an empty bundle
+        inst = Instance(utilities)
+        for y in all_discrete_assignments(inst.n, inst.m):
+            x = y.to_fractional(inst.n)
+            values = agent_utilities(inst, y)
+            assert values == agent_utilities(inst, x)
+            assert all(type(v) is Fraction for v in values)
+            assert nash_welfare(inst, y) == nash_welfare(inst, x)
 
 
 class TestIntegerRows:

@@ -15,7 +15,6 @@ from ceei import (
     InvariantError,
     NotBinary,
     NotIdenticalUtilities,
-    SearchBudgets,
     SearchResult,
     binary_max_nash,
     brute_force_max_nash,
@@ -173,7 +172,7 @@ class TestBranchAndBound:
         assert bounded.best == exhaustive.best  # shared lexicographic tie-break
 
     def test_node_budget_truncates_instead_of_raising(self, separation):
-        result = max_nash_discrete(separation, SearchBudgets(max_nodes=3))
+        result = max_nash_discrete(separation, limit=3)
         assert not result.optimal
         assert result.nodes_explored <= 3
         assert result.welfare == nash_welfare(separation, result.best)
@@ -200,19 +199,19 @@ class TestBranchAndBound:
     def test_random_4x13_is_decided_within_a_small_budget(self):
         # the additive bound alone needed 1.87M nodes here
         inst = gen_random(4, 13, 100, seed=2)
-        result = max_nash_discrete(inst, SearchBudgets(max_nodes=50_000))
+        result = max_nash_discrete(inst, limit=50_000)
         assert result.optimal
         assert result.welfare == nash_welfare(inst, result.best) == 2972952576
 
     @pytest.mark.parametrize("seed", range(8))
     def test_truncated_search_keeps_at_least_the_greedy_welfare(self, seed):
         inst = gen_random(3, 9, 20, seed=seed)
-        greedy = max_nash_discrete(inst, SearchBudgets(max_nodes=1))
+        greedy = max_nash_discrete(inst, limit=1)
         assert not greedy.optimal and greedy.welfare > 0
         assert greedy.welfare == nash_welfare(inst, greedy.best)
         welfare = greedy.welfare
         for budget in (10, 100, 1000):
-            result = max_nash_discrete(inst, SearchBudgets(max_nodes=budget))
+            result = max_nash_discrete(inst, limit=budget)
             assert result.welfare >= welfare
             welfare = result.welfare
         assert welfare <= max_nash_discrete(inst).welfare
@@ -229,15 +228,15 @@ class TestBranchAndBound:
         ]
 
     def test_node_budget_stops_a_deep_search_cleanly(self):
-        result = max_nash_discrete(Instance([[1] * 1200] * 2), SearchBudgets(max_nodes=5000))
+        result = max_nash_discrete(Instance([[1] * 1200] * 2), limit=5000)
         assert not result.optimal
         assert result.nodes_explored == 5000
         assert result.best.m == 1200
 
     @pytest.mark.parametrize("nodes", [0, -1])
-    def test_node_budget_below_one_is_rejected(self, nodes):
-        with pytest.raises(ValueError, match="max_nodes must be at least 1"):
-            SearchBudgets(max_nodes=nodes)
+    def test_node_budget_below_one_is_rejected(self, nodes, separation):
+        with pytest.raises(ValueError, match=f"an enumeration limit must be at least 1, not {nodes}"):
+            max_nash_discrete(separation, limit=nodes)
 
 
 class TestExistsFractionalSupport:
@@ -258,7 +257,12 @@ class TestExistsFractionalSupport:
 
     def test_truncated_search_is_inconclusive(self, separation):
         with pytest.raises(InconclusiveSearch):
-            exists_ceei_frac_discrete(separation, SearchBudgets(max_nodes=2))
+            exists_ceei_frac_discrete(separation, limit=2)
+
+    @pytest.mark.parametrize("nodes", [0, -1])
+    def test_limit_below_one_is_rejected_on_the_binary_route(self, nodes, binary_gap):
+        with pytest.raises(ValueError, match=f"an enumeration limit must be at least 1, not {nodes}"):
+            exists_ceei_frac_discrete(binary_gap, limit=nodes)
 
     def test_many_objects_do_not_exhaust_the_stack(self):
         assert exists_ceei_frac_discrete(Instance([[1] * 1500])) == DiscreteAssignment([0] * 1500)
@@ -299,14 +303,13 @@ class TestExistsFractionalSupport:
         assert all(v in (0, 1) for row in rows for v in row)
         # the budget would truncate branch and bound at once, so a decided
         # answer shows the binary route ran
-        budgets = SearchBudgets(max_nodes=1)
-        found = exists_ceei_frac_discrete(inst, budgets)
-        assert found == exists_ceei_frac_discrete(Instance(rows), budgets)
+        found = exists_ceei_frac_discrete(inst, limit=1)
+        assert found == exists_ceei_frac_discrete(Instance(rows), limit=1)
         assert found is None or verify_ceei_frac(inst, found).holds
 
     def test_large_binary_instance_is_decided_within_a_small_budget(self):
         inst = gen_random(40, 200, 1, binary=True, seed=0)
-        found = exists_ceei_frac_discrete(inst, SearchBudgets(max_nodes=10_000))
+        found = exists_ceei_frac_discrete(inst, limit=10_000)
         assert found is not None
         assert verify_ceei_frac(inst, found).holds
         # price support certifies the maximizer's assignment optimal as well
