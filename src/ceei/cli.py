@@ -127,7 +127,6 @@ def _build_parser():
 
     solve = sub.add_parser("solve", help="compute the fractional equilibrium")
     solve.add_argument("instance", help="path to an instance document")
-    solve.add_argument("--seed", type=int, default=None, help="seed for randomized starting prices")
     solve.set_defaults(handler=_cmd_solve)
 
     check = sub.add_parser("check", help="verify a fairness notion for a discrete assignment")
@@ -164,8 +163,7 @@ def _build_parser():
     gen.add_argument("--out", required=True, help="output path for the instance document")
     gen.add_argument("-n", "--agents", type=int, default=2)
     gen.add_argument("-m", "--objects", type=int, default=4)
-    gen.add_argument("--max-util", type=int, default=100)
-    gen.add_argument("--binary", action="store_true")
+    gen.add_argument("--max-util", type=int, default=100, help="1 gives 0/1 utilities")
     gen.add_argument("--seed", type=int, default=None)
     gen.add_argument("--set", dest="integers", default=None, help="comma-separated integers (partition)")
     gen.add_argument("--weights", default=None, help="comma-separated weights (3partition)")
@@ -188,14 +186,13 @@ def _limit(text):
 
 def _cmd_solve(args):
     inst = parse_instance(_read(args.instance))
-    solution = solve_eg(inst, seed=args.seed)
-    report = _report("solve", inst, {"seed": args.seed})
+    solution = solve_eg(inst)
+    report = _report("solve", inst, {})
     report["result"] = {
         "u_star": [_number(u) for u in solution.u_star],
         "p_star": [_number(p) for p in solution.p_star],
         "x": [[_number(v) for v in row] for row in solution.x.rows],
         "iterations": solution.iterations,
-        "kkt_residual": solution.kkt_residual,
         "certified_exact": solution.certified,
     }
     return report, EXIT_HOLDS
@@ -264,14 +261,8 @@ def _cmd_search(args):
 
 def _cmd_gen(args):
     if args.kind == "random":
-        inst = gen_random(args.agents, args.objects, args.max_util, binary=args.binary, seed=args.seed)
-        params = {
-            "agents": args.agents,
-            "objects": args.objects,
-            "max_util": args.max_util,
-            "binary": args.binary,
-            "seed": args.seed,
-        }
+        inst = gen_random(args.agents, args.objects, args.max_util, seed=args.seed)
+        params = {"agents": args.agents, "objects": args.objects, "max_util": args.max_util, "seed": args.seed}
     elif args.kind == "partition":
         if not args.integers:
             raise SchemaError("set", "partition generation needs --set")

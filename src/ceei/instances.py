@@ -106,8 +106,8 @@ def from_three_partition(tin: ThreePartitionInput) -> Instance:
     return Instance([row for _ in range(tin.groups)])
 
 
-def gen_random(n: int, m: int, max_util: int, binary: bool = False, seed=None) -> Instance:
-    """Seeded random instance with integer utilities in [0, max_util].
+def gen_random(n: int, m: int, max_util: int, seed=None) -> Instance:
+    """Seeded random instance with integer utilities in [0, max_util]; 0/1 rows for max_util 1.
 
     Whole rows and columns are resampled until every agent values something
     and every object is valued, so the result always passes validation.
@@ -116,19 +116,18 @@ def gen_random(n: int, m: int, max_util: int, binary: bool = False, seed=None) -
         raise SchemaError("size", "need at least one agent and one object")
     if max_util < 1:
         raise SchemaError("max_util", "need max_util >= 1")
-    top = 1 if binary else max_util
     rng = random.Random(seed)
-    rows = [[rng.randint(0, top) for _ in range(m)] for _ in range(n)]
+    rows = [[rng.randint(0, max_util) for _ in range(m)] for _ in range(n)]
     while True:
         clean = True
         for i in range(n):
             if not any(rows[i]):
-                rows[i] = [rng.randint(0, top) for _ in range(m)]
+                rows[i] = [rng.randint(0, max_util) for _ in range(m)]
                 clean = False
         for j in range(m):
             if not any(rows[i][j] for i in range(n)):
                 for i in range(n):
-                    rows[i][j] = rng.randint(0, top)
+                    rows[i][j] = rng.randint(0, max_util)
                 clean = False
         if clean:
             return Instance(rows)

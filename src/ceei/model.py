@@ -220,8 +220,8 @@ class DiscreteAssignment:
         return [tuple(b) for b in out]
 
     def to_fractional(self, n: int) -> FractionalAssignment:
-        if any(o >= n for o in self.owner):
-            raise InvalidAssignment(f"owner index out of range for {n} agents")
+        """The 0/1 matrix of n agents; an owner of n or more leaves its object's
+        column empty, which `FractionalAssignment` rejects."""
         rows = [[1 if self.owner[j] == i else 0 for j in range(self.m)] for i in range(n)]
         return FractionalAssignment(rows)
 
@@ -230,6 +230,9 @@ class DiscreteAssignment:
         owner = [None] * m
         for i, bundle in enumerate(bundles):
             for j in bundle:
+                if not _is_index(j):
+                    raise InvalidAssignment(f"entry {bounded(j)} of bundle {i} is not an object index")
+                j = j.__index__()
                 if not 0 <= j < m:
                     raise InvalidAssignment(f"object index {bounded(j)} out of range for {m} objects")
                 if owner[j] is not None:

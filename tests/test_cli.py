@@ -93,7 +93,9 @@ class TestSolve:
         assert [u["exact"] for u in result["u_star"]] == ["100", "100"]
         assert [p["exact"] for p in result["p_star"]] == ["19/20", "1/20", "1/20", "19/20"]
         assert [p["decimal"] for p in result["p_star"]] == [0.95, 0.05, 0.05, 0.95]
-        assert result["kkt_residual"] <= 1e-8
+        # an exact answer has no residual to report, and no option moves it
+        assert "kkt_residual" not in result
+        assert report["config"] == {}
 
     def test_single_agent_prices_sum_to_one(self, workdir, capsys):
         (workdir / "solo.json").write_text('{"agents":1,"objects":2,"utilities":[[3,1]]}')
@@ -441,6 +443,24 @@ class TestGen:
         assert out1.read_text() == out2.read_text()
         assert report1["instance"]["digest"] == report2["instance"]["digest"]
 
+    # the documents `gen random -n 3 -m 5 --binary --seed s` wrote before `--binary` was retired
+    @pytest.mark.parametrize(
+        "seed, document",
+        [
+            (0, '{"agents":3,"objects":5,"utilities":[[1,1,0,1,1],[1,1,1,1,0],[0,1,0,0,1]]}'),
+            (1, '{"agents":3,"objects":5,"utilities":[[0,0,1,0,1],[1,1,1,0,0],[1,0,1,1,0]]}'),
+            (2, '{"agents":3,"objects":5,"utilities":[[0,0,0,1,0],[1,1,0,0,0],[1,1,1,1,1]]}'),
+            (3, '{"agents":3,"objects":5,"utilities":[[0,0,1,1,0],[0,1,1,0,1],[1,1,1,0,0]]}'),
+            (4, '{"agents":3,"objects":5,"utilities":[[0,1,0,1,1],[0,0,0,0,1],[1,0,1,1,1]]}'),
+        ],
+    )
+    def test_max_util_1_writes_the_old_binary_documents(self, workdir, capsys, seed, document):
+        out = workdir / "b.json"
+        code, report, _ = run(capsys, "gen", "random", "-n", 3, "-m", 5, "--max-util", 1, "--seed", seed, "--out", out)
+        assert code == 0
+        assert out.read_text() == document + "\n"
+        assert "binary" not in report["config"]
+
     def test_window_violation_exits_2(self, workdir, capsys):
         code, _, err = run(
             capsys,
@@ -493,7 +513,7 @@ class TestReportShape:
     def test_reports_are_byte_identical_modulo_timings(self, workdir, capsys):
         reports = []
         for _ in range(2):
-            code = main(["solve", str(workdir / "separation.json"), "--seed", "5"])
+            code = main(["solve", str(workdir / "separation.json")])
             out = capsys.readouterr().out
             body = json.loads(out)
             del body["timings"]

@@ -148,7 +148,7 @@ class TestRandomGenerator:
         assert a == b
 
     def test_binary_instances_stay_binary_and_valid(self):
-        inst = gen_random(3, 5, 1, binary=True, seed=1)
+        inst = gen_random(3, 5, 1, seed=1)
         assert inst.is_binary()
         assert validate_instance(inst) == []
 

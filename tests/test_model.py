@@ -24,6 +24,7 @@ from ceei import (
     validate_instance,
     verify_ceei_disc,
 )
+from ceei.model import as_fractional
 from oracles import all_discrete_assignments
 
 _VALUES = [
@@ -242,11 +243,24 @@ class TestAssignments:
         y = DiscreteAssignment(numpy.array([1, 0, 1]))
         assert y == DiscreteAssignment([1, 0, 1])
         assert all(type(o) is int for o in y.owner)
+        assert DiscreteAssignment.from_bundles(3, [[numpy.int64(1)], [0, 2]]) == y
 
-    @pytest.mark.parametrize("bundles", [[[0], [-1]], [[0], [5]], [[0, 2], [1]]])
+    # True is an int, but no more an object index than 1.0 or "1"
+    @pytest.mark.parametrize(
+        "bundles", [[[0], [-1]], [[0], [5]], [[0, 2], [1]], [[0], [True]], [[0], [1.0]], [[0], ["1"]]]
+    )
     def test_from_bundles_rejects_out_of_range_objects(self, bundles):
         with pytest.raises(InvalidAssignment):
             DiscreteAssignment.from_bundles(2, bundles)
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda inst, y: y.to_fractional(inst.n), as_fractional, agent_utilities, nash_welfare],
+        ids=["to_fractional", "as_fractional", "agent_utilities", "nash_welfare"],
+    )
+    def test_out_of_range_owner_is_invalid_on_every_path(self, call):
+        with pytest.raises(InvalidAssignment):
+            call(Instance([[1, 1], [1, 1]]), DiscreteAssignment([0, 2]))
 
     def test_instance_rejects_ragged_rows(self):
         with pytest.raises(DimensionMismatch):
@@ -260,7 +274,8 @@ class TestAssignments:
             (lambda: FractionalAssignment([]), "an assignment needs at least one agent and object"),
             (lambda: DiscreteAssignment([]), "an assignment needs at least one object"),
             (lambda: DiscreteAssignment([-1]), "owner indices must be nonnegative"),
-            (lambda: DiscreteAssignment([0, 2]).to_fractional(2), "owner index out of range for 2 agents"),
+            (lambda: DiscreteAssignment([0, 2]).to_fractional(2), "object 1 is allocated 0 in total, not 1"),
+            (lambda: DiscreteAssignment.from_bundles(2, [[0], [True]]), "entry True of bundle 1 is not an object index"),
             (lambda: DiscreteAssignment.from_bundles(2, [[0, 1], [1]]), "object 1 assigned twice"),
             (lambda: DiscreteAssignment.from_bundles(4, [[0], [2]]), "objects [1, 3] are unassigned"),
             (lambda: PriceVector([]), "a price vector needs at least one object"),

@@ -13,7 +13,6 @@ from report_corpus import CASES, REPORTS, render, run_case
 
 
 def test_every_case_has_one_file_and_every_file_a_case():
-    assert sorted(path.stem for path in REPORTS.glob("*.json")) == sorted(CASES)
     assert sorted(path.name for path in REPORTS.iterdir()) == sorted(f"{name}.json" for name in CASES)
 
 

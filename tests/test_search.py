@@ -89,7 +89,7 @@ class TestBruteForce:
     def test_decides_4_agents_and_10_binary_objects_quickly(self):
         # 4^10 owner vectors, about 0.7 s when each was scored on its own
         # and 0.06 s when scored in blocks (2-core VM)
-        inst = gen_random(4, 10, 1, binary=True, seed=0)
+        inst = gen_random(4, 10, 1, seed=0)
         start = time.perf_counter()
         result = brute_force_max_nash(inst)
         assert time.perf_counter() - start < 0.3
@@ -282,7 +282,7 @@ class TestExistsFractionalSupport:
     @pytest.mark.parametrize("seed", range(200))
     def test_binary_route_matches_branch_and_bound(self, seed):
         rng = random.Random(2000 + seed)
-        inst = gen_random(rng.randint(1, 4), rng.randint(1, 9), 1, binary=True, seed=seed)
+        inst = gen_random(rng.randint(1, 4), rng.randint(1, 9), 1, seed=seed)
         found = exists_ceei_frac_discrete(inst)
         assert (found is not None) == verify_ceei_frac(inst, max_nash_discrete(inst).best).holds
         if found is not None:
@@ -308,7 +308,7 @@ class TestExistsFractionalSupport:
         assert found is None or verify_ceei_frac(inst, found).holds
 
     def test_large_binary_instance_is_decided_within_a_small_budget(self):
-        inst = gen_random(40, 200, 1, binary=True, seed=0)
+        inst = gen_random(40, 200, 1, seed=0)
         found = exists_ceei_frac_discrete(inst, limit=10_000)
         assert found is not None
         assert verify_ceei_frac(inst, found).holds
@@ -358,7 +358,7 @@ class TestBinaryMaxNash:
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_oracle_on_random_binary_instances(self, seed):
         rng = random.Random(1000 + seed)
-        inst = gen_random(rng.randint(1, 4), rng.randint(1, 8), 1, binary=True, seed=seed)
+        inst = gen_random(rng.randint(1, 4), rng.randint(1, 8), 1, seed=seed)
         assert binary_max_nash(inst).welfare == brute_force_max_nash(inst).welfare
 
     def test_deterministic_across_runs(self, binary_gap):
