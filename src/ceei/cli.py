@@ -7,8 +7,9 @@ diagnostics on stderr.  Exit codes are uniform across subcommands:
     1  verdict fails / no solution exists
     2  invalid input (syntax, schema, invariants, bad parameters)
     3  the equilibrium solver found no exactly certified equilibrium
-    4  an enumeration guard was exceeded
-    5  a truncated search left the question undecided
+    4  a walk that cannot prune is larger than --limit-nodes (n^m owner
+       vectors or 2^m bundles), so it was refused before any work
+    5  a pruned walk entered node --limit-nodes and left the question undecided
     6  internal error: an unexpected exception, reported by its type on stderr
   141  stdout was closed before the report was written, as in `| head -1`
        (128 + SIGPIPE, the status a shell shows for a writer that signal ended)
@@ -86,6 +87,7 @@ EXIT_CLOSED_PIPE = 141
 _ERROR_EXITS = (
     (NonConvergence, EXIT_NO_CONVERGENCE),
     (InstanceTooLarge, EXIT_TOO_LARGE),
+    (InconclusiveSearch, EXIT_INCONCLUSIVE),
     (OSError, EXIT_INVALID),
     (ValueError, EXIT_INVALID),
     (CeeiError, EXIT_INVALID),
@@ -137,8 +139,9 @@ def _build_parser():
         "--limit-nodes",
         type=_limit,
         default=None,
-        help="at least 1: the n^m guard of po and the 2^m bundle guard of ceei-disc;"
-        " ignored by ef and ceei-frac",
+        help="at least 1, the most nodes a walk may visit: po counts its nodes (exit 5"
+        " at the limit; default 20000000); ceei-disc refuses 2^m bundles over it (exit 4;"
+        " default 65536); ignored by ef and ceei-frac",
     )
     check.set_defaults(handler=_cmd_check)
 
@@ -152,9 +155,10 @@ def _build_parser():
         "--limit-nodes",
         type=_limit,
         default=None,
-        help="at least 1: node budget of the mnw and ceei-frac branch and bound (ignored by"
-        " ceei-frac on 0/1 rows); the n^m guard of ceei-disc; ignored by binary-mnw and"
-        " identical-ceei-disc",
+        help="at least 1, the most nodes a walk may visit (default 20000000): the mnw and"
+        " ceei-frac branch and bound counts its nodes (exit 5 at the limit; ignored by"
+        " ceei-frac on 0/1 rows); ceei-disc refuses n^m owner vectors over it (exit 4);"
+        " ignored by binary-mnw and identical-ceei-disc",
     )
     searchp.set_defaults(handler=_cmd_search)
 

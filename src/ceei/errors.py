@@ -92,9 +92,10 @@ class NotIdenticalUtilities(CeeiError):
 
 
 class InconclusiveSearch(CeeiError):
-    """A truncated search cannot answer an existence question."""
+    """A search that reached its node limit cannot answer an existence
+    question.  `best_welfare` is the incumbent of a welfare search, else None."""
 
-    def __init__(self, nodes_explored, best_welfare):
+    def __init__(self, nodes_explored, best_welfare=None):
         self.nodes_explored = nodes_explored
         self.best_welfare = best_welfare
         super().__init__(

@@ -3,10 +3,10 @@
 Four notions are decided here:
 
 * envy-freeness, by direct pairwise comparison in `_first_envy`;
-* Pareto optimality, by a guarded depth-first search over discrete
-  assignments that drops every prefix after which, even with all objects
-  still unassigned, some agent cannot reach its own total or the agents'
-  summed total cannot rise above its own;
+* Pareto optimality, by a depth-first search over discrete assignments,
+  counted against a node limit, that drops every prefix after which, even
+  with all objects still unassigned, some agent cannot reach its own total
+  or the agents' summed total cannot rise above its own;
 * price support over fractional demand (the strong notion), by an exact
   closed-form test in rational arithmetic;
 * price support over discrete demand (the weak notion): refuted by envy
@@ -19,13 +19,15 @@ Every verdict checks its assignment with `model.check_assignment`, then
 reads the int rows `Instance.int_rows` and bundle values from
 `model.bundle_values`.  `Instance` rejects negative utilities, so adding an
 object never lowers a bundle's value; the Pareto prunes and the bundle walk
-rely on it.  Every enumeration, here and in `search`, passes one guard
-(`_guard`): a `limit` of None means DEFAULT_BUNDLE_LIMIT for the 2^m
-bundles of `verify_ceei_disc` and DEFAULT_ENUM_LIMIT for every n^m walk.
-`_check_limit` rejects a limit below 1, here and in `search`'s node limit.
+rely on it.  A `limit`, here and in `search`, is the most nodes a walk may
+visit.  A walk that prunes counts the nodes it enters and raises
+InconclusiveSearch on entering node `limit`; a walk that cannot prune knows
+its size, n^m owner vectors or 2^m bundles, and `_guard` raises
+InstanceTooLarge at once when that size is over the limit.  `_check_limit`
+rejects a limit below 1 and reads None as DEFAULT_ENUM_LIMIT for every
+owner-vector walk; `verify_ceei_disc` reads it as DEFAULT_BUNDLE_LIMIT.
 The exhaustive searches in `search` visit owner vectors in lexicographic
-order, with no recursion; the Pareto test visits the same order under the
-same limit but prunes it.
+order, with no recursion; the Pareto test visits the same order but prunes it.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import simplex
-from .errors import InstanceTooLarge, InvariantError
+from .errors import InconclusiveSearch, InstanceTooLarge, InvariantError
 from .model import (
     Certificate,
     DiscreteAssignment,
@@ -62,16 +64,18 @@ class Verdict:
 
 
 def _check_limit(limit):
-    """Raise ValueError for an enumeration limit below 1; None passes."""
-    if limit is not None and limit < 1:
+    """`limit`, or DEFAULT_ENUM_LIMIT for None; ValueError below 1."""
+    if limit is None:
+        return DEFAULT_ENUM_LIMIT
+    if limit < 1:
         raise ValueError(f"an enumeration limit must be at least 1, not {limit}")
+    return limit
 
 
-def _guard(inst: Instance, limit, required, default=DEFAULT_ENUM_LIMIT):
-    """`_check_limit`, then InstanceTooLarge when an enumeration of
-    `required` steps exceeds `limit` (None means `default`)."""
-    _check_limit(limit)
-    limit = default if limit is None else limit
+def _guard(inst: Instance, limit, required):
+    """InstanceTooLarge when a walk of `required` nodes exceeds `limit`, as
+    `_check_limit` reads it."""
+    limit = _check_limit(limit)
     if required > limit:
         raise InstanceTooLarge(inst.n, inst.m, limit, required)
 
@@ -99,7 +103,7 @@ def _first_envy(rows, owner):
 
 
 def is_pareto_optimal_discrete(inst: Instance, y: DiscreteAssignment, limit=None) -> Verdict:
-    """Exact Pareto test by a pruned search over all n^m discrete assignments.
+    """Exact Pareto test by a pruned search over the n^m discrete assignments.
 
     Objects 0..m-1 are assigned in turn, agent 0 first, so complete
     assignments come in lexicographic owner-vector order.  A prefix is
@@ -111,21 +115,24 @@ def is_pareto_optimal_discrete(inst: Instance, y: DiscreteAssignment, limit=None
     certificate on failure is the lexicographically first dominating
     assignment, as a walk over all n^m would give.
 
-    Raises InstanceTooLarge when n^m exceeds `limit`, before searching;
-    general discrete Pareto testing is intractable, so the guard is part of
-    the contract rather than a soft warning.  Zero rows and columns are fine.
+    The search counts the nodes it enters, the root and the leaves
+    included, and raises InconclusiveSearch on entering node `limit` (None:
+    DEFAULT_ENUM_LIMIT); general discrete Pareto testing is intractable, so
+    an undecided answer is part of the contract.  Zero rows and columns are
+    fine.
     """
     check_assignment(inst, y)
-    _guard(inst, limit, inst.n**inst.m)
+    limit = _check_limit(limit)
     rows = inst.int_rows
-    owner = _first_dominating(rows, bundle_values(rows, y.owner))
+    owner = _first_dominating(rows, bundle_values(rows, y.owner), limit)
     return Verdict(owner is None, None if owner is None else DominatingAssignment(DiscreteAssignment(owner)))
 
 
-def _first_dominating(rows, base):
+def _first_dominating(rows, base, limit):
     """The lexicographically first owner vector giving every agent at least
-    its `base` total and some agent more, or None; the prunes need the
-    nonnegative rows `Instance` guarantees."""
+    its `base` total and some agent more, or None; InconclusiveSearch on
+    entering node `limit`.  The prunes need the nonnegative rows `Instance`
+    guarantees."""
     n, m = len(rows), len(rows[0])
     cols = list(zip(*rows))
     col_best = [max(col) for col in cols]
@@ -137,13 +144,21 @@ def _first_dominating(rows, base):
     slack = [sum(row) - b for row, b in zip(rows, base)]
     gain = sum(col_best) - sum(base)
     owner = [0] * m
+    nodes = 0
 
     # Depth-first with the path kept in `owner`: object j tries agents from
     # `start` on; giving it to agent a costs every other agent i col[i] of
     # slack and costs gain col_best[j] - col[a].  With no agent left, take
-    # object j-1 back and resume after its agent.
+    # object j-1 back and resume after its agent.  A node is entered with
+    # start 0 and resumed with start > 0; entering one counts it.
     j, start = 0, 0
-    while j < m:
+    while True:
+        if not start:
+            nodes += 1
+            if nodes >= limit:
+                raise InconclusiveSearch(nodes)
+            if j == m:
+                return owner
         col = cols[j]
         short = [i for i in range(n) if slack[i] < col[i]]  # agents that cannot let j go
         if len(short) > 1:
@@ -171,7 +186,6 @@ def _first_dominating(rows, base):
             slack[a] -= col[a]
             gain += col_best[j] - col[a]
             start = a + 1
-    return owner
 
 
 def verify_ceei_frac(inst: Instance, y: DiscreteAssignment) -> Verdict:
@@ -222,16 +236,19 @@ def verify_ceei_disc(inst: Instance, y: DiscreteAssignment, limit=None) -> Verdi
     much, so they are implied); the notion holds iff the optimal slack is
     positive.
 
-    Raises InstanceTooLarge when the 2^m bundles it considers exceed `limit`,
-    before the envy test; the existence search has no bundle guard of its own.
+    Rejects a `limit` below 1 first.  After the envy test, which is
+    polynomial, raises InstanceTooLarge when the 2^m bundles it considers
+    exceed `limit` (None: DEFAULT_BUNDLE_LIMIT); the existence search has no
+    bundle guard of its own.
     """
     check_assignment(inst, y)
+    _check_limit(limit)
     n, m = inst.n, inst.m
-    _guard(inst, limit, 1 << m, DEFAULT_BUNDLE_LIMIT)
     rows = inst.int_rows
     envy = _first_envy(rows, y.owner)
     if envy is not None:
         return Verdict(False, ViolatingBundle(envy[0], y.bundle(envy[1])))
+    _guard(inst, DEFAULT_BUNDLE_LIMIT if limit is None else limit, 1 << m)
 
     minimal = _minimal_better_bundles(rows, bundle_values(rows, y.owner))
     if not minimal:

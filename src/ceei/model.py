@@ -214,6 +214,8 @@ class DiscreteAssignment:
         return tuple(j for j, o in enumerate(self.owner) if o == agent)
 
     def bundles(self, n: int) -> list:
+        if any(o >= n for o in self.owner):
+            raise InvalidAssignment(f"owner index out of range for {n} agents")
         out = [[] for _ in range(n)]
         for j, o in enumerate(self.owner):
             out[o].append(j)

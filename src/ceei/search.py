@@ -10,10 +10,14 @@ identical utilities.
 
 Ties are broken lexicographically by owner vector wherever the search is
 exhaustive, so optima are canonical and runs are reproducible; the bounds
-keep ties, so pruning changes only how many nodes are explored.  Both
-exhaustive searches pass the one n^m guard of `fairness`: the existence
-search walks `itertools.product` past owner vectors with envy, and the brute
-force meets in the middle over the Pareto fronts of two object halves.
+keep ties, so pruning changes only how many nodes are explored.  A
+`limit` is the most nodes a walk may visit, None meaning `fairness`'s
+DEFAULT_ENUM_LIMIT.  Branch and bound counts its nodes and stops on
+entering node `limit`.  The two exhaustive searches cannot prune, so they
+compare their n^m owner vectors with `limit` before any work, in
+`fairness._guard`: the existence search walks `itertools.product` past
+owner vectors with envy, and the brute force meets in the middle over the
+Pareto fronts of two object halves.
 Branch and bound keeps an explicit stack, and the equal-split search
 races a depth-first search against a meet in the middle over load tuples.
 Nothing here recurses.
@@ -65,7 +69,9 @@ def brute_force_max_nash(inst: Instance, limit=None) -> SearchResult:
     chained `map` pass, and only a strictly higher score replaces the
     incumbent: the optimum is the lexicographically first, at welfare 0
     (always when n > m, which skips the fronts) the all-zero owner vector
-    that the fronts may drop.  `nodes_explored` is n^m.
+    that the fronts may drop.  `nodes_explored` is n^m.  Raises
+    InstanceTooLarge when n^m exceeds `limit` (None: DEFAULT_ENUM_LIMIT),
+    before any work.
     This is the independent oracle for every other discrete-search claim.
     """
     n, m = inst.n, inst.m
@@ -138,12 +144,13 @@ def max_nash_discrete(inst: Instance, limit=None) -> SearchResult:
     weighted value to the weighted sum, and the product is at most the
     n-th power of that sum's mean.  Ties are kept, so welfare ties resolve
     toward the lexicographically smaller owner vector, matching the
-    enumeration oracle.  Reaching `limit` nodes (None: no limit; below 1: a
-    ValueError) truncates the search and sets `optimal = False` instead of
-    raising; the result is then the greedy assignment or a better one.  Both
-    bounds need the nonnegative utilities that `Instance` guarantees.
+    enumeration oracle.  Entering node `limit` (None: DEFAULT_ENUM_LIMIT;
+    below 1: a ValueError) truncates the search and sets `optimal = False`
+    instead of raising; the result is then the greedy assignment or a better
+    one.  Both bounds need the nonnegative utilities that `Instance`
+    guarantees.
     """
-    _check_limit(limit)
+    limit = _check_limit(limit)
     n, m = inst.n, inst.m
     rows = inst.int_rows
     # compares utilities across agents, so it reads the unscaled ones
@@ -181,7 +188,7 @@ def max_nash_discrete(inst: Instance, limit=None) -> SearchResult:
     k = 0
     while True:
         nodes += 1
-        if limit is not None and nodes >= limit:
+        if nodes >= limit:
             truncated = True
             break
         if k == m:
@@ -288,7 +295,8 @@ def exists_ceei_frac_discrete(inst: Instance, limit=None):
     when it reaches the welfare optimum of the fractional relaxation, so it
     suffices to test one discrete welfare maximizer: `binary_max_nash` (in
     polynomial time, `limit` checked but unused) when every integer row is
-    0/1, else branch and bound, raising InconclusiveSearch if `limit` truncated it.
+    0/1, else branch and bound, raising InconclusiveSearch on entering node
+    `limit` (None: DEFAULT_ENUM_LIMIT).
     """
     _check_limit(limit)
     if all(v == 0 or v == 1 for row in inst.int_rows for v in row):
@@ -587,9 +595,10 @@ def exists_ceei_disc_bruteforce(inst: Instance, limit=None):
     implies envy-freeness (an envied bundle is a strictly better bundle
     inside someone's affordable one), so skipping those
     `fairness._first_envy` finds envy in changes no answer.  Returns
-    (assignment, prices) or None.  `limit` guards the n^m walk only.  The
-    first envy-free owner vector, if any, meets `verify_ceei_disc`'s own 2^m
-    bundle guard, which raises InstanceTooLarge past 16 objects.
+    (assignment, prices) or None.  Raises InstanceTooLarge when n^m exceeds
+    `limit` (None: DEFAULT_ENUM_LIMIT), before any work.  The first
+    envy-free owner vector, if any, meets `verify_ceei_disc`'s own 2^m bundle
+    guard, which raises InstanceTooLarge past 16 objects.
     """
     _guard(inst, limit, inst.n**inst.m)
     for owner in product(range(inst.n), repeat=inst.m):

@@ -33,6 +33,11 @@ OUT = "out.json"
 
 _B = 10**400  # 10**400 and 10**400 + 1 round to one float, so Newton cannot tell the tied edges apart
 
+
+def _doc(*rows):
+    return json.dumps({"agents": len(rows), "objects": len(rows[0]), "utilities": rows}, separators=(",", ":"))
+
+
 DOCUMENTS = {
     "separation.json": '{"agents":2,"objects":4,"utilities":[[95,5,2,1],[1,2,5,95]]}',
     "binary-gap.json": '{"agents":2,"objects":3,"utilities":[[1,1,0],[0,1,1]]}',
@@ -44,9 +49,22 @@ DOCUMENTS = {
     "random-2x4.json": '{"agents":2,"objects":4,"utilities":[[41,19,50,83],[6,9,68,12]]}',
     "random-3x5.json": '{"agents":3,"objects":5,"utilities":[[3,9,8,2,5],[9,7,9,1,9],[0,7,4,8,3]]}',
     "zero-column.json": '{"agents":2,"objects":2,"utilities":[[1,0],[1,0]]}',
-    "near-tie.json": json.dumps(
-        {"agents": 3, "objects": 4, "utilities": [[1, 3 * _B, 1, 1], [_B + 1, 1, 1, 3 * _B], [_B + 1, _B, 0, 0]]},
-        separators=(",", ":"),
+    "near-tie.json": _doc([1, 3 * _B, 1, 1], [_B + 1, 1, 1, 3 * _B], [_B + 1, _B, 0, 0]),
+    # `gen random -n 5 -m 20 --max-util 100 --seed 2` and `-n 6 -m 22 --max-util 100 --seed 0`
+    "random-5x20.json": _doc(
+        [7, 11, 10, 46, 21, 94, 85, 39, 32, 77, 27, 77, 4, 74, 87, 20, 55, 81, 50, 92],
+        [65, 47, 69, 56, 64, 34, 4, 3, 46, 59, 40, 48, 54, 67, 21, 71, 22, 30, 29, 3],
+        [22, 41, 22, 17, 65, 65, 46, 65, 86, 71, 23, 57, 53, 94, 67, 97, 46, 75, 45, 46],
+        [57, 20, 96, 51, 91, 94, 59, 83, 67, 31, 62, 35, 63, 64, 65, 45, 84, 58, 59, 44],
+        [72, 92, 71, 92, 58, 62, 84, 28, 41, 89, 21, 78, 34, 98, 61, 39, 38, 90, 64, 71],
+    ),
+    "random-6x22.json": _doc(
+        [49, 97, 53, 5, 33, 65, 62, 51, 100, 38, 61, 45, 74, 27, 64, 17, 36, 17, 96, 12, 79, 32],
+        [68, 90, 77, 18, 39, 12, 93, 9, 87, 42, 60, 71, 12, 45, 55, 40, 78, 81, 26, 70, 61, 56],
+        [66, 33, 7, 70, 1, 11, 92, 51, 90, 100, 85, 80, 0, 78, 63, 42, 31, 93, 41, 90, 8, 24],
+        [72, 28, 30, 18, 69, 57, 11, 10, 40, 65, 62, 13, 38, 70, 37, 90, 15, 70, 42, 69, 26, 77],
+        [70, 75, 36, 56, 11, 76, 49, 40, 73, 30, 37, 23, 24, 23, 4, 78, 84, 33, 60, 8, 11, 86],
+        [96, 16, 19, 4, 10, 89, 69, 87, 50, 90, 67, 35, 66, 30, 27, 86, 75, 53, 74, 35, 57, 63],
     ),
     "even.json": '{"owner":[0,0,1,1]}',
     "lopsided.json": '{"owner":[0,1,1,1]}',
@@ -54,6 +72,9 @@ DOCUMENTS = {
     "split-6.json": '{"owner":[0,0,0,1,1,1]}',
     "spread-3.json": '{"owner":[0,1,0]}',
     "spread-5.json": '{"owner":[0,1,2,2,1]}',
+    # the max-Nash owners of random-5x20 and random-6x22 (`search … mnw`)
+    "mnw-5x20.json": '{"owner":[1,4,1,4,1,3,0,3,2,4,3,0,1,2,0,2,3,4,3,0]}',
+    "mnw-6x22.json": '{"owner":[5,1,1,2,3,4,1,5,0,5,2,1,5,3,0,3,4,2,0,2,0,4]}',
 }
 
 # every instance document that parses, each with one owner vector to check
@@ -81,6 +102,10 @@ def _argvs():
     for notion in ("ef", "po", "ceei-disc"):
         for limit in ("1", "3"):
             yield ["check", "separation.json", "even.json", notion, "--limit-nodes", limit]
+    # n^m is past 20M, but the Pareto walk decides each in ~65K nodes
+    for shape in ("5x20", "6x22"):
+        yield ["check", f"random-{shape}.json", f"mnw-{shape}.json", "po"]
+    yield ["check", "random-5x20.json", "mnw-5x20.json", "po", "--limit-nodes", "1"]
     for doc in _CHECKED:
         for target in _TARGETS:
             yield ["search", f"{doc}.json", target]

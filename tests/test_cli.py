@@ -226,23 +226,38 @@ class TestCheck:
             f"ceei check: error: argument --limit-nodes: must be an int of at least 1, not '{limit}'"
         )
 
-    @pytest.mark.parametrize("notion", ["po", "ceei-disc"])
-    def test_guard_of_one_still_exits_4(self, workdir, capsys, notion):
-        code, _, err = run(
+    @pytest.mark.parametrize(
+        "notion, exit_code, err_line",
+        [
+            # the Pareto walk prunes, so it stops on entering its first node
+            ("po", 5, "error: search truncated after 1 nodes; existence undecided"),
+            # the bundle walk does not, so it refuses its 2^4 bundles up front
+            (
+                "ceei-disc",
+                4,
+                "error: instance with 2 agents and 4 objects needs 16 enumeration steps,"
+                " above the limit of 1",
+            ),
+        ],
+        ids=["po", "ceei-disc"],
+    )
+    def test_limit_of_one_stops_each_walk(self, workdir, capsys, notion, exit_code, err_line):
+        code, report, err = run(
             capsys, "check", workdir / "separation.json", workdir / "even.json", notion,
             "--limit-nodes", 1,
         )
-        assert code == 4
-        assert "above the limit of 1" in err
+        assert (code, report, err) == (exit_code, None, err_line + "\n")
 
-    def test_po_guard_exits_4(self, workdir, capsys):
-        code, _, err = run(
+    def test_po_limit_counts_nodes_not_owner_vectors(self, workdir, capsys):
+        # 2^4 owner vectors, but the walk decides at its root: one node
+        code, report, _ = run(
             capsys,
             "check", workdir / "separation.json", workdir / "even.json", "po",
-            "--limit-nodes", 10,
+            "--limit-nodes", 2,
         )
-        assert code == 4
-        assert "limit" in err
+        assert code == 0
+        assert report["config"]["limit_nodes"] == 2
+        assert (report["result"]["holds"], report["result"]["certificate"]) == (True, None)
 
     def test_po_on_many_objects_gets_a_report(self, workdir, capsys):
         (workdir / "wide.json").write_text(_uniform_doc(1, 1500))
@@ -405,22 +420,38 @@ class TestSearch:
         assert report["result"]["nodes_explored"] == 5000
 
 
-@pytest.mark.parametrize(
-    "argv", [("check", "po"), ("check", "ceei-disc"), ("search", "ceei-disc")], ids=" ".join
-)
-def test_guard_past_the_int_to_str_limit_exits_4(workdir, capsys, argv):
+def _write_wide(workdir):
     # 2^14400 owner vectors and bundles: a count of 4335 digits
     (workdir / "wide.json").write_text(
         json.dumps({"agents": 2, "objects": 14400, "utilities": [[1] * 14400, [2] * 14400]})
     )
     (workdir / "all_zero.json").write_text(json.dumps({"owner": [0] * 14400}))
-    command, target = argv
-    docs = [workdir / "wide.json"] + ([workdir / "all_zero.json"] if command == "check" else [])
-    code, report, err = run(capsys, command, *docs, target)
+
+
+def test_guard_past_the_int_to_str_limit_exits_4(workdir, capsys):
+    _write_wide(workdir)
+    code, report, err = run(capsys, "search", workdir / "wide.json", "ceei-disc")
     assert code == 4
     assert report is None
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "needs 67910...(4335 digits) enumeration steps" in err
+
+
+@pytest.mark.parametrize(
+    "notion, exit_code, certificate",
+    [
+        # the Pareto walk prunes to 14,400 nodes
+        ("po", 0, None),
+        # envy refutes price support before the 2^m guard is reached
+        ("ceei-disc", 1, {"type": "violating_bundle", "agent": 1, "objects": list(range(14400))}),
+    ],
+    ids=["po", "ceei-disc"],
+)
+def test_check_past_the_int_to_str_limit_gets_a_report(workdir, capsys, notion, exit_code, certificate):
+    _write_wide(workdir)
+    code, report, err = run(capsys, "check", workdir / "wide.json", workdir / "all_zero.json", notion)
+    assert (code, err) == (exit_code, "")
+    assert report["result"]["certificate"] == certificate
 
 
 class TestGen:

@@ -9,6 +9,8 @@ from ceei import (
     NotBinary,
     SumMismatch,
     ThreePartitionInput,
+    Verdict,
+    ViolatingBundle,
     WindowViolation,
     binary_max_nash,
     exists_ceei_disc_bruteforce,
@@ -41,19 +43,18 @@ class TestBounded:
 WIDE = Instance([[1] * 14400, [2] * 14400])  # 2^14400 owner vectors and bundles
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda: is_pareto_optimal_discrete(WIDE, DiscreteAssignment([0] * 14400)),
-        lambda: verify_ceei_disc(WIDE, DiscreteAssignment([0] * 14400)),
-        lambda: exists_ceei_disc_bruteforce(WIDE),
-    ],
-    ids=["po", "ceei-disc", "exists-ceei-disc"],
-)
-def test_guard_past_the_int_to_str_limit(call):
+def test_guard_past_the_int_to_str_limit():
     with pytest.raises(InstanceTooLarge, match=r"needs 67910\.\.\.\(4335 digits\) enumeration") as excinfo:
-        call()
+        exists_ceei_disc_bruteforce(WIDE)
     assert excinfo.value.required == 2**14400
+
+
+def test_walks_past_the_int_to_str_limit_decide_without_a_guard():
+    # the Pareto walk prunes to 14,400 nodes, and envy refutes price support
+    # before verify_ceei_disc's 2^m guard is reached
+    all_zero = DiscreteAssignment([0] * 14400)
+    assert is_pareto_optimal_discrete(WIDE, all_zero) == Verdict(True, None)
+    assert verify_ceei_disc(WIDE, all_zero) == Verdict(False, ViolatingBundle(1, tuple(range(14400))))
 
 
 def test_huge_non_binary_utility():

@@ -10,12 +10,14 @@ from ceei import (
     DiscreteAssignment,
     DominatingAssignment,
     EnvyPair,
+    InconclusiveSearch,
     Instance,
     InstanceTooLarge,
     InstanceViolation,
     InvalidAssignment,
     InvariantError,
     KktViolation,
+    Verdict,
     ViolatingBundle,
     bundle_utility,
     gen_random,
@@ -98,9 +100,12 @@ class TestParetoOptimal:
     def test_single_agent_is_always_optimal(self, single_agent):
         assert is_pareto_optimal_discrete(single_agent, DiscreteAssignment([0, 0])).holds
 
-    def test_enumeration_guard(self, separation):
-        with pytest.raises(InstanceTooLarge):
-            is_pareto_optimal_discrete(separation, EVEN, limit=10)
+    def test_node_limit_counts_the_nodes_entered(self, separation):
+        # 2^4 owner vectors, but the walk prunes every agent at its root
+        assert is_pareto_optimal_discrete(separation, EVEN, limit=2) == Verdict(True, None)
+        with pytest.raises(InconclusiveSearch) as excinfo:
+            is_pareto_optimal_discrete(separation, EVEN, limit=1)
+        assert (excinfo.value.nodes_explored, excinfo.value.best_welfare) == (1, None)
 
     @pytest.mark.parametrize("limit", [0, -1])
     def test_limit_below_one_is_rejected(self, separation, limit):
@@ -151,10 +156,32 @@ class TestParetoOptimal:
             assert verdict.holds == (first is None)
             assert verdict.certificate == (None if first is None else DominatingAssignment(first))
 
-    def test_guard_comes_before_the_search(self):
+    def test_walk_stops_on_entering_node_limit(self):
+        # 3^15 owner vectors; the walk reaches the first dominating one, a
+        # leaf, as its 28th node, so a limit of 29 decides and 28 does not
         inst = gen_random(3, 15, 9, seed=0)
-        with pytest.raises(InstanceTooLarge):
-            is_pareto_optimal_discrete(inst, DiscreteAssignment([0] * 15), limit=3**15 - 1)
+        verdict = is_pareto_optimal_discrete(inst, DiscreteAssignment([0] * 15), limit=29)
+        assert verdict.certificate == DominatingAssignment(DiscreteAssignment([0, 0, 1] + [0] * 12))
+        with pytest.raises(InconclusiveSearch) as excinfo:
+            is_pareto_optimal_discrete(inst, DiscreteAssignment([0] * 15), limit=28)
+        assert excinfo.value.nodes_explored == 28
+
+    @pytest.mark.parametrize(
+        "n, m, seed, owner",
+        [
+            (5, 20, 2, [1, 4, 1, 4, 1, 3, 0, 3, 2, 4, 3, 0, 1, 2, 0, 2, 3, 4, 3, 0]),
+            (6, 22, 0, [5, 1, 1, 2, 3, 4, 1, 5, 0, 5, 2, 1, 5, 3, 0, 3, 4, 2, 0, 2, 0, 4]),
+        ],
+        ids=["5x20-seed-2", "6x22-seed-0"],
+    )
+    def test_max_nash_owner_past_n_to_the_m_is_decided(self, n, m, seed, owner):
+        # max_nash_discrete's optimum of gen_random(n, m, 100, seed); n^m is
+        # ~1e14 and ~1e17, past DEFAULT_ENUM_LIMIT, but the walk enters
+        # 64,888 and 67,098 nodes
+        inst = gen_random(n, m, 100, seed=seed)
+        start = time.perf_counter()
+        assert is_pareto_optimal_discrete(inst, DiscreteAssignment(owner)) == Verdict(True, None)
+        assert time.perf_counter() - start < 2.0
 
     def test_negative_utilities_are_rejected(self):
         with pytest.raises(InvariantError) as raised:

@@ -97,6 +97,9 @@ class TestAgentUtilities:
         inst = Instance(utilities)
         for y in all_discrete_assignments(inst.n, inst.m):
             x = y.to_fractional(inst.n)
+            assert as_fractional(inst, y).rows == x.rows == tuple(
+                tuple(int(o == i) for o in y.owner) for i in range(inst.n)
+            )
             values = agent_utilities(inst, y)
             assert values == agent_utilities(inst, x)
             assert all(type(v) is Fraction for v in values)
@@ -255,8 +258,14 @@ class TestAssignments:
 
     @pytest.mark.parametrize(
         "call",
-        [lambda inst, y: y.to_fractional(inst.n), as_fractional, agent_utilities, nash_welfare],
-        ids=["to_fractional", "as_fractional", "agent_utilities", "nash_welfare"],
+        [
+            lambda inst, y: y.to_fractional(inst.n),
+            lambda inst, y: y.bundles(inst.n),
+            as_fractional,
+            agent_utilities,
+            nash_welfare,
+        ],
+        ids=["to_fractional", "bundles", "as_fractional", "agent_utilities", "nash_welfare"],
     )
     def test_out_of_range_owner_is_invalid_on_every_path(self, call):
         with pytest.raises(InvalidAssignment):
@@ -275,6 +284,7 @@ class TestAssignments:
             (lambda: DiscreteAssignment([]), "an assignment needs at least one object"),
             (lambda: DiscreteAssignment([-1]), "owner indices must be nonnegative"),
             (lambda: DiscreteAssignment([0, 2]).to_fractional(2), "object 1 is allocated 0 in total, not 1"),
+            (lambda: DiscreteAssignment([0, 2]).bundles(2), "owner index out of range for 2 agents"),
             (lambda: DiscreteAssignment.from_bundles(2, [[0], [True]]), "entry True of bundle 1 is not an object index"),
             (lambda: DiscreteAssignment.from_bundles(2, [[0, 1], [1]]), "object 1 assigned twice"),
             (lambda: DiscreteAssignment.from_bundles(4, [[0], [2]]), "objects [1, 3] are unassigned"),

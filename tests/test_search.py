@@ -32,7 +32,7 @@ from ceei import (
     verify_ceei_disc,
     verify_ceei_frac,
 )
-from ceei import cli, search
+from ceei import cli, fairness, search
 from ceei.fairness import DEFAULT_BUNDLE_LIMIT, DEFAULT_ENUM_LIMIT
 from oracles import (
     all_discrete_assignments,
@@ -480,9 +480,15 @@ class TestIdenticalUtilitiesFinder:
         assert find_ceei_disc_identical(Instance([[2] * 1500 + [3]] * 3)) is None
         assert time.perf_counter() - start < 10
 
-    def test_meet_in_the_middle_drops_out_past_its_tuple_limit(self, monkeypatch):
-        monkeypatch.setattr(search, "IDENTICAL_TUPLE_LIMIT", 20)
+    # the front half of these weights makes 31 load tuples and the back 32,
+    # so a limit of 20 stops the front and one of 40 the back
+    @pytest.mark.parametrize("room", [20, 40], ids=["front", "back"])
+    def test_meet_in_the_middle_drops_out_past_its_tuple_limit(self, monkeypatch, room):
         weights = [2**40 + 2 ** (i + 1) for i in range(10)]
+        instances = [Instance([weights] * 2), Instance([weights + weights] * 2)]
+        answers = [find_ceei_disc_identical(inst) for inst in instances]
+        assert answers[0] is None and answers[1] is not None
+        monkeypatch.setattr(search, "IDENTICAL_TUPLE_LIMIT", room)
         target = sum(weights) // 2
         mitm = search._meet_in_the_middle(search._largest_first(weights), weights, 2, target)
         with pytest.raises(StopIteration) as finished:
@@ -490,8 +496,7 @@ class TestIdenticalUtilitiesFinder:
                 next(mitm)
         assert finished.value.value is search._OUT_OF_ROOM
         # the depth-first search then decides alone
-        assert find_ceei_disc_identical(Instance([weights] * 2)) is None
-        assert find_ceei_disc_identical(Instance([weights + weights] * 2)) is not None
+        assert [find_ceei_disc_identical(inst) for inst in instances] == answers
 
 
 class TestExistsDiscreteSupport:
@@ -571,28 +576,47 @@ def _rational_instance(seed):
     return Instance([[v / rng.randint(1, 9) for v in row] for row in base.utilities]), rng
 
 
-GUARDED = [
+# every walk with a `limit`: the error it raises at a limit of 1 on a 2x2
+# instance, and that error's fields
+LIMITED = [
     pytest.param(
-        lambda inst, limit: is_pareto_optimal_discrete(inst, DiscreteAssignment([0] * inst.m), limit=limit),
-        DEFAULT_ENUM_LIMIT,
+        lambda inst, limit: is_pareto_optimal_discrete(inst, DiscreteAssignment([1, 0]), limit=limit),
+        "DEFAULT_ENUM_LIMIT",
+        InconclusiveSearch,
+        {"nodes_explored": 1, "best_welfare": None},
         id="is_pareto_optimal_discrete",
     ),
     pytest.param(
-        lambda inst, limit: verify_ceei_disc(inst, DiscreteAssignment([0] * inst.m), limit=limit),
-        DEFAULT_BUNDLE_LIMIT,
+        lambda inst, limit: verify_ceei_disc(inst, DiscreteAssignment([1, 0]), limit=limit),
+        "DEFAULT_BUNDLE_LIMIT",
+        InstanceTooLarge,
+        {"limit": 1, "required": 4},
         id="verify_ceei_disc",
     ),
-    pytest.param(brute_force_max_nash, DEFAULT_ENUM_LIMIT, id="brute_force_max_nash"),
-    pytest.param(exists_ceei_disc_bruteforce, DEFAULT_ENUM_LIMIT, id="exists_ceei_disc_bruteforce"),
+    pytest.param(
+        brute_force_max_nash, "DEFAULT_ENUM_LIMIT", InstanceTooLarge, {"limit": 1, "required": 4},
+        id="brute_force_max_nash",
+    ),
+    pytest.param(
+        exists_ceei_disc_bruteforce, "DEFAULT_ENUM_LIMIT", InstanceTooLarge, {"limit": 1, "required": 4},
+        id="exists_ceei_disc_bruteforce",
+    ),
+    pytest.param(
+        exists_ceei_frac_discrete, "DEFAULT_ENUM_LIMIT", InconclusiveSearch, {"nodes_explored": 1, "best_welfare": 4},
+        id="exists_ceei_frac_discrete",
+    ),
 ]
 
 
-@pytest.mark.parametrize("call, default", GUARDED)
-def test_limit_none_is_the_default_and_zero_is_rejected(call, default):
-    # 2^25 owner vectors and 2^25 bundles: past both defaults
-    with pytest.raises(InstanceTooLarge) as excinfo:
-        call(Instance([[1] * 25] * 2), limit=None)
-    assert (excinfo.value.limit, excinfo.value.required) == (default, 2**25)
+@pytest.mark.parametrize("call, default, error, fields", LIMITED)
+def test_limit_none_is_the_default_and_zero_is_rejected(call, default, error, fields, monkeypatch):
+    assert (DEFAULT_ENUM_LIMIT, DEFAULT_BUNDLE_LIMIT) == (20_000_000, 1 << 16)
+    # None is read as the default when the call is made, so a default of 1
+    # stops every walk at once; the owner [1, 0] is envy-free
+    monkeypatch.setattr(fairness, default, 1)
+    with pytest.raises(error) as excinfo:
+        call(Instance([[1, 2], [2, 1]]), limit=None)
+    assert {name: getattr(excinfo.value, name) for name in fields} == fields
     with pytest.raises(ValueError, match="enumeration limit must be at least 1, not 0"):
         call(Instance([[1, 2], [2, 1]]), limit=0)
 

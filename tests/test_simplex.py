@@ -118,6 +118,11 @@ def test_rhs_length_must_match_rows():
         maximize([1], [[1]], [1, 5])
 
 
+def test_row_length_must_match_the_objective():
+    with pytest.raises(ValueError, match="constraint 1 has 1 coefficients, expected 2"):
+        maximize([1, 1], [[1, 1], [1]], [1, 1])
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_optimum_matches_vertex_enumeration(seed):
     rng = random.Random(seed)
