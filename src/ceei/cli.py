@@ -140,8 +140,9 @@ def _build_parser():
         type=_limit,
         default=None,
         help="at least 1, the most nodes a walk may visit: po counts its nodes (exit 5"
-        " at the limit; default 20000000); ceei-disc refuses 2^m bundles over it (exit 4;"
-        " default 65536); ignored by ef and ceei-frac",
+        " at the limit; default 20000000); ceei-disc, when neither envy nor the ceei-frac"
+        " prices decide, refuses 2^m bundles over it (exit 4; default 65536); ignored by"
+        " ef and ceei-frac",
     )
     check.set_defaults(handler=_cmd_check)
 

@@ -93,14 +93,15 @@ class NotIdenticalUtilities(CeeiError):
 
 class InconclusiveSearch(CeeiError):
     """A search that reached its node limit cannot answer an existence
-    question.  `best_welfare` is the incumbent of a welfare search, else None."""
+    question, which `undecided` names.  `best_welfare` is the incumbent of a
+    welfare search, else None."""
 
-    def __init__(self, nodes_explored, best_welfare=None):
+    def __init__(self, nodes_explored, best_welfare=None, undecided="existence"):
         self.nodes_explored = nodes_explored
         self.best_welfare = best_welfare
-        super().__init__(
-            f"search truncated after {nodes_explored} nodes; existence undecided"
-        )
+        self.undecided = undecided
+        nodes = "1 node" if nodes_explored == 1 else f"{nodes_explored} nodes"
+        super().__init__(f"search truncated after {nodes}; {undecided} undecided")
 
 
 class EmptyMultiset(CeeiError):

@@ -8,11 +8,12 @@ Four notions are decided here:
   with all objects still unassigned, some agent cannot reach its own total
   or the agents' summed total cannot rise above its own;
 * price support over fractional demand (the strong notion), by an exact
-  closed-form test in rational arithmetic;
+  closed-form test in rational arithmetic, `_ratio_verdict`;
 * price support over discrete demand (the weak notion): refuted by envy
-  outright, else by maximizing a uniform affordability slack over the
-  inclusion-minimal strictly-better bundles (enumerated directly by a
-  pruned walk per agent) with `simplex.maximize`, an integer-pivoting
+  outright, certified by the fractional test's prices when that stronger
+  notion holds, else decided by maximizing a uniform affordability slack
+  over the inclusion-minimal strictly-better bundles (enumerated directly
+  by a pruned walk per agent) with `simplex.maximize`, an integer-pivoting
   simplex on 0/±1 rows whose optimum and prices are exact rationals.
 
 Every verdict checks its assignment with `model.check_assignment`, then
@@ -23,7 +24,9 @@ rely on it.  A `limit`, here and in `search`, is the most nodes a walk may
 visit.  A walk that prunes counts the nodes it enters and raises
 InconclusiveSearch on entering node `limit`; a walk that cannot prune knows
 its size, n^m owner vectors or 2^m bundles, and `_guard` raises
-InstanceTooLarge at once when that size is over the limit.  `_check_limit`
+InstanceTooLarge at once when that size is over the limit.  A polynomial
+test takes no limit: `verify_ceei_disc` guards its bundle walk only after
+the envy and fractional tests have not decided.  `_check_limit`
 rejects a limit below 1 and reads None as DEFAULT_ENUM_LIMIT for every
 owner-vector walk; `verify_ceei_disc` reads it as DEFAULT_BUNDLE_LIMIT.
 The exhaustive searches in `search` visit owner vectors in lexicographic
@@ -156,7 +159,7 @@ def _first_dominating(rows, base, limit):
         if not start:
             nodes += 1
             if nodes >= limit:
-                raise InconclusiveSearch(nodes)
+                raise InconclusiveSearch(nodes, undecided="existence of a dominating assignment")
             if j == m:
                 return owner
         col = cols[j]
@@ -204,22 +207,37 @@ def verify_ceei_frac(inst: Instance, y: DiscreteAssignment) -> Verdict:
     Raises InvariantError if such an agent values no object at all.
     """
     check_assignment(inst, y)
-    n = inst.n
-    bundles = y.bundles(n)
     rows = inst.int_rows
     values = bundle_values(rows, y.owner)
-    for i in range(n):
-        if values[i] == 0:
-            wanted = next((j for j in range(inst.m) if rows[i][j] > 0), None)
+    for i, (row, value) in enumerate(zip(rows, values)):
+        if value == 0:
+            wanted = next((j for j, v in enumerate(row) if v > 0), None)
             if wanted is None:
                 raise InvariantError([InstanceViolation("zero_row", agent=i)])
             return Verdict(False, ViolatingBundle(i, (wanted,)))
-    prices = [max(Fraction(rows[k][j], values[k]) for k in range(n)) for j in range(inst.m)]
-    for i in range(n):
-        for j in bundles[i]:
-            ratio = Fraction(rows[i][j], values[i])
-            if ratio != prices[j]:
-                return Verdict(False, KktViolation(i, j, prices[j] - ratio))
+    return _ratio_verdict(rows, y.owner, values)
+
+
+def _ratio_verdict(rows, owner, values):
+    """`verify_ceei_frac`'s verdict from the agents' own totals `values`, all
+    positive: the prices p_j = max_k rows[k][j] / values[k] when every object
+    is owned at its column's maximum ratio, else the KktViolation of the
+    first object, agent by agent, owned below it.
+
+    Those prices are discrete price support too: each own bundle costs
+    exactly 1, and a bundle B costs at least rows[i](B) / values[i], so every
+    bundle agent i strictly prefers costs more than 1.
+    """
+    # objects agent by agent, ascending within an agent; the ratio
+    # rows[i][j] / values[i] is below rows[k][j] / values[k] iff the cross
+    # products are, so only a violation or the prices build a Fraction
+    for j in sorted(range(len(owner)), key=owner.__getitem__):
+        i = owner[j]
+        own = rows[i][j]
+        if any(row[j] * values[i] > own * value for row, value in zip(rows, values)):
+            top = max(Fraction(row[j], value) for row, value in zip(rows, values))
+            return Verdict(False, KktViolation(i, j, top - Fraction(own, values[i])))
+    prices = [Fraction(rows[i][j], values[i]) for j, i in enumerate(owner)]
     return Verdict(True, PriceSupport(PriceVector(prices)))
 
 
@@ -230,16 +248,18 @@ def verify_ceei_disc(inst: Instance, y: DiscreteAssignment, limit=None) -> Verdi
     bundle while every strictly better bundle costs strictly more than the
     unit budget.  Bundles of equal value impose no constraint.  An envied
     bundle is strictly better and affordable, so `_first_envy`'s pair (i, k)
-    refutes support at once, with k's whole bundle as i's witness.
-    Otherwise strictness is decided by maximizing a uniform slack t over the
-    inclusion-minimal strictly-better bundles (supersets cost at least as
-    much, so they are implied); the notion holds iff the optimal slack is
-    positive.
+    refutes support at once, with k's whole bundle as i's witness.  When
+    every agent's own total is positive and `verify_ceei_frac` holds, its
+    prices are the certificate: the stronger notion implies this one
+    exactly.  Otherwise strictness is decided by maximizing a uniform slack
+    t over the inclusion-minimal strictly-better bundles (supersets cost at
+    least as much, so they are implied); the notion holds iff the optimal
+    slack is positive.
 
-    Rejects a `limit` below 1 first.  After the envy test, which is
-    polynomial, raises InstanceTooLarge when the 2^m bundles it considers
-    exceed `limit` (None: DEFAULT_BUNDLE_LIMIT); the existence search has no
-    bundle guard of its own.
+    Rejects a `limit` below 1 first.  After the envy and fractional tests,
+    which are polynomial, raises InstanceTooLarge when the 2^m bundles it
+    considers exceed `limit` (None: DEFAULT_BUNDLE_LIMIT); the existence
+    search has no bundle guard of its own.
     """
     check_assignment(inst, y)
     _check_limit(limit)
@@ -248,9 +268,14 @@ def verify_ceei_disc(inst: Instance, y: DiscreteAssignment, limit=None) -> Verdi
     envy = _first_envy(rows, y.owner)
     if envy is not None:
         return Verdict(False, ViolatingBundle(envy[0], y.bundle(envy[1])))
+    values = bundle_values(rows, y.owner)
+    if all(values):
+        frac = _ratio_verdict(rows, y.owner, values)
+        if frac.holds:
+            return frac
     _guard(inst, DEFAULT_BUNDLE_LIMIT if limit is None else limit, 1 << m)
 
-    minimal = _minimal_better_bundles(rows, bundle_values(rows, y.owner))
+    minimal = _minimal_better_bundles(rows, values)
     if not minimal:
         return Verdict(True, PriceSupport(PriceVector([Fraction(1, m)] * m)))
 

@@ -596,9 +596,10 @@ def exists_ceei_disc_bruteforce(inst: Instance, limit=None):
     inside someone's affordable one), so skipping those
     `fairness._first_envy` finds envy in changes no answer.  Returns
     (assignment, prices) or None.  Raises InstanceTooLarge when n^m exceeds
-    `limit` (None: DEFAULT_ENUM_LIMIT), before any work.  The first
-    envy-free owner vector, if any, meets `verify_ceei_disc`'s own 2^m bundle
-    guard, which raises InstanceTooLarge past 16 objects.
+    `limit` (None: DEFAULT_ENUM_LIMIT), before any work.  An envy-free
+    owner vector with fractional price support is certified by those prices
+    at any size; the first other one, if reached, meets `verify_ceei_disc`'s
+    own 2^m bundle guard, which raises InstanceTooLarge past 16 objects.
     """
     _guard(inst, limit, inst.n**inst.m)
     for owner in product(range(inst.n), repeat=inst.m):

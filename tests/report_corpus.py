@@ -102,6 +102,9 @@ def _argvs():
     for notion in ("ef", "po", "ceei-disc"):
         for limit in ("1", "3"):
             yield ["check", "separation.json", "even.json", notion, "--limit-nodes", limit]
+    # the even split is CEEI-frac, which takes no limit; the lopsided one is
+    # not, so its 2^4 bundles meet the guard
+    yield ["check", "separation.json", "lopsided.json", "ceei-disc", "--limit-nodes", "1"]
     # n^m is past 20M, but the Pareto walk decides each in ~65K nodes
     for shape in ("5x20", "6x22"):
         yield ["check", f"random-{shape}.json", f"mnw-{shape}.json", "po"]

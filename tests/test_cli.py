@@ -227,12 +227,19 @@ class TestCheck:
         )
 
     @pytest.mark.parametrize(
-        "notion, exit_code, err_line",
+        "assignment, notion, exit_code, err_line",
         [
             # the Pareto walk prunes, so it stops on entering its first node
-            ("po", 5, "error: search truncated after 1 nodes; existence undecided"),
-            # the bundle walk does not, so it refuses its 2^4 bundles up front
             (
+                "even.json",
+                "po",
+                5,
+                "error: search truncated after 1 node; existence of a dominating assignment undecided",
+            ),
+            # the bundle walk does not, so it refuses its 2^4 bundles up front;
+            # the lopsided split is envy-free but not CEEI-frac, so it gets there
+            (
+                "lopsided.json",
                 "ceei-disc",
                 4,
                 "error: instance with 2 agents and 4 objects needs 16 enumeration steps,"
@@ -241,12 +248,23 @@ class TestCheck:
         ],
         ids=["po", "ceei-disc"],
     )
-    def test_limit_of_one_stops_each_walk(self, workdir, capsys, notion, exit_code, err_line):
+    def test_limit_of_one_stops_each_walk(self, workdir, capsys, assignment, notion, exit_code, err_line):
         code, report, err = run(
-            capsys, "check", workdir / "separation.json", workdir / "even.json", notion,
+            capsys, "check", workdir / "separation.json", workdir / assignment, notion,
             "--limit-nodes", 1,
         )
         assert (code, report, err) == (exit_code, None, err_line + "\n")
+
+    def test_ceei_frac_owner_needs_no_bundle_walk(self, workdir, capsys):
+        # the even split is CEEI-frac, so its prices certify it under any limit
+        code, report, err = run(
+            capsys, "check", workdir / "separation.json", workdir / "even.json", "ceei-disc",
+            "--limit-nodes", 1,
+        )
+        assert (code, err) == (0, "")
+        assert report["config"]["limit_nodes"] == 1
+        cert = report["result"]["certificate"]
+        assert [p["exact"] for p in cert["prices"]] == ["19/20", "1/20", "1/20", "19/20"]
 
     def test_po_limit_counts_nodes_not_owner_vectors(self, workdir, capsys):
         # 2^4 owner vectors, but the walk decides at its root: one node

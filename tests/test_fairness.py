@@ -17,9 +17,11 @@ from ceei import (
     InvalidAssignment,
     InvariantError,
     KktViolation,
+    ThreePartitionInput,
     Verdict,
     ViolatingBundle,
     bundle_utility,
+    from_three_partition,
     gen_random,
     is_envy_free,
     is_pareto_optimal_discrete,
@@ -43,6 +45,19 @@ from oracles import (
 
 LOPSIDED = DiscreteAssignment([0, 1, 1, 1])  # favourite object vs the rest
 EVEN = DiscreteAssignment([0, 0, 1, 1])  # two and two
+
+
+def _slack_lp_holds(inst, y):
+    """Discrete price support from its definition, with no shortcut: the most
+    s with s <= p(B) for every inclusion-minimal strictly-better bundle B and
+    p(y_i) <= 1 for every agent exceeds 1, or is unbounded (no such B)."""
+    m = inst.m
+    own = [sum((inst.utilities[i][j] for j in y.bundle(i)), Fraction(0)) for i in range(inst.n)]
+    minimal = minimal_better_bundles(inst.utilities, own)
+    rows = [[-int(j in bundle) for j in range(m)] + [1] for _agent, bundle in minimal]
+    rows += [[int(j in bundle) for j in range(m)] + [0] for bundle in y.bundles(inst.n)]
+    solved = bland_tableau([0] * m + [1], rows, [0] * len(minimal) + [1] * inst.n)
+    return solved is None or solved[0] > 1
 
 
 class TestEnvyFree:
@@ -287,15 +302,48 @@ class TestVerifyDiscreteSupport:
         claimed = sum(inst.utilities[agent][j] for j in verdict.certificate.objects)
         assert claimed > own
 
-    def test_single_agent_uniform_prices(self):
+    def test_single_agent_prices_its_values(self):
+        # one agent owning everything is CEEI-frac, priced at u_j / 6
         inst = Instance([[3, 1, 2]])
         verdict = verify_ceei_disc(inst, DiscreteAssignment([0, 0, 0]))
         assert verdict.holds
-        assert verdict.certificate.prices.prices == (Fraction(1, 3),) * 3
+        assert verdict.certificate.prices.prices == (Fraction(1, 2), Fraction(1, 6), Fraction(1, 3))
+
+    def test_agent_valuing_nothing_skips_the_fractional_test(self):
+        # verify_ceei_frac raises on agent 0, which values nothing; the
+        # discrete test goes on to the bundle walk, finds no better bundle
+        # and prices every object alike
+        inst = Instance([[0, 0], [1, 1]])
+        y = DiscreteAssignment([1, 1])
+        with pytest.raises(InvariantError):
+            verify_ceei_frac(inst, y)
+        assert verify_ceei_disc(inst, y, limit=4).certificate.prices.prices == (Fraction(1, 2),) * 2
+        with pytest.raises(InstanceTooLarge):
+            verify_ceei_disc(inst, y, limit=3)
+
+    def test_fractional_support_certifies_without_the_lp(self, separation, monkeypatch):
+        # the CEEI-frac prices are discrete price support, so the even split
+        # needs neither the bundle walk nor the LP, under any limit
+        monkeypatch.setattr(simplex, "maximize", None)
+        verdict = verify_ceei_disc(separation, EVEN, limit=1)
+        assert verdict == verify_ceei_frac(separation, EVEN)
+        assert recheck_discrete_price_support(separation, EVEN, verdict.certificate.prices)
+
+    def test_planted_three_partition_split_past_the_guard(self):
+        # six triples summing to 30: identical rows split equally are CEEI-frac,
+        # so 2^18 bundles need no walk; prices are the weights over 30
+        triples = [(9, 10, 11), (8, 10, 12), (8, 11, 11), (9, 9, 12), (10, 10, 10), (8, 9, 13)]
+        inst = from_three_partition(ThreePartitionInput([w for t in triples for w in t], 30))
+        y = DiscreteAssignment([g for g in range(6) for _ in range(3)])
+        verdict = verify_ceei_disc(inst, y)
+        assert verdict.holds
+        assert verdict.certificate.prices.prices == tuple(Fraction(w, 30) for t in triples for w in t)
 
     # (agents, objects, max utility, seed, owner) -> certificate, recorded on
-    # the textbook rational tableau; every verdict here is decided by the LP,
-    # so a drift in the pivot rule changes the prices or the witness
+    # the textbook rational tableau.  Every verdict here but shape2's is
+    # decided by the LP, so a drift in the pivot rule changes the prices or
+    # the witness; shape2's owner is CEEI-frac, so its prices are
+    # verify_ceei_frac's, u_kj / v_k for the owner k of object j
     PINNED = [
         ((3, 10, 100, 0), [2, 0, 1, 2, 2, 0, 0, 0, 1, 0],
          [Fraction(3, 7), Fraction(2, 7), Fraction(3, 7), Fraction(1, 7), Fraction(3, 7),
@@ -304,7 +352,7 @@ class TestVerifyDiscreteSupport:
          [Fraction(1, 5), Fraction(3, 10), Fraction(3, 10), Fraction(1, 10), Fraction(3, 10),
           Fraction(3, 10), Fraction(1, 5), Fraction(3, 10)]),
         ((2, 6, 12, 2), [1, 1, 1, 0, 1, 0],
-         [Fraction(0), Fraction(1, 3), Fraction(1, 3), Fraction(2, 3), Fraction(1, 3), Fraction(1, 3)]),
+         [Fraction(12, 35), Fraction(2, 7), Fraction(4, 35), Fraction(5, 16), Fraction(9, 35), Fraction(11, 16)]),
         ((3, 7, 12, 3), [1, 1, 0, 2, 2, 0, 2],
          [Fraction(1, 3), Fraction(2, 3), Fraction(1, 2), Fraction(1, 3), Fraction(1, 6),
           Fraction(1, 2), Fraction(1, 2)]),
@@ -324,6 +372,31 @@ class TestVerifyDiscreteSupport:
         else:
             assert verdict.holds
             assert list(verdict.certificate.prices.prices) == expected
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_verdicts_match_the_slack_lp_oracle(self, seed):
+        # every verdict, by envy, by the CEEI-frac prices or by the LP, is the
+        # slack LP's over all minimal better bundles; max-Nash and random
+        # owners, n <= 3 and m <= 8, zero rows and columns included
+        rng = random.Random(9000 + seed)
+        routes = []
+        for _ in range(12):
+            inst = mixed_instance(rng, max_agents=3, max_objects=8, max_assignments=6561)
+            owners = [max_nash_discrete(inst).best]
+            owners += [DiscreteAssignment([rng.randrange(inst.n) for _ in range(inst.m)]) for _ in range(2)]
+            for y in owners:
+                verdict = verify_ceei_disc(inst, y)
+                assert verdict.holds == _slack_lp_holds(inst, y)
+                own = [sum((inst.utilities[i][j] for j in y.bundle(i)), Fraction(0)) for i in range(inst.n)]
+                if verdict.holds:
+                    assert recheck_discrete_price_support(inst, y, verdict.certificate.prices)
+                    frac = all(own) and verify_ceei_frac(inst, y).holds
+                    routes.append("frac" if frac else "lp")
+                else:
+                    agent, objects = verdict.certificate.agent, verdict.certificate.objects
+                    assert sum(inst.utilities[agent][j] for j in objects) > own[agent]
+                    routes.append("fails")
+        assert {"frac", "lp", "fails"} <= set(routes)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_certificates_match_the_textbook_tableau(self, seed, monkeypatch):
@@ -347,8 +420,16 @@ class TestVerifyDiscreteSupport:
         assert solved
 
     def test_bundle_guard(self, separation):
+        # the lopsided split is envy-free but not CEEI-frac, so only the
+        # bundle walk decides it; the even split is CEEI-frac and passes
         with pytest.raises(InstanceTooLarge):
-            verify_ceei_disc(separation, EVEN, limit=8)
+            verify_ceei_disc(separation, LOPSIDED, limit=8)
+        # 13 objects nobody values take the walk past the default 2^16
+        padded = Instance([list(row) + [0] * 13 for row in separation.int_rows])
+        with pytest.raises(InstanceTooLarge) as excinfo:
+            verify_ceei_disc(padded, DiscreteAssignment(LOPSIDED.owner + (0,) * 13))
+        assert (excinfo.value.limit, excinfo.value.required) == (1 << 16, 1 << 17)
+        assert verify_ceei_disc(padded, DiscreteAssignment(EVEN.owner + (0,) * 13)).holds
 
     @pytest.mark.parametrize("limit", [0, -1])
     def test_limit_below_one_is_rejected(self, separation, limit):

@@ -28,6 +28,7 @@ from ceei import (
     max_nash_discrete,
     nash_welfare,
     PartitionInput,
+    PriceVector,
     serialize_instance,
     verify_ceei_disc,
     verify_ceei_frac,
@@ -529,14 +530,22 @@ class TestExistsDiscreteSupport:
             exists_ceei_disc_bruteforce(separation, limit=0)
 
     def test_bundle_guard_is_the_verifiers(self):
-        # 2^17 owner vectors pass the n^m guard; the first envy-free one
-        # meets verify_ceei_disc's 2^m bundle guard, the only one
+        # 2^17 owner vectors pass the n^m guard; the first envy-free one is
+        # not CEEI-frac, so it meets verify_ceei_disc's 2^m bundle guard, the
+        # only one
         start = time.perf_counter()
         with pytest.raises(InstanceTooLarge) as excinfo:
             exists_ceei_disc_bruteforce(gen_random(2, 17, 9, seed=0))
         assert time.perf_counter() - start < 1.0
         assert excinfo.value.limit == DEFAULT_BUNDLE_LIMIT
         assert excinfo.value.required == 2**17
+
+    def test_ceei_frac_owner_past_the_bundle_guard_is_found(self):
+        # 18 equal weights: every envy-free owner vector splits them nine and
+        # nine, which is CEEI-frac, so the first one reached (the 512th) is
+        # certified by its prices with no bundle walk
+        found = exists_ceei_disc_bruteforce(from_partition(PartitionInput([1] * 18)))
+        assert found == (DiscreteAssignment([0] * 9 + [1] * 9), PriceVector([Fraction(1, 9)] * 18))
 
     def test_cli_exits_4_at_the_bundle_guard(self, tmp_path, capsys):
         path = tmp_path / "r2x17.json"
@@ -587,7 +596,9 @@ LIMITED = [
         id="is_pareto_optimal_discrete",
     ),
     pytest.param(
-        lambda inst, limit: verify_ceei_disc(inst, DiscreteAssignment([1, 0]), limit=limit),
+        # [1, 0] is CEEI-frac, which needs no bundle walk; agent 1 of this
+        # instance values nothing, so no fractional test decides [0, 0]
+        lambda inst, limit: verify_ceei_disc(Instance([[1, 2], [0, 0]]), DiscreteAssignment([0, 0]), limit=limit),
         "DEFAULT_BUNDLE_LIMIT",
         InstanceTooLarge,
         {"limit": 1, "required": 4},
@@ -612,7 +623,7 @@ LIMITED = [
 def test_limit_none_is_the_default_and_zero_is_rejected(call, default, error, fields, monkeypatch):
     assert (DEFAULT_ENUM_LIMIT, DEFAULT_BUNDLE_LIMIT) == (20_000_000, 1 << 16)
     # None is read as the default when the call is made, so a default of 1
-    # stops every walk at once; the owner [1, 0] is envy-free
+    # stops every walk at once; the owners [1, 0] and [0, 0] are envy-free
     monkeypatch.setattr(fairness, default, 1)
     with pytest.raises(error) as excinfo:
         call(Instance([[1, 2], [2, 1]]), limit=None)
