@@ -23,7 +23,7 @@ result, to which ceei-disc adds "prices" and identical-ceei-disc
 "utility_per_agent".
 
 Exact rationals are reported as {"exact": "19/20", "decimal": 0.95} pairs,
-with a null decimal for values beyond float range; plain floats stay plain.
+with a null decimal for values beyond float range.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ import os
 import sys
 import time
 from decimal import Decimal
-from fractions import Fraction
 
 from . import search
 from .equilibrium import solve_eg
@@ -150,16 +149,16 @@ def _build_parser():
     searchp.add_argument("instance")
     searchp.add_argument(
         "target",
-        choices=["mnw", "ceei-frac", "ceei-disc", "binary-mnw", "identical-ceei-disc"],
+        choices=["mnw", "ceei-frac", "ceei-disc", "identical-ceei-disc"],
     )
     searchp.add_argument(
         "--limit-nodes",
         type=_limit,
         default=None,
         help="at least 1, the most nodes a walk may visit (default 20000000): the mnw and"
-        " ceei-frac branch and bound counts its nodes (exit 5 at the limit; ignored by"
-        " ceei-frac on 0/1 rows); ceei-disc refuses n^m owner vectors over it (exit 4);"
-        " ignored by binary-mnw and identical-ceei-disc",
+        " ceei-frac branch and bound counts its nodes (exit 5 at the limit; ignored on"
+        " 0/1 rows); ceei-disc refuses n^m owner vectors over it (exit 4); ignored by"
+        " identical-ceei-disc",
     )
     searchp.set_defaults(handler=_cmd_search)
 
@@ -228,8 +227,8 @@ def _cmd_search(args):
     limit = args.limit_nodes
     report = _report("search", inst, {"target": args.target, "limit_nodes": limit})
 
-    if args.target in ("mnw", "binary-mnw"):
-        result = search.max_nash_discrete(inst, limit=limit) if args.target == "mnw" else search.binary_max_nash(inst)
+    if args.target == "mnw":
+        result = search.max_nash_discrete(inst, limit=limit)
         report["result"] = {
             "status": "optimal" if result.optimal else "truncated",
             "owner": list(result.best.owner),
@@ -314,16 +313,14 @@ def _report(command, inst, config):
 
 
 def _number(value):
-    if isinstance(value, Fraction):
-        try:
-            decimal = float(value)
-        except OverflowError:
-            decimal = None
-        # Decimal writes ints past sys.get_int_max_str_digits(), which str()
-        # obeys; the limit stays in force for parsing input
-        num, den = str(Decimal(value.numerator)), str(Decimal(value.denominator))
-        return {"exact": num if den == "1" else f"{num}/{den}", "decimal": decimal}
-    return value
+    try:
+        decimal = float(value)
+    except OverflowError:
+        decimal = None
+    # Decimal writes ints past sys.get_int_max_str_digits(), which str()
+    # obeys; the limit stays in force for parsing input
+    num, den = str(Decimal(value.numerator)), str(Decimal(value.denominator))
+    return {"exact": num if den == "1" else f"{num}/{den}", "decimal": decimal}
 
 
 def _certificate(cert):

@@ -1,5 +1,6 @@
 """Exception types shared across the toolkit."""
 
+import copyreg
 from fractions import Fraction
 
 
@@ -19,6 +20,10 @@ def bounded(value):
 
 class CeeiError(Exception):
     """Base class for all toolkit errors."""
+
+    def __reduce__(self):
+        # rebuilt from args and fields without __init__, whose parameters differ
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class DimensionMismatch(CeeiError):

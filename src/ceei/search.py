@@ -3,10 +3,10 @@
 Welfare maximization comes in three flavours: plain enumeration (the oracle
 everything else is measured against), branch and bound from a greedy
 incumbent under an additive and an integer AM-GM optimistic bound, and a
-polynomial augmenting-path maximizer for 0/1 utilities.  On top of those
-sit the existence deciders for the two price-support notions, the
-fractional one polynomial on 0/1 utilities, and the equal-split finder for
-identical utilities.
+polynomial augmenting-path maximizer, which `max_nash_discrete` runs
+instead on 0/1 int rows.  On top of those sit the existence deciders for
+the two price-support notions and the equal-split finder for identical
+utilities.
 
 Ties are broken lexicographically by owner vector wherever the search is
 exhaustive, so optima are canonical and runs are reproducible; the bounds
@@ -133,26 +133,31 @@ def _exceeded(vectors, t):
 
 
 def max_nash_discrete(inst: Instance, limit=None) -> SearchResult:
-    """Branch-and-bound welfare maximization over discrete assignments.
+    """Welfare maximization over discrete assignments.
 
-    Objects are assigned in decreasing order of their best single-agent
-    utility, starting from a greedy incumbent (`_greedy`).  A node is kept
-    while two exact bounds on every completion's welfare reach the
-    incumbent's: the additive one credits every agent with all utility still
-    unassigned, and the AM-GM one weighs each agent's total by the inverse
-    of its row total, so that the objects left can add at most their best
-    weighted value to the weighted sum, and the product is at most the
-    n-th power of that sum's mean.  Ties are kept, so welfare ties resolve
-    toward the lexicographically smaller owner vector, matching the
-    enumeration oracle.  Entering node `limit` (None: DEFAULT_ENUM_LIMIT;
-    below 1: a ValueError) truncates the search and sets `optimal = False`
-    instead of raising; the result is then the greedy assignment or a better
-    one.  Both bounds need the nonnegative utilities that `Instance`
-    guarantees.
+    On 0/1 int rows `binary_max_nash` answers in polynomial time, optimal at
+    any `limit`, with its own optimum; `nodes_explored` counts its path
+    searches.  Every other instance runs branch and bound: objects are
+    assigned in decreasing order of their best single-agent utility,
+    starting from a greedy incumbent (`_greedy`).  A node is kept while two
+    exact bounds on every completion's welfare reach the incumbent's: the
+    additive one credits every agent with all utility still unassigned, and
+    the AM-GM one weighs each agent's total by the inverse of its row total,
+    so that the objects left can add at most their best weighted value to
+    the weighted sum, and the product is at most the n-th power of that
+    sum's mean.  Ties are kept, so on this route welfare ties resolve toward
+    the lexicographically smaller owner vector, matching the enumeration
+    oracle.  Entering node `limit` (None: DEFAULT_ENUM_LIMIT; below 1: a
+    ValueError) truncates the search and sets `optimal = False` instead of
+    raising; the result is then the greedy assignment or a better one.  Both
+    bounds need the nonnegative utilities that `Instance` guarantees.
     """
     limit = _check_limit(limit)
     n, m = inst.n, inst.m
     rows = inst.int_rows
+    if all(v == 0 or v == 1 for row in rows for v in row):
+        result = binary_max_nash(Instance(rows))
+        return SearchResult(result.best, result.welfare / math.prod(inst.scales), result.nodes_explored, True)
     # compares utilities across agents, so it reads the unscaled ones
     order = sorted(range(m), key=lambda j: (-max(row[j] for row in inst.utilities), j))
     # suffix[k][i]: utility mass agent i could still gain from objects order[k:]
@@ -293,21 +298,14 @@ def exists_ceei_frac_discrete(inst: Instance, limit=None):
 
     A discrete assignment is supportable against fractional demand exactly
     when it reaches the welfare optimum of the fractional relaxation, so it
-    suffices to test one discrete welfare maximizer: `binary_max_nash` (in
-    polynomial time, `limit` checked but unused) when every integer row is
-    0/1, else branch and bound, raising InconclusiveSearch on entering node
-    `limit` (None: DEFAULT_ENUM_LIMIT).
+    suffices to test one discrete welfare maximizer, `max_nash_discrete`'s
+    (polynomial on 0/1 int rows), raising InconclusiveSearch when it is
+    truncated on entering node `limit` (None: DEFAULT_ENUM_LIMIT).
     """
-    _check_limit(limit)
-    if all(v == 0 or v == 1 for row in inst.int_rows for v in row):
-        result = binary_max_nash(Instance(inst.int_rows))
-    else:
-        result = max_nash_discrete(inst, limit)
-        if not result.optimal:
-            raise InconclusiveSearch(result.nodes_explored, result.welfare)
-    if verify_ceei_frac(inst, result.best).holds:
-        return result.best
-    return None
+    result = max_nash_discrete(inst, limit)
+    if not result.optimal:
+        raise InconclusiveSearch(result.nodes_explored, result.welfare)
+    return result.best if verify_ceei_frac(inst, result.best).holds else None
 
 
 def binary_max_nash(inst: Instance) -> SearchResult:

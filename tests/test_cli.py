@@ -24,8 +24,8 @@ def workdir(tmp_path):
     return tmp_path
 
 
-def _uniform_doc(n, m):
-    return json.dumps({"agents": n, "objects": m, "utilities": [[1] * m] * n})
+def _uniform_doc(n, m, value=1):
+    return json.dumps({"agents": n, "objects": m, "utilities": [[value] * m] * n})
 
 
 NON_SOLVER_PROBE = """
@@ -49,7 +49,7 @@ separation, even, binary_gap, ident, out = sys.argv[1:]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(["check", separation, even, notion]) for notion in ("ef", "po", "ceei-frac", "ceei-disc")]
     codes += [main(["search", separation, target]) for target in ("mnw", "ceei-frac", "ceei-disc")]
-    codes += [main(["search", binary_gap, "binary-mnw"]), main(["search", ident, "identical-ceei-disc"])]
+    codes += [main(["search", binary_gap, "mnw"]), main(["search", ident, "identical-ceei-disc"])]
     codes += [main(["gen", "random", "--out", out]), main(["gen", "partition", "--set", "2,1,1", "--out", out])]
 print(codes, "numpy" in sys.modules)
 """
@@ -374,7 +374,7 @@ class TestSearch:
         assert welfare["exact"] == "1" + "0" * 8000  # 8001 digits
 
     @pytest.mark.parametrize(
-        "target", ["mnw", "ceei-frac", "ceei-disc", "binary-mnw", "identical-ceei-disc"]
+        "target", ["mnw", "ceei-frac", "ceei-disc", "identical-ceei-disc"]
     )
     @pytest.mark.parametrize("limit", ["0", "-1"])
     def test_node_limit_below_one_exits_2(self, workdir, capsys, target, limit):
@@ -412,15 +412,19 @@ class TestSearch:
         assert report["result"]["status"] == "found"
         assert len(report["result"]["prices"]) == 4
 
-    def test_binary_mnw_target(self, workdir, capsys):
-        code, report, _ = run(capsys, "search", workdir / "binary_gap.json", "binary-mnw")
+    def test_mnw_on_binary_rows_takes_no_limit(self, workdir, capsys):
+        code, report, _ = run(capsys, "search", workdir / "binary_gap.json", "mnw")
         assert code == 0
         assert report["result"]["welfare"]["exact"] == "2"
+        code, report, _ = run(capsys, "search", workdir / "binary_gap.json", "mnw", "--limit-nodes", 1)
+        assert code == 0
+        assert report["result"]["status"] == "optimal"
 
-    def test_binary_mnw_on_general_instance_exits_2(self, workdir, capsys):
-        code, _, err = run(capsys, "search", workdir / "separation.json", "binary-mnw")
+    def test_binary_mnw_target_is_an_invalid_choice(self, workdir, capsys):
+        code, out, err = run_invalid(capsys, "search", workdir / "binary_gap.json", "binary-mnw")
         assert code == 2
-        assert "not 0/1" in err
+        assert out == ""
+        assert "invalid choice: 'binary-mnw'" in err
 
     def test_many_objects_get_a_report(self, workdir, capsys):
         (workdir / "wide.json").write_text(_uniform_doc(1, 1500))
@@ -429,7 +433,7 @@ class TestSearch:
         assert report["result"] == {"status": "found", "owner": [0] * 1500}
 
     def test_budget_on_a_deep_search_exits_5(self, workdir, capsys):
-        (workdir / "deep.json").write_text(_uniform_doc(2, 1200))
+        (workdir / "deep.json").write_text(_uniform_doc(2, 1200, 2))  # not 0/1, so branch and bound
         code, report, _ = run(
             capsys, "search", workdir / "deep.json", "mnw", "--limit-nodes", 5000
         )

@@ -1,7 +1,10 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 
+import ceei
 from ceei import (
     DiscreteAssignment,
     Instance,
@@ -73,3 +76,41 @@ def test_huge_weights_with_the_wrong_sum():
     with pytest.raises(SumMismatch) as excinfo:
         ThreePartitionInput([HUGE] * 3, 3 * HUGE + 1)
     assert (excinfo.value.total, excinfo.value.expected) == (3 * HUGE, 3 * HUGE + 1)
+
+
+def _one_of_each_error():
+    return [
+        ceei.CeeiError("plain"),
+        ceei.DimensionMismatch("prices", 3, 2),
+        ceei.InvalidAssignment("object 1 is split"),
+        InstanceTooLarge(2, 40, 1000, 2**40),
+        ceei.NonConvergence(200, 1.5e-3),
+        ceei.ZeroUtility(1),
+        NotBinary(0, 2, Fraction(1, 2)),
+        ceei.NotIdenticalUtilities(2),
+        ceei.InconclusiveSearch(7, Fraction(3, 2)),
+        ceei.EmptyMultiset("no integers"),
+        WindowViolation(3, 9, 10),
+        SumMismatch(31, 30),
+        ceei.DocumentSyntaxError(2, 5, "unexpected ']'"),
+        ceei.SchemaError("utilities", "expected a list"),
+        ceei.InvariantError([ceei.InstanceViolation("negative_entry", agent=0, object=1)]),
+    ]
+
+
+def test_examples_cover_every_exported_error():
+    exported = {getattr(ceei, name) for name in ceei.__all__}
+    errors = {kind for kind in exported if isinstance(kind, type) and issubclass(kind, ceei.CeeiError)}
+    assert {type(error) for error in _one_of_each_error()} == errors
+
+
+@pytest.mark.parametrize("error", _one_of_each_error(), ids=lambda error: type(error).__name__)
+@pytest.mark.parametrize(
+    "round_trip", [lambda e: pickle.loads(pickle.dumps(e)), copy.copy, copy.deepcopy], ids=["pickle", "copy", "deepcopy"]
+)
+def test_errors_survive_pickle_and_copy(error, round_trip):
+    again = round_trip(error)
+    assert type(again) is type(error)
+    assert str(again) == str(error)
+    assert again.args == error.args
+    assert vars(again) == vars(error)

@@ -229,7 +229,7 @@ class TestBranchAndBound:
         ]
 
     def test_node_budget_stops_a_deep_search_cleanly(self):
-        result = max_nash_discrete(Instance([[1] * 1200] * 2), limit=5000)
+        result = max_nash_discrete(Instance([[2] * 1200] * 2), limit=5000)  # not 0/1, so branch and bound
         assert not result.optimal
         assert result.nodes_explored == 5000
         assert result.best.m == 1200
@@ -238,6 +238,37 @@ class TestBranchAndBound:
     def test_node_budget_below_one_is_rejected(self, nodes, separation):
         with pytest.raises(ValueError, match=f"an enumeration limit must be at least 1, not {nodes}"):
             max_nash_discrete(separation, limit=nodes)
+
+
+def _zero_one_int_rows(seed):
+    """Random 0/1 rows, each divided by its own integer from 1 to 6, so the
+    int rows are 0/1 while the utilities may be rational."""
+    rng = random.Random(7000 + seed)
+    n, m = rng.randint(1, 3), rng.randint(1, 7)
+    rows = [[rng.randint(0, 1) for _ in range(m)] for _ in range(n)]
+    if seed % 2:
+        rows = [[Fraction(v, k) for v in row] for row, k in zip(rows, (rng.randint(1, 6) for _ in rows))]
+    return Instance(rows)
+
+
+class TestZeroOneRoute:
+    @pytest.mark.parametrize(
+        "inst",
+        [pytest.param(_zero_one_int_rows(seed), id=f"random-{seed}") for seed in range(40)]
+        + [
+            pytest.param(Instance([["1/3", "1/3", 0], [0, "1/2", "1/2"]]), id="thirds-halves"),
+            pytest.param(Instance([["1/7", 0, "1/7"], ["1/5", "1/5", 0], [0, "1/4", 0]]), id="sevenths"),
+            pytest.param(Instance([[1, 0], [1, 0]]), id="object-nobody-values"),
+        ],
+    )
+    def test_zero_one_int_rows_are_maximized_in_polynomial_time(self, inst):
+        assert all(v in (0, 1) for row in inst.int_rows for v in row)
+        result = max_nash_discrete(inst, limit=1)  # branch and bound would stop at once
+        assert result.optimal
+        assert result.welfare == brute_force_max_nash(inst).welfare == max_nash_by_product(inst)[1]
+        assert result.welfare == nash_welfare(inst, result.best)
+        with pytest.raises(ValueError, match="an enumeration limit must be at least 1, not 0"):
+            max_nash_discrete(inst, limit=0)
 
 
 class TestExistsFractionalSupport:
@@ -285,7 +316,8 @@ class TestExistsFractionalSupport:
         rng = random.Random(2000 + seed)
         inst = gen_random(rng.randint(1, 4), rng.randint(1, 9), 1, seed=seed)
         found = exists_ceei_frac_discrete(inst)
-        assert (found is not None) == verify_ceei_frac(inst, max_nash_discrete(inst).best).holds
+        # any maximizer decides existence, so the oracle's owner is as good as the route's
+        assert (found is not None) == verify_ceei_frac(inst, brute_force_max_nash(inst).best).holds
         if found is not None:
             assert verify_ceei_frac(inst, found).holds
             assert nash_welfare(inst, found) == brute_force_max_nash(inst).welfare
