@@ -5,11 +5,13 @@ works on its dual (Cole et al., EC 2017): minimize sum_j p_j - sum_i log beta_i
 subject to u_ij * beta_i <= p_j, where beta_i = 1/u_i is agent i's inverse utility
 and p_j object j's price, over the edges with u_ij > 0.  With only n + m
 variables, a log-barrier path-following Newton method in floating point
-solves it in tens of steps: each step solves one n x n Schur complement (the
-price block of the Hessian is diagonal), goes at most 0.9 of the way to where
-a slack s_ij = p_j - u_ij * beta_i or a beta_i would reach zero, and the barrier
-weight t grows tenfold once an iterate is centred.  On the central path agent
-i spends p_j / (t * s_ij) on object j.
+solves it in tens of steps.  Each beta_i starts at 0.9 of its largest feasible
+value, so every slack s_ij = p_j - u_ij * beta_i starts at >= 10% of its price.
+Each step solves one n x n Schur complement (the price block of the Hessian is
+diagonal) and goes at most 0.9 of the way to where a slack or a beta_i would
+reach zero; the barrier weight t grows tenfold once an iterate is centred,
+with a Newton decrement of at most 2.  On the central path agent i spends
+p_j / (t * s_ij) on object j.
 
 The solver reads the utilities only as the int rows `Instance.int_rows`;
 the float rows are each int row over its max, correctly rounded.  After each
@@ -54,7 +56,7 @@ from .model import (
     validate_instance,
 )
 
-_CENTRED = 0.5  # Newton decrement below which an iterate counts as centred
+_CENTRED = 2.0  # Newton decrement up to which an iterate is centred: loose, the certificate decides
 _GAP_FLOOR = 1e-10  # relative duality gap below which the solver gives up
 _MAX_STEPS = 100_000  # Newton steps before the solver gives up
 
@@ -180,69 +182,65 @@ def solve_eg(inst: Instance, seed=None) -> EquilibriumSolution:
     edges = np.array([[v > 0 for v in row] for row in rows])  # exact, not rounded
     edge_count = int(edges.sum())  # one barrier term per edge; every object has one
     if seed is None:
-        p = np.full(m, n / m)
+        p = np.full((1, m), n / m)  # a (1, m) row; beta is an (n, 1) column
     else:
-        p = np.random.default_rng(seed).uniform(0.5, 1.5, size=m)
+        p = np.random.default_rng(seed).uniform(0.5, 1.5, size=(1, m))
         p *= n / p.sum()
-    beta = np.full(n, p.min() / 2)  # every u_ij <= 1, so every slack starts positive
 
     gap = 0.1  # relative duality gap edges / (t * n) of the current central point
     guess = np.zeros((n, m), dtype=bool)  # the first guess always differs: no object is held
     # a float fault surfaces as a non-finite Newton step, which ends the solve
     with np.errstate(all="ignore"):
+        # 0.9 of the largest dual-feasible beta: every slack starts at >= 10% of its price
+        beta = 0.9 * np.min(p / u, where=edges, initial=np.inf, axis=1, keepdims=True)
+        s = p - u * beta
         for iterations in range(1, _MAX_STEPS + 1):
             t = edge_count / (n * gap)
-            s = p - u * beta[:, None]
             w = edges / s  # 1/s on edges, 0 elsewhere
             wu = w * u
             w2u = wu * w
-            g_beta = wu.sum(axis=1) - t / beta
-            g_p = t - w.sum(axis=0)
-            h_p = (w * w).sum(axis=0)
-            schur = np.diag(t / beta**2 + (wu * wu).sum(axis=1)) - (w2u / h_p) @ w2u.T
+            g_beta = wu.sum(axis=1, keepdims=True) - t / beta
+            g_p = t - w.sum(axis=0, keepdims=True)
+            h_p = (w * w).sum(axis=0, keepdims=True)
+            a = w2u / h_p
+            # the Schur complement of the price block and its right-hand side, both negated
+            schur = a @ w2u.T
+            schur.flat[:: n + 1] -= (t / beta**2 + (wu * wu).sum(axis=1, keepdims=True)).ravel()
             try:
-                d_beta = np.linalg.solve(schur, -g_beta - w2u @ (g_p / h_p))
+                d_beta = np.linalg.solve(schur, g_beta + a @ g_p.T)
             except np.linalg.LinAlgError:
                 break
-            d_p = (w2u.T @ d_beta - g_p) / h_p
-            decrement = -(g_beta @ d_beta + g_p @ d_p)
-            if not np.isfinite(decrement):  # a NaN or infinite step makes it non-finite
+            d_p = (d_beta.T @ w2u - g_p) / h_p
+            decrement = -(np.vdot(g_beta, d_beta) + np.vdot(g_p, d_p))
+            if not math.isfinite(decrement):  # a NaN or infinite step makes it non-finite
                 break
             # fraction to boundary: go at most 0.9 of the way to the nearest zero
-            value = np.concatenate((s[edges], beta))
-            change = np.concatenate(((d_p - u * d_beta[:, None])[edges], d_beta))
-            shrinking = change < 0
-            step = 1.0
-            if shrinking.any():
-                step = min(1.0, 0.9 * np.min(-value[shrinking] / change[shrinking]))
+            shrink = min(np.min((d_p - u * d_beta) / s, where=edges, initial=0.0), (d_beta / beta).min())
+            step = min(1.0, -0.9 / shrink) if shrink < 0 else 1.0
             beta = beta + step * d_beta
             p = p + step * d_p
+            s = p - u * beta
             if decrement > _CENTRED:
                 continue
             # centred: edges spending at least 1/sqrt(t) form the support guess;
             # every object is sold, so one the guess misses gets its top spender
-            spend = edges * p / (p - u * beta[:, None])  # t times p_j * x_ij on the path
-            tight = spend >= math.sqrt(t)
-            top = edges & ~tight.any(axis=0) & (spend == spend.max(axis=0))
-            for j in np.flatnonzero(top.sum(axis=0) > 1):
-                # rounding can tie distinct bids u_ij * beta_i: the exact bid decides
-                holders = np.flatnonzero(top[:, j])
-                bids = [Fraction(rows[i][j], tops[i]) * Fraction(beta[i]) for i in holders]
-                best = max(bids)
-                top[holders, j] = [bid == best for bid in bids]
-            tight |= top
+            tight = edges & (s * math.sqrt(t) <= p)
+            sold = tight.any(axis=0)
+            if not sold.all():
+                spend = edges * p / s  # t times p_j * x_ij on the path
+                top = edges & ~sold & (spend == spend.max(axis=0))
+                for j in np.flatnonzero(top.sum(axis=0) > 1):
+                    # rounding can tie distinct bids u_ij * beta_i: the exact bid decides
+                    holders = np.flatnonzero(top[:, j])
+                    bids = [Fraction(rows[i][j], tops[i]) * Fraction(beta[i, 0]) for i in holders]
+                    best = max(bids)
+                    top[holders, j] = [bid == best for bid in bids]
+                tight |= top
             if (tight != guess).any():
                 guess = tight
-                certified = _certify_support(rows, scales, tight.tolist())
-                if certified is not None:
-                    x, u_star, p_star = certified
-                    return EquilibriumSolution(
-                        x=x,
-                        u_star=u_star,
-                        p_star=p_star,
-                        iterations=iterations,
-                        certified=True,
-                    )
+                found = _certify_support(rows, scales, tight.tolist())
+                if found is not None:
+                    return EquilibriumSolution(*found, iterations=iterations, certified=True)
             if gap < _GAP_FLOOR:
                 break
             gap /= 10
@@ -346,7 +344,8 @@ def _certify_support(rows, scales, tight):
     if total != n * denom:
         return None
 
-    x = [[0] * m for _ in range(n)]
+    zero = Fraction(0)  # shared: FractionalAssignment takes a Fraction as is
+    x = [[zero] * m for _ in range(n)]
     for i, j in tie_edges:
         x[i][j] = Fraction(flow[(i, n + j)], scaled_prices[j])
     u_star = tuple(u / s for u, s in zip(u_star, scales))

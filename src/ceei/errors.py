@@ -66,7 +66,7 @@ class NonConvergence(CeeiError):
         self.residual = residual
         super().__init__(
             f"no equilibrium after {iterations} iterations "
-            f"(residual {residual:.3e})"
+            f"(relative duality gap {residual:.3e})"
         )
 
 
