@@ -14,7 +14,9 @@ Four notions are decided here:
   notion holds, else decided by maximizing a uniform affordability slack
   over the inclusion-minimal strictly-better bundles (enumerated directly
   by a pruned walk per agent) with `simplex.maximize`, an integer-pivoting
-  simplex on 0/±1 rows whose optimum and prices are exact rationals.
+  simplex on 0/±1 rows whose optimum and prices are exact rationals; every
+  nonempty own bundle costs exactly 1 there, one anchor object per bundle
+  taking the rest of the budget, so the anchors leave the LP.
 
 Every verdict checks its assignment with `model.check_assignment`, then
 reads the int rows `Instance.int_rows` and bundle values from
@@ -254,7 +256,11 @@ def verify_ceei_disc(inst: Instance, y: DiscreteAssignment, limit=None) -> Verdi
     exactly.  Otherwise strictness is decided by maximizing a uniform slack
     t over the inclusion-minimal strictly-better bundles (supersets cost at
     least as much, so they are implied); the notion holds iff the optimal
-    slack is positive.
+    slack is positive.  Raising a price lowers no bundle's cost, so the LP
+    fixes every nonempty own bundle's cost at exactly 1, one anchor object
+    per bundle taking what the rest of it leaves of the budget; LP-decided
+    prices keep that.  On failure the witness is the first minimal bundle
+    that those prices leave within its agent's budget.
 
     Rejects a `limit` below 1 first.  After the envy and fractional tests,
     which are polynomial, raises InstanceTooLarge when the 2^m bundles it
@@ -282,14 +288,33 @@ def verify_ceei_disc(inst: Instance, y: DiscreteAssignment, limit=None) -> Verdi
     # variables p_1..p_m, s with s = 1 + t; maximize s subject to
     #   s - p(B) <= 0   for each minimal strictly-better bundle B
     #   p(y_i)   <= 1   for each agent
-    objective = [0] * m + [1]
-    lp_rows = [[-(j in bundle) for j in range(m)] + [1] for _agent, bundle in minimal]
-    lp_rows += [[int(j in bundle) for j in range(m)] + [0] for bundle in y.bundles(n)]
-    rhs = [0] * len(minimal) + [1] * n
+    # Raising a price lowers no p(B), so fixing p(y_i) = 1 for every nonempty
+    # own bundle loses nothing.  Each such bundle's anchor a_i, its object in
+    # the most minimal bundles (lowest index on ties), is priced
+    # 1 - p(y_i - a_i) and leaves the LP; the other objects are free.  So
+    #   s - p(B) = s - p(free objects in B) + sum of p(y_i - a_i) over anchors in B - #anchors in B:
+    # a bundle row has rhs #anchors in B and entries -1 on a free object in
+    # B, +1 on a free object whose anchor is in B, and 0 where both or
+    # neither hold.  An own row p(y_i - a_i) <= 1 keeps a_i's price
+    # nonnegative.  Rows holding an anchor start off the degenerate rhs 0.
+    bundles = [bundle for bundle in y.bundles(n) if bundle]
+    hits = [0] * m
+    for _agent, bundle in minimal:
+        for j in bundle:
+            hits[j] += 1
+    anchors = [max(bundle, key=lambda j: (hits[j], -j)) for bundle in bundles]
+    anchor = {j: a for a, bundle in zip(anchors, bundles) for j in bundle}  # object -> its bundle's anchor
+    free = [j for j in range(m) if anchor[j] != j]
+    lp_rows = [[(anchor[j] in bundle) - (j in bundle) for j in free] + [1] for _agent, bundle in minimal]
+    lp_rows += [[int(j in bundle) for j in free] + [0] for bundle in bundles]
+    rhs = [sum(anchor[j] == j for j in bundle) for _agent, bundle in minimal] + [1] * len(bundles)
 
-    value, solution = simplex.maximize(objective, lp_rows, rhs)
+    value, solution = simplex.maximize([0] * len(free) + [1], lp_rows, rhs)
     slack = value - 1
-    prices = solution[:m]
+    prices = dict(zip(free, solution))
+    for a, bundle in zip(anchors, bundles):
+        prices[a] = 1 - sum(prices[j] for j in bundle if j != a)
+    prices = [prices[j] for j in range(m)]
     if slack > 0:
         return Verdict(True, PriceSupport(PriceVector(prices)))
     for agent, bundle in minimal:

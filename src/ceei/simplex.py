@@ -6,10 +6,10 @@ column per nonbasic variable, none for slacks) and held as Python ints over
 one common denominator d: each row is scaled by the lcm of its denominators,
 and a pivot replaces every entry by a 2x2 determinant divided exactly by d
 (fraction-free pivoting, Edmonds 1967).  Bland's rule keeps the pivot
-sequence finite and deterministic despite the degenerate rows the CEEI-DISC
-verifier produces; positive row scales and d change no sign and no ratio
-comparison, so the pivots, basis, value and solution are those of the
-rational tableau.
+sequence finite and deterministic despite degenerate rows: the CEEI-DISC
+verifier's bundle rows without an anchor object start at rhs 0; positive
+row scales and d change no sign and no ratio comparison, so the pivots,
+basis, value and solution are those of the rational tableau.
 
 On the verifier's 0/±1 rows most pivot elements equal d.  A pivot equal to
 d leaves d as it is, and the step of an entry v of a row with entering

@@ -340,9 +340,11 @@ class TestVerifyDiscreteSupport:
         assert verdict.certificate.prices.prices == tuple(Fraction(w, 30) for t in triples for w in t)
 
     # (agents, objects, max utility, seed, owner) -> certificate, recorded on
-    # the textbook rational tableau.  Every verdict here but shape2's is
-    # decided by the LP, so a drift in the pivot rule changes the prices or
-    # the witness; shape2's owner is CEEI-frac, so its prices are
+    # the textbook rational tableau of the anchored LP, in which each
+    # nonempty own bundle costs exactly 1 and its anchor object has no
+    # column.  Every verdict here but shape2's is decided by that LP, so a
+    # drift in its build or in the pivot rule changes the prices or the
+    # witness; shape2's owner is CEEI-frac, so its prices are
     # verify_ceei_frac's, u_kj / v_k for the owner k of object j
     PINNED = [
         ((3, 10, 100, 0), [2, 0, 1, 2, 2, 0, 0, 0, 1, 0],
@@ -357,8 +359,8 @@ class TestVerifyDiscreteSupport:
          [Fraction(1, 3), Fraction(2, 3), Fraction(1, 2), Fraction(1, 3), Fraction(1, 6),
           Fraction(1, 2), Fraction(1, 2)]),
         ((2, 6, 12, 34), [1, 0, 0, 0, 1, 1], ViolatingBundle(0, (0, 2))),
-        ((2, 6, 12, 94), [0, 0, 1, 1, 1, 0], ViolatingBundle(0, (0, 3, 5))),
-        ((2, 6, 12, 122), [0, 1, 0, 1, 0, 1], ViolatingBundle(0, (0, 1, 2))),
+        ((2, 6, 12, 94), [0, 0, 1, 1, 1, 0], ViolatingBundle(0, (0, 2, 3, 4))),
+        ((2, 6, 12, 122), [0, 1, 0, 1, 0, 1], ViolatingBundle(0, (0, 2, 3))),
     ]
 
     @pytest.mark.parametrize("shape, owner, expected", PINNED)
@@ -372,6 +374,33 @@ class TestVerifyDiscreteSupport:
         else:
             assert verdict.holds
             assert list(verdict.certificate.prices.prices) == expected
+
+    def test_lp_prices_own_bundles_through_their_anchors(self, monkeypatch):
+        # the 2x15 max-Nash owner is envy-free but not CEEI-frac, so the LP
+        # decides it; each own bundle's anchor leaves the LP, which keeps
+        # m - 2 price columns and s, and entries in {-1, 0, 1}
+        inst = gen_random(2, 15, 100, seed=0)
+        y = max_nash_discrete(inst).best
+        solve = simplex.maximize
+        lps = []
+
+        def recorded(c, rows, rhs):
+            lps.append((c, rows, rhs))
+            return solve(c, rows, rhs)
+
+        monkeypatch.setattr(simplex, "maximize", recorded)
+        started = time.perf_counter()
+        verdict = verify_ceei_disc(inst, y)
+        elapsed = time.perf_counter() - started
+        assert verdict.holds
+        [(c, rows, rhs)] = lps
+        assert len(c) == 15 - 2 + 1
+        assert all(len(row) == len(c) and set(row) <= {-1, 0, 1} for row in rows)
+        own = bundle_values(inst.int_rows, y.owner)
+        assert len(rows) == len(_minimal_better_bundles(inst.int_rows, own)) + 2
+        prices = verdict.certificate.prices.prices
+        assert [sum(prices[j] for j in bundle) for bundle in y.bundles(2)] == [1, 1]
+        assert elapsed < 0.3
 
     @pytest.mark.parametrize("seed", range(8))
     def test_verdicts_match_the_slack_lp_oracle(self, seed):
@@ -390,8 +419,15 @@ class TestVerifyDiscreteSupport:
                 own = [sum((inst.utilities[i][j] for j in y.bundle(i)), Fraction(0)) for i in range(inst.n)]
                 if verdict.holds:
                     assert recheck_discrete_price_support(inst, y, verdict.certificate.prices)
-                    frac = all(own) and verify_ceei_frac(inst, y).holds
-                    routes.append("frac" if frac else "lp")
+                    if all(own) and verify_ceei_frac(inst, y).holds:
+                        routes.append("frac")
+                    elif not minimal_better_bundles(inst.utilities, own):
+                        routes.append("no better bundle")
+                    else:
+                        # the LP fixes every nonempty own bundle's cost at 1
+                        prices = verdict.certificate.prices.prices
+                        assert all(sum(prices[j] for j in bundle) == 1 for bundle in y.bundles(inst.n) if bundle)
+                        routes.append("lp")
                 else:
                     agent, objects = verdict.certificate.agent, verdict.certificate.objects
                     assert sum(inst.utilities[agent][j] for j in objects) > own[agent]
