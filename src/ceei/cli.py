@@ -18,9 +18,10 @@ A report holds, in this order, "command"; "instance" (digest, agents,
 objects); "config", the options the handler read; "result"; and "timings".
 `_report` writes the first three and the handler the result, so each
 subcommand has one report path.  The existence targets of `search` share
-one {"status": "none"} result and one {"status": "found", "owner": ...}
-result, to which ceei-disc adds "prices" and identical-ceei-disc
-"utility_per_agent".
+one {"status": "none"} result, one {"status": "found", "owner": ...}
+result, to which ceei-disc adds "prices", and one {"status":
+"inconclusive", ...} result.  On identical nonzero rows both targets run
+the counted equal-split race of `search.find_ceei_disc_identical`.
 
 Exact rationals are reported as {"exact": "19/20", "decimal": 0.95} pairs,
 with a null decimal for values beyond float range.
@@ -68,7 +69,6 @@ from .model import (
     KktViolation,
     PriceSupport,
     ViolatingBundle,
-    bundle_values,
 )
 
 EXIT_HOLDS = 0
@@ -149,7 +149,7 @@ def _build_parser():
     searchp.add_argument("instance")
     searchp.add_argument(
         "target",
-        choices=["mnw", "ceei-frac", "ceei-disc", "identical-ceei-disc"],
+        choices=["mnw", "ceei-frac", "ceei-disc"],
     )
     searchp.add_argument(
         "--limit-nodes",
@@ -157,8 +157,9 @@ def _build_parser():
         default=None,
         help="at least 1, the most nodes a walk may visit (default 20000000): the mnw and"
         " ceei-frac branch and bound counts its nodes (exit 5 at the limit; ignored on"
-        " 0/1 rows); ceei-disc refuses n^m owner vectors over it (exit 4); ignored by"
-        " identical-ceei-disc",
+        " 0/1 rows); ceei-disc refuses n^m owner vectors over it (exit 4); on identical"
+        " nonzero rows, 0/1 ones too, both ceei targets count the steps of an equal-split"
+        " race instead (exit 5)",
     )
     searchp.set_defaults(handler=_cmd_search)
 
@@ -237,25 +238,22 @@ def _cmd_search(args):
         }
         return report, EXIT_HOLDS if result.optimal else EXIT_INCONCLUSIVE
 
-    # the existence targets share one report; `extra` is what only one of them adds
+    # the existence targets share one report; `extra` is what only ceei-disc adds
     extra = {}
-    if args.target == "ceei-frac":
-        try:
+    try:
+        if args.target == "ceei-frac":
             found = search.exists_ceei_frac_discrete(inst, limit=limit)
-        except InconclusiveSearch as exc:
-            report["result"] = {
-                "status": "inconclusive",
-                "nodes_explored": exc.nodes_explored,
-                "best_welfare": _number(exc.best_welfare),
-            }
-            return report, EXIT_INCONCLUSIVE
-    elif args.target == "ceei-disc":
-        found, prices = search.exists_ceei_disc_bruteforce(inst, limit=limit) or (None, ())
-        extra = {"prices": [_number(p) for p in prices]}
-    else:
-        found = search.find_ceei_disc_identical(inst)
-        if found is not None:
-            extra = {"utility_per_agent": _number(bundle_values(inst.utilities, found.owner)[0])}
+        else:
+            found, prices = search.exists_ceei_disc_bruteforce(inst, limit=limit) or (None, ())
+            extra = {"prices": [_number(p) for p in prices]}
+    except InconclusiveSearch as exc:
+        welfare = exc.best_welfare  # None when no welfare search ran
+        report["result"] = {
+            "status": "inconclusive",
+            "nodes_explored": exc.nodes_explored,
+            "best_welfare": None if welfare is None else _number(welfare),
+        }
+        return report, EXIT_INCONCLUSIVE
     if found is None:
         report["result"] = {"status": "none"}
         return report, EXIT_FAILS

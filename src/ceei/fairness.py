@@ -258,8 +258,10 @@ def verify_ceei_disc(inst: Instance, y: DiscreteAssignment, limit=None) -> Verdi
     least as much, so they are implied); the notion holds iff the optimal
     slack is positive.  Raising a price lowers no bundle's cost, so the LP
     fixes every nonempty own bundle's cost at exactly 1, one anchor object
-    per bundle taking what the rest of it leaves of the budget; LP-decided
-    prices keep that.  On failure the witness is the first minimal bundle
+    per bundle taking what the rest of it leaves of the budget.  With no
+    strictly-better bundle there is no LP: each anchor costs 1 and every
+    other object 0.  So every holding verdict prices each nonempty own
+    bundle at exactly 1.  On failure the witness is the first minimal bundle
     that those prices leave within its agent's budget.
 
     Rejects a `limit` below 1 first.  After the envy and fractional tests,
@@ -282,9 +284,6 @@ def verify_ceei_disc(inst: Instance, y: DiscreteAssignment, limit=None) -> Verdi
     _guard(inst, DEFAULT_BUNDLE_LIMIT if limit is None else limit, 1 << m)
 
     minimal = _minimal_better_bundles(rows, values)
-    if not minimal:
-        return Verdict(True, PriceSupport(PriceVector([Fraction(1, m)] * m)))
-
     # variables p_1..p_m, s with s = 1 + t; maximize s subject to
     #   s - p(B) <= 0   for each minimal strictly-better bundle B
     #   p(y_i)   <= 1   for each agent
@@ -297,6 +296,8 @@ def verify_ceei_disc(inst: Instance, y: DiscreteAssignment, limit=None) -> Verdi
     # B, +1 on a free object whose anchor is in B, and 0 where both or
     # neither hold.  An own row p(y_i - a_i) <= 1 keeps a_i's price
     # nonnegative.  Rows holding an anchor start off the degenerate rhs 0.
+    # With no bundle to price out of reach there is no LP: free objects cost
+    # 0 and each anchor the whole budget.
     bundles = [bundle for bundle in y.bundles(n) if bundle]
     hits = [0] * m
     for _agent, bundle in minimal:
@@ -305,13 +306,13 @@ def verify_ceei_disc(inst: Instance, y: DiscreteAssignment, limit=None) -> Verdi
     anchors = [max(bundle, key=lambda j: (hits[j], -j)) for bundle in bundles]
     anchor = {j: a for a, bundle in zip(anchors, bundles) for j in bundle}  # object -> its bundle's anchor
     free = [j for j in range(m) if anchor[j] != j]
-    lp_rows = [[(anchor[j] in bundle) - (j in bundle) for j in free] + [1] for _agent, bundle in minimal]
-    lp_rows += [[int(j in bundle) for j in free] + [0] for bundle in bundles]
-    rhs = [sum(anchor[j] == j for j in bundle) for _agent, bundle in minimal] + [1] * len(bundles)
-
-    value, solution = simplex.maximize([0] * len(free) + [1], lp_rows, rhs)
-    slack = value - 1
-    prices = dict(zip(free, solution))
+    slack, prices = 1, dict.fromkeys(free, 0)
+    if minimal:
+        lp_rows = [[(anchor[j] in bundle) - (j in bundle) for j in free] + [1] for _agent, bundle in minimal]
+        lp_rows += [[int(j in bundle) for j in free] + [0] for bundle in bundles]
+        rhs = [sum(anchor[j] == j for j in bundle) for _agent, bundle in minimal] + [1] * len(bundles)
+        value, solution = simplex.maximize([0] * len(free) + [1], lp_rows, rhs)
+        slack, prices = value - 1, dict(zip(free, solution))
     for a, bundle in zip(anchors, bundles):
         prices[a] = 1 - sum(prices[j] for j in bundle if j != a)
     prices = [prices[j] for j in range(m)]

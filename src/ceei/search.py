@@ -6,18 +6,22 @@ incumbent under an additive and an integer AM-GM optimistic bound, and a
 polynomial augmenting-path maximizer, which `max_nash_discrete` runs
 instead on 0/1 int rows.  On top of those sit the existence deciders for
 the two price-support notions and the equal-split finder for identical
-utilities.
+utilities, which both deciders answer from when the rows are identical and
+nonzero: the paper's 3-Partition family, on which both notions and an equal
+split coincide.
 
 Ties are broken lexicographically by owner vector wherever the search is
 exhaustive, so optima are canonical and runs are reproducible; the bounds
 keep ties, so pruning changes only how many nodes are explored.  A
 `limit` is the most nodes a walk may visit, None meaning `fairness`'s
-DEFAULT_ENUM_LIMIT.  Branch and bound counts its nodes and stops on
-entering node `limit`.  The two exhaustive searches cannot prune, so they
-compare their n^m owner vectors with `limit` before any work, in
-`fairness._guard`: the existence search walks `itertools.product` past
-owner vectors with envy, and the brute force meets in the middle over the
-Pareto fronts of two object halves.
+DEFAULT_ENUM_LIMIT.  Branch and bound and the equal-split race count their
+nodes and stop on entering node `limit`.  The two exhaustive searches
+cannot prune, so they compare their n^m owner vectors with `limit` before
+any work, in `fairness._guard`: the existence search walks
+`itertools.product` past owner vectors with envy, and the brute force
+meets in the middle over the Pareto fronts of two object halves.  The
+equal-split route answers with the first split its race meets, not the
+lexicographically first.
 Branch and bound keeps an explicit stack, and the equal-split search
 races a depth-first search against a meet in the middle over load tuples.
 Nothing here recurses.
@@ -293,6 +297,15 @@ def _greedy(rows, order, weighted):
     return tuple(owner if welfare else [0] * m), welfare
 
 
+def _splits_equally(inst: Instance) -> bool:
+    """Whether the rows are identical and not all zero.  Then an assignment
+    has fractional or discrete price support exactly when it splits the row
+    equally: support implies envy-freeness, which identical rows meet only
+    at equal totals, and an equal positive split is priced by its ratios.
+    All-zero rows leave no positive total to price."""
+    return inst.has_identical_rows() and any(inst.int_rows[0])
+
+
 def exists_ceei_frac_discrete(inst: Instance, limit=None):
     """Return a discrete assignment with fractional price support, or None.
 
@@ -301,7 +314,11 @@ def exists_ceei_frac_discrete(inst: Instance, limit=None):
     suffices to test one discrete welfare maximizer, `max_nash_discrete`'s
     (polynomial on 0/1 int rows), raising InconclusiveSearch when it is
     truncated on entering node `limit` (None: DEFAULT_ENUM_LIMIT).
+    Identical nonzero rows take `find_ceei_disc_identical`'s equal split
+    instead, under the same `limit`.
     """
+    if _splits_equally(inst):
+        return find_ceei_disc_identical(inst, limit)
     result = max_nash_discrete(inst, limit)
     if not result.optimal:
         raise InconclusiveSearch(result.nodes_explored, result.welfare)
@@ -380,7 +397,7 @@ IDENTICAL_TUPLE_LIMIT = 1 << 20
 _OUT_OF_ROOM = object()
 
 
-def find_ceei_disc_identical(inst: Instance) -> Optional[DiscreteAssignment]:
+def find_ceei_disc_identical(inst: Instance, limit=None) -> Optional[DiscreteAssignment]:
     """Equal-utility complete assignment for identical utility rows, or None.
 
     With identical utilities, discrete price support holds exactly for the
@@ -405,8 +422,12 @@ def find_ceei_disc_identical(inst: Instance) -> Optional[DiscreteAssignment]:
     time is thus within about twice the faster search's, or the depth-first
     search's alone once the other has dropped out, and the memory within
     O(m) plus the smaller of the work done and the limit.  Objects of weight
-    zero go to agent 0.
+    zero go to agent 0.  Each step of either search is a node; entering node
+    `limit` (None: DEFAULT_ENUM_LIMIT; below 1: a ValueError) raises
+    InconclusiveSearch.  The answer is whichever split the race meets first,
+    not the lexicographically first one.
     """
+    limit = _check_limit(limit)
     for i, row in enumerate(inst.utilities):
         if row != inst.utilities[0]:
             raise NotIdenticalUtilities(i)
@@ -419,7 +440,7 @@ def find_ceei_disc_identical(inst: Instance) -> Optional[DiscreteAssignment]:
     target = total // n
 
     order = _largest_first(weights)
-    owner = _race(_first_fit(order, weights, n, target), _meet_in_the_middle(order, weights, n, target))
+    owner = _race(limit, _first_fit(order, weights, n, target), _meet_in_the_middle(order, weights, n, target))
     return None if owner is None else DiscreteAssignment(owner)
 
 
@@ -428,13 +449,18 @@ def _largest_first(weights):
     return sorted((j for j in range(len(weights)) if weights[j]), key=lambda j: (-weights[j], j))
 
 
-def _race(*searches):
+def _race(limit, *searches):
     """Advance the generators one step each in turn and return the return
     value of the first to finish, unless that is _OUT_OF_ROOM: a search that
-    returns it drops out, and the last one left must decide."""
+    returns it drops out, and the last one left must decide.  Each step is a
+    node, and entering node `limit` raises InconclusiveSearch."""
     running = list(searches)
+    nodes = 0
     while True:
         for search in running:
+            nodes += 1
+            if nodes >= limit:
+                raise InconclusiveSearch(nodes)
             try:
                 next(search)
             except StopIteration as finished:
@@ -587,7 +613,10 @@ def _place(runs, weights, loads, owner):
 def exists_ceei_disc_bruteforce(inst: Instance, limit=None):
     """First discrete assignment with discrete price support, plus its prices.
 
-    Walks owner vectors in `itertools.product`'s lexicographic order and
+    Identical nonzero rows take `find_ceei_disc_identical`'s equal split
+    under `limit`, priced by `verify_ceei_frac`; that route raises
+    InconclusiveSearch instead of InstanceTooLarge.  Otherwise walks owner
+    vectors in `itertools.product`'s lexicographic order and
     runs the exact slack test on each envy-free one, so the cost is up to
     n^m price LPs; strictly a desk-scale instrument.  Discrete price support
     implies envy-freeness (an envied bundle is a strictly better bundle
@@ -599,6 +628,9 @@ def exists_ceei_disc_bruteforce(inst: Instance, limit=None):
     at any size; the first other one, if reached, meets `verify_ceei_disc`'s
     own 2^m bundle guard, which raises InstanceTooLarge past 16 objects.
     """
+    if _splits_equally(inst):
+        y = find_ceei_disc_identical(inst, limit)
+        return None if y is None else (y, verify_ceei_frac(inst, y).certificate.prices)
     _guard(inst, limit, inst.n**inst.m)
     for owner in product(range(inst.n), repeat=inst.m):
         if _first_envy(inst.int_rows, owner) is None:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -49,7 +50,7 @@ separation, even, binary_gap, ident, out = sys.argv[1:]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(["check", separation, even, notion]) for notion in ("ef", "po", "ceei-frac", "ceei-disc")]
     codes += [main(["search", separation, target]) for target in ("mnw", "ceei-frac", "ceei-disc")]
-    codes += [main(["search", binary_gap, "mnw"]), main(["search", ident, "identical-ceei-disc"])]
+    codes += [main(["search", binary_gap, "mnw"]), main(["search", ident, "ceei-disc"])]
     codes += [main(["gen", "random", "--out", out]), main(["gen", "partition", "--set", "2,1,1", "--out", out])]
 print(codes, "numpy" in sys.modules)
 """
@@ -340,21 +341,31 @@ class TestSearch:
         assert code == 1
         assert report["result"]["status"] == "none"
 
-    def test_odd_identical_split_none_exists(self, workdir, capsys):
+    @pytest.mark.parametrize("target", ["ceei-frac", "ceei-disc"])
+    def test_odd_identical_split_none_exists(self, workdir, capsys, target):
         (workdir / "odd.json").write_text('{"agents":2,"objects":3,"utilities":[[3,1,1],[3,1,1]]}')
-        code, report, _ = run(capsys, "search", workdir / "odd.json", "identical-ceei-disc")
+        code, report, _ = run(capsys, "search", workdir / "odd.json", target)
         assert code == 1
         assert report["result"]["status"] == "none"
 
-    def test_identical_split_reports_the_common_utility(self, workdir, capsys):
-        (workdir / "ident.json").write_text('{"agents":2,"objects":3,"utilities":[[2,1,1],[2,1,1]]}')
-        code, report, _ = run(capsys, "search", workdir / "ident.json", "identical-ceei-disc")
+    # a planted 3-Partition yes-instance of six groups: 6^18 owner vectors,
+    # far past any walk over them
+    SIX_GROUPS = ["--weights", "34,45,26,29,26,41,28,29,26,29,39,30,38,44,32,41,30,33", "--bound", "100"]
+
+    @pytest.mark.parametrize("target", ["ceei-frac", "ceei-disc"])
+    def test_identical_rows_take_the_equal_split_race(self, workdir, capsys, target):
+        doc = workdir / "six.json"
+        assert run(capsys, "gen", "3partition", *self.SIX_GROUPS, "--out", doc)[0] == 0
+        start = time.perf_counter()
+        code, report, _ = run(capsys, "search", doc, target)
+        assert time.perf_counter() - start < 2
         assert code == 0
-        assert report["result"] == {
-            "status": "found",
-            "owner": [0, 1, 1],
-            "utility_per_agent": {"exact": "2", "decimal": 2.0},
-        }
+        owner = report["result"]["owner"]
+        weights = json.loads(doc.read_text())["utilities"][0]
+        assert [sum(w for w, o in zip(weights, owner) if o == i) for i in range(6)] == [100] * 6
+        code, report, _ = run(capsys, "search", doc, target, "--limit-nodes", 1)
+        assert code == 5
+        assert report["result"] == {"status": "inconclusive", "nodes_explored": 1, "best_welfare": None}
 
     def test_mnw_reports_welfare(self, workdir, capsys):
         code, report, _ = run(capsys, "search", workdir / "separation.json", "mnw")
@@ -373,9 +384,7 @@ class TestSearch:
         assert welfare["decimal"] is None
         assert welfare["exact"] == "1" + "0" * 8000  # 8001 digits
 
-    @pytest.mark.parametrize(
-        "target", ["mnw", "ceei-frac", "ceei-disc", "identical-ceei-disc"]
-    )
+    @pytest.mark.parametrize("target", ["mnw", "ceei-frac", "ceei-disc"])
     @pytest.mark.parametrize("limit", ["0", "-1"])
     def test_node_limit_below_one_exits_2(self, workdir, capsys, target, limit):
         code, out, err = run_invalid(
@@ -420,11 +429,12 @@ class TestSearch:
         assert code == 0
         assert report["result"]["status"] == "optimal"
 
-    def test_binary_mnw_target_is_an_invalid_choice(self, workdir, capsys):
-        code, out, err = run_invalid(capsys, "search", workdir / "binary_gap.json", "binary-mnw")
+    @pytest.mark.parametrize("target", ["binary-mnw", "identical-ceei-disc"])
+    def test_retired_targets_are_invalid_choices(self, workdir, capsys, target):
+        code, out, err = run_invalid(capsys, "search", workdir / "binary_gap.json", target)
         assert code == 2
         assert out == ""
-        assert "invalid choice: 'binary-mnw'" in err
+        assert f"invalid choice: '{target}'" in err
 
     def test_many_objects_get_a_report(self, workdir, capsys):
         (workdir / "wide.json").write_text(_uniform_doc(1, 1500))
@@ -603,7 +613,7 @@ class TestReportShape:
         os.close(read_end)
         try:
             done = subprocess.run(
-                [sys.executable, "-m", "ceei", "search", str(workdir / "split.json"), "identical-ceei-disc"],
+                [sys.executable, "-m", "ceei", "search", str(workdir / "split.json"), "ceei-disc"],
                 env=dict(os.environ, PYTHONPATH=path),
                 stdout=write_end,
                 stderr=subprocess.PIPE,

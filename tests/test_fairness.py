@@ -312,12 +312,12 @@ class TestVerifyDiscreteSupport:
     def test_agent_valuing_nothing_skips_the_fractional_test(self):
         # verify_ceei_frac raises on agent 0, which values nothing; the
         # discrete test goes on to the bundle walk, finds no better bundle
-        # and prices every object alike
+        # and prices agent 1's bundle at 1 on its anchor, the first object
         inst = Instance([[0, 0], [1, 1]])
         y = DiscreteAssignment([1, 1])
         with pytest.raises(InvariantError):
             verify_ceei_frac(inst, y)
-        assert verify_ceei_disc(inst, y, limit=4).certificate.prices.prices == (Fraction(1, 2),) * 2
+        assert verify_ceei_disc(inst, y, limit=4).certificate.prices.prices == (1, 0)
         with pytest.raises(InstanceTooLarge):
             verify_ceei_disc(inst, y, limit=3)
 
@@ -424,10 +424,10 @@ class TestVerifyDiscreteSupport:
                     elif not minimal_better_bundles(inst.utilities, own):
                         routes.append("no better bundle")
                     else:
-                        # the LP fixes every nonempty own bundle's cost at 1
-                        prices = verdict.certificate.prices.prices
-                        assert all(sum(prices[j] for j in bundle) == 1 for bundle in y.bundles(inst.n) if bundle)
                         routes.append("lp")
+                    # the anchors and the LP fix every nonempty own bundle's cost at 1
+                    prices = verdict.certificate.prices.prices
+                    assert all(sum(prices[j] for j in bundle) == 1 for bundle in y.bundles(inst.n) if bundle)
                 else:
                     agent, objects = verdict.certificate.agent, verdict.certificate.objects
                     assert sum(inst.utilities[agent][j] for j in objects) > own[agent]

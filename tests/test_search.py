@@ -28,8 +28,10 @@ from ceei import (
     max_nash_discrete,
     nash_welfare,
     PartitionInput,
+    PriceSupport,
     PriceVector,
     serialize_instance,
+    Verdict,
     verify_ceei_disc,
     verify_ceei_frac,
 )
@@ -492,7 +494,7 @@ class TestIdenticalUtilitiesFinder:
             if sum(weights) % n == 0:
                 break
         target = sum(weights) // n
-        owner = search._race(engine(search._largest_first(weights), weights, n, target))
+        owner = search._race(DEFAULT_ENUM_LIMIT, engine(search._largest_first(weights), weights, n, target))
         assert (owner is not None) == equal_split_exists(weights, n)
         if owner is not None:
             sums = [0] * n
@@ -532,6 +534,48 @@ class TestIdenticalUtilitiesFinder:
         assert [find_ceei_disc_identical(inst) for inst in instances] == answers
 
 
+    def test_limit_counts_the_race_steps(self):
+        # below the race's length every limit stops it on entering that
+        # node; from there on every limit gives the unlimited answer
+        inst = Instance([[3, 3, 4, 3, 3, 4, 0]] * 2)
+        answers = []
+        for limit in range(1, 60):
+            try:
+                answers.append(find_ceei_disc_identical(inst, limit))
+            except InconclusiveSearch as exc:
+                assert not answers
+                assert (exc.nodes_explored, exc.best_welfare) == (limit, None)
+        assert 1 < len(answers) < 59
+        assert set(answers) == {find_ceei_disc_identical(inst)}
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_identical_rows_answers_match_the_owner_vector_walk(seed):
+    # identical nonzero rows take the equal-split route in both existence
+    # searches; each must find an answer exactly when a walk over every
+    # owner vector finds one for its notion, and every answer passes both
+    # verifiers, ceei-disc's with the CEEI-frac prices
+    rng = random.Random(4400 + seed)
+    for _ in range(6):
+        n, m = rng.choice((1, 2, 2, 3, 3)), rng.randint(1, 8)
+        row = [rng.choice((0, 0, 1, 2, 3, rng.randint(1, 12))) for _ in range(m)]
+        row[rng.randrange(m)] += 1  # not all zero
+        if rng.random() < 0.75:  # a total n divides, which no split is refused for
+            row[rng.randrange(m)] += -sum(row) % n
+        inst = Instance([row] * n)
+        owners = list(all_discrete_assignments(n, m))
+        frac, disc = exists_ceei_frac_discrete(inst), exists_ceei_disc_bruteforce(inst)
+        assert (frac is not None) == any(verify_ceei_frac(inst, y).holds for y in owners)
+        assert (disc is not None) == any(verify_ceei_disc(inst, y).holds for y in owners)
+        if frac is not None:
+            assert verify_ceei_frac(inst, frac).holds and verify_ceei_disc(inst, frac).holds
+        if disc is not None:
+            y, prices = disc
+            assert verify_ceei_frac(inst, y) == Verdict(True, PriceSupport(prices))
+            assert verify_ceei_disc(inst, y).holds
+            assert recheck_discrete_price_support(inst, y, prices)
+
+
 class TestExistsDiscreteSupport:
     def test_identical_even_weights(self):
         inst = from_partition(PartitionInput([2, 1, 1]))
@@ -543,6 +587,15 @@ class TestExistsDiscreteSupport:
     def test_identical_odd_weights(self):
         inst = from_partition(PartitionInput([3, 1, 1]))
         assert exists_ceei_disc_bruteforce(inst) is None
+
+    def test_all_zero_identical_rows_keep_the_owner_vector_walk(self):
+        # no split of all-zero rows has positive totals to price, so the walk
+        # runs: the first owner vector is envy-free, and with no better bundle
+        # agent 0's anchor takes the budget; the fractional test refuses
+        inst = Instance([[0, 0], [0, 0]])
+        assert exists_ceei_disc_bruteforce(inst) == (DiscreteAssignment([0, 0]), PriceVector([1, 0]))
+        with pytest.raises(InvariantError):
+            exists_ceei_frac_discrete(inst)
 
     def test_separation_instance_has_some(self, separation):
         found = exists_ceei_disc_bruteforce(separation)
@@ -574,10 +627,12 @@ class TestExistsDiscreteSupport:
 
     def test_ceei_frac_owner_past_the_bundle_guard_is_found(self):
         # 18 equal weights: every envy-free owner vector splits them nine and
-        # nine, which is CEEI-frac, so the first one reached (the 512th) is
-        # certified by its prices with no bundle walk
-        found = exists_ceei_disc_bruteforce(from_partition(PartitionInput([1] * 18)))
-        assert found == (DiscreteAssignment([0] * 9 + [1] * 9), PriceVector([Fraction(1, 9)] * 18))
+        # nine, which is CEEI-frac, so the equal split is certified by its
+        # prices, 1/9 an object, with no bundle walk
+        inst = from_partition(PartitionInput([1] * 18))
+        y, prices = exists_ceei_disc_bruteforce(inst)
+        assert verify_ceei_disc(inst, y).holds and verify_ceei_frac(inst, y).holds
+        assert prices == PriceVector([Fraction(1, 9)] * 18)
 
     def test_cli_exits_4_at_the_bundle_guard(self, tmp_path, capsys):
         path = tmp_path / "r2x17.json"
@@ -647,6 +702,17 @@ LIMITED = [
     pytest.param(
         exists_ceei_frac_discrete, "DEFAULT_ENUM_LIMIT", InconclusiveSearch, {"nodes_explored": 1, "best_welfare": 4},
         id="exists_ceei_frac_discrete",
+    ),
+    # identical rows take the equal-split race in both existence searches
+    *(
+        pytest.param(
+            lambda inst, limit, call=call: call(Instance([[1, 2, 3]] * 2), limit=limit),
+            "DEFAULT_ENUM_LIMIT",
+            InconclusiveSearch,
+            {"nodes_explored": 1, "best_welfare": None},
+            id=f"{call.__name__}-identical",
+        )
+        for call in (find_ceei_disc_identical, exists_ceei_frac_discrete, exists_ceei_disc_bruteforce)
     ),
 ]
 
