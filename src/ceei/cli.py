@@ -7,9 +7,10 @@ diagnostics on stderr.  Exit codes are uniform across subcommands:
     1  verdict fails / no solution exists
     2  invalid input (syntax, schema, invariants, bad parameters)
     3  the equilibrium solver found no exactly certified equilibrium
-    4  a walk that cannot prune is larger than --limit-nodes (n^m owner
-       vectors or 2^m bundles), so it was refused before any work
-    5  a pruned walk entered node --limit-nodes and left the question undecided
+    4  the CEEI-disc bundle walk, which cannot prune, is larger than
+       --limit-nodes (2^m bundles), so it was refused before any work
+    5  a walk over owner vectors entered node --limit-nodes and left the
+       question undecided
     6  internal error: an unexpected exception, reported by its type on stderr
   141  stdout was closed before the report was written, as in `| head -1`
        (128 + SIGPIPE, the status a shell shows for a writer that signal ended)
@@ -156,10 +157,10 @@ def _build_parser():
         type=_limit,
         default=None,
         help="at least 1, the most nodes a walk may visit (default 20000000): the mnw and"
-        " ceei-frac branch and bound counts its nodes (exit 5 at the limit; ignored on"
-        " 0/1 rows); ceei-disc refuses n^m owner vectors over it (exit 4); on identical"
-        " nonzero rows, 0/1 ones too, both ceei targets count the steps of an equal-split"
-        " race instead (exit 5)",
+        " ceei-frac branch and bound and the ceei-disc walk over envy-free owner vectors"
+        " count their nodes (exit 5 at the limit; branch and bound ignores it on 0/1 rows);"
+        " on identical nonzero rows, 0/1 ones too, both ceei targets count the steps of an"
+        " equal-split race instead (exit 5)",
     )
     searchp.set_defaults(handler=_cmd_search)
 

@@ -23,16 +23,17 @@ reads the int rows `Instance.int_rows` and bundle values from
 `model.bundle_values`.  `Instance` rejects negative utilities, so adding an
 object never lowers a bundle's value; the Pareto prunes and the bundle walk
 rely on it.  A `limit`, here and in `search`, is the most nodes a walk may
-visit.  A walk that prunes counts the nodes it enters and raises
-InconclusiveSearch on entering node `limit`; a walk that cannot prune knows
-its size, n^m owner vectors or 2^m bundles, and `_guard` raises
-InstanceTooLarge at once when that size is over the limit.  A polynomial
-test takes no limit: `verify_ceei_disc` guards its bundle walk only after
-the envy and fractional tests have not decided.  `_check_limit`
+visit.  Every walk over owner vectors counts the nodes it enters and raises
+InconclusiveSearch on entering node `limit`.  Only two walks cannot prune
+and know their size instead: `verify_ceei_disc`'s 2^m bundles and the n^m
+owner vectors of `search.brute_force_max_nash`, the enumeration oracle;
+`_guard` raises InstanceTooLarge at once when that size is over the limit.
+A polynomial test takes no limit: `verify_ceei_disc` guards its bundle walk
+only after the envy and fractional tests have not decided.  `_check_limit`
 rejects a limit below 1 and reads None as DEFAULT_ENUM_LIMIT for every
 owner-vector walk; `verify_ceei_disc` reads it as DEFAULT_BUNDLE_LIMIT.
-The exhaustive searches in `search` visit owner vectors in lexicographic
-order, with no recursion; the Pareto test visits the same order but prunes it.
+The owner-vector walks here and in `search` visit owner vectors in
+lexicographic order, with no recursion, and all but the oracle prune it.
 """
 
 from __future__ import annotations

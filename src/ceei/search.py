@@ -14,17 +14,16 @@ Ties are broken lexicographically by owner vector wherever the search is
 exhaustive, so optima are canonical and runs are reproducible; the bounds
 keep ties, so pruning changes only how many nodes are explored.  A
 `limit` is the most nodes a walk may visit, None meaning `fairness`'s
-DEFAULT_ENUM_LIMIT.  Branch and bound and the equal-split race count their
-nodes and stop on entering node `limit`.  The two exhaustive searches
-cannot prune, so they compare their n^m owner vectors with `limit` before
-any work, in `fairness._guard`: the existence search walks
-`itertools.product` past owner vectors with envy, and the brute force
-meets in the middle over the Pareto fronts of two object halves.  The
-equal-split route answers with the first split its race meets, not the
-lexicographically first.
-Branch and bound keeps an explicit stack, and the equal-split search
-races a depth-first search against a meet in the middle over load tuples.
-Nothing here recurses.
+DEFAULT_ENUM_LIMIT.  Branch and bound, the CEEI-disc existence walk and
+the equal-split race count their nodes and stop on entering node `limit`.
+The brute force cannot prune, so it compares its n^m owner vectors with
+`limit` before any work, in `fairness._guard`, and then meets in the
+middle over the Pareto fronts of two object halves.  The existence walk
+drops every prefix already bound to envy.  The equal-split route answers
+with the first split its race meets, not the lexicographically first.
+Branch and bound and the existence walk keep an explicit stack, and the
+equal-split search races a depth-first search against a meet in the
+middle over load tuples.  Nothing here recurses.
 Every loop runs on the int rows `Instance.int_rows`; reported welfare
 divides out the product of `Instance.scales`.
 """
@@ -35,7 +34,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby, product, repeat
+from itertools import groupby, repeat
 from operator import add, indexOf, mul
 from typing import Optional
 
@@ -47,7 +46,6 @@ from .errors import (
 )
 from .fairness import (
     _check_limit,
-    _first_envy,
     _guard,
     verify_ceei_disc,
     verify_ceei_frac,
@@ -614,28 +612,87 @@ def exists_ceei_disc_bruteforce(inst: Instance, limit=None):
     """First discrete assignment with discrete price support, plus its prices.
 
     Identical nonzero rows take `find_ceei_disc_identical`'s equal split
-    under `limit`, priced by `verify_ceei_frac`; that route raises
-    InconclusiveSearch instead of InstanceTooLarge.  Otherwise walks owner
-    vectors in `itertools.product`'s lexicographic order and
-    runs the exact slack test on each envy-free one, so the cost is up to
-    n^m price LPs; strictly a desk-scale instrument.  Discrete price support
-    implies envy-freeness (an envied bundle is a strictly better bundle
-    inside someone's affordable one), so skipping those
-    `fairness._first_envy` finds envy in changes no answer.  Returns
-    (assignment, prices) or None.  Raises InstanceTooLarge when n^m exceeds
-    `limit` (None: DEFAULT_ENUM_LIMIT), before any work.  An envy-free
-    owner vector with fractional price support is certified by those prices
-    at any size; the first other one, if reached, meets `verify_ceei_disc`'s
-    own 2^m bundle guard, which raises InstanceTooLarge past 16 objects.
+    under `limit`, priced by `verify_ceei_frac`.  Otherwise runs the exact
+    slack test on each envy-free owner vector in lexicographic order, as
+    `_envy_free_owners` reaches them, so the cost is up to n^m price LPs;
+    strictly a desk-scale instrument.  Discrete price support implies
+    envy-freeness (an envied bundle is a strictly better bundle inside
+    someone's affordable one), so the owner vectors the walk drops change no
+    answer.  Returns (assignment, prices) or None.  The walk counts the
+    nodes it enters and raises InconclusiveSearch on entering node `limit`
+    (None: DEFAULT_ENUM_LIMIT; below 1: a ValueError).  An envy-free owner
+    vector with fractional price support is certified by those prices at any
+    size; the first other one, if reached, meets `verify_ceei_disc`'s own
+    2^m bundle guard, which raises InstanceTooLarge past 16 objects.
     """
     if _splits_equally(inst):
         y = find_ceei_disc_identical(inst, limit)
         return None if y is None else (y, verify_ceei_frac(inst, y).certificate.prices)
-    _guard(inst, limit, inst.n**inst.m)
-    for owner in product(range(inst.n), repeat=inst.m):
-        if _first_envy(inst.int_rows, owner) is None:
-            y = DiscreteAssignment(owner)
-            verdict = verify_ceei_disc(inst, y)
-            if verdict.holds:
-                return y, verdict.certificate.prices
+    for owner in _envy_free_owners(inst.int_rows, _check_limit(limit)):
+        y = DiscreteAssignment(owner)
+        verdict = verify_ceei_disc(inst, y)
+        if verdict.holds:
+            return y, verdict.certificate.prices
     return None
+
+
+def _envy_free_owners(rows, limit):
+    """Every owner vector under which no agent envies another, in
+    lexicographic order; InconclusiveSearch on entering node `limit`.  The
+    prune needs the nonnegative rows `Instance` guarantees."""
+    n, m = len(rows), len(rows[0])
+    cols = list(zip(*rows))
+    # seen[i][k]: agent i's value of agent k's bundle so far, 0 for k = i.
+    # room[i]: agent i's own total so far plus all it values among the
+    # objects still unassigned, the most its own bundle can reach.  A prefix
+    # is live while no seen[i][k] exceeds room[i]; below it seen only grows
+    # and room only shrinks, and at a leaf room[i] is i's own total, so the
+    # live leaves are exactly the envy-free owner vectors.
+    seen = [[0] * n for _ in range(n)]
+    room = [sum(row) for row in rows]
+    owner = [0] * m
+    nodes = 0
+
+    # Depth-first with the path kept in `owner`: object j tries agents from
+    # `start` on; giving it to agent a adds col[i] to seen[i][a] and takes it
+    # from room[i] for every other agent i, so the child is live iff each
+    # such i keeps max(seen[i]) + col[i] and seen[i][a] + 2 col[i] within
+    # room[i].  An agent failing the first test must take j itself.  With no
+    # agent left, take object j-1 back and resume after its agent.  A node
+    # is entered with start 0 and resumed with start > 0; entering one
+    # counts it.
+    j, start = 0, 0
+    while True:
+        if not start:
+            nodes += 1
+            if nodes >= limit:
+                raise InconclusiveSearch(nodes)
+            if j == m:
+                yield tuple(owner)
+        agents = ()
+        if j < m:
+            col = cols[j]
+            short = [i for i in range(n) if max(seen[i]) + col[i] > room[i]]  # agents that cannot let j go
+            if not short:
+                agents = range(start, n)
+            elif len(short) == 1 and short[0] >= start:
+                agents = short
+        for a in agents:
+            if all(seen[i][a] + 2 * col[i] <= room[i] for i in range(n) if i != a):
+                for i in range(n):
+                    if i != a:
+                        seen[i][a] += col[i]
+                        room[i] -= col[i]
+                owner[j] = a
+                j, start = j + 1, 0
+                break
+        else:
+            if j == 0:
+                return
+            j -= 1
+            col, a = cols[j], owner[j]
+            for i in range(n):
+                if i != a:
+                    seen[i][a] -= col[i]
+                    room[i] += col[i]
+            start = a + 1

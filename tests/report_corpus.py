@@ -68,6 +68,9 @@ DOCUMENTS = {
         [70, 75, 36, 56, 11, 76, 49, 40, 73, 30, 37, 23, 24, 23, 4, 78, 84, 33, 60, 8, 11, 86],
         [96, 16, 19, 4, 10, 89, 69, 87, 50, 90, 67, 35, 66, 30, 27, 86, 75, 53, 74, 35, 57, 63],
     ),
+    # whoever lacks object 0 envies, so the existence walk drops both of its
+    # one-object prefixes: no answer, and no 2^17 bundle guard
+    "envious-2x17.json": _doc([100] + [1] * 16, [100] + [0] * 16),
     "even.json": '{"owner":[0,0,1,1]}',
     "lopsided.json": '{"owner":[0,1,1,1]}',
     "split-3.json": '{"owner":[0,1,1]}',
@@ -118,6 +121,7 @@ def _argvs():
         for target in ("mnw", "ceei-frac", "ceei-disc"):
             for limit in ("1", "3"):
                 yield ["search", f"{doc}.json", target, "--limit-nodes", limit]
+    yield ["search", "envious-2x17.json", "ceei-disc"]
     # identical rows take the equal-split race, which counts its steps
     for target in ("ceei-frac", "ceei-disc"):
         yield ["search", "identical.json", target, "--limit-nodes", "1"]

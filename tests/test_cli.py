@@ -403,7 +403,7 @@ class TestSearch:
         assert code == 2
         assert err.endswith("must be an int of at least 1, not '1.5'\n")
 
-    @pytest.mark.parametrize("target, expected", [("mnw", 5), ("ceei-frac", 5), ("ceei-disc", 4)])
+    @pytest.mark.parametrize("target, expected", [("mnw", 5), ("ceei-frac", 5), ("ceei-disc", 5)])
     def test_node_limit_of_one_keeps_its_exit(self, workdir, capsys, target, expected):
         code, _, _ = run(capsys, "search", workdir / "separation.json", target, "--limit-nodes", 1)
         assert code == expected
@@ -461,12 +461,31 @@ def _write_wide(workdir):
 
 
 def test_guard_past_the_int_to_str_limit_exits_4(workdir, capsys):
-    _write_wide(workdir)
-    code, report, err = run(capsys, "search", workdir / "wide.json", "ceei-disc")
+    # agent 0 owns the first half and values it at 7201 against 7200, so
+    # nobody envies, and agent 1's higher ratio on objects 1..7199 is no
+    # CEEI-frac: only the 2^14400 bundles are left to decide it
+    (workdir / "tilted.json").write_text(
+        json.dumps({"agents": 2, "objects": 14400, "utilities": [[2] + [1] * 14399, [1] * 14400]})
+    )
+    (workdir / "halves.json").write_text(json.dumps({"owner": [0] * 7200 + [1] * 7200}))
+    code, report, err = run(capsys, "check", workdir / "tilted.json", workdir / "halves.json", "ceei-disc")
     assert code == 4
     assert report is None
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "needs 67910...(4335 digits) enumeration steps" in err
+
+
+def test_search_past_the_int_to_str_limit_finds_the_even_split(workdir, capsys):
+    # the owner-vector walk drops every prefix giving either agent more than
+    # half, so it reaches the 7200/7200 split, CEEI-frac at 1/7200 an object,
+    # in about 1.5 nodes an object
+    _write_wide(workdir)
+    start = time.perf_counter()
+    code, report, err = run(capsys, "search", workdir / "wide.json", "ceei-disc")
+    assert time.perf_counter() - start < 2.0
+    assert (code, err) == (0, "")
+    assert report["result"]["owner"] == [0] * 7200 + [1] * 7200
+    assert {p["exact"] for p in report["result"]["prices"]} == {"1/7200"}
 
 
 @pytest.mark.parametrize(

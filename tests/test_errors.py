@@ -16,6 +16,7 @@ from ceei import (
     ViolatingBundle,
     WindowViolation,
     binary_max_nash,
+    brute_force_max_nash,
     exists_ceei_disc_bruteforce,
     is_pareto_optimal_discrete,
     verify_ceei_disc,
@@ -48,16 +49,20 @@ WIDE = Instance([[1] * 14400, [2] * 14400])  # 2^14400 owner vectors and bundles
 
 def test_guard_past_the_int_to_str_limit():
     with pytest.raises(InstanceTooLarge, match=r"needs 67910\.\.\.\(4335 digits\) enumeration") as excinfo:
-        exists_ceei_disc_bruteforce(WIDE)
+        brute_force_max_nash(WIDE)
     assert excinfo.value.required == 2**14400
 
 
 def test_walks_past_the_int_to_str_limit_decide_without_a_guard():
-    # the Pareto walk prunes to 14,400 nodes, and envy refutes price support
-    # before verify_ceei_disc's 2^m guard is reached
+    # the Pareto walk prunes to 14,400 nodes, envy refutes price support
+    # before verify_ceei_disc's 2^m guard is reached, and the existence walk
+    # drops every prefix giving either agent more than half
     all_zero = DiscreteAssignment([0] * 14400)
     assert is_pareto_optimal_discrete(WIDE, all_zero) == Verdict(True, None)
     assert verify_ceei_disc(WIDE, all_zero) == Verdict(False, ViolatingBundle(1, tuple(range(14400))))
+    y, prices = exists_ceei_disc_bruteforce(WIDE)
+    assert y == DiscreteAssignment([0] * 7200 + [1] * 7200)
+    assert set(prices) == {Fraction(1, 7200)}
 
 
 def test_huge_non_binary_utility():

@@ -605,19 +605,45 @@ class TestExistsDiscreteSupport:
         # in particular the fractionally supported split qualifies as well
         assert verify_ceei_disc(separation, DiscreteAssignment([0, 0, 1, 1])).holds
 
-    def test_size_guard(self):
+    def test_limit_stops_the_walk_before_a_leaf(self):
+        # 3^20 owner vectors, but the walk counts only the nodes it enters:
+        # below depth 20 no leaf, and so no bundle guard, is reached
         inst = gen_random(3, 20, 3, seed=1)
-        with pytest.raises(InstanceTooLarge):
-            exists_ceei_disc_bruteforce(inst, limit=1000)
+        with pytest.raises(InconclusiveSearch) as excinfo:
+            exists_ceei_disc_bruteforce(inst, limit=20)
+        assert (excinfo.value.nodes_explored, excinfo.value.best_welfare) == (20, None)
+
+    def test_limit_counts_the_walk_nodes(self):
+        # the first two envy-free owner vectors lack price support and the
+        # third has it, off the fractional prices; below the walk's length
+        # every limit stops it on entering that node, and from there on
+        # every limit gives the unlimited answer
+        inst = Instance([[3, 0, 3, 4, 4], [6, 4, 4, 3, 0], [2, 6, 3, 0, 1]])
+        answers = []
+        for limit in range(1, 40):
+            try:
+                answers.append(exists_ceei_disc_bruteforce(inst, limit))
+            except InconclusiveSearch as exc:
+                assert not answers
+                assert (exc.nodes_explored, exc.best_welfare) == (limit, None)
+        assert 1 < len(answers) < 39
+        assert answers == [exists_ceei_disc_bruteforce(inst)] * len(answers)
+        y, _ = answers[0]
+        assert y == DiscreteAssignment([1, 2, 1, 0, 0]) and not verify_ceei_frac(inst, y).holds
+
+    def test_walk_leaves_are_the_envy_free_owner_vectors(self):
+        for seed in range(12):
+            inst = mixed_instance(random.Random(6100 + seed), max_agents=4, max_objects=6, max_assignments=1024)
+            envy_free = [y.owner for y in all_discrete_assignments(inst.n, inst.m) if is_envy_free(inst, y).holds]
+            assert list(search._envy_free_owners(inst.int_rows, DEFAULT_ENUM_LIMIT)) == envy_free
 
     def test_limit_below_one_is_rejected(self, separation):
         with pytest.raises(ValueError, match="enumeration limit must be at least 1"):
             exists_ceei_disc_bruteforce(separation, limit=0)
 
     def test_bundle_guard_is_the_verifiers(self):
-        # 2^17 owner vectors pass the n^m guard; the first envy-free one is
-        # not CEEI-frac, so it meets verify_ceei_disc's 2^m bundle guard, the
-        # only one
+        # the first envy-free owner vector the walk reaches is not CEEI-frac,
+        # so it meets verify_ceei_disc's 2^m bundle guard, the only one
         start = time.perf_counter()
         with pytest.raises(InstanceTooLarge) as excinfo:
             exists_ceei_disc_bruteforce(gen_random(2, 17, 9, seed=0))
@@ -644,16 +670,18 @@ class TestExistsDiscreteSupport:
 
     def test_cli_exits_1_past_16_objects_without_an_envy_free_owner_vector(self, tmp_path, capsys):
         # both agents value object 0 above everything else together, so
-        # whoever lacks it envies; no owner vector reaches the verifier or
-        # its bundle guard, and the walk over all 2^17 answers "none"
+        # whoever lacks it envies; the walk drops both one-object prefixes,
+        # and no owner vector reaches the verifier or its bundle guard
         path = tmp_path / "envious2x17.json"
         path.write_text(serialize_instance(Instance([[100] + [1] * 16, [100] + [0] * 16])))
+        start = time.perf_counter()
         assert cli.main(["search", str(path), "ceei-disc"]) == 1
+        assert time.perf_counter() - start < 0.1
         assert json.loads(capsys.readouterr().out)["result"] == {"status": "none"}
 
     @pytest.mark.parametrize("seed", range(24))
     def test_envy_filter_matches_the_unfiltered_loop(self, seed):
-        inst = mixed_instance(random.Random(6000 + seed), max_agents=3, max_objects=6, max_assignments=243)
+        inst = mixed_instance(random.Random(6000 + seed), max_agents=4, max_objects=6, max_assignments=1024)
         unfiltered = None
         for y in all_discrete_assignments(inst.n, inst.m):
             verdict = verify_ceei_disc(inst, y)
@@ -696,7 +724,7 @@ LIMITED = [
         id="brute_force_max_nash",
     ),
     pytest.param(
-        exists_ceei_disc_bruteforce, "DEFAULT_ENUM_LIMIT", InstanceTooLarge, {"limit": 1, "required": 4},
+        exists_ceei_disc_bruteforce, "DEFAULT_ENUM_LIMIT", InconclusiveSearch, {"nodes_explored": 1, "best_welfare": None},
         id="exists_ceei_disc_bruteforce",
     ),
     pytest.param(
