@@ -7,10 +7,8 @@ diagnostics on stderr.  Exit codes are uniform across subcommands:
     1  verdict fails / no solution exists
     2  invalid input (syntax, schema, invariants, bad parameters)
     3  the equilibrium solver found no exactly certified equilibrium
-    4  the CEEI-disc bundle walk, which cannot prune, is larger than
-       --limit-nodes (2^m bundles), so it was refused before any work
-    5  a walk over owner vectors entered node --limit-nodes and left the
-       question undecided
+    4  retired: the CEEI-disc bundle walk counts its nodes, so it exits 5
+    5  a walk entered node --limit-nodes and left the question undecided
     6  internal error: an unexpected exception, reported by its type on stderr
   141  stdout was closed before the report was written, as in `| head -1`
        (128 + SIGPIPE, the status a shell shows for a writer that signal ended)
@@ -42,7 +40,6 @@ from .equilibrium import solve_eg
 from .errors import (
     CeeiError,
     InconclusiveSearch,
-    InstanceTooLarge,
     NonConvergence,
     SchemaError,
 )
@@ -76,7 +73,6 @@ EXIT_HOLDS = 0
 EXIT_FAILS = 1
 EXIT_INVALID = 2
 EXIT_NO_CONVERGENCE = 3
-EXIT_TOO_LARGE = 4
 EXIT_INCONCLUSIVE = 5
 EXIT_INTERNAL = 6
 EXIT_CLOSED_PIPE = 141
@@ -86,7 +82,6 @@ EXIT_CLOSED_PIPE = 141
 # would exit 1 like a failed verdict.
 _ERROR_EXITS = (
     (NonConvergence, EXIT_NO_CONVERGENCE),
-    (InstanceTooLarge, EXIT_TOO_LARGE),
     (InconclusiveSearch, EXIT_INCONCLUSIVE),
     (OSError, EXIT_INVALID),
     (ValueError, EXIT_INVALID),
@@ -139,10 +134,10 @@ def _build_parser():
         "--limit-nodes",
         type=_limit,
         default=None,
-        help="at least 1, the most nodes a walk may visit: po counts its nodes (exit 5"
-        " at the limit; default 20000000); ceei-disc, when neither envy nor the ceei-frac"
-        " prices decide, refuses 2^m bundles over it (exit 4; default 65536); ignored by"
-        " ef and ceei-frac",
+        help="at least 1, the most nodes a walk may visit; each walk counts its nodes and"
+        " exits 5 at the limit: po over owner vectors (default 20000000), ceei-disc over"
+        " bundles when neither envy nor the ceei-frac prices decide (default 65536);"
+        " ignored by ef and ceei-frac",
     )
     check.set_defaults(handler=_cmd_check)
 
@@ -160,7 +155,8 @@ def _build_parser():
         " ceei-frac branch and bound and the ceei-disc walk over envy-free owner vectors"
         " count their nodes (exit 5 at the limit; branch and bound ignores it on 0/1 rows);"
         " on identical nonzero rows, 0/1 ones too, both ceei targets count the steps of an"
-        " equal-split race instead (exit 5)",
+        " equal-split race instead (exit 5); ceei-disc checks each envy-free owner vector"
+        " that is not ceei-frac by a bundle walk of at most 65536 nodes (exit 5 past it)",
     )
     searchp.set_defaults(handler=_cmd_search)
 

@@ -23,17 +23,16 @@ reads the int rows `Instance.int_rows` and bundle values from
 `model.bundle_values`.  `Instance` rejects negative utilities, so adding an
 object never lowers a bundle's value; the Pareto prunes and the bundle walk
 rely on it.  A `limit`, here and in `search`, is the most nodes a walk may
-visit.  Every walk over owner vectors counts the nodes it enters and raises
-InconclusiveSearch on entering node `limit`.  Only two walks cannot prune
-and know their size instead: `verify_ceei_disc`'s 2^m bundles and the n^m
-owner vectors of `search.brute_force_max_nash`, the enumeration oracle;
-`_guard` raises InstanceTooLarge at once when that size is over the limit.
-A polynomial test takes no limit: `verify_ceei_disc` guards its bundle walk
-only after the envy and fractional tests have not decided.  `_check_limit`
+visit.  Every walk that prunes, over owner vectors or over bundles, counts
+the nodes it enters and raises InconclusiveSearch on entering node `limit`.
+A polynomial test takes no limit: `verify_ceei_disc` walks its bundles only
+after the envy and fractional tests have not decided.  `_check_limit`
 rejects a limit below 1 and reads None as DEFAULT_ENUM_LIMIT for every
 owner-vector walk; `verify_ceei_disc` reads it as DEFAULT_BUNDLE_LIMIT.
 The owner-vector walks here and in `search` visit owner vectors in
-lexicographic order, with no recursion, and all but the oracle prune it.
+lexicographic order, with no recursion.  All of them prune but the n^m
+walk of `search.brute_force_max_nash`, the enumeration oracle, which
+instead refuses a size over the limit before any work.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import simplex
-from .errors import InconclusiveSearch, InstanceTooLarge, InvariantError
+from .errors import InconclusiveSearch, InvariantError
 from .model import (
     Certificate,
     DiscreteAssignment,
@@ -76,14 +75,6 @@ def _check_limit(limit):
     if limit < 1:
         raise ValueError(f"an enumeration limit must be at least 1, not {limit}")
     return limit
-
-
-def _guard(inst: Instance, limit, required):
-    """InstanceTooLarge when a walk of `required` nodes exceeds `limit`, as
-    `_check_limit` reads it."""
-    limit = _check_limit(limit)
-    if required > limit:
-        raise InstanceTooLarge(inst.n, inst.m, limit, required)
 
 
 def is_envy_free(inst: Instance, y: DiscreteAssignment) -> Verdict:
@@ -265,10 +256,11 @@ def verify_ceei_disc(inst: Instance, y: DiscreteAssignment, limit=None) -> Verdi
     bundle at exactly 1.  On failure the witness is the first minimal bundle
     that those prices leave within its agent's budget.
 
-    Rejects a `limit` below 1 first.  After the envy and fractional tests,
-    which are polynomial, raises InstanceTooLarge when the 2^m bundles it
-    considers exceed `limit` (None: DEFAULT_BUNDLE_LIMIT); the existence
-    search has no bundle guard of its own.
+    Rejects a `limit` below 1 first.  The envy and fractional tests are
+    polynomial and take no limit.  The bundle walk after them counts the
+    nodes it enters and raises InconclusiveSearch on entering node `limit`
+    (None: DEFAULT_BUNDLE_LIMIT).  The LP has a row for each minimal bundle,
+    each one a node of that walk, and one for each nonempty own bundle.
     """
     check_assignment(inst, y)
     _check_limit(limit)
@@ -282,9 +274,7 @@ def verify_ceei_disc(inst: Instance, y: DiscreteAssignment, limit=None) -> Verdi
         frac = _ratio_verdict(rows, y.owner, values)
         if frac.holds:
             return frac
-    _guard(inst, DEFAULT_BUNDLE_LIMIT if limit is None else limit, 1 << m)
-
-    minimal = _minimal_better_bundles(rows, values)
+    minimal = _minimal_better_bundles(rows, values, DEFAULT_BUNDLE_LIMIT if limit is None else limit)
     # variables p_1..p_m, s with s = 1 + t; maximize s subject to
     #   s - p(B) <= 0   for each minimal strictly-better bundle B
     #   p(y_i)   <= 1   for each agent
@@ -326,9 +316,10 @@ def verify_ceei_disc(inst: Instance, y: DiscreteAssignment, limit=None) -> Verdi
     raise AssertionError("slack LP returned no binding bundle")
 
 
-def _minimal_better_bundles(rows, own):
+def _minimal_better_bundles(rows, own, limit):
     """The inclusion-minimal bundles some agent values above its `own` total,
-    as (first such agent, objects ascending) pairs in that order.
+    as (first such agent, objects ascending) pairs in that order;
+    InconclusiveSearch on entering node `limit`.
 
     Rows are nonnegative, so a bundle minimal for one agent holds only
     objects it values.  A depth-first walk adds those largest first; a
@@ -337,17 +328,25 @@ def _minimal_better_bundles(rows, own):
     it.  A bundle so found is minimal among all agents' iff no agent values
     it, less its least valued object, above its own total; every agent that
     prefers such a bundle finds it, so the first walk to find it names the
-    first agent.
+    first agent.  The walks' nodes are each agent's empty bundle and every
+    bundle a walk extends one to, whether it ends there or goes on.
     """
     found = {}
+    nodes = 0
     for i, (row, total) in enumerate(zip(rows, own)):
         order = sorted((j for j, v in enumerate(row) if v), key=lambda j: -row[j])
         stack = [(0, 0, sum(row), ())]  # (position in order, value, value of order[position:], objects)
+        nodes += 1
+        if nodes >= limit:
+            raise InconclusiveSearch(nodes, undecided="discrete price support")
         while stack:
             start, value, rest, chosen = stack.pop()
             for p, j in enumerate(order[start:], start + 1):
                 if value + rest <= total:
                     break
+                nodes += 1
+                if nodes >= limit:
+                    raise InconclusiveSearch(nodes, undecided="discrete price support")
                 rest -= row[j]
                 if value + row[j] > total:
                     found.setdefault(tuple(sorted(chosen + (j,))), i)

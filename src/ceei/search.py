@@ -16,8 +16,11 @@ keep ties, so pruning changes only how many nodes are explored.  A
 `limit` is the most nodes a walk may visit, None meaning `fairness`'s
 DEFAULT_ENUM_LIMIT.  Branch and bound, the CEEI-disc existence walk and
 the equal-split race count their nodes and stop on entering node `limit`.
-The brute force cannot prune, so it compares its n^m owner vectors with
-`limit` before any work, in `fairness._guard`, and then meets in the
+At each envy-free leaf of the existence walk, `verify_ceei_disc`'s bundle
+walk counts its own nodes against DEFAULT_BUNDLE_LIMIT, and a leaf it
+cannot finish leaves the search undecided.  The brute force cannot prune,
+so it compares its n^m owner vectors with `limit` before any work, the
+only walk that refuses by size (InstanceTooLarge), and then meets in the
 middle over the Pareto fronts of two object halves.  The existence walk
 drops every prefix already bound to envy.  The equal-split route answers
 with the first split its race meets, not the lexicographically first.
@@ -41,12 +44,12 @@ from typing import Optional
 from ._flow import max_flow  # noqa: F401  bench/tracing.py patches ceei.search.max_flow
 from .errors import (
     InconclusiveSearch,
+    InstanceTooLarge,
     NotBinary,
     NotIdenticalUtilities,
 )
 from .fairness import (
     _check_limit,
-    _guard,
     verify_ceei_disc,
     verify_ceei_frac,
 )
@@ -77,8 +80,9 @@ def brute_force_max_nash(inst: Instance, limit=None) -> SearchResult:
     This is the independent oracle for every other discrete-search claim.
     """
     n, m = inst.n, inst.m
-    required = n**m
-    _guard(inst, limit, required)
+    required, limit = n**m, _check_limit(limit)
+    if required > limit:
+        raise InstanceTooLarge(n, m, limit, required)
     if n > m:  # some agent gets nothing under every owner vector
         return SearchResult(DiscreteAssignment((0,) * m), Fraction(0), required, True)
     rows = inst.int_rows
@@ -622,8 +626,9 @@ def exists_ceei_disc_bruteforce(inst: Instance, limit=None):
     nodes it enters and raises InconclusiveSearch on entering node `limit`
     (None: DEFAULT_ENUM_LIMIT; below 1: a ValueError).  An envy-free owner
     vector with fractional price support is certified by those prices at any
-    size; the first other one, if reached, meets `verify_ceei_disc`'s own
-    2^m bundle guard, which raises InstanceTooLarge past 16 objects.
+    size.  Any other one goes to `verify_ceei_disc`'s bundle walk under its
+    default, DEFAULT_BUNDLE_LIMIT nodes; a leaf that walk cannot finish
+    raises its InconclusiveSearch, with the bundle walk's node count.
     """
     if _splits_equally(inst):
         y = find_ceei_disc_identical(inst, limit)

@@ -69,10 +69,14 @@ DOCUMENTS = {
         [96, 16, 19, 4, 10, 89, 69, 87, 50, 90, 67, 35, 66, 30, 27, 86, 75, 53, 74, 35, 57, 63],
     ),
     # whoever lacks object 0 envies, so the existence walk drops both of its
-    # one-object prefixes: no answer, and no 2^17 bundle guard
+    # one-object prefixes: no answer, and no bundle walk
     "envious-2x17.json": _doc([100] + [1] * 16, [100] + [0] * 16),
+    # separation.json with 13 more objects, each worth 1 to agent 1 only (a
+    # document may not hold an object nobody values)
+    "padded-2x17.json": _doc([95, 5, 2, 1] + [0] * 13, [1, 2, 5, 95] + [1] * 13),
     "even.json": '{"owner":[0,0,1,1]}',
     "lopsided.json": '{"owner":[0,1,1,1]}',
+    "lopsided-17.json": '{"owner":[0,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1]}',
     "split-3.json": '{"owner":[0,1,1]}',
     "split-6.json": '{"owner":[0,0,0,1,1,1]}',
     "spread-3.json": '{"owner":[0,1,0]}',
@@ -108,8 +112,11 @@ def _argvs():
         for limit in ("1", "3"):
             yield ["check", "separation.json", "even.json", notion, "--limit-nodes", limit]
     # the even split is CEEI-frac, which takes no limit; the lopsided one is
-    # not, so its 2^4 bundles meet the guard
+    # not, so its bundle walk stops on entering its first node
     yield ["check", "separation.json", "lopsided.json", "ceei-disc", "--limit-nodes", "1"]
+    # envy-free, not CEEI-frac and 2^17 bundles, but the bundle walk ends
+    # once the objects left cannot lift a bundle above its agent's total
+    yield ["check", "padded-2x17.json", "lopsided-17.json", "ceei-disc"]
     # n^m is past 20M, but the Pareto walk decides each in ~65K nodes
     for shape in ("5x20", "6x22"):
         yield ["check", f"random-{shape}.json", f"mnw-{shape}.json", "po"]

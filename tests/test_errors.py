@@ -55,8 +55,8 @@ def test_guard_past_the_int_to_str_limit():
 
 def test_walks_past_the_int_to_str_limit_decide_without_a_guard():
     # the Pareto walk prunes to 14,400 nodes, envy refutes price support
-    # before verify_ceei_disc's 2^m guard is reached, and the existence walk
-    # drops every prefix giving either agent more than half
+    # before verify_ceei_disc walks any bundle, and the existence walk drops
+    # every prefix giving either agent more than half
     all_zero = DiscreteAssignment([0] * 14400)
     assert is_pareto_optimal_discrete(WIDE, all_zero) == Verdict(True, None)
     assert verify_ceei_disc(WIDE, all_zero) == Verdict(False, ViolatingBundle(1, tuple(range(14400))))

@@ -12,7 +12,6 @@ from ceei import (
     EnvyPair,
     InconclusiveSearch,
     Instance,
-    InstanceTooLarge,
     InstanceViolation,
     InvalidAssignment,
     InvariantError,
@@ -31,7 +30,7 @@ from ceei import (
     verify_ceei_frac,
 )
 from ceei import simplex
-from ceei.fairness import _minimal_better_bundles, bundle_values
+from ceei.fairness import DEFAULT_BUNDLE_LIMIT, _minimal_better_bundles, bundle_values
 from oracles import (
     all_discrete_assignments,
     bland_tableau,
@@ -311,15 +310,17 @@ class TestVerifyDiscreteSupport:
 
     def test_agent_valuing_nothing_skips_the_fractional_test(self):
         # verify_ceei_frac raises on agent 0, which values nothing; the
-        # discrete test goes on to the bundle walk, finds no better bundle
-        # and prices agent 1's bundle at 1 on its anchor, the first object
+        # discrete test goes on to the bundle walk, whose two nodes are the
+        # agents' empty bundles, finds no better bundle and prices agent 1's
+        # bundle at 1 on its anchor, the first object
         inst = Instance([[0, 0], [1, 1]])
         y = DiscreteAssignment([1, 1])
         with pytest.raises(InvariantError):
             verify_ceei_frac(inst, y)
-        assert verify_ceei_disc(inst, y, limit=4).certificate.prices.prices == (1, 0)
-        with pytest.raises(InstanceTooLarge):
-            verify_ceei_disc(inst, y, limit=3)
+        assert verify_ceei_disc(inst, y, limit=3).certificate.prices.prices == (1, 0)
+        with pytest.raises(InconclusiveSearch) as excinfo:
+            verify_ceei_disc(inst, y, limit=2)
+        assert excinfo.value.nodes_explored == 2
 
     def test_fractional_support_certifies_without_the_lp(self, separation, monkeypatch):
         # the CEEI-frac prices are discrete price support, so the even split
@@ -329,7 +330,7 @@ class TestVerifyDiscreteSupport:
         assert verdict == verify_ceei_frac(separation, EVEN)
         assert recheck_discrete_price_support(separation, EVEN, verdict.certificate.prices)
 
-    def test_planted_three_partition_split_past_the_guard(self):
+    def test_planted_three_partition_split_past_16_objects(self):
         # six triples summing to 30: identical rows split equally are CEEI-frac,
         # so 2^18 bundles need no walk; prices are the weights over 30
         triples = [(9, 10, 11), (8, 10, 12), (8, 11, 11), (9, 9, 12), (10, 10, 10), (8, 9, 13)]
@@ -397,7 +398,7 @@ class TestVerifyDiscreteSupport:
         assert len(c) == 15 - 2 + 1
         assert all(len(row) == len(c) and set(row) <= {-1, 0, 1} for row in rows)
         own = bundle_values(inst.int_rows, y.owner)
-        assert len(rows) == len(_minimal_better_bundles(inst.int_rows, own)) + 2
+        assert len(rows) == len(_minimal_better_bundles(inst.int_rows, own, DEFAULT_BUNDLE_LIMIT)) + 2
         prices = verdict.certificate.prices.prices
         assert [sum(prices[j] for j in bundle) for bundle in y.bundles(2)] == [1, 1]
         assert elapsed < 0.3
@@ -455,16 +456,21 @@ class TestVerifyDiscreteSupport:
         assert [verify_ceei_disc(inst, y) for inst, y in cases] == verdicts
         assert solved
 
-    def test_bundle_guard(self, separation):
+    def test_padded_owner_past_16_objects_is_decided(self, separation):
         # the lopsided split is envy-free but not CEEI-frac, so only the
-        # bundle walk decides it; the even split is CEEI-frac and passes
-        with pytest.raises(InstanceTooLarge):
-            verify_ceei_disc(separation, LOPSIDED, limit=8)
-        # 13 objects nobody values take the walk past the default 2^16
+        # bundle walk decides it, in 10 nodes; the even split is CEEI-frac
+        # and passes under any limit
+        with pytest.raises(InconclusiveSearch) as excinfo:
+            verify_ceei_disc(separation, LOPSIDED, limit=10)
+        assert excinfo.value.nodes_explored == 10
+        lopsided = verify_ceei_disc(separation, LOPSIDED, limit=11)
+        assert lopsided.holds
+        # 13 objects nobody values take 2^17 bundles, but the walk skips
+        # objects its agent does not value: the same 10 nodes and the same
+        # prices, with 0 on every padding object
         padded = Instance([list(row) + [0] * 13 for row in separation.int_rows])
-        with pytest.raises(InstanceTooLarge) as excinfo:
-            verify_ceei_disc(padded, DiscreteAssignment(LOPSIDED.owner + (0,) * 13))
-        assert (excinfo.value.limit, excinfo.value.required) == (1 << 16, 1 << 17)
+        verdict = verify_ceei_disc(padded, DiscreteAssignment(LOPSIDED.owner + (0,) * 13), limit=11)
+        assert verdict.certificate.prices.prices == lopsided.certificate.prices.prices + (0,) * 13
         assert verify_ceei_disc(padded, DiscreteAssignment(EVEN.owner + (0,) * 13)).holds
 
     @pytest.mark.parametrize("limit", [0, -1])
@@ -503,17 +509,39 @@ class TestVerifyDiscreteSupport:
                 rows = [rows[0]] * n
             owner = [rng.randrange(n) for _ in range(m)]
             own = bundle_values(rows, owner)
-            assert _minimal_better_bundles(rows, own) == minimal_better_bundles(rows, own)
+            assert _minimal_better_bundles(rows, own, DEFAULT_BUNDLE_LIMIT) == minimal_better_bundles(rows, own)
 
-    def test_minimal_better_bundles_at_the_guard(self):
-        # m = 16 is the most the default bundle guard admits
+    def test_minimal_better_bundles_under_the_default_limit(self):
+        # the 2x16 max-Nash owner's walk enters 7,658 nodes, far below the
+        # default of 2^16, and records 2,604 minimal bundles
         inst = gen_random(2, 16, 100, seed=0)
         rows = inst.int_rows
         own = bundle_values(rows, max_nash_discrete(inst).best.owner)
         started = time.perf_counter()
-        minimal = _minimal_better_bundles(rows, own)
+        minimal = _minimal_better_bundles(rows, own, DEFAULT_BUNDLE_LIMIT)
         assert time.perf_counter() - started < 1
         assert len(minimal) == 2604
+        assert _minimal_better_bundles(rows, own, 7659) == minimal
+        with pytest.raises(InconclusiveSearch) as excinfo:
+            _minimal_better_bundles(rows, own, 7658)
+        assert excinfo.value.nodes_explored == 7658
+
+    def test_limit_counts_the_bundle_walk_nodes(self):
+        # the LP decides this 3x10 owner after a walk of 409 nodes; below
+        # that every limit stops the walk on entering that node, and from
+        # there on every limit gives the unlimited verdict and certificate
+        inst = gen_random(3, 10, 100, seed=0)
+        y = DiscreteAssignment([2, 0, 1, 2, 2, 0, 0, 0, 1, 0])
+        verdict = verify_ceei_disc(inst, y)
+        assert verdict.holds and not verify_ceei_frac(inst, y).holds
+        stopped = []
+        for limit in range(1, 420):
+            try:
+                assert verify_ceei_disc(inst, y, limit) == verdict
+            except InconclusiveSearch as exc:
+                assert exc.nodes_explored == limit
+                stopped.append(limit)
+        assert stopped == list(range(1, 410))
 
 
 class TestNotionRelations:

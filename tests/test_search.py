@@ -641,17 +641,19 @@ class TestExistsDiscreteSupport:
         with pytest.raises(ValueError, match="enumeration limit must be at least 1"):
             exists_ceei_disc_bruteforce(separation, limit=0)
 
-    def test_bundle_guard_is_the_verifiers(self):
-        # the first envy-free owner vector the walk reaches is not CEEI-frac,
-        # so it meets verify_ceei_disc's 2^m bundle guard, the only one
+    def test_a_leafs_bundle_walk_stops_the_search(self):
+        # the first envy-free owner vector the walk reaches, 15 objects
+        # each, is not CEEI-frac, and its minimal strictly better bundles, of
+        # 16 or 17 objects out of 30, are far more than verify_ceei_disc's
+        # default walk admits: the search is undecided, with that walk's count
         start = time.perf_counter()
-        with pytest.raises(InstanceTooLarge) as excinfo:
-            exists_ceei_disc_bruteforce(gen_random(2, 17, 9, seed=0))
+        with pytest.raises(InconclusiveSearch) as excinfo:
+            exists_ceei_disc_bruteforce(Instance([[2] + [1] * 29, [1] * 30]))
         assert time.perf_counter() - start < 1.0
-        assert excinfo.value.limit == DEFAULT_BUNDLE_LIMIT
-        assert excinfo.value.required == 2**17
+        assert (excinfo.value.nodes_explored, excinfo.value.best_welfare) == (DEFAULT_BUNDLE_LIMIT, None)
+        assert excinfo.value.undecided == "discrete price support"
 
-    def test_ceei_frac_owner_past_the_bundle_guard_is_found(self):
+    def test_ceei_frac_owner_past_16_objects_is_found(self):
         # 18 equal weights: every envy-free owner vector splits them nine and
         # nine, which is CEEI-frac, so the equal split is certified by its
         # prices, 1/9 an object, with no bundle walk
@@ -660,18 +662,20 @@ class TestExistsDiscreteSupport:
         assert verify_ceei_disc(inst, y).holds and verify_ceei_frac(inst, y).holds
         assert prices == PriceVector([Fraction(1, 9)] * 18)
 
-    def test_cli_exits_4_at_the_bundle_guard(self, tmp_path, capsys):
-        path = tmp_path / "r2x17.json"
-        path.write_text(serialize_instance(gen_random(2, 17, 9, seed=0)))
-        assert cli.main(["search", str(path), "ceei-disc"]) == 4
+    def test_cli_exits_5_at_a_leafs_bundle_walk(self, tmp_path, capsys):
+        path = tmp_path / "tilted2x30.json"
+        path.write_text(serialize_instance(Instance([[2] + [1] * 29, [1] * 30])))
+        assert cli.main(["search", str(path), "ceei-disc"]) == 5
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+        assert captured.err == ""
+        assert json.loads(captured.out)["result"] == {
+            "status": "inconclusive", "nodes_explored": DEFAULT_BUNDLE_LIMIT, "best_welfare": None,
+        }
 
     def test_cli_exits_1_past_16_objects_without_an_envy_free_owner_vector(self, tmp_path, capsys):
         # both agents value object 0 above everything else together, so
         # whoever lacks it envies; the walk drops both one-object prefixes,
-        # and no owner vector reaches the verifier or its bundle guard
+        # and no owner vector reaches the verifier or its bundle walk
         path = tmp_path / "envious2x17.json"
         path.write_text(serialize_instance(Instance([[100] + [1] * 16, [100] + [0] * 16])))
         start = time.perf_counter()
@@ -715,8 +719,8 @@ LIMITED = [
         # instance values nothing, so no fractional test decides [0, 0]
         lambda inst, limit: verify_ceei_disc(Instance([[1, 2], [0, 0]]), DiscreteAssignment([0, 0]), limit=limit),
         "DEFAULT_BUNDLE_LIMIT",
-        InstanceTooLarge,
-        {"limit": 1, "required": 4},
+        InconclusiveSearch,
+        {"nodes_explored": 1, "best_welfare": None},
         id="verify_ceei_disc",
     ),
     pytest.param(
