@@ -24,6 +24,12 @@ the counted equal-split race of `search.find_ceei_disc_identical`.
 
 Exact rationals are reported as {"exact": "19/20", "decimal": 0.95} pairs,
 with a null decimal for values beyond float range.
+
+Every command parses and reports through `errors`, `model` and `instances`,
+which is all `gen` loads.  Each other handler imports its own engine when it
+runs: `solve` loads `equilibrium`, `check` loads `fairness` and `search`
+loads `search`, so a one-shot command compiles no module it never calls.
+`--limit-nodes` loads `fairness` for its one limit rule.
 """
 
 from __future__ import annotations
@@ -35,20 +41,11 @@ import sys
 import time
 from decimal import Decimal
 
-from . import search
-from .equilibrium import solve_eg
 from .errors import (
     CeeiError,
     InconclusiveSearch,
     NonConvergence,
     SchemaError,
-)
-from .fairness import (
-    _check_limit,
-    is_envy_free,
-    is_pareto_optimal_discrete,
-    verify_ceei_disc,
-    verify_ceei_frac,
 )
 from .instances import (
     PartitionInput,
@@ -178,6 +175,8 @@ def _build_parser():
 def _limit(text):
     """The type of --limit-nodes: an int that passes `_check_limit`, for every
     command that takes it, whether or not its target uses it."""
+    from .fairness import _check_limit
+
     try:
         value = int(text)
         _check_limit(value)
@@ -187,6 +186,8 @@ def _limit(text):
 
 
 def _cmd_solve(args):
+    from .equilibrium import solve_eg
+
     inst = parse_instance(_read(args.instance))
     solution = solve_eg(inst)
     report = _report("solve", inst, {})
@@ -201,6 +202,8 @@ def _cmd_solve(args):
 
 
 def _cmd_check(args):
+    from .fairness import is_envy_free, is_pareto_optimal_discrete, verify_ceei_disc, verify_ceei_frac
+
     inst = parse_instance(_read(args.instance))
     y = parse_assignment(_read(args.assignment), inst)
     if args.notion == "ef":
@@ -221,6 +224,8 @@ def _cmd_check(args):
 
 
 def _cmd_search(args):
+    from . import search
+
     inst = parse_instance(_read(args.instance))
     limit = args.limit_nodes
     report = _report("search", inst, {"target": args.target, "limit_nodes": limit})

@@ -68,6 +68,11 @@ DOCUMENTS = {
         [70, 75, 36, 56, 11, 76, 49, 40, 73, 30, 37, 23, 24, 23, 4, 78, 84, 33, 60, 8, 11, 86],
         [96, 16, 19, 4, 10, 89, 69, 87, 50, 90, 67, 35, 66, 30, 27, 86, 75, 53, 74, 35, 57, 63],
     ),
+    # `gen 3partition --bound 100` on a planted yes-instance of six groups:
+    # 6^18 owner vectors, but the equal-split race decides it at once
+    "three-partition-6.json": _doc(
+        *[[34, 45, 26, 29, 26, 41, 28, 29, 26, 29, 39, 30, 38, 44, 32, 41, 30, 33]] * 6
+    ),
     # whoever lacks object 0 envies, so the existence walk drops both of its
     # one-object prefixes: no answer, and no bundle walk
     "envious-2x17.json": _doc([100] + [1] * 16, [100] + [0] * 16),
@@ -132,6 +137,7 @@ def _argvs():
     # identical rows take the equal-split race, which counts its steps
     for target in ("ceei-frac", "ceei-disc"):
         yield ["search", "identical.json", target, "--limit-nodes", "1"]
+    yield ["search", "three-partition-6.json", "ceei-disc"]
     # 0/1 int rows take the polynomial maximizer, which no limit truncates
     yield ["search", "binary-gap.json", "mnw", "--limit-nodes", "1"]
     yield ["search", "binary-rational.json", "mnw"]

@@ -55,6 +55,26 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(codes, "numpy" in sys.modules)
 """
 
+# the exit code of `ceei <argv>` (none for a bare `import ceei`) and the
+# `ceei` modules loaded once it returns
+LOADED_PROBE = """
+import contextlib, io, json, sys
+import ceei
+code = None
+if sys.argv[1:]:
+    from ceei.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(sys.argv[1:])
+print(json.dumps([code, sorted(name for name in sys.modules if name.partition(".")[0] == "ceei")]))
+"""
+
+
+def _loaded(workdir, *argv):
+    """Exit code and set of `ceei` modules of one command, run in a new interpreter."""
+    paths = [workdir / arg if arg.endswith(".json") else arg for arg in argv]
+    code, modules = json.loads(_fresh_python(LOADED_PROBE, *paths))
+    return code, set(modules)
+
 
 def _fresh_python(probe, *args):
     """stdout of `probe` run in a new interpreter that imports ceei from this tree."""
@@ -187,6 +207,30 @@ class TestSolve:
         (workdir / "ident.json").write_text('{"agents":2,"objects":3,"utilities":[[2,1,1],[2,1,1]]}')
         args = [workdir / name for name in ("separation.json", "even.json", "binary_gap.json", "ident.json")]
         assert _fresh_python(NON_SOLVER_PROBE, *args, workdir / "gen.json") == "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0] False"
+
+    def test_importing_the_package_loads_no_submodule(self, workdir):
+        assert _loaded(workdir) == (None, {"ceei"})
+
+    def test_gen_loads_only_what_every_command_uses(self, workdir):
+        assert _loaded(workdir, "gen", "random", "--out", "gen.json") == (
+            0,
+            {"ceei", "ceei.cli", "ceei.errors", "ceei.model", "ceei.instances"},
+        )
+
+    @pytest.mark.parametrize(
+        "argv, engine, absent",
+        [
+            (("check", "separation.json", "even.json", "ef"), "fairness", {"equilibrium", "search", "_flow"}),
+            (("solve", "separation.json"), "equilibrium", {"search", "fairness", "simplex"}),
+            (("search", "separation.json", "mnw"), "search", {"equilibrium"}),
+        ],
+        ids=["check-ef", "solve", "search-mnw"],
+    )
+    def test_each_command_loads_its_engine_and_not_the_others(self, workdir, argv, engine, absent):
+        code, modules = _loaded(workdir, *argv)
+        assert code == 0
+        assert f"ceei.{engine}" in modules
+        assert modules.isdisjoint(f"ceei.{name}" for name in absent)
 
 
 class TestCheck:

@@ -1,4 +1,5 @@
 import copy
+import importlib
 import pickle
 from fractions import Fraction
 
@@ -107,6 +108,44 @@ def test_examples_cover_every_exported_error():
     exported = {getattr(ceei, name) for name in ceei.__all__}
     errors = {kind for kind in exported if isinstance(kind, type) and issubclass(kind, ceei.CeeiError)}
     assert {type(error) for error in _one_of_each_error()} == errors
+
+
+# the home module of each public name of `ceei`, which the package imports
+# on first access to the name
+HOMES = {
+    "equilibrium": "EquilibriumSolution ResidualReport equilibrium_prices_from_utilities kkt_residual solve_eg",
+    "errors": "CeeiError DimensionMismatch DocumentSyntaxError EmptyMultiset InconclusiveSearch InstanceTooLarge"
+    " InvalidAssignment InvariantError NonConvergence NotBinary NotIdenticalUtilities SchemaError SumMismatch"
+    " WindowViolation ZeroUtility",
+    "fairness": "Verdict is_envy_free is_pareto_optimal_discrete verify_ceei_disc verify_ceei_frac",
+    "instances": "PartitionInput ThreePartitionInput binary_gap_example from_partition from_three_partition"
+    " gen_random instance_digest parse_assignment parse_instance separation_example serialize_assignment"
+    " serialize_instance",
+    "model": "Certificate DiscreteAssignment DominatingAssignment EnvyPair FractionalAssignment Instance"
+    " InstanceViolation KktViolation PriceSupport PriceVector ViolatingBundle agent_utilities bundle_utility"
+    " nash_welfare validate_instance",
+    "search": "SearchResult binary_max_nash brute_force_max_nash exists_ceei_disc_bruteforce"
+    " exists_ceei_frac_discrete find_ceei_disc_identical max_nash_discrete",
+}
+
+
+def test_the_package_exports_each_name_from_its_home_module():
+    homes = {name: module for module, names in HOMES.items() for name in names.split()}
+    assert len(homes) == 59
+    assert set(ceei.__all__) == set(homes)
+    namespace = {}
+    exec("from ceei import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == set(homes)
+    for name, module in homes.items():
+        assert getattr(ceei, name) is namespace[name] is getattr(importlib.import_module(f"ceei.{module}"), name)
+    assert set(ceei.__all__) <= set(dir(ceei))
+
+
+def test_an_unknown_name_is_no_attribute_of_the_package():
+    with pytest.raises(AttributeError, match="^module 'ceei' has no attribute 'no_such_name'$"):
+        ceei.no_such_name
+    assert not hasattr(ceei, "no_such_name")
 
 
 @pytest.mark.parametrize("error", _one_of_each_error(), ids=lambda error: type(error).__name__)
