@@ -1,7 +1,9 @@
 """Command-line front door: solve, check, search, and gen subcommands.
 
-Each invocation writes exactly one JSON report to stdout and keeps
-diagnostics on stderr.  Exit codes are uniform across subcommands:
+Exit codes are uniform across subcommands.  Exits 0, 1 and 5 print one
+JSON report to stdout and nothing to stderr; exits 2, 3 and 6 print one
+`error:` line to stderr and no report (an option the parser rejects also
+gets its usage lines first); exit 141 prints nothing:
 
     0  verdict holds / solution found / document written
     1  verdict fails / no solution exists
@@ -9,18 +11,23 @@ diagnostics on stderr.  Exit codes are uniform across subcommands:
     3  the equilibrium solver found no exactly certified equilibrium
     4  retired: the CEEI-disc bundle walk counts its nodes, so it exits 5
     5  a walk entered node --limit-nodes and left the question undecided
-    6  internal error: an unexpected exception, reported by its type on stderr
+    6  internal error: an unexpected exception, reported by its type
   141  stdout was closed before the report was written, as in `| head -1`
        (128 + SIGPIPE, the status a shell shows for a writer that signal ended)
 
 A report holds, in this order, "command"; "instance" (digest, agents,
 objects); "config", the options the handler read; "result"; and "timings".
-`_report` writes the first three and the handler the result, so each
-subcommand has one report path.  The existence targets of `search` share
-one {"status": "none"} result, one {"status": "found", "owner": ...}
-result, to which ceei-disc adds "prices", and one {"status":
-"inconclusive", ...} result.  On identical nonzero rows both targets run
-the counted equal-split race of `search.find_ceei_disc_identical`.
+`main` hands each handler an empty report.  The handler writes the first
+three through `_head` once it has parsed its documents and before it calls
+an engine, then writes the result and returns its exit code; `main` adds
+the timings.  A walk that stops undecided raises InconclusiveSearch, which
+`main` alone turns into exit 5 and the one {"status": "inconclusive",
+"nodes_explored": ..., "best_welfare": ...} result of every `check` and
+`search` command; `search … mnw` instead answers "truncated" with the best
+assignment found.  The existence targets of `search` share one {"status":
+"none"} result and one {"status": "found", "owner": ...} result, to which
+ceei-disc adds "prices".  On identical nonzero rows both targets run the
+counted equal-split race of `search.find_ceei_disc_identical`.
 
 Exact rationals are reported as {"exact": "19/20", "decimal": 0.95} pairs,
 with a null decimal for values beyond float range.
@@ -79,7 +86,6 @@ EXIT_CLOSED_PIPE = 141
 # would exit 1 like a failed verdict.
 _ERROR_EXITS = (
     (NonConvergence, EXIT_NO_CONVERGENCE),
-    (InconclusiveSearch, EXIT_INCONCLUSIVE),
     (OSError, EXIT_INVALID),
     (ValueError, EXIT_INVALID),
     (CeeiError, EXIT_INVALID),
@@ -90,8 +96,17 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     started = time.monotonic()
+    report = {}
     try:
-        report, code = args.handler(args)
+        code = args.handler(args, report)
+    except InconclusiveSearch as exc:
+        welfare = exc.best_welfare  # None when no welfare search ran
+        report["result"] = {
+            "status": "inconclusive",
+            "nodes_explored": exc.nodes_explored,
+            "best_welfare": None if welfare is None else _number(welfare),
+        }
+        code = EXIT_INCONCLUSIVE
     except Exception as exc:
         code = next((code for kind, code in _ERROR_EXITS if isinstance(exc, kind)), EXIT_INTERNAL)
         message = f"internal error: {exc!r}" if code == EXIT_INTERNAL else exc
@@ -185,12 +200,12 @@ def _limit(text):
     return value
 
 
-def _cmd_solve(args):
+def _cmd_solve(args, report):
     from .equilibrium import solve_eg
 
     inst = parse_instance(_read(args.instance))
+    _head(report, "solve", inst, {})
     solution = solve_eg(inst)
-    report = _report("solve", inst, {})
     report["result"] = {
         "u_star": [_number(u) for u in solution.u_star],
         "p_star": [_number(p) for p in solution.p_star],
@@ -198,14 +213,15 @@ def _cmd_solve(args):
         "iterations": solution.iterations,
         "certified_exact": solution.certified,
     }
-    return report, EXIT_HOLDS
+    return EXIT_HOLDS
 
 
-def _cmd_check(args):
+def _cmd_check(args, report):
     from .fairness import is_envy_free, is_pareto_optimal_discrete, verify_ceei_disc, verify_ceei_frac
 
     inst = parse_instance(_read(args.instance))
     y = parse_assignment(_read(args.assignment), inst)
+    _head(report, "check", inst, {"notion": args.notion, "limit_nodes": args.limit_nodes})
     if args.notion == "ef":
         verdict = is_envy_free(inst, y)
     elif args.notion == "po":
@@ -214,21 +230,20 @@ def _cmd_check(args):
         verdict = verify_ceei_frac(inst, y)
     else:
         verdict = verify_ceei_disc(inst, y, args.limit_nodes)
-    report = _report("check", inst, {"notion": args.notion, "limit_nodes": args.limit_nodes})
     report["result"] = {
         "owner": list(y.owner),
         "holds": verdict.holds,
         "certificate": _certificate(verdict.certificate),
     }
-    return report, EXIT_HOLDS if verdict.holds else EXIT_FAILS
+    return EXIT_HOLDS if verdict.holds else EXIT_FAILS
 
 
-def _cmd_search(args):
+def _cmd_search(args, report):
     from . import search
 
     inst = parse_instance(_read(args.instance))
     limit = args.limit_nodes
-    report = _report("search", inst, {"target": args.target, "limit_nodes": limit})
+    _head(report, "search", inst, {"target": args.target, "limit_nodes": limit})
 
     if args.target == "mnw":
         result = search.max_nash_discrete(inst, limit=limit)
@@ -238,32 +253,23 @@ def _cmd_search(args):
             "welfare": _number(result.welfare),
             "nodes_explored": result.nodes_explored,
         }
-        return report, EXIT_HOLDS if result.optimal else EXIT_INCONCLUSIVE
+        return EXIT_HOLDS if result.optimal else EXIT_INCONCLUSIVE
 
     # the existence targets share one report; `extra` is what only ceei-disc adds
     extra = {}
-    try:
-        if args.target == "ceei-frac":
-            found = search.exists_ceei_frac_discrete(inst, limit=limit)
-        else:
-            found, prices = search.exists_ceei_disc_bruteforce(inst, limit=limit) or (None, ())
-            extra = {"prices": [_number(p) for p in prices]}
-    except InconclusiveSearch as exc:
-        welfare = exc.best_welfare  # None when no welfare search ran
-        report["result"] = {
-            "status": "inconclusive",
-            "nodes_explored": exc.nodes_explored,
-            "best_welfare": None if welfare is None else _number(welfare),
-        }
-        return report, EXIT_INCONCLUSIVE
+    if args.target == "ceei-frac":
+        found = search.exists_ceei_frac_discrete(inst, limit=limit)
+    else:
+        found, prices = search.exists_ceei_disc_bruteforce(inst, limit=limit) or (None, ())
+        extra = {"prices": [_number(p) for p in prices]}
     if found is None:
         report["result"] = {"status": "none"}
-        return report, EXIT_FAILS
+        return EXIT_FAILS
     report["result"] = {"status": "found", "owner": list(found.owner), **extra}
-    return report, EXIT_HOLDS
+    return EXIT_HOLDS
 
 
-def _cmd_gen(args):
+def _cmd_gen(args, report):
     if args.kind == "random":
         inst = gen_random(args.agents, args.objects, args.max_util, seed=args.seed)
         params = {"agents": args.agents, "objects": args.objects, "max_util": args.max_util, "seed": args.seed}
@@ -280,12 +286,12 @@ def _cmd_gen(args):
         )
         params = {"weights": args.weights, "bound": args.bound}
 
+    _head(report, "gen", inst, {"kind": args.kind, **params})
     document = serialize_instance(inst)
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(document + "\n")
-    report = _report("gen", inst, {"kind": args.kind, **params})
     report["result"] = {"written": args.out}
-    return report, EXIT_HOLDS
+    return EXIT_HOLDS
 
 
 def _parse_ints(text, field):
@@ -300,16 +306,10 @@ def _read(path):
         return handle.read()
 
 
-def _report(command, inst, config):
-    return {
-        "command": command,
-        "instance": {
-            "digest": instance_digest(inst),
-            "agents": inst.n,
-            "objects": inst.m,
-        },
-        "config": config,
-    }
+def _head(report, command, inst, config):
+    report["command"] = command
+    report["instance"] = {"digest": instance_digest(inst), "agents": inst.n, "objects": inst.m}
+    report["config"] = config
 
 
 def _number(value):

@@ -1,15 +1,15 @@
 """Self-contained exact simplex with integer pivoting.
 
-Solves  max c.z  subject to  A z <= b,  z >= 0  with b >= 0, so the slack
-basis is feasible and no phase-1 is needed.  The tableau is condensed (one
-column per nonbasic variable, none for slacks) and held as Python ints over
-one common denominator d: each row is scaled by the lcm of its denominators,
-and a pivot replaces every entry by a 2x2 determinant divided exactly by d
+Solves  max c.z  subject to  A z <= b,  z >= 0  with b >= 0 and every
+entry an int, so the slack basis is feasible and no phase-1 is needed.  The
+tableau is condensed (one column per nonbasic variable, none for slacks) and
+held as Python ints over one common denominator d, which starts at 1: a
+pivot replaces every entry by a 2x2 determinant divided exactly by d
 (fraction-free pivoting, Edmonds 1967).  Bland's rule keeps the pivot
 sequence finite and deterministic despite degenerate rows: the CEEI-DISC
-verifier's bundle rows without an anchor object start at rhs 0; positive
-row scales and d change no sign and no ratio comparison, so the pivots,
-basis, value and solution are those of the rational tableau.
+verifier's bundle rows without an anchor object start at rhs 0; d is
+positive and changes no sign and no ratio comparison, so the pivots, basis,
+value and solution are those of the rational tableau.
 
 On the verifier's 0/±1 rows most pivot elements equal d.  A pivot equal to
 d leaves d as it is, and the step of an entry v of a row with entering
@@ -24,7 +24,6 @@ the pivots, value and solution stay those of the rational tableau.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from operator import add, sub
 
 
@@ -36,24 +35,25 @@ def maximize(c, rows, rhs):
     """Return (optimal value, solution list) for max c.z, A z <= b, z >= 0.
 
     `c` is the objective vector, `rows` the constraint matrix A, `rhs` the
-    vector b with every entry >= 0.  All entries may be ints or Fractions.
+    vector b with every entry >= 0.  Every entry must be an int (TypeError
+    otherwise, bools included).
     """
     num_vars = len(c)
     num_cons = len(rows)
     if len(rhs) != num_cons:
         raise ValueError(f"{num_cons} constraints but {len(rhs)} right-hand sides")
-    rhs = [_rational(v) for v in rhs]
-    if any(b < 0 for b in rhs):
-        raise ValueError("rhs must be nonnegative for a slack start")
     for r, row in enumerate(rows):
         if len(row) != num_vars:
             raise ValueError(f"constraint {r} has {len(row)} coefficients, expected {num_vars}")
+    if any(type(v) is not int for vector in (c, rhs, *rows) for v in vector):
+        raise TypeError("every entry of c, rows and rhs must be an int")
+    if any(b < 0 for b in rhs):
+        raise ValueError("rhs must be nonnegative for a slack start")
 
     # tableau: constraint rows [A_r | b_r], then the objective row [-c | 0];
-    # entry / d is the rational tableau entry, up to each row's positive scale
-    tableau = [_scaled([*row, b])[0] for row, b in zip(rows, rhs)]
-    objective, obj_scale = _scaled([*c, 0])
-    objective = [-v for v in objective]
+    # entry / d is the rational tableau entry
+    tableau = [[*row, b] for row, b in zip(rows, rhs)]
+    objective = [-v for v in c] + [0]
     tableau.append(objective)
     d = 1
     # original variable indices: structural 0..num_vars-1, slack num_vars+r
@@ -109,17 +109,5 @@ def maximize(c, rows, rhs):
     for r, var in enumerate(basis):
         if var < num_vars:
             solution[var] = Fraction(tableau[r][-1], d)
-    value = Fraction(objective[-1], d * obj_scale)
+    value = Fraction(objective[-1], d)
     return value, solution
-
-
-def _rational(value):
-    """An int as it is (it has a numerator and a denominator), anything else as a Fraction."""
-    return value if isinstance(value, int) else Fraction(value)
-
-
-def _scaled(values):
-    """The entries times the lcm of their denominators, as ints, and that lcm."""
-    values = [_rational(v) for v in values]
-    scale = lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values], scale

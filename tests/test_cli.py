@@ -271,33 +271,20 @@ class TestCheck:
             f"ceei check: error: argument --limit-nodes: must be an int of at least 1, not '{limit}'"
         )
 
+    # each walk stops on entering its first node: the Pareto walk's root, and
+    # the lopsided split's bundle walk, which it reaches because that split is
+    # envy-free but not CEEI-frac
     @pytest.mark.parametrize(
-        "assignment, notion, exit_code, err_line",
-        [
-            # each walk stops on entering its first node: the Pareto walk's
-            # root, and the lopsided split's bundle walk, which it reaches
-            # because that split is envy-free but not CEEI-frac
-            (
-                "even.json",
-                "po",
-                5,
-                "error: search truncated after 1 node; existence of a dominating assignment undecided",
-            ),
-            (
-                "lopsided.json",
-                "ceei-disc",
-                5,
-                "error: search truncated after 1 node; discrete price support undecided",
-            ),
-        ],
-        ids=["po", "ceei-disc"],
+        "assignment, notion", [("even.json", "po"), ("lopsided.json", "ceei-disc")], ids=["po", "ceei-disc"]
     )
-    def test_limit_of_one_stops_each_walk(self, workdir, capsys, assignment, notion, exit_code, err_line):
+    def test_limit_of_one_stops_each_walk(self, workdir, capsys, assignment, notion):
         code, report, err = run(
             capsys, "check", workdir / "separation.json", workdir / assignment, notion,
             "--limit-nodes", 1,
         )
-        assert (code, report, err) == (exit_code, None, err_line + "\n")
+        assert (code, err) == (5, "")
+        assert report["config"] == {"notion": notion, "limit_nodes": 1}
+        assert report["result"] == {"status": "inconclusive", "nodes_explored": 1, "best_welfare": None}
 
     def test_ceei_frac_owner_needs_no_bundle_walk(self, workdir, capsys):
         # the even split is CEEI-frac, so its prices certify it under any limit
@@ -515,8 +502,8 @@ def test_bundle_walk_past_the_int_to_str_limit_exits_5(workdir, capsys):
     start = time.perf_counter()
     code, report, err = run(capsys, "check", workdir / "tilted.json", workdir / "halves.json", "ceei-disc")
     assert time.perf_counter() - start < 3.0
-    assert (code, report) == (5, None)
-    assert err == "error: search truncated after 65536 nodes; discrete price support undecided\n"
+    assert (code, err) == (5, "")
+    assert report["result"] == {"status": "inconclusive", "nodes_explored": 65536, "best_welfare": None}
 
 
 def test_search_past_the_int_to_str_limit_finds_the_even_split(workdir, capsys):
@@ -636,6 +623,26 @@ class TestGen:
 
 
 class TestReportShape:
+    # every walk that stops undecided gets the one "inconclusive" report,
+    # whether a verdict or a search asked
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "separation.json", "even.json", "po"),
+            ("check", "separation.json", "lopsided.json", "ceei-disc"),
+            ("search", "separation.json", "ceei-frac"),
+            ("search", "separation.json", "ceei-disc"),
+        ],
+        ids=["check-po", "check-ceei-disc", "search-ceei-frac", "search-ceei-disc"],
+    )
+    def test_every_exit_5_prints_one_inconclusive_report(self, workdir, capsys, monkeypatch, argv):
+        monkeypatch.chdir(workdir)
+        code, report, err = run(capsys, *argv, "--limit-nodes", 1)
+        assert (code, err) == (5, "")
+        assert list(report) == ["command", "instance", "config", "result", "timings"]
+        assert report["result"]["status"] == "inconclusive"
+        assert set(report["result"]) == {"status", "nodes_explored", "best_welfare"}
+
     def test_reports_are_byte_identical_modulo_timings(self, workdir, capsys):
         reports = []
         for _ in range(2):
@@ -657,7 +664,7 @@ class TestReportShape:
         }
 
     def test_unexpected_exception_exits_6_with_one_error_line(self, workdir, capsys, monkeypatch):
-        def broken(args):
+        def broken(args, report):
             raise RuntimeError("boom")
 
         monkeypatch.setattr(cli, "_cmd_search", broken)
