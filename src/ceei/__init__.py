@@ -19,7 +19,6 @@ _EXPORTS = {
     "equilibrium": (
         "EquilibriumSolution",
         "ResidualReport",
-        "equilibrium_prices_from_utilities",
         "kkt_residual",
         "solve_eg",
     ),
@@ -38,7 +37,6 @@ _EXPORTS = {
         "SchemaError",
         "SumMismatch",
         "WindowViolation",
-        "ZeroUtility",
     ),
     "fairness": (
         "Verdict",

@@ -36,7 +36,6 @@ Every command parses and reports through `errors`, `model` and `instances`,
 which is all `gen` loads.  Each other handler imports its own engine when it
 runs: `solve` loads `equilibrium`, `check` loads `fairness` and `search`
 loads `search`, so a one-shot command compiles no module it never calls.
-`--limit-nodes` loads `fairness` for its one limit rule.
 """
 
 from __future__ import annotations
@@ -49,10 +48,13 @@ import time
 from decimal import Decimal
 
 from .errors import (
+    DEFAULT_BUNDLE_LIMIT,
+    DEFAULT_ENUM_LIMIT,
     CeeiError,
     InconclusiveSearch,
     NonConvergence,
     SchemaError,
+    _check_limit,
 )
 from .instances import (
     PartitionInput,
@@ -147,8 +149,8 @@ def _build_parser():
         type=_limit,
         default=None,
         help="at least 1, the most nodes a walk may visit; each walk counts its nodes and"
-        " exits 5 at the limit: po over owner vectors (default 20000000), ceei-disc over"
-        " bundles when neither envy nor the ceei-frac prices decide (default 65536);"
+        f" exits 5 at the limit: po over owner vectors (default {DEFAULT_ENUM_LIMIT}), ceei-disc over"
+        f" bundles when neither envy nor the ceei-frac prices decide (default {DEFAULT_BUNDLE_LIMIT});"
         " ignored by ef and ceei-frac",
     )
     check.set_defaults(handler=_cmd_check)
@@ -163,12 +165,12 @@ def _build_parser():
         "--limit-nodes",
         type=_limit,
         default=None,
-        help="at least 1, the most nodes a walk may visit (default 20000000): the mnw and"
+        help=f"at least 1, the most nodes a walk may visit (default {DEFAULT_ENUM_LIMIT}): the mnw and"
         " ceei-frac branch and bound and the ceei-disc walk over envy-free owner vectors"
         " count their nodes (exit 5 at the limit; branch and bound ignores it on 0/1 rows);"
         " on identical nonzero rows, 0/1 ones too, both ceei targets count the steps of an"
         " equal-split race instead (exit 5); ceei-disc checks each envy-free owner vector"
-        " that is not ceei-frac by a bundle walk of at most 65536 nodes (exit 5 past it)",
+        f" that is not ceei-frac by a bundle walk of at most {DEFAULT_BUNDLE_LIMIT} nodes (exit 5 past it)",
     )
     searchp.set_defaults(handler=_cmd_search)
 
@@ -190,8 +192,6 @@ def _build_parser():
 def _limit(text):
     """The type of --limit-nodes: an int that passes `_check_limit`, for every
     command that takes it, whether or not its target uses it."""
-    from .fairness import _check_limit
-
     try:
         value = int(text)
         _check_limit(value)

@@ -38,14 +38,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from ._flow import max_flow
 from .errors import (
     DimensionMismatch,
     InvariantError,
     NonConvergence,
-    ZeroUtility,
 )
 from .model import (
     FractionalAssignment,
@@ -95,25 +93,6 @@ class ResidualReport:
     @property
     def max_violation(self) -> Fraction:
         return max(self.market_clearing, self.budget, self.bang_per_buck, self.price_negativity)
-
-
-def equilibrium_prices_from_utilities(inst: Instance, utilities: Sequence) -> PriceVector:
-    """Closed-form dual prices p_j = max_i u_ij / u_i for candidate utilities.
-
-    At equilibrium each agent turns its unit budget into utility at rate u_i,
-    so an object's price is pinned by the agent extracting the most from it.
-    Raises ZeroUtility if some u_i is zero.
-    """
-    u = _rational_row(utilities)
-    if len(u) != inst.n:
-        raise DimensionMismatch("utility vector", inst.n, len(u))
-    for i, v in enumerate(u):
-        if v == 0:
-            raise ZeroUtility(i)
-    prices = []
-    for j in range(inst.m):
-        prices.append(max(inst.utilities[i][j] / u[i] for i in range(inst.n)))
-    return PriceVector(prices)
 
 
 def kkt_residual(inst: Instance, allocation, prices) -> ResidualReport:

@@ -1,7 +1,38 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the one node-limit rule.
+
+A `limit` is the most nodes a walk may visit.  Every walk that prunes, over
+owner vectors or over bundles, counts the nodes it enters and raises
+InconclusiveSearch on entering node `limit`; the enumeration oracle
+`search.brute_force_max_nash` instead raises InstanceTooLarge when its n^m
+owner vectors exceed it.  `_check_limit` rejects a limit that is not an int
+(TypeError) or is below 1 (ValueError), and reads None, when the call is
+made, as DEFAULT_BUNDLE_LIMIT for `fairness.verify_ceei_disc`'s bundle walk
+and as DEFAULT_ENUM_LIMIT for every other walk.  A polynomial test takes no
+limit.
+"""
 
 import copyreg
 from fractions import Fraction
+
+DEFAULT_ENUM_LIMIT = 20_000_000
+DEFAULT_BUNDLE_LIMIT = 1 << 16
+
+
+def _is_index(value) -> bool:
+    """Anything with __index__ (numpy ints too) but bool, which is an int."""
+    return hasattr(value, "__index__") and not isinstance(value, bool)
+
+
+def _check_limit(limit, bundles=False):
+    """`limit`, or for None DEFAULT_BUNDLE_LIMIT if `bundles` else
+    DEFAULT_ENUM_LIMIT; TypeError if not an int, ValueError below 1."""
+    if limit is None:
+        return DEFAULT_BUNDLE_LIMIT if bundles else DEFAULT_ENUM_LIMIT
+    if not _is_index(limit):
+        raise TypeError(f"an enumeration limit must be an int, not {type(limit).__name__}")
+    if limit < 1:
+        raise ValueError(f"an enumeration limit must be at least 1, not {limit}")
+    return limit
 
 
 def bounded(value):
@@ -70,22 +101,15 @@ class NonConvergence(CeeiError):
         )
 
 
-class ZeroUtility(CeeiError):
-    """A candidate utility vector has a zero entry where positivity is required."""
-
-    def __init__(self, agent):
-        self.agent = agent
-        super().__init__(f"agent {agent} has zero utility")
-
-
 class NotBinary(CeeiError):
-    """A utility entry is neither 0 nor 1."""
+    """A utility row is not 0/1 up to its scale (`Instance.is_binary`):
+    `value` is the first utility whose int entry is neither 0 nor 1."""
 
     def __init__(self, agent, obj, value):
         self.agent = agent
         self.object = obj
         self.value = value
-        super().__init__(f"utility of agent {agent} for object {obj} is {bounded(value)}, not 0/1")
+        super().__init__(f"utility of agent {agent} for object {obj} is {bounded(value)}, not 0/1 up to its row's scale")
 
 
 class NotIdenticalUtilities(CeeiError):

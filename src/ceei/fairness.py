@@ -22,13 +22,9 @@ Every verdict checks its assignment with `model.check_assignment`, then
 reads the int rows `Instance.int_rows` and bundle values from
 `model.bundle_values`.  `Instance` rejects negative utilities, so adding an
 object never lowers a bundle's value; the Pareto prunes and the bundle walk
-rely on it.  A `limit`, here and in `search`, is the most nodes a walk may
-visit.  Every walk that prunes, over owner vectors or over bundles, counts
-the nodes it enters and raises InconclusiveSearch on entering node `limit`.
-A polynomial test takes no limit: `verify_ceei_disc` walks its bundles only
-after the envy and fractional tests have not decided.  `_check_limit`
-rejects a limit below 1 and reads None as DEFAULT_ENUM_LIMIT for every
-owner-vector walk; `verify_ceei_disc` reads it as DEFAULT_BUNDLE_LIMIT.
+rely on it.  Every walk takes a `limit` under the one rule that `errors`
+states and `errors._check_limit` applies; `verify_ceei_disc` walks its
+bundles only after the envy and fractional tests have not decided.
 The owner-vector walks here and in `search` visit owner vectors in
 lexicographic order, with no recursion.  All of them prune but the n^m
 walk of `search.brute_force_max_nash`, the enumeration oracle, which
@@ -42,7 +38,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import simplex
-from .errors import InconclusiveSearch, InvariantError
+from .errors import InconclusiveSearch, InvariantError, _check_limit
 from .model import (
     Certificate,
     DiscreteAssignment,
@@ -58,23 +54,10 @@ from .model import (
     check_assignment,
 )
 
-DEFAULT_ENUM_LIMIT = 20_000_000
-DEFAULT_BUNDLE_LIMIT = 1 << 16
-
-
 @dataclass(frozen=True)
 class Verdict:
     holds: bool
     certificate: Optional[Certificate]
-
-
-def _check_limit(limit):
-    """`limit`, or DEFAULT_ENUM_LIMIT for None; ValueError below 1."""
-    if limit is None:
-        return DEFAULT_ENUM_LIMIT
-    if limit < 1:
-        raise ValueError(f"an enumeration limit must be at least 1, not {limit}")
-    return limit
 
 
 def is_envy_free(inst: Instance, y: DiscreteAssignment) -> Verdict:
@@ -256,14 +239,14 @@ def verify_ceei_disc(inst: Instance, y: DiscreteAssignment, limit=None) -> Verdi
     bundle at exactly 1.  On failure the witness is the first minimal bundle
     that those prices leave within its agent's budget.
 
-    Rejects a `limit` below 1 first.  The envy and fractional tests are
+    Rejects a bad `limit` first.  The envy and fractional tests are
     polynomial and take no limit.  The bundle walk after them counts the
     nodes it enters and raises InconclusiveSearch on entering node `limit`
     (None: DEFAULT_BUNDLE_LIMIT).  The LP has a row for each minimal bundle,
     each one a node of that walk, and one for each nonempty own bundle.
     """
     check_assignment(inst, y)
-    _check_limit(limit)
+    limit = _check_limit(limit, bundles=True)
     n, m = inst.n, inst.m
     rows = inst.int_rows
     envy = _first_envy(rows, y.owner)
@@ -274,7 +257,7 @@ def verify_ceei_disc(inst: Instance, y: DiscreteAssignment, limit=None) -> Verdi
         frac = _ratio_verdict(rows, y.owner, values)
         if frac.holds:
             return frac
-    minimal = _minimal_better_bundles(rows, values, DEFAULT_BUNDLE_LIMIT if limit is None else limit)
+    minimal = _minimal_better_bundles(rows, values, limit)
     # variables p_1..p_m, s with s = 1 + t; maximize s subject to
     #   s - p(B) <= 0   for each minimal strictly-better bundle B
     #   p(y_i)   <= 1   for each agent

@@ -26,9 +26,10 @@ from .errors import (
     SchemaError,
     SumMismatch,
     WindowViolation,
+    _is_index,
     bounded,
 )
-from .model import DiscreteAssignment, Instance, _is_index, validate_instance
+from .model import DiscreteAssignment, Instance, validate_instance
 
 _RATIONAL_RE = re.compile(r"^(0|[1-9][0-9]*)/([1-9][0-9]*)$")
 
@@ -84,7 +85,7 @@ class ThreePartitionInput:
 
 
 def _int(value, field, where=""):
-    """`value` as an int if `model._is_index`; int() truncates 1.5 and takes True."""
+    """`value` as an int if `errors._is_index`; int() truncates 1.5 and takes True."""
     if not _is_index(value):
         raise SchemaError(field, f"{where}{bounded(value)} is not an integer")
     return value.__index__()

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence, Union
 
-from .errors import DimensionMismatch, InvalidAssignment, InvariantError, bounded
+from .errors import DimensionMismatch, InvalidAssignment, InvariantError, _is_index, bounded
 
 
 def to_rational(value) -> Fraction:
@@ -36,11 +36,6 @@ def _rational_row(row) -> tuple:
     if isinstance(row, (str, bytes)):
         raise TypeError(f"a row must be a sequence of numbers, not {type(row).__name__}")
     return tuple(to_rational(v) for v in row)
-
-
-def _is_index(value) -> bool:
-    """Anything with __index__ (numpy ints too) but bool, which is an int."""
-    return hasattr(value, "__index__") and not isinstance(value, bool)
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -94,7 +89,8 @@ class Instance:
         return tuple(tuple(v.numerator * (s // v.denominator) for v in row) for row, s in pairs)
 
     def is_binary(self) -> bool:
-        return all(v == 0 or v == 1 for row in self.utilities for v in row)
+        """Whether every int row is 0/1: each row is 0/1 up to its own scale."""
+        return all(v == 0 or v == 1 for row in self.int_rows for v in row)
 
     def has_identical_rows(self) -> bool:
         return all(row == self.utilities[0] for row in self.utilities)

@@ -12,8 +12,8 @@ split coincide.
 
 Ties are broken lexicographically by owner vector wherever the search is
 exhaustive, so optima are canonical and runs are reproducible; the bounds
-keep ties, so pruning changes only how many nodes are explored.  A
-`limit` is the most nodes a walk may visit, None meaning `fairness`'s
+keep ties, so pruning changes only how many nodes are explored.  Every
+`limit` follows the one rule that `errors` states, None meaning
 DEFAULT_ENUM_LIMIT.  Branch and bound, the CEEI-disc existence walk and
 the equal-split race count their nodes and stop on entering node `limit`.
 At each envy-free leaf of the existence walk, `verify_ceei_disc`'s bundle
@@ -47,9 +47,9 @@ from .errors import (
     InstanceTooLarge,
     NotBinary,
     NotIdenticalUtilities,
+    _check_limit,
 )
 from .fairness import (
-    _check_limit,
     verify_ceei_disc,
     verify_ceei_frac,
 )
@@ -141,29 +141,29 @@ def _exceeded(vectors, t):
 def max_nash_discrete(inst: Instance, limit=None) -> SearchResult:
     """Welfare maximization over discrete assignments.
 
-    On 0/1 int rows `binary_max_nash` answers in polynomial time, optimal at
-    any `limit`, with its own optimum; `nodes_explored` counts its path
-    searches.  Every other instance runs branch and bound: objects are
-    assigned in decreasing order of their best single-agent utility,
-    starting from a greedy incumbent (`_greedy`).  A node is kept while two
-    exact bounds on every completion's welfare reach the incumbent's: the
-    additive one credits every agent with all utility still unassigned, and
-    the AM-GM one weighs each agent's total by the inverse of its row total,
-    so that the objects left can add at most their best weighted value to
-    the weighted sum, and the product is at most the n-th power of that
-    sum's mean.  Ties are kept, so on this route welfare ties resolve toward
-    the lexicographically smaller owner vector, matching the enumeration
-    oracle.  Entering node `limit` (None: DEFAULT_ENUM_LIMIT; below 1: a
-    ValueError) truncates the search and sets `optimal = False` instead of
-    raising; the result is then the greedy assignment or a better one.  Both
-    bounds need the nonnegative utilities that `Instance` guarantees.
+    On 0/1 int rows (`Instance.is_binary`) `binary_max_nash` answers in
+    polynomial time, optimal at any `limit`, with its own optimum;
+    `nodes_explored` counts its path searches.  Every other instance runs
+    branch and bound: objects are assigned in decreasing order of their best
+    single-agent utility, starting from a greedy incumbent (`_greedy`).  A
+    node is kept while two exact bounds on every completion's welfare reach
+    the incumbent's: the additive one credits every agent with all utility
+    still unassigned, and the AM-GM one weighs each agent's total by the
+    inverse of its row total, so that the objects left can add at most their
+    best weighted value to the weighted sum, and the product is at most the
+    n-th power of that sum's mean.  Ties are kept, so on this route welfare
+    ties resolve toward the lexicographically smaller owner vector, matching
+    the enumeration oracle.  Entering node `limit` (None:
+    DEFAULT_ENUM_LIMIT; below 1: a ValueError) truncates the search and sets
+    `optimal = False` instead of raising; the result is then the greedy
+    assignment or a better one.  Both bounds need the nonnegative utilities
+    that `Instance` guarantees.
     """
     limit = _check_limit(limit)
+    if inst.is_binary():
+        return binary_max_nash(inst)
     n, m = inst.n, inst.m
     rows = inst.int_rows
-    if all(v == 0 or v == 1 for row in rows for v in row):
-        result = binary_max_nash(Instance(rows))
-        return SearchResult(result.best, result.welfare / math.prod(inst.scales), result.nodes_explored, True)
     # compares utilities across agents, so it reads the unscaled ones
     order = sorted(range(m), key=lambda j: (-max(row[j] for row in inst.utilities), j))
     # suffix[k][i]: utility mass agent i could still gain from objects order[k:]
@@ -328,7 +328,7 @@ def exists_ceei_frac_discrete(inst: Instance, limit=None):
 
 
 def binary_max_nash(inst: Instance) -> SearchResult:
-    """Polynomial welfare maximizer for instances with all utilities 0 or 1.
+    """Polynomial welfare maximizer for 0/1 int rows (`Instance.is_binary`).
 
     With 0/1 utilities an agent's utility is the number of owned objects it
     values, so maximizing the product is a concave separable maximization
@@ -339,14 +339,16 @@ def binary_max_nash(inst: Instance) -> SearchResult:
     object's owner, ...) reaches a free object, and flipping it changes no
     other count.  An agent with no path never gets one later.  Agents stuck
     at zero make every assignment worthless, so everything goes to agent 0,
-    as do objects nobody values.  `nodes_explored` counts path searches.
+    as do objects nobody values.  `nodes_explored` counts path searches,
+    and the welfare divides out the product of `Instance.scales`.  Raises
+    NotBinary naming the first utility whose int entry is not 0/1.
     """
     n, m = inst.n, inst.m
     valued = [[] for _ in range(n)]
-    for i, row in enumerate(inst.utilities):
+    for i, row in enumerate(inst.int_rows):
         for j, v in enumerate(row):
             if v != 0 and v != 1:
-                raise NotBinary(i, j, v)
+                raise NotBinary(i, j, inst.utilities[i][j])
             if v == 1:
                 valued[i].append(j)
 
@@ -368,7 +370,7 @@ def binary_max_nash(inst: Instance) -> SearchResult:
     welfare = math.prod(counts)
     return SearchResult(
         best=DiscreteAssignment([o if welfare and o is not None else 0 for o in owner]),
-        welfare=Fraction(welfare),
+        welfare=Fraction(welfare, math.prod(inst.scales)),
         nodes_explored=searches,
         optimal=True,
     )
@@ -616,7 +618,8 @@ def exists_ceei_disc_bruteforce(inst: Instance, limit=None):
     """First discrete assignment with discrete price support, plus its prices.
 
     Identical nonzero rows take `find_ceei_disc_identical`'s equal split
-    under `limit`, priced by `verify_ceei_frac`.  Otherwise runs the exact
+    under `limit`, checked by `verify_ceei_disc` like every leaf of the
+    walk; its CEEI-frac shortcut prices the split.  Otherwise runs the exact
     slack test on each envy-free owner vector in lexicographic order, as
     `_envy_free_owners` reaches them, so the cost is up to n^m price LPs;
     strictly a desk-scale instrument.  Discrete price support implies
@@ -632,7 +635,7 @@ def exists_ceei_disc_bruteforce(inst: Instance, limit=None):
     """
     if _splits_equally(inst):
         y = find_ceei_disc_identical(inst, limit)
-        return None if y is None else (y, verify_ceei_frac(inst, y).certificate.prices)
+        return None if y is None else (y, verify_ceei_disc(inst, y).certificate.prices)
     for owner in _envy_free_owners(inst.int_rows, _check_limit(limit)):
         y = DiscreteAssignment(owner)
         verdict = verify_ceei_disc(inst, y)

@@ -12,9 +12,7 @@ from ceei import (
     InvalidAssignment,
     InvariantError,
     NonConvergence,
-    ZeroUtility,
     bundle_utility,
-    equilibrium_prices_from_utilities,
     gen_random,
     kkt_residual,
     nash_welfare,
@@ -360,30 +358,6 @@ class TestCertifierSoundness:
         assert _certify_support(rows, scales, [[1, 1], [1, 1]]) is None
 
 
-class TestPricesFromUtilities:
-    def test_separation_instance(self, separation):
-        prices = equilibrium_prices_from_utilities(separation, (100, 100))
-        assert prices.prices == (
-            Fraction(19, 20),
-            Fraction(1, 20),
-            Fraction(1, 20),
-            Fraction(19, 20),
-        )
-
-    def test_single_agent(self, single_agent):
-        prices = equilibrium_prices_from_utilities(single_agent, (4,))
-        assert prices.prices == (Fraction(3, 4), Fraction(1, 4))
-
-    def test_binary_gap(self, binary_gap):
-        prices = equilibrium_prices_from_utilities(binary_gap, (Fraction(3, 2),) * 2)
-        assert prices.prices == (Fraction(2, 3),) * 3
-
-    def test_zero_utility_rejected(self, separation):
-        with pytest.raises(ZeroUtility) as excinfo:
-            equilibrium_prices_from_utilities(separation, (100, 0))
-        assert excinfo.value.agent == 1
-
-
 class TestKktResidual:
     def test_exact_equilibrium_has_zero_residuals(self, separation):
         sol = solve_eg(separation)
@@ -395,7 +369,8 @@ class TestKktResidual:
 
     def test_lopsided_split_with_induced_prices(self, separation):
         y = DiscreteAssignment([0, 1, 1, 1])
-        prices = equilibrium_prices_from_utilities(separation, (95, 102))
+        # p_j = max_k u_kj / v_k for the own utilities v = (95, 102)
+        prices = [1, Fraction(1, 19), Fraction(5, 102), Fraction(95, 102)]
         report = kkt_residual(separation, y.to_fractional(2), prices)
         # agent 1 holds o2 at ratio 38 while its best ratio is 102
         assert report.bang_per_buck == Fraction(102 - 38, 102)
@@ -424,7 +399,6 @@ class TestKktResidual:
 
 _SQUARE = Instance([[1, 1], [1, 1]])
 _SHAPE_ERRORS = [
-    (lambda: equilibrium_prices_from_utilities(_SQUARE, [1]), "utility vector", 2, 1),
     (lambda: kkt_residual(_SQUARE, [[1, 0], [0, 1]], [1]), "price vector", 2, 1),
     (lambda: kkt_residual(_SQUARE, [[1, 1]], [1, 1]), "allocation rows", 2, 1),
     (lambda: kkt_residual(_SQUARE, [[1, 0], [0]], [1, 1]), "allocation row 1", 2, 1),
@@ -446,10 +420,9 @@ class TestRawIntake:
         [
             lambda: kkt_residual(_SQUARE, ["10", "01"], [1, 1]),
             lambda: kkt_residual(_SQUARE, [[1, 0], [0, 1]], "11"),
-            lambda: equilibrium_prices_from_utilities(_SQUARE, "12"),
             lambda: bundle_utility(Instance([[3, 5]]), 0, "10"),
         ],
-        ids=["allocation rows", "prices", "utilities", "bundle row"],
+        ids=["allocation rows", "prices", "bundle row"],
     )
     def test_string_vectors_are_rejected(self, call):
         with pytest.raises(TypeError, match="not str"):

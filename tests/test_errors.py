@@ -91,7 +91,6 @@ def _one_of_each_error():
         ceei.InvalidAssignment("object 1 is split"),
         InstanceTooLarge(2, 40, 1000, 2**40),
         ceei.NonConvergence(200, 1.5e-3),
-        ceei.ZeroUtility(1),
         NotBinary(0, 2, Fraction(1, 2)),
         ceei.NotIdenticalUtilities(2),
         ceei.InconclusiveSearch(7, Fraction(3, 2)),
@@ -113,10 +112,10 @@ def test_examples_cover_every_exported_error():
 # the home module of each public name of `ceei`, which the package imports
 # on first access to the name
 HOMES = {
-    "equilibrium": "EquilibriumSolution ResidualReport equilibrium_prices_from_utilities kkt_residual solve_eg",
+    "equilibrium": "EquilibriumSolution ResidualReport kkt_residual solve_eg",
     "errors": "CeeiError DimensionMismatch DocumentSyntaxError EmptyMultiset InconclusiveSearch InstanceTooLarge"
     " InvalidAssignment InvariantError NonConvergence NotBinary NotIdenticalUtilities SchemaError SumMismatch"
-    " WindowViolation ZeroUtility",
+    " WindowViolation",
     "fairness": "Verdict is_envy_free is_pareto_optimal_discrete verify_ceei_disc verify_ceei_frac",
     "instances": "PartitionInput ThreePartitionInput binary_gap_example from_partition from_three_partition"
     " gen_random instance_digest parse_assignment parse_instance separation_example serialize_assignment"
@@ -131,7 +130,7 @@ HOMES = {
 
 def test_the_package_exports_each_name_from_its_home_module():
     homes = {name: module for module, names in HOMES.items() for name in names.split()}
-    assert len(homes) == 59
+    assert len(homes) == 57
     assert set(ceei.__all__) == set(homes)
     namespace = {}
     exec("from ceei import *", namespace)

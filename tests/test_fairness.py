@@ -30,7 +30,8 @@ from ceei import (
     verify_ceei_frac,
 )
 from ceei import simplex
-from ceei.fairness import DEFAULT_BUNDLE_LIMIT, _minimal_better_bundles, bundle_values
+from ceei.errors import DEFAULT_BUNDLE_LIMIT
+from ceei.fairness import _minimal_better_bundles, bundle_values
 from oracles import (
     all_discrete_assignments,
     bland_tableau,

@@ -15,6 +15,7 @@ from ceei import (
     InstanceViolation,
     InvalidAssignment,
     InvariantError,
+    PartitionInput,
     PriceVector,
     agent_utilities,
     brute_force_max_nash,
@@ -385,3 +386,20 @@ class TestAssignments:
         assert twin == value
         assert hash(twin) == hash(value)
 
+
+    # the printed text and sizes of the value types, pinned before they stop
+    # being dataclasses
+    @pytest.mark.parametrize(
+        "value, text, size, expected",
+        [
+            (_VALUES[0][0], "Instance(n=2, m=2)", "m", 2),
+            (_VALUES[1][0], "FractionalAssignment(n=2, m=2)", "m", 2),
+            (_VALUES[2][0], "DiscreteAssignment([1, 0, 1])", "m", 3),
+            (_VALUES[3][0], "PriceVector(['1', '3/4'])", "m", 2),
+            (PartitionInput([3, 1, 2]), "PartitionInput(integers=(3, 1, 2))", "total", 6),
+        ],
+        ids=["Instance", "FractionalAssignment", "DiscreteAssignment", "PriceVector", "PartitionInput"],
+    )
+    def test_repr_and_size(self, value, text, size, expected):
+        assert repr(value) == text
+        assert getattr(value, size) == expected

@@ -5,6 +5,7 @@ import random
 import time
 from fractions import Fraction
 
+import numpy
 import pytest
 
 from ceei import (
@@ -35,8 +36,8 @@ from ceei import (
     verify_ceei_disc,
     verify_ceei_frac,
 )
-from ceei import cli, fairness, search
-from ceei.fairness import DEFAULT_BUNDLE_LIMIT, DEFAULT_ENUM_LIMIT
+from ceei import cli, errors, search
+from ceei.errors import DEFAULT_BUNDLE_LIMIT, DEFAULT_ENUM_LIMIT
 from oracles import (
     all_discrete_assignments,
     equal_split_exists,
@@ -265,7 +266,9 @@ class TestZeroOneRoute:
     )
     def test_zero_one_int_rows_are_maximized_in_polynomial_time(self, inst):
         assert all(v in (0, 1) for row in inst.int_rows for v in row)
+        assert inst.is_binary()
         result = max_nash_discrete(inst, limit=1)  # branch and bound would stop at once
+        assert result == binary_max_nash(inst)
         assert result.optimal
         assert result.welfare == brute_force_max_nash(inst).welfare == max_nash_by_product(inst)[1]
         assert result.welfare == nash_welfare(inst, result.best)
@@ -363,6 +366,14 @@ class TestExistsFractionalSupport:
             assert abs(float(nash_welfare(inst, found)) - optimum) <= 1e-6 * optimum
 
 
+def _scaled_zero_one_rows(seed):
+    """Random 0/1 rows, each times its own p/q with p and q from 1 to 4."""
+    rng = random.Random(7300 + seed)
+    n, m = rng.randint(1, 3), rng.randint(1, 6)
+    factors = [Fraction(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(n)]
+    return Instance([[factor * rng.randint(0, 1) for _ in range(m)] for factor in factors])
+
+
 class TestBinaryMaxNash:
     def test_binary_gap_instance(self, binary_gap):
         result = binary_max_nash(binary_gap)
@@ -398,6 +409,21 @@ class TestBinaryMaxNash:
 
     def test_deterministic_across_runs(self, binary_gap):
         assert binary_max_nash(binary_gap) == binary_max_nash(binary_gap)
+
+    @pytest.mark.parametrize(
+        "inst", [pytest.param(_scaled_zero_one_rows(seed), id=f"random-{seed}") for seed in range(40)]
+    )
+    def test_answers_exactly_where_is_binary_holds(self, inst):
+        # the int rows of p/q * {0, 1} are 0/1 iff each nonzero row's p/q is some 1/k
+        binary = all(v.numerator == 1 for row in inst.utilities for v in row if v)
+        assert inst.is_binary() == binary
+        if binary:
+            assert binary_max_nash(inst).welfare == brute_force_max_nash(inst).welfare
+        else:
+            with pytest.raises(NotBinary) as excinfo:
+                binary_max_nash(inst)
+            i, j = next((i, j) for i, row in enumerate(inst.int_rows) for j, v in enumerate(row) if v not in (0, 1))
+            assert (excinfo.value.agent, excinfo.value.object, excinfo.value.value) == (i, j, inst.utilities[i][j])
 
     @pytest.mark.parametrize("utilities", [[[1, 0], [1, 0]], [[1, 1, 0], [0, 1, 0]], [[0]]])
     def test_objects_nobody_values_match_the_oracle(self, utilities):
@@ -753,13 +779,19 @@ LIMITED = [
 def test_limit_none_is_the_default_and_zero_is_rejected(call, default, error, fields, monkeypatch):
     assert (DEFAULT_ENUM_LIMIT, DEFAULT_BUNDLE_LIMIT) == (20_000_000, 1 << 16)
     # None is read as the default when the call is made, so a default of 1
-    # stops every walk at once; the owners [1, 0] and [0, 0] are envy-free
-    monkeypatch.setattr(fairness, default, 1)
-    with pytest.raises(error) as excinfo:
-        call(Instance([[1, 2], [2, 1]]), limit=None)
-    assert {name: getattr(excinfo.value, name) for name in fields} == fields
+    # stops every walk at once, as a numpy int of 1 does; the owners [1, 0]
+    # and [0, 0] are envy-free
+    monkeypatch.setattr(errors, default, 1)
+    for limit in (None, numpy.int64(1)):
+        with pytest.raises(error) as excinfo:
+            call(Instance([[1, 2], [2, 1]]), limit=limit)
+        assert {name: getattr(excinfo.value, name) for name in fields} == fields
     with pytest.raises(ValueError, match="enumeration limit must be at least 1, not 0"):
         call(Instance([[1, 2], [2, 1]]), limit=0)
+    # a limit is an int: nan and inf once lifted it, True read as 1 and 1.5 as 2
+    for limit in (float("nan"), float("inf"), 1.5, True):
+        with pytest.raises(TypeError, match=f"enumeration limit must be an int, not {type(limit).__name__}"):
+            call(Instance([[1, 2], [2, 1]]), limit=limit)
 
 
 @pytest.mark.parametrize("seed", range(16))
