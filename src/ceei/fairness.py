@@ -28,7 +28,9 @@ bundles only after the envy and fractional tests have not decided.
 The owner-vector walks here and in `search` visit owner vectors in
 lexicographic order, with no recursion.  All of them prune but the n^m
 walk of `search.brute_force_max_nash`, the enumeration oracle, which
-instead refuses a size over the limit before any work.
+instead refuses a size over the limit before any work.  The two pruned
+ones, the Pareto walk here and `search`'s envy-free walk, pick the agents
+that may take an object by one rule, `_takers`.
 """
 
 from __future__ import annotations
@@ -126,11 +128,11 @@ def _first_dominating(rows, base, limit):
     owner = [0] * m
     nodes = 0
 
-    # Depth-first with the path kept in `owner`: object j tries agents from
-    # `start` on; giving it to agent a costs every other agent i col[i] of
-    # slack and costs gain col_best[j] - col[a].  With no agent left, take
-    # object j-1 back and resume after its agent.  A node is entered with
-    # start 0 and resumed with start > 0; entering one counts it.
+    # Depth-first with the path kept in `owner`: object j tries the agents
+    # `_takers` picks from `start` on; giving it to agent a costs every other
+    # agent i col[i] of slack and costs gain col_best[j] - col[a].  With no
+    # agent left, take object j-1 back and resume after its agent.  A node is
+    # entered with start 0 and resumed with start > 0; entering one counts it.
     j, start = 0, 0
     while True:
         if not start:
@@ -141,13 +143,7 @@ def _first_dominating(rows, base, limit):
                 return owner
         col = cols[j]
         short = [i for i in range(n) if slack[i] < col[i]]  # agents that cannot let j go
-        if len(short) > 1:
-            agents = ()
-        elif short:
-            agents = short if short[0] >= start else ()
-        else:
-            agents = range(start, n)
-        for a in agents:
+        for a in _takers(short, start, n):
             if gain + col[a] > col_best[j]:
                 for i in range(n):
                     slack[i] -= col[i]
@@ -166,6 +162,16 @@ def _first_dominating(rows, base, limit):
             slack[a] -= col[a]
             gain += col_best[j] - col[a]
             start = a + 1
+
+
+def _takers(short, start, n):
+    """The agents, from `start` on, that a pruned owner walk tries for an
+    object, given `short`, the agents that cannot let it go: every agent
+    when `short` is empty, the one agent in `short` when it is at or after
+    `start`, and none otherwise, since an object has only one owner."""
+    if not short:
+        return range(start, n)
+    return short if len(short) == 1 and short[0] >= start else ()
 
 
 def verify_ceei_frac(inst: Instance, y: DiscreteAssignment) -> Verdict:

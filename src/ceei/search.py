@@ -27,8 +27,9 @@ with the first split its race meets, not the lexicographically first.
 Branch and bound and the existence walk keep an explicit stack, and the
 equal-split search races a depth-first search against a meet in the
 middle over load tuples.  Nothing here recurses.
-Every loop runs on the int rows `Instance.int_rows`; reported welfare
-divides out the product of `Instance.scales`.
+Every loop runs on the int rows `Instance.int_rows`, and every welfare
+engine returns through `_result`, which divides out the product of
+`Instance.scales`.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .errors import (
     _check_limit,
 )
 from .fairness import (
+    _takers,
     verify_ceei_disc,
     verify_ceei_frac,
 )
@@ -64,6 +66,12 @@ class SearchResult:
     optimal: bool  # False when the node budget truncated the search
 
 
+def _result(inst, owner, welfare, nodes, optimal=True) -> SearchResult:
+    """The result of a welfare engine from its int-row `welfare`, divided
+    by the product of `Instance.scales` to give the instance's own."""
+    return SearchResult(DiscreteAssignment(owner), Fraction(welfare, math.prod(inst.scales)), nodes, optimal)
+
+
 def brute_force_max_nash(inst: Instance, limit=None) -> SearchResult:
     """The welfare maximum over all n^m complete assignments, exactly.
 
@@ -74,9 +82,9 @@ def brute_force_max_nash(inst: Instance, limit=None) -> SearchResult:
     chained `map` pass, and only a strictly higher score replaces the
     incumbent: the optimum is the lexicographically first, at welfare 0
     (always when n > m, which skips the fronts) the all-zero owner vector
-    that the fronts may drop.  `nodes_explored` is n^m.  Raises
-    InstanceTooLarge when n^m exceeds `limit` (None: DEFAULT_ENUM_LIMIT),
-    before any work.
+    that the fronts may drop.  `nodes_explored` is n^m, and `_result`
+    scales the welfare.  Raises InstanceTooLarge when n^m exceeds `limit`
+    (None: DEFAULT_ENUM_LIMIT), before any work.
     This is the independent oracle for every other discrete-search claim.
     """
     n, m = inst.n, inst.m
@@ -84,7 +92,7 @@ def brute_force_max_nash(inst: Instance, limit=None) -> SearchResult:
     if required > limit:
         raise InstanceTooLarge(n, m, limit, required)
     if n > m:  # some agent gets nothing under every owner vector
-        return SearchResult(DiscreteAssignment((0,) * m), Fraction(0), required, True)
+        return _result(inst, (0,) * m, 0, required)
     rows = inst.int_rows
     head = _pareto_front(rows, range(m - m // 2))
     tail = _pareto_front(rows, range(m - m // 2, m))
@@ -103,12 +111,7 @@ def brute_force_max_nash(inst: Instance, limit=None) -> SearchResult:
         if welfare > best_welfare:
             best_welfare = welfare
             best_owner = owner + tail_owners[indexOf(scores(totals), welfare)]
-    return SearchResult(
-        best=DiscreteAssignment(best_owner),
-        welfare=Fraction(best_welfare, math.prod(inst.scales)),
-        nodes_explored=required,
-        optimal=True,
-    )
+    return _result(inst, best_owner, best_welfare, required)
 
 
 def _pareto_front(rows, objects):
@@ -157,7 +160,7 @@ def max_nash_discrete(inst: Instance, limit=None) -> SearchResult:
     DEFAULT_ENUM_LIMIT; below 1: a ValueError) truncates the search and sets
     `optimal = False` instead of raising; the result is then the greedy
     assignment or a better one.  Both bounds need the nonnegative utilities
-    that `Instance` guarantees.
+    that `Instance` guarantees.  Either route's welfare is scaled by `_result`.
     """
     limit = _check_limit(limit)
     if inst.is_binary():
@@ -231,12 +234,7 @@ def max_nash_discrete(inst: Instance, limit=None) -> SearchResult:
                 break
         else:
             break
-    return SearchResult(
-        best=DiscreteAssignment(best_owner),
-        welfare=Fraction(best_welfare, math.prod(inst.scales)),
-        nodes_explored=nodes,
-        optimal=not truncated,
-    )
+    return _result(inst, best_owner, best_welfare, nodes, optimal=not truncated)
 
 
 def _root_ceil(value, n):
@@ -340,8 +338,8 @@ def binary_max_nash(inst: Instance) -> SearchResult:
     other count.  An agent with no path never gets one later.  Agents stuck
     at zero make every assignment worthless, so everything goes to agent 0,
     as do objects nobody values.  `nodes_explored` counts path searches,
-    and the welfare divides out the product of `Instance.scales`.  Raises
-    NotBinary naming the first utility whose int entry is not 0/1.
+    and `_result` scales the welfare.  Raises NotBinary naming the first
+    utility whose int entry is not 0/1.
     """
     n, m = inst.n, inst.m
     valued = [[] for _ in range(n)]
@@ -368,12 +366,7 @@ def binary_max_nash(inst: Instance) -> SearchResult:
         else:  # the welfare stays 0
             break
     welfare = math.prod(counts)
-    return SearchResult(
-        best=DiscreteAssignment([o if welfare and o is not None else 0 for o in owner]),
-        welfare=Fraction(welfare, math.prod(inst.scales)),
-        nodes_explored=searches,
-        optimal=True,
-    )
+    return _result(inst, [o if welfare and o is not None else 0 for o in owner], welfare, searches)
 
 
 def _augment(valued, owner, i) -> bool:
@@ -665,10 +658,10 @@ def _envy_free_owners(rows, limit):
     # `start` on; giving it to agent a adds col[i] to seen[i][a] and takes it
     # from room[i] for every other agent i, so the child is live iff each
     # such i keeps max(seen[i]) + col[i] and seen[i][a] + 2 col[i] within
-    # room[i].  An agent failing the first test must take j itself.  With no
-    # agent left, take object j-1 back and resume after its agent.  A node
-    # is entered with start 0 and resumed with start > 0; entering one
-    # counts it.
+    # room[i].  The agents failing the first test are `short`, from which
+    # `_takers` picks the agents to try.  With no agent left, take object j-1
+    # back and resume after its agent.  A node is entered with start 0 and
+    # resumed with start > 0; entering one counts it.
     j, start = 0, 0
     while True:
         if not start:
@@ -681,10 +674,7 @@ def _envy_free_owners(rows, limit):
         if j < m:
             col = cols[j]
             short = [i for i in range(n) if max(seen[i]) + col[i] > room[i]]  # agents that cannot let j go
-            if not short:
-                agents = range(start, n)
-            elif len(short) == 1 and short[0] >= start:
-                agents = short
+            agents = _takers(short, start, n)
         for a in agents:
             if all(seen[i][a] + 2 * col[i] <= room[i] for i in range(n) if i != a):
                 for i in range(n):

@@ -816,6 +816,13 @@ def test_answers_match_the_instance_with_int_rows(seed):
     # which row scaling may change, so only the canonical optimum is compared
     bnb, bnb_scaled = max_nash_discrete(inst), max_nash_discrete(scaled)
     assert (bnb.best, bnb.welfare, bnb.optimal) == (bnb_scaled.best, bnb_scaled.welfare / scale, True)
+    # a truncated search still reports its incumbent's welfare on the
+    # instance's own rows; at one node that incumbent is the greedy one
+    for k in (1, 2, 3):
+        truncated = max_nash_discrete(inst, limit=k)
+        assert truncated.welfare == nash_welfare(inst, truncated.best)
+        if k == 1:
+            assert not truncated.optimal
     assert exists_ceei_frac_discrete(inst) == exists_ceei_frac_discrete(scaled)
     assert exists_ceei_disc_bruteforce(inst) == exists_ceei_disc_bruteforce(scaled)
 
