@@ -72,6 +72,11 @@ class EquilibriumSolution:
     `bench/tracing.py` patches the module attribute (as it does
     `ceei.search.max_flow`) until the benchmark's per-layer counters come
     from the library.
+
+    Unlike the value types of `ceei.model`, this and `ResidualReport` stay
+    frozen dataclasses: `bench/test_bench.py` builds an uncertified copy
+    with `dataclasses.replace`, and only `solve` loads this module, whose
+    numpy imports `inspect` (most of the cost of `dataclasses`) anyway.
     """
 
     x: FractionalAssignment

@@ -35,9 +35,7 @@ that may take an object by one rule, `_takers`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from . import simplex
 from .errors import InconclusiveSearch, InvariantError, _check_limit
@@ -52,14 +50,21 @@ from .model import (
     PriceSupport,
     PriceVector,
     ViolatingBundle,
+    _Frozen,
+    _set,
     bundle_values,
     check_assignment,
 )
 
-@dataclass(frozen=True)
-class Verdict:
-    holds: bool
-    certificate: Optional[Certificate]
+
+class Verdict(_Frozen):
+    """Whether a notion holds, with the certificate that shows it (or None)."""
+
+    __slots__ = _fields = ("holds", "certificate")
+
+    def __init__(self, holds: bool, certificate: Certificate | None):
+        _set(self, "holds", holds)
+        _set(self, "certificate", certificate)
 
 
 def is_envy_free(inst: Instance, y: DiscreteAssignment) -> Verdict:

@@ -16,7 +16,6 @@ import hashlib
 import json
 import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -29,7 +28,7 @@ from .errors import (
     _is_index,
     bounded,
 )
-from .model import DiscreteAssignment, Instance, validate_instance
+from .model import DiscreteAssignment, Instance, _Frozen, _set, validate_instance
 
 _RATIONAL_RE = re.compile(r"^(0|[1-9][0-9]*)/([1-9][0-9]*)$")
 
@@ -39,11 +38,10 @@ _RATIONAL_RE = re.compile(r"^(0|[1-9][0-9]*)/([1-9][0-9]*)$")
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PartitionInput:
+class PartitionInput(_Frozen):
     """A multiset of positive integers to split into two equal-sum halves."""
 
-    integers: tuple
+    __slots__ = _fields = ("integers",)
 
     def __init__(self, integers):
         values = tuple(_int(v, "integers", f"entry {j}: ") for j, v in enumerate(integers))
@@ -51,19 +49,17 @@ class PartitionInput:
             raise EmptyMultiset("a partition input needs at least one integer")
         if any(v < 1 for v in values):
             raise SchemaError("integers", "partition inputs must be positive")
-        object.__setattr__(self, "integers", values)
+        _set(self, "integers", values)
 
     @property
     def total(self) -> int:
         return sum(self.integers)
 
 
-@dataclass(frozen=True)
-class ThreePartitionInput:
+class ThreePartitionInput(_Frozen):
     """3n positive weights, each strictly between W/4 and W/2, summing to nW."""
 
-    weights: tuple
-    bound: int
+    __slots__ = _fields = ("weights", "bound")
 
     def __init__(self, weights, bound):
         values = tuple(_int(w, "weights", f"entry {j}: ") for j, w in enumerate(weights))
@@ -76,8 +72,8 @@ class ThreePartitionInput:
                 raise WindowViolation(j, w, bound)
         if sum(values) != groups * bound:
             raise SumMismatch(sum(values), groups * bound)
-        object.__setattr__(self, "weights", values)
-        object.__setattr__(self, "bound", bound)
+        _set(self, "weights", values)
+        _set(self, "bound", bound)
 
     @property
     def groups(self) -> int:

@@ -8,13 +8,69 @@ floating point appears only inside the iterative equilibrium solver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence, Union
 
 from .errors import DimensionMismatch, InvalidAssignment, InvariantError, _is_index, bounded
+
+# sets a field past the frozen `__setattr__`; a name, since a field called
+# `object` shadows the builtin in its `__init__`
+_set = object.__setattr__
+
+
+class _Frozen:
+    """Base of the value types: immutable, and compared, hashed, printed,
+    pickled and copied by the values of the fields named in `_fields`.
+
+    Each subclass names its fields once, as `__slots__ = _fields = (...)`
+    (`Instance` keeps a `__dict__` for its cached properties), and sets
+    them in its own `__init__` with `_set`.  Values of different classes
+    are never equal.  Pickling and copying rebuild a value from its fields
+    without calling its validating `__init__`.  Assigning or deleting an
+    attribute raises `dataclasses.FrozenInstanceError`, as on a frozen
+    dataclass; `dataclasses` is imported only then.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return _rebuild, (type(self), self._values())
+
+
+def _rebuild(cls, values):
+    """The value of class `cls` with these field values, as pickle and copy
+    rebuild it: its `__init__` already validated them."""
+    value = object.__new__(cls)
+    for name, field in zip(cls._fields, values):
+        _set(value, name, field)
+    return value
 
 
 def to_rational(value) -> Fraction:
@@ -38,19 +94,18 @@ def _rational_row(row) -> tuple:
     return tuple(to_rational(v) for v in row)
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class Instance:
+class Instance(_Frozen):
     """An assignment problem: n agents, m objects, an n x m utility matrix.
 
-    The matrix is a tuple of row tuples of Fractions.  Like the three value
-    types below, this frozen dataclass compares, hashes, pickles and copies
-    by value.  The objects are goods: construction raises InvariantError
-    naming every negative entry, which every verdict, bound and prune
-    downstream relies on.  The positivity invariants (a positive entry in
-    every row and column) are left to `validate_instance`.
+    The matrix is a tuple of row tuples of Fractions.  Like every value
+    type of the package, an instance is immutable and compares, hashes,
+    pickles and copies by value.  The objects are goods: construction
+    raises InvariantError naming every negative entry, which every verdict,
+    bound and prune downstream relies on.  The positivity invariants (a
+    positive entry in every row and column) are left to `validate_instance`.
     """
 
-    utilities: tuple
+    _fields = ("utilities",)
 
     def __init__(self, utilities: Sequence[Sequence]):
         rows = tuple(map(_rational_row, utilities))
@@ -66,7 +121,7 @@ class Instance:
         negative = [(i, j) for i, row in enumerate(rows) for j, v in enumerate(row) if v.numerator < 0]
         if negative:
             raise InvariantError(InstanceViolation("negative_entry", agent=i, object=j) for i, j in negative)
-        object.__setattr__(self, "utilities", rows)
+        _set(self, "utilities", rows)
 
     @property
     def n(self) -> int:
@@ -99,13 +154,15 @@ class Instance:
         return f"Instance(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
-class InstanceViolation:
+class InstanceViolation(_Frozen):
     """One violated instance invariant, naming the offending row or column."""
 
-    kind: str  # "zero_row" | "zero_column" | "negative_entry"
-    agent: Optional[int] = None
-    object: Optional[int] = None
+    __slots__ = _fields = ("kind", "agent", "object")
+
+    def __init__(self, kind: str, agent: int | None = None, object: int | None = None):
+        _set(self, "kind", kind)  # "zero_row" | "zero_column" | "negative_entry"
+        _set(self, "agent", agent)
+        _set(self, "object", object)
 
     def __str__(self):
         if self.kind == "zero_row":
@@ -128,11 +185,10 @@ def validate_instance(inst: Instance) -> list:
     return violations
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class FractionalAssignment:
+class FractionalAssignment(_Frozen):
     """An n x m matrix of fractions in [0, 1] whose columns each sum to 1."""
 
-    rows: tuple
+    __slots__ = _fields = ("rows",)
 
     def __init__(self, rows: Sequence[Sequence]):
         mat = tuple(map(_rational_row, rows))
@@ -159,7 +215,7 @@ class FractionalAssignment:
                 raise InvalidAssignment(
                     f"object {j} is allocated {Fraction(total, den)} in total, not 1"
                 )
-        object.__setattr__(self, "rows", mat)
+        _set(self, "rows", mat)
 
     @property
     def n(self) -> int:
@@ -184,11 +240,10 @@ class FractionalAssignment:
         return f"FractionalAssignment(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class DiscreteAssignment:
+class DiscreteAssignment(_Frozen):
     """A complete discrete assignment, stored as one owner per object."""
 
-    owner: tuple
+    __slots__ = _fields = ("owner",)
 
     def __init__(self, owner: Sequence[int]):
         owners = tuple(owner)
@@ -200,7 +255,7 @@ class DiscreteAssignment:
             raise InvalidAssignment("an assignment needs at least one object")
         if any(o < 0 for o in owners):
             raise InvalidAssignment("owner indices must be nonnegative")
-        object.__setattr__(self, "owner", owners)
+        _set(self, "owner", owners)
 
     @property
     def m(self) -> int:
@@ -245,11 +300,10 @@ class DiscreteAssignment:
         return f"DiscreteAssignment({list(self.owner)})"
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class PriceVector:
+class PriceVector(_Frozen):
     """One nonnegative price per object; every agent has budget 1."""
 
-    prices: tuple
+    __slots__ = _fields = ("prices",)
 
     def __init__(self, prices: Sequence):
         values = _rational_row(prices)
@@ -258,7 +312,7 @@ class PriceVector:
         for j, p in enumerate(values):
             if p < 0:
                 raise InvalidAssignment(f"price of object {j} is {bounded(p)}, negative")
-        object.__setattr__(self, "prices", values)
+        _set(self, "prices", values)
 
     @property
     def m(self) -> int:
@@ -279,46 +333,56 @@ class PriceVector:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EnvyPair:
+class EnvyPair(_Frozen):
     """Agent `envious` strictly prefers the bundle of agent `envied`."""
 
-    envious: int
-    envied: int
+    __slots__ = _fields = ("envious", "envied")
+
+    def __init__(self, envious: int, envied: int):
+        _set(self, "envious", envious)
+        _set(self, "envied", envied)
 
 
-@dataclass(frozen=True)
-class DominatingAssignment:
+class DominatingAssignment(_Frozen):
     """An assignment weakly better for everyone and strictly better for one."""
 
-    assignment: DiscreteAssignment
+    __slots__ = _fields = ("assignment",)
+
+    def __init__(self, assignment: DiscreteAssignment):
+        _set(self, "assignment", assignment)
 
 
-@dataclass(frozen=True)
-class PriceSupport:
+class PriceSupport(_Frozen):
     """Prices under which the checked assignment is an equilibrium."""
 
-    prices: PriceVector
+    __slots__ = _fields = ("prices",)
+
+    def __init__(self, prices: PriceVector):
+        _set(self, "prices", prices)
 
 
-@dataclass(frozen=True)
-class ViolatingBundle:
+class ViolatingBundle(_Frozen):
     """A bundle strictly better for `agent` than its own bundle."""
 
-    agent: int
-    objects: tuple
+    __slots__ = _fields = ("agent", "objects")
+
+    def __init__(self, agent: int, objects: tuple):
+        _set(self, "agent", agent)
+        _set(self, "objects", objects)
 
 
-@dataclass(frozen=True)
-class KktViolation:
+class KktViolation(_Frozen):
     """Agent `agent` owns object `object` without attaining the price ratio."""
 
-    agent: int
-    object: int
-    ratio_gap: Fraction
+    __slots__ = _fields = ("agent", "object", "ratio_gap")
+
+    def __init__(self, agent: int, object: int, ratio_gap: Fraction):
+        _set(self, "agent", agent)
+        _set(self, "object", object)
+        _set(self, "ratio_gap", ratio_gap)
 
 
-Certificate = Union[EnvyPair, DominatingAssignment, PriceSupport, ViolatingBundle, KktViolation]
+Certificate = EnvyPair | DominatingAssignment | PriceSupport | ViolatingBundle | KktViolation
 
 
 # ---------------------------------------------------------------------------

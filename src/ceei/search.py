@@ -36,11 +36,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby, repeat
 from operator import add, indexOf, mul
-from typing import Optional
 
 from ._flow import max_flow  # noqa: F401  bench/tracing.py patches ceei.search.max_flow
 from .errors import (
@@ -55,15 +53,20 @@ from .fairness import (
     verify_ceei_disc,
     verify_ceei_frac,
 )
-from .model import DiscreteAssignment, Instance
+from .model import DiscreteAssignment, Instance, _Frozen, _set
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    best: DiscreteAssignment
-    welfare: Fraction
-    nodes_explored: int
-    optimal: bool  # False when the node budget truncated the search
+class SearchResult(_Frozen):
+    """The best assignment a welfare search found, its Nash welfare and the
+    nodes the search entered."""
+
+    __slots__ = _fields = ("best", "welfare", "nodes_explored", "optimal")
+
+    def __init__(self, best: DiscreteAssignment, welfare: Fraction, nodes_explored: int, optimal: bool):
+        _set(self, "best", best)
+        _set(self, "welfare", welfare)
+        _set(self, "nodes_explored", nodes_explored)
+        _set(self, "optimal", optimal)  # False when the node budget truncated the search
 
 
 def _result(inst, owner, welfare, nodes, optimal=True) -> SearchResult:
@@ -394,7 +397,7 @@ IDENTICAL_TUPLE_LIMIT = 1 << 20
 _OUT_OF_ROOM = object()
 
 
-def find_ceei_disc_identical(inst: Instance, limit=None) -> Optional[DiscreteAssignment]:
+def find_ceei_disc_identical(inst: Instance, limit=None) -> DiscreteAssignment | None:
     """Equal-utility complete assignment for identical utility rows, or None.
 
     With identical utilities, discrete price support holds exactly for the

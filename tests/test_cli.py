@@ -65,23 +65,25 @@ if sys.argv[1:]:
     from ceei.cli import main
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(sys.argv[1:])
-print(json.dumps([code, sorted(name for name in sys.modules if name.partition(".")[0] == "ceei")]))
+watched = ("ceei", "dataclasses", "inspect")
+print(json.dumps([code, sorted(name for name in sys.modules if name.partition(".")[0] in watched)]))
 """
 
 
 def _loaded(workdir, *argv):
-    """Exit code and set of `ceei` modules of one command, run in a new interpreter."""
+    """Exit code and set of `ceei`, `dataclasses` and `inspect` modules of one
+    command, run in a new interpreter."""
     paths = [workdir / arg if arg.endswith(".json") else arg for arg in argv]
     code, modules = json.loads(_fresh_python(LOADED_PROBE, *paths))
     return code, set(modules)
 
 
-def _fresh_python(probe, *args):
+def _fresh_python(probe, *args, flags=()):
     """stdout of `probe` run in a new interpreter that imports ceei from this tree."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", probe, *map(str, args)],
+        [sys.executable, *flags, "-c", probe, *map(str, args)],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
@@ -212,6 +214,7 @@ class TestSolve:
         assert _loaded(workdir) == (None, {"ceei"})
 
     def test_gen_loads_only_what_every_command_uses(self, workdir):
+        # neither `dataclasses` nor `inspect`, which it imports
         assert _loaded(workdir, "gen", "random", "--out", "gen.json") == (
             0,
             {"ceei", "ceei.cli", "ceei.errors", "ceei.model", "ceei.instances"},
@@ -220,9 +223,14 @@ class TestSolve:
     @pytest.mark.parametrize(
         "argv, engine, absent",
         [
-            (("check", "separation.json", "even.json", "ef"), "fairness", {"equilibrium", "search", "_flow"}),
-            (("solve", "separation.json"), "equilibrium", {"search", "fairness", "simplex"}),
-            (("search", "separation.json", "mnw"), "search", {"equilibrium"}),
+            (
+                ("check", "separation.json", "even.json", "ef"),
+                "fairness",
+                {"ceei.equilibrium", "ceei.search", "ceei._flow", "dataclasses", "inspect"},
+            ),
+            # the solver's result types are dataclasses, and numpy imports `inspect`
+            (("solve", "separation.json"), "equilibrium", {"ceei.search", "ceei.fairness", "ceei.simplex"}),
+            (("search", "separation.json", "mnw"), "search", {"ceei.equilibrium", "dataclasses", "inspect"}),
         ],
         ids=["check-ef", "solve", "search-mnw"],
     )
@@ -230,7 +238,13 @@ class TestSolve:
         code, modules = _loaded(workdir, *argv)
         assert code == 0
         assert f"ceei.{engine}" in modules
-        assert modules.isdisjoint(f"ceei.{name}" for name in absent)
+        assert modules.isdisjoint(absent)
+
+    def test_check_loads_no_typing(self, workdir):
+        # -S skips `site`, whose .pth files may import `typing` before ceei does
+        argv = ["check", workdir / "separation.json", workdir / "even.json", "ef"]
+        probe = "import sys; from ceei.cli import main; code = main(sys.argv[1:]); print(code, 'typing' in sys.modules)"
+        assert _fresh_python(probe, *argv, flags=["-S"]).splitlines()[-1] == "0 False"
 
 
 class TestCheck:

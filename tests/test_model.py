@@ -8,15 +8,22 @@ from fractions import Fraction
 import pytest
 
 from ceei import (
+    Certificate,
     DimensionMismatch,
     DiscreteAssignment,
+    DominatingAssignment,
+    EnvyPair,
     FractionalAssignment,
     Instance,
     InstanceViolation,
     InvalidAssignment,
     InvariantError,
+    KktViolation,
     PartitionInput,
+    PriceSupport,
     PriceVector,
+    ThreePartitionInput,
+    ViolatingBundle,
     agent_utilities,
     brute_force_max_nash,
     bundle_utility,
@@ -28,11 +35,22 @@ from ceei import (
 from ceei.model import as_fractional
 from oracles import all_discrete_assignments
 
+# one value of each value type, with a field whose value is truthy
 _VALUES = [
     (Instance([[1, "1/2"], [3, 0]]), "utilities"),
     (FractionalAssignment([["1/3", 1], ["2/3", 0]]), "rows"),
     (DiscreteAssignment([1, 0, 1]), "owner"),
     (PriceVector([1, "3/4"]), "prices"),
+    (InstanceViolation("zero_row", agent=1), "kind"),
+    (EnvyPair(0, 1), "envied"),
+    (DominatingAssignment(DiscreteAssignment([1, 0])), "assignment"),
+    (PriceSupport(PriceVector([1, "1/2"])), "prices"),
+    (ViolatingBundle(0, (1,)), "objects"),
+    (KktViolation(1, 0, Fraction(1, 2)), "ratio_gap"),
+    (PartitionInput([3, 1, 2]), "integers"),
+    (ThreePartitionInput([3, 3, 4], 10), "weights"),
+    (brute_force_max_nash(separation_example()), "best"),
+    (verify_ceei_disc(Instance([[2, 1], [1, 2]]), DiscreteAssignment([0, 1])), "certificate"),
 ]
 
 
@@ -134,8 +152,8 @@ class TestIntegerRows:
 
     @pytest.mark.parametrize(
         "round_trip",
-        [lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy, dataclasses.replace],
-        ids=["pickle", "copy", "deepcopy", "replace"],
+        [lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
     )
     @pytest.mark.parametrize("read_first", [False, True], ids=["unread", "read"])
     def test_copies_have_equal_rows(self, round_trip, read_first):
@@ -358,37 +376,51 @@ class TestAssignments:
         with pytest.raises(AttributeError):
             separation.utilities = ()
         for value, field in _VALUES:
-            with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+            with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot assign to field '{field}'"):
                 setattr(value, field, ())
-            with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+            with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot delete field '{field}'"):
                 delattr(value, field)
             assert getattr(value, field)
-            with pytest.raises(AttributeError):
+            with pytest.raises(dataclasses.FrozenInstanceError):
                 value.not_a_field = 1
-            with pytest.raises(AttributeError):
+            with pytest.raises(dataclasses.FrozenInstanceError):
                 del value.not_a_field
 
-    @pytest.mark.parametrize(
-        "value",
-        [value for value, _field in _VALUES]
-        + [
-            brute_force_max_nash(separation_example()),
-            verify_ceei_disc(Instance([[2, 1], [1, 2]]), DiscreteAssignment([0, 1])),
-        ],
-        ids=lambda value: type(value).__name__,
-    )
+    @pytest.mark.parametrize("value", [value for value, _field in _VALUES], ids=lambda value: type(value).__name__)
     @pytest.mark.parametrize(
         "round_trip", [lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy], ids=["pickle", "copy", "deepcopy"]
     )
-    def test_values_pickle_and_copy_to_equal_values(self, value, round_trip):
+    def test_values_pickle_and_copy_to_equal_values(self, value, round_trip, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("the validating __init__ ran again")
+
+        monkeypatch.setattr(type(value), "__init__", refuse)
         twin = round_trip(value)
         assert type(twin) is type(value)
         assert twin == value
         assert hash(twin) == hash(value)
 
+    def test_values_of_other_classes_or_tuples_differ(self):
+        assert EnvyPair(0, 1) != ViolatingBundle(0, (1,))
+        assert EnvyPair(0, 1) == EnvyPair(0, 1) and hash(EnvyPair(0, 1)) == hash(EnvyPair(0, 1))
+        for value, field in _VALUES:
+            assert value != getattr(value, field) and value != (getattr(value, field),)
+            assert value != tuple(getattr(value, name) for name in type(value)._fields)
 
-    # the printed text and sizes of the value types, pinned before they stop
-    # being dataclasses
+    def test_certificate_is_the_union_of_the_certificate_types(self):
+        certificates = {EnvyPair, DominatingAssignment, PriceSupport, ViolatingBundle, KktViolation}
+        for value, _field in _VALUES:
+            assert isinstance(value, Certificate) == (type(value) in certificates)
+
+    def test_violation_defaults(self):
+        violation = InstanceViolation("zero_row", agent=1)
+        assert (violation.kind, violation.agent, violation.object) == ("zero_row", 1, None)
+        assert violation == InstanceViolation("zero_row", 1, None)
+        assert str(violation) == "agent 1 values no object"
+
+
+    # the printed text and sizes of the value types, as they were when the
+    # value types were dataclasses
     @pytest.mark.parametrize(
         "value, text, size, expected",
         [
@@ -403,3 +435,36 @@ class TestAssignments:
     def test_repr_and_size(self, value, text, size, expected):
         assert repr(value) == text
         assert getattr(value, size) == expected
+
+    @pytest.mark.parametrize(
+        "index, text",
+        [
+            (4, "InstanceViolation(kind='zero_row', agent=1, object=None)"),
+            (5, "EnvyPair(envious=0, envied=1)"),
+            (6, "DominatingAssignment(assignment=DiscreteAssignment([1, 0]))"),
+            (7, "PriceSupport(prices=PriceVector(['1', '1/2']))"),
+            (8, "ViolatingBundle(agent=0, objects=(1,))"),
+            (9, "KktViolation(agent=1, object=0, ratio_gap=Fraction(1, 2))"),
+            (11, "ThreePartitionInput(weights=(3, 3, 4), bound=10)"),
+            (
+                12,
+                "SearchResult(best=DiscreteAssignment([0, 0, 1, 1]), welfare=Fraction(10000, 1),"
+                " nodes_explored=16, optimal=True)",
+            ),
+            (13, "Verdict(holds=True, certificate=PriceSupport(prices=PriceVector(['1', '1'])))"),
+        ],
+        ids=[
+            "InstanceViolation",
+            "EnvyPair",
+            "DominatingAssignment",
+            "PriceSupport",
+            "ViolatingBundle",
+            "KktViolation",
+            "ThreePartitionInput",
+            "SearchResult",
+            "Verdict",
+        ],
+    )
+    def test_field_reprs(self, index, text):
+        # the text a dataclass printed: the class name and each field's repr
+        assert repr(_VALUES[index][0]) == text
