@@ -8,6 +8,7 @@ floating point appears only inside the iterative equilibrium solver.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property

@@ -6,8 +6,13 @@ document written.  Each command runs in process through `ceei.cli.main`, in a
 fresh directory holding every document of `DOCUMENTS`, with `gen` writing to
 `out.json`, so no path of the machine reaches a record.
 
-`tests/test_reports.py` only compares.  A change that means to alter reports
-rewrites the cases it names, from the root of the checkout:
+`tests/test_reports.py` only compares.  CI runs it twice: with the tier-1
+suite from `src/`, and with `tests/test_cli.py` against the installed package
+(`pip install .`, then pytest with `-o pythonpath=`), so the records check
+the installed package too.
+
+A change that means to alter reports rewrites the cases it names, from the
+root of the checkout:
 
     PYTHONPATH=src python tests/report_corpus.py 'solve-*' 'gen-random-*'
 
@@ -68,6 +73,12 @@ DOCUMENTS = {
         [70, 75, 36, 56, 11, 76, 49, 40, 73, 30, 37, 23, 24, 23, 4, 78, 84, 33, 60, 8, 11, 86],
         [96, 16, 19, 4, 10, 89, 69, 87, 50, 90, 67, 35, 66, 30, 27, 86, 75, 53, 74, 35, 57, 63],
     ),
+    # `gen random -n 3 -m 10 --max-util 100 --seed 0`
+    "random-3x10.json": _doc(
+        [49, 97, 53, 5, 33, 65, 62, 51, 100, 38],
+        [61, 45, 74, 27, 64, 17, 36, 17, 96, 12],
+        [79, 32, 68, 90, 77, 18, 39, 12, 93, 9],
+    ),
     # `gen 3partition --bound 100` on a planted yes-instance of six groups:
     # 6^18 owner vectors, but the equal-split race decides it at once
     "three-partition-6.json": _doc(
@@ -86,7 +97,8 @@ DOCUMENTS = {
     "split-6.json": '{"owner":[0,0,0,1,1,1]}',
     "spread-3.json": '{"owner":[0,1,0]}',
     "spread-5.json": '{"owner":[0,1,2,2,1]}',
-    # the max-Nash owners of random-5x20 and random-6x22 (`search … mnw`)
+    # the max-Nash owners of random-3x10, random-5x20 and random-6x22 (`search … mnw`)
+    "mnw-3x10.json": '{"owner":[2,0,1,2,2,0,0,0,1,0]}',
     "mnw-5x20.json": '{"owner":[1,4,1,4,1,3,0,3,2,4,3,0,1,2,0,2,3,4,3,0]}',
     "mnw-6x22.json": '{"owner":[5,1,1,2,3,4,1,5,0,5,2,1,5,3,0,3,4,2,0,2,0,4]}',
 }
@@ -122,6 +134,10 @@ def _argvs():
     # envy-free, not CEEI-frac and 2^17 bundles, but the bundle walk ends
     # once the objects left cannot lift a bundle above its agent's total
     yield ["check", "padded-2x17.json", "lopsided-17.json", "ceei-disc"]
+    # envy-free and not CEEI-frac (exit 1), so the LP decides it (exit 0): its
+    # prices cost every bundle exactly 1
+    for notion in ("ceei-frac", "ceei-disc"):
+        yield ["check", "random-3x10.json", "mnw-3x10.json", notion]
     # n^m is past 20M, but the Pareto walk decides each in ~65K nodes
     for shape in ("5x20", "6x22"):
         yield ["check", f"random-{shape}.json", f"mnw-{shape}.json", "po"]
@@ -129,7 +145,7 @@ def _argvs():
     for doc in _CHECKED:
         for target in _TARGETS:
             yield ["search", f"{doc}.json", target]
-    for doc in ("separation", "random-3x5"):
+    for doc in ("separation", "random-3x5", "rational"):
         for target in ("mnw", "ceei-frac", "ceei-disc"):
             for limit in ("1", "3"):
                 yield ["search", f"{doc}.json", target, "--limit-nodes", limit]

@@ -9,6 +9,7 @@ import pytest
 
 from ceei import cli, gen_random, serialize_instance
 from ceei.cli import main
+from ceei.errors import DEFAULT_BUNDLE_LIMIT, DEFAULT_ENUM_LIMIT
 
 
 SEPARATION_DOC = '{"agents":2,"objects":4,"utilities":[[95,5,2,1],[1,2,5,95]]}'
@@ -101,7 +102,7 @@ def run(capsys, *argv):
 
 
 def run_invalid(capsys, *argv):
-    """Exit code, stdout and stderr of arguments that the parser rejects."""
+    """Exit code, stdout and stderr of arguments on which the parser exits."""
     with pytest.raises(SystemExit) as exit_info:
         main([str(a) for a in argv])
     captured = capsys.readouterr()
@@ -708,3 +709,18 @@ class TestReportShape:
             os.close(write_end)
         assert done.returncode == cli.EXIT_CLOSED_PIPE == 141
         assert done.stderr == ""
+
+
+@pytest.mark.parametrize(
+    "command, phrases",
+    [
+        ("check", (f"default {DEFAULT_ENUM_LIMIT}", f"default {DEFAULT_BUNDLE_LIMIT}")),
+        ("search", (f"default {DEFAULT_ENUM_LIMIT}", f"at most {DEFAULT_BUNDLE_LIMIT} nodes")),
+    ],
+    ids=["check", "search"],
+)
+def test_help_prints_the_limits_that_apply(capsys, command, phrases):
+    code, out, _ = run_invalid(capsys, command, "--help")
+    text = " ".join(out.split())  # argparse wraps the help to the terminal's width
+    assert code == 0
+    assert all(phrase in text for phrase in phrases), text

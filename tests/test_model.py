@@ -1,12 +1,15 @@
 import copy
 import dataclasses
+import inspect
 import math
 import pickle
+import typing
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
+import ceei
 from ceei import (
     Certificate,
     DimensionMismatch,
@@ -468,3 +471,31 @@ class TestAssignments:
     def test_field_reprs(self, index, text):
         # the text a dataclass printed: the class name and each field's repr
         assert repr(_VALUES[index][0]) == text
+
+
+def _functions(value):
+    """The functions of a public name: itself, or the `__init__`, methods and
+    property getters of a class and of its `ceei` bases."""
+    if inspect.isfunction(value):
+        return [value]
+    if not isinstance(value, type):
+        return []  # `Certificate`, a union of classes that are public names too
+    functions = []
+    for klass in value.__mro__:
+        if klass.__module__.startswith("ceei."):
+            for member in vars(klass).values():
+                # a classmethod's or staticmethod's function, a property's or cached_property's getter
+                member = getattr(member, "__func__", None) or getattr(member, "fget", None) or getattr(member, "func", member)
+                if inspect.isfunction(member):
+                    functions.append(member)
+    return functions
+
+
+@pytest.mark.parametrize("name", ceei.__all__)
+def test_public_annotations_resolve(name):
+    # `from __future__ import annotations` leaves each annotation a string, so
+    # a name its module never imports fails only once `get_type_hints` reads it
+    functions = _functions(getattr(ceei, name))
+    assert functions or name == "Certificate"
+    for function in functions:
+        typing.get_type_hints(function)

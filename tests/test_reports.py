@@ -16,10 +16,20 @@ def test_every_case_has_one_file_and_every_file_a_case():
     assert sorted(path.name for path in REPORTS.iterdir()) == sorted(f"{name}.json" for name in CASES)
 
 
+def _records():
+    return [json.loads((REPORTS / f"{name}.json").read_text(encoding="utf-8")) for name in CASES]
+
+
 def test_no_record_exits_4():
     # exit 4 is retired: every walk counts its nodes and stops with exit 5
-    records = [json.loads((REPORTS / f"{name}.json").read_text(encoding="utf-8")) for name in CASES]
-    assert [record["argv"] for record in records if record["exit"] == 4] == []
+    assert [record["argv"] for record in _records() if record["exit"] == 4] == []
+
+
+def test_records_cover_every_command_and_exit():
+    # CI checks the installed `ceei` with this corpus, not with commands of its own
+    records = _records()
+    assert {"gen", "check", "search", "solve"} <= {record["argv"][0] for record in records}
+    assert {0, 1, 2, 3, 5} <= {record["exit"] for record in records}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
