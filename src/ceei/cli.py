@@ -274,12 +274,12 @@ def _cmd_gen(args, report):
         inst = gen_random(args.agents, args.objects, args.max_util, seed=args.seed)
         params = {"agents": args.agents, "objects": args.objects, "max_util": args.max_util, "seed": args.seed}
     elif args.kind == "partition":
-        if not args.integers:
+        if args.integers is None:
             raise SchemaError("set", "partition generation needs --set")
         inst = from_partition(PartitionInput(_parse_ints(args.integers, "set")))
         params = {"set": args.integers}
     else:
-        if not args.weights or args.bound is None:
+        if args.weights is None or args.bound is None:
             raise SchemaError("weights", "3partition generation needs --weights and --bound")
         inst = from_three_partition(
             ThreePartitionInput(_parse_ints(args.weights, "weights"), args.bound)

@@ -26,11 +26,12 @@ rely on it.  Every walk takes a `limit` under the one rule that `errors`
 states and `errors._check_limit` applies; `verify_ceei_disc` walks its
 bundles only after the envy and fractional tests have not decided.
 The owner-vector walks here and in `search` visit owner vectors in
-lexicographic order, with no recursion.  All of them prune but the n^m
-walk of `search.brute_force_max_nash`, the enumeration oracle, which
-instead refuses a size over the limit before any work.  The two pruned
-ones, the Pareto walk here and `search`'s envy-free walk, pick the agents
-that may take an object by one rule, `_takers`.
+lexicographic order, with no recursion, and all of them prune.
+`search.brute_force_max_nash`, the oracle, is no such walk: it refuses n^m
+owner vectors over the limit before any work, then meets in the middle over
+the Pareto fronts of two object halves.  Two of the walks, the Pareto walk
+here and `search`'s envy-free walk, pick the agents that may take an object
+by one rule, `_takers`.
 """
 
 from __future__ import annotations

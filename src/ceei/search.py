@@ -1,6 +1,7 @@
 """Exact desk-scale search over discrete assignments.
 
-Welfare maximization comes in three flavours: plain enumeration (the oracle
+Welfare maximization comes in three flavours: a brute force that meets in
+the middle over the Pareto fronts of two object halves (the oracle
 everything else is measured against), branch and bound from a greedy
 incumbent under an additive and an integer AM-GM optimistic bound, and a
 polynomial augmenting-path maximizer, which `max_nash_discrete` runs

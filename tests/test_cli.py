@@ -7,22 +7,17 @@ from pathlib import Path
 
 import pytest
 
-from ceei import cli, gen_random, serialize_instance
+from ceei import Instance, cli, gen_random, serialize_instance
 from ceei.cli import main
 from ceei.errors import DEFAULT_BUNDLE_LIMIT, DEFAULT_ENUM_LIMIT
-
-
-SEPARATION_DOC = '{"agents":2,"objects":4,"utilities":[[95,5,2,1],[1,2,5,95]]}'
-BINARY_GAP_DOC = '{"agents":2,"objects":3,"utilities":[[1,1,0],[0,1,1]]}'
+from report_corpus import DOCUMENTS
 
 
 @pytest.fixture
 def workdir(tmp_path):
-    (tmp_path / "separation.json").write_text(SEPARATION_DOC)
-    (tmp_path / "binary_gap.json").write_text(BINARY_GAP_DOC)
-    (tmp_path / "lopsided.json").write_text('{"owner":[0,1,1,1]}')
-    (tmp_path / "even.json").write_text('{"owner":[0,0,1,1]}')
-    (tmp_path / "bad.json").write_text('{"agents":2,"objects":2,"utilities":[[1,0],[1,0]]}')
+    """A directory holding every document of the report corpus."""
+    for name, text in DOCUMENTS.items():
+        (tmp_path / name).write_text(text)
     return tmp_path
 
 
@@ -110,34 +105,12 @@ def run_invalid(capsys, *argv):
 
 
 class TestSolve:
-    def test_solve_reports_exact_equilibrium(self, workdir, capsys):
-        code, report, _ = run(capsys, "solve", workdir / "separation.json")
-        assert code == 0
-        result = report["result"]
-        assert [u["exact"] for u in result["u_star"]] == ["100", "100"]
-        assert [p["exact"] for p in result["p_star"]] == ["19/20", "1/20", "1/20", "19/20"]
-        assert [p["decimal"] for p in result["p_star"]] == [0.95, 0.05, 0.05, 0.95]
-        # an exact answer has no residual to report, and no option moves it
-        assert "kkt_residual" not in result
-        assert report["config"] == {}
-
     def test_single_agent_prices_sum_to_one(self, workdir, capsys):
         (workdir / "solo.json").write_text('{"agents":1,"objects":2,"utilities":[[3,1]]}')
         code, report, _ = run(capsys, "solve", workdir / "solo.json")
         assert code == 0
         decimals = [p["decimal"] for p in report["result"]["p_star"]]
         assert sum(decimals) == 1.0
-
-    def test_invalid_instance_exits_2(self, workdir, capsys):
-        code, report, err = run(capsys, "solve", workdir / "bad.json")
-        assert code == 2
-        assert report is None
-        assert "valued by no agent" in err
-
-    def test_missing_file_exits_2(self, workdir, capsys):
-        code, _, err = run(capsys, "solve", workdir / "absent.json")
-        assert code == 2
-        assert err
 
     def test_iteration_starved_solver_exits_3(self, workdir, capsys, monkeypatch):
         monkeypatch.setattr("ceei.equilibrium._MAX_STEPS", 1)
@@ -207,8 +180,7 @@ class TestSolve:
 
     def test_non_solver_entry_points_do_not_load_numpy(self, workdir):
         # numpy costs ~11 MB of resident memory; only solve_eg may load it
-        (workdir / "ident.json").write_text('{"agents":2,"objects":3,"utilities":[[2,1,1],[2,1,1]]}')
-        args = [workdir / name for name in ("separation.json", "even.json", "binary_gap.json", "ident.json")]
+        args = [workdir / name for name in ("separation.json", "even.json", "binary-gap.json", "identical.json")]
         assert _fresh_python(NON_SOLVER_PROBE, *args, workdir / "gen.json") == "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0] False"
 
     def test_importing_the_package_loads_no_submodule(self, workdir):
@@ -249,30 +221,6 @@ class TestSolve:
 
 
 class TestCheck:
-    def test_lopsided_fails_fractional_support(self, workdir, capsys):
-        code, report, _ = run(
-            capsys, "check", workdir / "separation.json", workdir / "lopsided.json", "ceei-frac"
-        )
-        assert code == 1
-        assert report["result"]["holds"] is False
-        assert report["result"]["certificate"]["type"] == "ratio_gap"
-
-    def test_lopsided_passes_envy_freeness(self, workdir, capsys):
-        code, report, _ = run(
-            capsys, "check", workdir / "separation.json", workdir / "lopsided.json", "ef"
-        )
-        assert code == 0
-        assert report["result"]["certificate"] is None
-
-    def test_even_passes_fractional_support(self, workdir, capsys):
-        code, report, _ = run(
-            capsys, "check", workdir / "separation.json", workdir / "even.json", "ceei-frac"
-        )
-        assert code == 0
-        cert = report["result"]["certificate"]
-        assert cert["type"] == "price_support"
-        assert [p["exact"] for p in cert["prices"]] == ["19/20", "1/20", "1/20", "19/20"]
-
     @pytest.mark.parametrize("notion", ["ef", "po", "ceei-frac", "ceei-disc"])
     @pytest.mark.parametrize("limit", ["0", "-1"])
     def test_limit_below_one_exits_2(self, workdir, capsys, notion, limit):
@@ -285,32 +233,6 @@ class TestCheck:
         assert err.splitlines()[-1] == (
             f"ceei check: error: argument --limit-nodes: must be an int of at least 1, not '{limit}'"
         )
-
-    # each walk stops on entering its first node: the Pareto walk's root, and
-    # the lopsided split's bundle walk, which it reaches because that split is
-    # envy-free but not CEEI-frac
-    @pytest.mark.parametrize(
-        "assignment, notion", [("even.json", "po"), ("lopsided.json", "ceei-disc")], ids=["po", "ceei-disc"]
-    )
-    def test_limit_of_one_stops_each_walk(self, workdir, capsys, assignment, notion):
-        code, report, err = run(
-            capsys, "check", workdir / "separation.json", workdir / assignment, notion,
-            "--limit-nodes", 1,
-        )
-        assert (code, err) == (5, "")
-        assert report["config"] == {"notion": notion, "limit_nodes": 1}
-        assert report["result"] == {"status": "inconclusive", "nodes_explored": 1, "best_welfare": None}
-
-    def test_ceei_frac_owner_needs_no_bundle_walk(self, workdir, capsys):
-        # the even split is CEEI-frac, so its prices certify it under any limit
-        code, report, err = run(
-            capsys, "check", workdir / "separation.json", workdir / "even.json", "ceei-disc",
-            "--limit-nodes", 1,
-        )
-        assert (code, err) == (0, "")
-        assert report["config"]["limit_nodes"] == 1
-        cert = report["result"]["certificate"]
-        assert [p["exact"] for p in cert["prices"]] == ["19/20", "1/20", "1/20", "19/20"]
 
     def test_po_limit_counts_nodes_not_owner_vectors(self, workdir, capsys):
         # 2^4 owner vectors, but the walk decides at its root: one node
@@ -365,42 +287,12 @@ class TestCheck:
         assert code == 1
         assert report["result"] == {"owner": owner, "holds": False, "certificate": certificate}
 
-    def test_discrete_support_check(self, workdir, capsys):
-        (workdir / "ident.json").write_text('{"agents":2,"objects":3,"utilities":[[2,1,1],[2,1,1]]}')
-        (workdir / "split.json").write_text('{"owner":[0,1,1]}')
-        code, report, _ = run(
-            capsys, "check", workdir / "ident.json", workdir / "split.json", "ceei-disc"
-        )
-        assert code == 0
-        assert report["result"]["certificate"]["type"] == "price_support"
-
-
 class TestSearch:
-    def test_fractional_support_found(self, workdir, capsys):
-        code, report, _ = run(capsys, "search", workdir / "separation.json", "ceei-frac")
-        assert code == 0
-        assert report["result"] == {"status": "found", "owner": [0, 0, 1, 1]}
-
-    def test_fractional_support_none_exists(self, workdir, capsys):
-        code, report, _ = run(capsys, "search", workdir / "binary_gap.json", "ceei-frac")
-        assert code == 1
-        assert report["result"]["status"] == "none"
-
-    @pytest.mark.parametrize("target", ["ceei-frac", "ceei-disc"])
-    def test_odd_identical_split_none_exists(self, workdir, capsys, target):
-        (workdir / "odd.json").write_text('{"agents":2,"objects":3,"utilities":[[3,1,1],[3,1,1]]}')
-        code, report, _ = run(capsys, "search", workdir / "odd.json", target)
-        assert code == 1
-        assert report["result"]["status"] == "none"
-
-    # a planted 3-Partition yes-instance of six groups: 6^18 owner vectors,
-    # far past any walk over them
-    SIX_GROUPS = ["--weights", "34,45,26,29,26,41,28,29,26,29,39,30,38,44,32,41,30,33", "--bound", "100"]
-
     @pytest.mark.parametrize("target", ["ceei-frac", "ceei-disc"])
     def test_identical_rows_take_the_equal_split_race(self, workdir, capsys, target):
-        doc = workdir / "six.json"
-        assert run(capsys, "gen", "3partition", *self.SIX_GROUPS, "--out", doc)[0] == 0
+        # a planted 3-Partition yes-instance of six groups: 6^18 owner vectors,
+        # far past any walk over them
+        doc = workdir / "three-partition-6.json"
         start = time.perf_counter()
         code, report, _ = run(capsys, "search", doc, target)
         assert time.perf_counter() - start < 2
@@ -412,11 +304,24 @@ class TestSearch:
         assert code == 5
         assert report["result"] == {"status": "inconclusive", "nodes_explored": 1, "best_welfare": None}
 
-    def test_mnw_reports_welfare(self, workdir, capsys):
-        code, report, _ = run(capsys, "search", workdir / "separation.json", "mnw")
-        assert code == 0
-        assert report["result"]["welfare"]["exact"] == "10000"
-        assert report["result"]["status"] == "optimal"
+    def test_cli_exits_5_at_a_leafs_bundle_walk(self, workdir, capsys):
+        path = workdir / "tilted2x30.json"
+        path.write_text(serialize_instance(Instance([[2] + [1] * 29, [1] * 30])))
+        code, report, err = run(capsys, "search", path, "ceei-disc")
+        assert (code, err) == (5, "")
+        assert report["result"] == {
+            "status": "inconclusive", "nodes_explored": DEFAULT_BUNDLE_LIMIT, "best_welfare": None,
+        }
+
+    def test_cli_exits_1_past_16_objects_without_an_envy_free_owner_vector(self, workdir, capsys):
+        # both agents value object 0 above everything else together, so
+        # whoever lacks it envies; the walk drops both one-object prefixes,
+        # and no owner vector reaches the verifier or its bundle walk
+        start = time.perf_counter()
+        code, report, _ = run(capsys, "search", workdir / "envious-2x17.json", "ceei-disc")
+        assert time.perf_counter() - start < 0.1
+        assert code == 1
+        assert report["result"] == {"status": "none"}
 
     def test_welfare_past_the_int_to_str_limit_gets_a_report(self, workdir, capsys):
         huge = 10**4000  # 4001 digits parse under Python's 4300-digit limit
@@ -448,11 +353,6 @@ class TestSearch:
         assert code == 2
         assert err.endswith("must be an int of at least 1, not '1.5'\n")
 
-    @pytest.mark.parametrize("target, expected", [("mnw", 5), ("ceei-frac", 5), ("ceei-disc", 5)])
-    def test_node_limit_of_one_keeps_its_exit(self, workdir, capsys, target, expected):
-        code, _, _ = run(capsys, "search", workdir / "separation.json", target, "--limit-nodes", 1)
-        assert code == expected
-
     def test_truncated_search_exits_5(self, workdir, capsys):
         code, report, _ = run(
             capsys, "search", workdir / "separation.json", "ceei-frac", "--limit-nodes", 2
@@ -460,23 +360,9 @@ class TestSearch:
         assert code == 5
         assert report["result"]["status"] == "inconclusive"
 
-    def test_ceei_disc_search_reports_prices(self, workdir, capsys):
-        code, report, _ = run(capsys, "search", workdir / "separation.json", "ceei-disc")
-        assert code == 0
-        assert report["result"]["status"] == "found"
-        assert len(report["result"]["prices"]) == 4
-
-    def test_mnw_on_binary_rows_takes_no_limit(self, workdir, capsys):
-        code, report, _ = run(capsys, "search", workdir / "binary_gap.json", "mnw")
-        assert code == 0
-        assert report["result"]["welfare"]["exact"] == "2"
-        code, report, _ = run(capsys, "search", workdir / "binary_gap.json", "mnw", "--limit-nodes", 1)
-        assert code == 0
-        assert report["result"]["status"] == "optimal"
-
     @pytest.mark.parametrize("target", ["binary-mnw", "identical-ceei-disc"])
     def test_retired_targets_are_invalid_choices(self, workdir, capsys, target):
-        code, out, err = run_invalid(capsys, "search", workdir / "binary_gap.json", target)
+        code, out, err = run_invalid(capsys, "search", workdir / "binary-gap.json", target)
         assert code == 2
         assert out == ""
         assert f"invalid choice: '{target}'" in err
@@ -552,25 +438,6 @@ def test_check_past_the_int_to_str_limit_gets_a_report(workdir, capsys, notion, 
 
 
 class TestGen:
-    def test_partition_document(self, workdir, capsys):
-        out = workdir / "part.json"
-        code, report, _ = run(capsys, "gen", "partition", "--set", "2,1,1", "--out", out)
-        assert code == 0
-        assert out.read_text().strip() == '{"agents":2,"objects":3,"utilities":[[2,1,1],[2,1,1]]}'
-        assert report["instance"]["digest"]
-
-    def test_random_generation_is_deterministic(self, workdir, capsys):
-        out1, out2 = workdir / "r1.json", workdir / "r2.json"
-        code1, report1, _ = run(
-            capsys, "gen", "random", "-n", 2, "-m", 4, "--max-util", 100, "--seed", 7, "--out", out1
-        )
-        code2, report2, _ = run(
-            capsys, "gen", "random", "-n", 2, "-m", 4, "--max-util", 100, "--seed", 7, "--out", out2
-        )
-        assert code1 == code2 == 0
-        assert out1.read_text() == out2.read_text()
-        assert report1["instance"]["digest"] == report2["instance"]["digest"]
-
     # the documents `gen random -n 3 -m 5 --binary --seed s` wrote before `--binary` was retired
     @pytest.mark.parametrize(
         "seed, document",
@@ -588,24 +455,6 @@ class TestGen:
         assert code == 0
         assert out.read_text() == document + "\n"
         assert "binary" not in report["config"]
-
-    def test_window_violation_exits_2(self, workdir, capsys):
-        code, _, err = run(
-            capsys,
-            "gen", "3partition", "--weights", "2,4,4,3,3,4", "--bound", "10",
-            "--out", workdir / "x.json",
-        )
-        assert code == 2
-        assert "violates" in err
-
-    def test_three_partition_config(self, workdir, capsys):
-        out = workdir / "three.json"
-        code, report, _ = run(
-            capsys, "gen", "3partition", "--weights", "3,3,4,3,3,4", "--bound", 10, "--out", out
-        )
-        assert code == 0
-        assert report["config"] == {"kind": "3partition", "weights": "3,3,4,3,3,4", "bound": 10}
-        assert report["result"] == {"written": str(out)}
 
     @pytest.mark.parametrize(
         "args, message",
@@ -658,26 +507,6 @@ class TestReportShape:
         assert report["result"]["status"] == "inconclusive"
         assert set(report["result"]) == {"status", "nodes_explored", "best_welfare"}
 
-    def test_reports_are_byte_identical_modulo_timings(self, workdir, capsys):
-        reports = []
-        for _ in range(2):
-            code = main(["solve", str(workdir / "separation.json")])
-            out = capsys.readouterr().out
-            body = json.loads(out)
-            del body["timings"]
-            reports.append(json.dumps(body, sort_keys=True))
-            assert code == 0
-        assert reports[0] == reports[1]
-
-    def test_report_carries_instance_digest_and_config(self, workdir, capsys):
-        code, report, _ = run(capsys, "solve", workdir / "separation.json")
-        assert {"command", "instance", "config", "result", "timings"} <= set(report)
-        assert report["instance"] == {
-            "digest": report["instance"]["digest"],
-            "agents": 2,
-            "objects": 4,
-        }
-
     def test_unexpected_exception_exits_6_with_one_error_line(self, workdir, capsys, monkeypatch):
         def broken(args, report):
             raise RuntimeError("boom")
@@ -691,14 +520,13 @@ class TestReportShape:
     def test_closed_stdout_exits_141_without_a_traceback(self, workdir):
         # the read end closes before the child writes, so its report meets a
         # broken pipe, as behind `| head -1` once head has exited
-        (workdir / "split.json").write_text('{"agents":2,"objects":3,"utilities":[[2,1,1],[2,1,1]]}')
         src = str(Path(cli.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
             done = subprocess.run(
-                [sys.executable, "-m", "ceei", "search", str(workdir / "split.json"), "ceei-disc"],
+                [sys.executable, "-m", "ceei", "search", str(workdir / "identical.json"), "ceei-disc"],
                 env=dict(os.environ, PYTHONPATH=path),
                 stdout=write_end,
                 stderr=subprocess.PIPE,

@@ -1,4 +1,3 @@
-import json
 import math
 import random
 import time
@@ -30,12 +29,11 @@ from ceei import (
     PartitionInput,
     PriceSupport,
     PriceVector,
-    serialize_instance,
     Verdict,
     verify_ceei_disc,
     verify_ceei_frac,
 )
-from ceei import cli, errors, search
+from ceei import errors, search
 from ceei.errors import DEFAULT_BUNDLE_LIMIT, DEFAULT_ENUM_LIMIT
 from oracles import (
     all_discrete_assignments,
@@ -686,27 +684,6 @@ class TestExistsDiscreteSupport:
         y, prices = exists_ceei_disc_bruteforce(inst)
         assert verify_ceei_disc(inst, y).holds and verify_ceei_frac(inst, y).holds
         assert prices == PriceVector([Fraction(1, 9)] * 18)
-
-    def test_cli_exits_5_at_a_leafs_bundle_walk(self, tmp_path, capsys):
-        path = tmp_path / "tilted2x30.json"
-        path.write_text(serialize_instance(Instance([[2] + [1] * 29, [1] * 30])))
-        assert cli.main(["search", str(path), "ceei-disc"]) == 5
-        captured = capsys.readouterr()
-        assert captured.err == ""
-        assert json.loads(captured.out)["result"] == {
-            "status": "inconclusive", "nodes_explored": DEFAULT_BUNDLE_LIMIT, "best_welfare": None,
-        }
-
-    def test_cli_exits_1_past_16_objects_without_an_envy_free_owner_vector(self, tmp_path, capsys):
-        # both agents value object 0 above everything else together, so
-        # whoever lacks it envies; the walk drops both one-object prefixes,
-        # and no owner vector reaches the verifier or its bundle walk
-        path = tmp_path / "envious2x17.json"
-        path.write_text(serialize_instance(Instance([[100] + [1] * 16, [100] + [0] * 16])))
-        start = time.perf_counter()
-        assert cli.main(["search", str(path), "ceei-disc"]) == 1
-        assert time.perf_counter() - start < 0.1
-        assert json.loads(capsys.readouterr().out)["result"] == {"status": "none"}
 
     @pytest.mark.parametrize("seed", range(24))
     def test_envy_filter_matches_the_unfiltered_loop(self, seed):
