@@ -72,7 +72,6 @@ _EXPORTS = {
         "PriceVector",
         "ViolatingBundle",
         "agent_utilities",
-        "bundle_utility",
         "nash_welfare",
         "validate_instance",
     ),

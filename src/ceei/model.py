@@ -12,6 +12,7 @@ from collections.abc import Sequence
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from .errors import DimensionMismatch, InvalidAssignment, InvariantError, _is_index, bounded
 
@@ -410,28 +411,17 @@ def bundle_values(rows, owner):
     return values
 
 
-def bundle_utility(inst: Instance, agent: int, row: Sequence) -> Fraction:
-    """Additive utility of `agent` for an allocation row, exactly.
-
-    `row` holds one share in [0, 1] per object; a discrete bundle is the
-    special case of 0/1 shares.
-    """
-    shares = _rational_row(row)
-    if len(shares) != inst.m:
-        raise DimensionMismatch("allocation row", inst.m, len(shares))
-    if not 0 <= agent < inst.n:
-        raise InvalidAssignment(f"agent index {bounded(agent)} out of range for {inst.n} agents")
-    u = inst.utilities[agent]
-    return sum((s * u[j] for j, s in enumerate(shares)), Fraction(0))
-
-
 def agent_utilities(inst: Instance, x) -> tuple:
-    """Utility vector of an assignment (fractional or discrete), exactly."""
+    """Utility vector of an assignment (fractional or discrete), exactly.
+
+    Owner vectors are valued by `bundle_values` and rows of shares here;
+    nothing else in the library values a bundle.
+    """
     if isinstance(x, DiscreteAssignment):
         check_assignment(inst, x)
         return tuple(map(Fraction, bundle_values(inst.utilities, x.owner)))
-    x = as_fractional(inst, x)
-    return tuple(bundle_utility(inst, i, x.rows[i]) for i in range(inst.n))
+    rows = as_fractional(inst, x).rows
+    return tuple(sum(map(mul, shares, utilities), Fraction(0)) for shares, utilities in zip(rows, inst.utilities))
 
 
 def nash_welfare(inst: Instance, x) -> Fraction:

@@ -1,19 +1,23 @@
 """Independent test oracles.
 
-Everything here deliberately avoids the implementations under test: the
-subset-sum check is a bitset dynamic program, the equal-split, Pareto and
-max-Nash checks are plain enumeration of owner vectors, the envy check
-values every bundle for every agent, price-support certificates
-are re-verified directly from their defining inequalities, LP optima come
-from vertex enumeration rather than pivoting, LP solutions from a textbook
-rational tableau rather than integer pivoting, and inclusion-minimal masks
-come from pairwise subset tests over a scan of every subset.
+Everything here deliberately avoids the implementations under test, and
+takes nothing from `ceei` but its input types: the subset-sum check is a
+bitset dynamic program, the equal-split, Pareto and max-Nash checks are
+plain enumeration of owner vectors, the envy check values every bundle for
+every agent, price-support certificates are re-verified directly from
+their defining inequalities, LP optima come from vertex enumeration rather
+than pivoting, LP solutions from a textbook rational tableau rather than
+integer pivoting, and inclusion-minimal masks come from pairwise subset
+tests over a scan of every subset.  Every bundle of an owner vector is
+valued by `owner_values`, from `inst.utilities` and the owner vector alone.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations, product
+from operator import mul
 
-from ceei import DiscreteAssignment, Instance, bundle_utility
+from ceei import DiscreteAssignment, Instance
 
 # entry pools for small random instances: many zeros, "p/q" entries, and
 # entries too large for floats
@@ -64,6 +68,15 @@ def equal_split_exists(weights, parts):
     return False
 
 
+def owner_values(inst, owner, agent=None):
+    """values[k]: the bundle `owner` gives agent k, in Fractions, as k values
+    it, or as `agent` does when one is named."""
+    values = [Fraction(0)] * inst.n
+    for j, k in enumerate(owner):
+        values[k] += inst.utilities[k if agent is None else agent][j]
+    return values
+
+
 def all_discrete_assignments(n, m):
     for owner in product(range(n), repeat=m):
         yield DiscreteAssignment(owner)
@@ -74,12 +87,7 @@ def max_nash_by_product(inst):
     welfare, as (DiscreteAssignment, Fraction welfare)."""
     best, best_welfare = None, Fraction(-1)
     for owner in product(range(inst.n), repeat=inst.m):
-        totals = [Fraction(0)] * inst.n
-        for j, o in enumerate(owner):
-            totals[o] += inst.utilities[o][j]
-        welfare = Fraction(1)
-        for total in totals:
-            welfare *= total
+        welfare = math.prod(owner_values(inst, owner))
         if welfare > best_welfare:
             best, best_welfare = owner, welfare
     return DiscreteAssignment(best), best_welfare
@@ -88,29 +96,32 @@ def max_nash_by_product(inst):
 def first_envy_pair(inst, y):
     """Check every ordered pair of agents in order: the first (i, k) with i
     valuing k's bundle under y above its own, in Fractions, or None."""
-
-    def value(i, k):
-        return bundle_utility(inst, i, [int(o == k) for o in y.owner])
-
     for i in range(inst.n):
-        for k in range(inst.n):
-            if i != k and value(i, i) < value(i, k):
-                return i, k
+        values = owner_values(inst, y.owner, i)
+        envied = next((k for k, value in enumerate(values) if value > values[i]), None)
+        if envied is not None:
+            return i, envied
+    return None
+
+
+def first_ratio_gap(inst, y):
+    """Agent by agent, ascending within an agent: the first (i, j, gap) with
+    agent i holding object j at a ratio u_ij / v_i below the column's best
+    max_k u_kj / v_k, by `gap`, or None.  Each own value v_k must be positive."""
+    values = owner_values(inst, y.owner)
+    for i, j in sorted((o, j) for j, o in enumerate(y.owner)):
+        best = max(inst.utilities[k][j] / values[k] for k in range(inst.n))
+        gap = best - inst.utilities[i][j] / values[i]
+        if gap:
+            return i, j, gap
     return None
 
 
 def first_dominating_assignment(inst, y):
     """Enumerate owner vectors lexicographically; the first Pareto-dominating y, or None."""
-
-    def values(owner):
-        return [
-            sum((inst.utilities[i][j] for j, o in enumerate(owner) if o == i), Fraction(0))
-            for i in range(inst.n)
-        ]
-
-    base = values(y.owner)
+    base = owner_values(inst, y.owner)
     for owner in product(range(inst.n), repeat=inst.m):
-        totals = values(owner)
+        totals = owner_values(inst, owner)
         if totals != base and all(a >= b for a, b in zip(totals, base)):
             return DiscreteAssignment(owner)
     return None
@@ -154,30 +165,42 @@ def random_fractional_welfare(inst, rng):
 
 def recheck_fractional_price_support(inst, y, prices):
     """Certificate recheck: owners attain every column's best ratio, budgets exhaust."""
-    values = [bundle_utility(inst, i, row) for i, row in enumerate(y.to_fractional(inst.n).rows)]
+    values = owner_values(inst, y.owner)
     for j, owner in enumerate(y.owner):
         best = max(inst.utilities[k][j] / values[k] for k in range(inst.n))
         if inst.utilities[owner][j] / values[owner] != best or prices[j] != best:
             return False
-    for i in range(inst.n):
-        if sum((prices[j] for j in y.bundle(i)), Fraction(0)) != 1:
+    return all(sum((p for p, o in zip(prices, y.owner) if o == i), Fraction(0)) == 1 for i in range(inst.n))
+
+
+def recheck_market_equilibrium(inst, prices, x, utilities):
+    """Fisher-market recheck at budget 1 each: every price is positive, every
+    column of x sums to 1, and each agent spends exactly its budget, only on
+    objects of its best ratio u_ij / p_j, for the utility it is said to get."""
+    if min(prices) <= 0 or any(share < 0 for row in x for share in row):
+        return False
+    if any(sum(row[j] for row in x) != 1 for j in range(inst.m)):
+        return False
+    for i, (row, shares) in enumerate(zip(inst.utilities, x)):
+        best = max(u / p for u, p in zip(row, prices))
+        if any(share and u / p != best for u, p, share in zip(row, prices, shares)):
+            return False
+        if sum(map(mul, prices, shares)) != 1 or sum(map(mul, row, shares)) != utilities[i]:
             return False
     return True
 
 
 def recheck_discrete_price_support(inst, y, prices):
     """Certificate recheck: own bundles affordable, better bundles strictly over budget."""
-    bundles = y.bundles(inst.n)
+    if any(sum((p for p, o in zip(prices, y.owner) if o == i), Fraction(0)) > 1 for i in range(inst.n)):
+        return False
+    own = owner_values(inst, y.owner)
     for i in range(inst.n):
-        if sum((prices[j] for j in bundles[i]), Fraction(0)) > 1:
-            return False
-    for i in range(inst.n):
-        own_value = sum((inst.utilities[i][j] for j in bundles[i]), Fraction(0))
         for mask in range(1, 1 << inst.m):
             objs = [j for j in range(inst.m) if mask >> j & 1]
             value = sum((inst.utilities[i][j] for j in objs), Fraction(0))
             cost = sum((prices[j] for j in objs), Fraction(0))
-            if value > own_value and cost <= 1:
+            if value > own[i] and cost <= 1:
                 return False
     return True
 

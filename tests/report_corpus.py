@@ -6,13 +6,22 @@ document written.  Each command runs in process through `ceei.cli.main`, in a
 fresh directory holding every document of `DOCUMENTS`, with `gen` writing to
 `out.json`, so no path of the machine reaches a record.
 
-`tests/test_reports.py` only compares.  CI runs it twice: with the tier-1
-suite from `src/`, and with `tests/test_cli.py` against the installed package
-(`pip install .`, then pytest with `-o pythonpath=`), so the records check
-the installed package too.  `tests/test_cli.py` reads `DOCUMENTS` as well
-and leaves every report recorded here to this corpus; it checks what no
-record holds, such as exits forced by monkeypatching, fresh interpreters,
+Each check has one home.  The acceptance criteria in
+`tests/test_acceptance.py` are the spec.  The records here are every CLI
+answer: `tests/test_reports.py` compares each command's output with its
+record, and proves each answer small enough to enumerate, every ratio gap
+and every solved equilibrium against `tests/oracles.py`, which uses nothing
+from `ceei` but its input types.  The module tests hold what neither can: Python exceptions and
+their fields, private engines, monkeypatched faults, wall-clock bounds and
+seeded sweeps of the Python API against the oracles.  `tests/test_cli.py`
+reads `DOCUMENTS` as well and leaves every report recorded here to this
+corpus; it checks exits forced by monkeypatching, fresh interpreters,
 wall-clock bounds, help text and documents too large to record.
+
+CI runs `tests/test_reports.py` twice: with the tier-1 suite from `src/`,
+and with the acceptance, public-name and CLI tests against the installed
+package (`pip install .`, then pytest with `-o pythonpath=`), so the
+records check the installed package too.
 
 A change that means to alter reports rewrites the cases it names, from the
 root of the checkout:

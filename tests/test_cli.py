@@ -220,20 +220,26 @@ class TestSolve:
         assert _fresh_python(probe, *argv, flags=["-S"]).splitlines()[-1] == "0 False"
 
 
-class TestCheck:
-    @pytest.mark.parametrize("notion", ["ef", "po", "ceei-frac", "ceei-disc"])
-    @pytest.mark.parametrize("limit", ["0", "-1"])
-    def test_limit_below_one_exits_2(self, workdir, capsys, notion, limit):
-        code, out, err = run_invalid(
-            capsys, "check", workdir / "separation.json", workdir / "even.json", notion,
-            "--limit-nodes", limit,
-        )
-        assert code == 2
-        assert out == ""
-        assert err.splitlines()[-1] == (
-            f"ceei check: error: argument --limit-nodes: must be an int of at least 1, not '{limit}'"
-        )
+# every command that takes --limit-nodes, up to that option
+@pytest.mark.parametrize(
+    "prefix",
+    [("check", "separation.json", "even.json", notion) for notion in ("ef", "po", "ceei-frac", "ceei-disc")]
+    + [("search", "separation.json", target) for target in ("mnw", "ceei-frac", "ceei-disc")],
+    ids=lambda prefix: f"{prefix[0]}-{prefix[-1]}",
+)
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_limit_nodes_below_one_exits_2(workdir, capsys, prefix, limit):
+    command, *rest = prefix
+    paths = [workdir / arg if arg.endswith(".json") else arg for arg in rest]
+    code, out, err = run_invalid(capsys, command, *paths, "--limit-nodes", limit)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        f"ceei {command}: error: argument --limit-nodes: must be an int of at least 1, not '{limit}'"
+    )
 
+
+class TestCheck:
     def test_po_limit_counts_nodes_not_owner_vectors(self, workdir, capsys):
         # 2^4 owner vectors, but the walk decides at its root: one node
         code, report, _ = run(
@@ -334,18 +340,6 @@ class TestSearch:
         assert welfare["decimal"] is None
         assert welfare["exact"] == "1" + "0" * 8000  # 8001 digits
 
-    @pytest.mark.parametrize("target", ["mnw", "ceei-frac", "ceei-disc"])
-    @pytest.mark.parametrize("limit", ["0", "-1"])
-    def test_node_limit_below_one_exits_2(self, workdir, capsys, target, limit):
-        code, out, err = run_invalid(
-            capsys, "search", workdir / "separation.json", target, "--limit-nodes", limit
-        )
-        assert code == 2
-        assert out == ""
-        assert err.splitlines()[-1] == (
-            f"ceei search: error: argument --limit-nodes: must be an int of at least 1, not '{limit}'"
-        )
-
     def test_node_limit_must_be_an_int(self, workdir, capsys):
         code, _, err = run_invalid(
             capsys, "search", workdir / "separation.json", "mnw", "--limit-nodes", "1.5"
@@ -359,13 +353,6 @@ class TestSearch:
         )
         assert code == 5
         assert report["result"]["status"] == "inconclusive"
-
-    @pytest.mark.parametrize("target", ["binary-mnw", "identical-ceei-disc"])
-    def test_retired_targets_are_invalid_choices(self, workdir, capsys, target):
-        code, out, err = run_invalid(capsys, "search", workdir / "binary-gap.json", target)
-        assert code == 2
-        assert out == ""
-        assert f"invalid choice: '{target}'" in err
 
     def test_many_objects_get_a_report(self, workdir, capsys):
         (workdir / "wide.json").write_text(_uniform_doc(1, 1500))

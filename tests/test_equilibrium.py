@@ -9,10 +9,9 @@ from ceei import (
     FractionalAssignment,
     Instance,
     InstanceViolation,
-    InvalidAssignment,
     InvariantError,
     NonConvergence,
-    bundle_utility,
+    agent_utilities,
     gen_random,
     kkt_residual,
     nash_welfare,
@@ -23,20 +22,6 @@ from oracles import mixed_instance, random_fractional_welfare
 
 
 class TestSolveEg:
-    def test_separation_instance_equilibrium(self, separation):
-        sol = solve_eg(separation)
-        assert sol.u_star == (100, 100)
-        assert sol.p_star.prices == (
-            Fraction(19, 20),
-            Fraction(1, 20),
-            Fraction(1, 20),
-            Fraction(19, 20),
-        )
-        assert sol.certified
-        assert kkt_residual(separation, sol.x, sol.p_star).max_violation == 0
-        # the supported allocation here is the unique two-and-two split
-        assert sol.x.to_discrete() == DiscreteAssignment([0, 0, 1, 1])
-
     def test_single_agent_buys_everything(self, single_agent):
         sol = solve_eg(single_agent)
         assert sol.u_star == (4,)
@@ -57,8 +42,7 @@ class TestSolveEg:
 
     def test_utilities_match_allocation_exactly(self, separation):
         sol = solve_eg(separation)
-        for i in range(separation.n):
-            assert sol.u_star[i] == bundle_utility(separation, i, sol.x.rows[i])
+        assert sol.u_star == agent_utilities(separation, sol.x)
 
     def test_price_mass_equals_agent_count(self):
         for seed in range(5):
@@ -98,8 +82,7 @@ class TestSolveEg:
         sol = solve_eg(inst)
         assert sol.certified
         assert sum(sol.p_star.prices) == 2
-        for i in range(2):
-            assert sol.u_star[i] == bundle_utility(inst, i, sol.x.rows[i])
+        assert sol.u_star == agent_utilities(inst, sol.x)
 
     def test_scaling_one_row_rescales_only_that_utility(self):
         inst = gen_random(3, 5, 9, seed=11)
@@ -420,9 +403,8 @@ class TestRawIntake:
         [
             lambda: kkt_residual(_SQUARE, ["10", "01"], [1, 1]),
             lambda: kkt_residual(_SQUARE, [[1, 0], [0, 1]], "11"),
-            lambda: bundle_utility(Instance([[3, 5]]), 0, "10"),
         ],
-        ids=["allocation rows", "prices", "bundle row"],
+        ids=["allocation rows", "prices"],
     )
     def test_string_vectors_are_rejected(self, call):
         with pytest.raises(TypeError, match="not str"):
@@ -437,7 +419,3 @@ class TestRawIntake:
         with pytest.raises(DimensionMismatch) as excinfo:
             call()
         assert (excinfo.value.what, excinfo.value.expected, excinfo.value.got) == (what, expected, got)
-
-    def test_agent_index_out_of_range_is_an_invalid_assignment(self):
-        with pytest.raises(InvalidAssignment, match="^agent index 2 out of range for 2 agents$"):
-            bundle_utility(_SQUARE, 2, [1, 0])

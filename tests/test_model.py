@@ -29,7 +29,6 @@ from ceei import (
     ViolatingBundle,
     agent_utilities,
     brute_force_max_nash,
-    bundle_utility,
     nash_welfare,
     separation_example,
     validate_instance,
@@ -55,26 +54,6 @@ _VALUES = [
     (brute_force_max_nash(separation_example()), "best"),
     (verify_ceei_disc(Instance([[2, 1], [1, 2]]), DiscreteAssignment([0, 1])), "certificate"),
 ]
-
-
-class TestBundleUtility:
-    def test_top_two_objects(self, separation):
-        assert bundle_utility(separation, 0, (1, 1, 0, 0)) == 100
-
-    def test_empty_bundle_is_worthless(self, separation):
-        assert bundle_utility(separation, 0, (0, 0, 0, 0)) == 0
-
-    def test_second_agent_three_objects(self, separation):
-        assert bundle_utility(separation, 1, (0, 1, 1, 1)) == 102
-
-    def test_fractional_shares(self, separation):
-        assert bundle_utility(separation, 0, (Fraction(1, 2), 0, 0, 0)) == Fraction(95, 2)
-
-    def test_wrong_length_names_offender(self, separation):
-        with pytest.raises(DimensionMismatch) as excinfo:
-            bundle_utility(separation, 0, (1, 0))
-        assert excinfo.value.expected == 4
-        assert excinfo.value.got == 2
 
 
 class TestNashWelfare:

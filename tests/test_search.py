@@ -15,6 +15,7 @@ from ceei import (
     NotBinary,
     NotIdenticalUtilities,
     SearchResult,
+    binary_gap_example,
     binary_max_nash,
     brute_force_max_nash,
     exists_ceei_disc_bruteforce,
@@ -30,6 +31,7 @@ from ceei import (
     PriceSupport,
     PriceVector,
     Verdict,
+    separation_example,
     verify_ceei_disc,
     verify_ceei_frac,
 )
@@ -59,6 +61,9 @@ def _product_oracle_cases():
     # 257x1, 7x4, 8x3, 17x2), a welfare-0 optimum whose halves dominance
     # drops, and identical rows where it drops nothing
     return cases + [
+        pytest.param(separation_example(), id="separation"),
+        pytest.param(binary_gap_example(), id="binary-gap"),
+        pytest.param(Instance([[3, 1]]), id="single-agent"),
         pytest.param(Instance([[0] * 6] * 3), id="all-zero"),  # the all-zero owner vector wins
         pytest.param(Instance([[0, 0, 1, 0, 0], [0, 0, 0, 0, 0], [1, 0, 0, 0, 1]]), id="zero-row"),
         pytest.param(gen_random(2, 8, 9, seed=1), id="no-head-2x8"),
@@ -117,34 +122,10 @@ class TestBruteForce:
         assert time.perf_counter() - start < 0.1
         assert result == SearchResult(DiscreteAssignment([0, 0]), Fraction(0), 257**2, True)
 
-    @pytest.mark.parametrize("limit", [0, -1])
-    def test_limit_below_one_is_rejected(self, separation, limit):
-        with pytest.raises(ValueError, match="enumeration limit must be at least 1"):
-            brute_force_max_nash(separation, limit=limit)
-
-    def test_separation_instance(self, separation):
-        result = brute_force_max_nash(separation)
-        assert result.welfare == 10000
-        assert result.best == DiscreteAssignment([0, 0, 1, 1])
-        assert result.nodes_explored == 16
-        assert result.optimal
-
-    def test_binary_gap_instance(self, binary_gap):
-        assert brute_force_max_nash(binary_gap).welfare == 2
-
-    def test_single_agent(self, single_agent):
-        result = brute_force_max_nash(single_agent)
-        assert result.best == DiscreteAssignment([0, 0])
-        assert result.welfare == 4
-
     def test_size_guard(self):
         inst = gen_random(4, 14, 5, seed=0)
         with pytest.raises(InstanceTooLarge):
             brute_force_max_nash(inst, limit=10**6)
-
-    def test_welfare_field_matches_assignment(self, separation):
-        result = brute_force_max_nash(separation)
-        assert result.welfare == nash_welfare(separation, result.best)
 
     def test_many_objects_do_not_exhaust_the_stack(self):
         result = brute_force_max_nash(Instance([[1] * 1500]))
@@ -154,10 +135,6 @@ class TestBruteForce:
 
 
 class TestBranchAndBound:
-    def test_matches_oracle_on_examples(self, separation, binary_gap):
-        for inst in (separation, binary_gap):
-            assert max_nash_discrete(inst).welfare == brute_force_max_nash(inst).welfare
-
     def test_single_agent_two_objects(self):
         result = max_nash_discrete(Instance([[5, 7]]))
         assert result.welfare == 12
@@ -183,11 +160,6 @@ class TestBranchAndBound:
         assert result.optimal
         assert result.welfare == 0
         assert result.best == DiscreteAssignment([0])
-
-    def test_deterministic_across_runs(self, separation):
-        first = max_nash_discrete(separation)
-        second = max_nash_discrete(separation)
-        assert first == second
 
     @pytest.mark.parametrize("seed", range(40))
     def test_witness_matches_brute_force_on_mixed_entries(self, seed):
@@ -274,14 +246,6 @@ class TestZeroOneRoute:
 
 
 class TestExistsFractionalSupport:
-    def test_separation_instance_has_one(self, separation):
-        found = exists_ceei_frac_discrete(separation)
-        assert found == DiscreteAssignment([0, 0, 1, 1])
-        assert verify_ceei_frac(separation, found).holds
-
-    def test_binary_gap_has_none(self, binary_gap):
-        assert exists_ceei_frac_discrete(binary_gap) is None
-
     def test_single_agent_everything(self, single_agent):
         assert exists_ceei_frac_discrete(single_agent) == DiscreteAssignment([0, 0])
 
@@ -372,11 +336,6 @@ def _scaled_zero_one_rows(seed):
 
 
 class TestBinaryMaxNash:
-    def test_binary_gap_instance(self, binary_gap):
-        result = binary_max_nash(binary_gap)
-        assert result.welfare == 2
-        assert result.welfare == nash_welfare(binary_gap, result.best)
-
     def test_identity_instance_forces_diagonal(self):
         inst = Instance([[1 if i == j else 0 for j in range(3)] for i in range(3)])
         result = binary_max_nash(inst)
@@ -403,9 +362,6 @@ class TestBinaryMaxNash:
         rng = random.Random(1000 + seed)
         inst = gen_random(rng.randint(1, 4), rng.randint(1, 8), 1, seed=seed)
         assert binary_max_nash(inst).welfare == brute_force_max_nash(inst).welfare
-
-    def test_deterministic_across_runs(self, binary_gap):
-        assert binary_max_nash(binary_gap) == binary_max_nash(binary_gap)
 
     @pytest.mark.parametrize(
         "inst", [pytest.param(_scaled_zero_one_rows(seed), id=f"random-{seed}") for seed in range(40)]
@@ -600,17 +556,6 @@ def test_identical_rows_answers_match_the_owner_vector_walk(seed):
 
 
 class TestExistsDiscreteSupport:
-    def test_identical_even_weights(self):
-        inst = from_partition(PartitionInput([2, 1, 1]))
-        found = exists_ceei_disc_bruteforce(inst)
-        assert found is not None
-        y, prices = found
-        assert recheck_discrete_price_support(inst, y, prices)
-
-    def test_identical_odd_weights(self):
-        inst = from_partition(PartitionInput([3, 1, 1]))
-        assert exists_ceei_disc_bruteforce(inst) is None
-
     def test_all_zero_identical_rows_keep_the_owner_vector_walk(self):
         # no split of all-zero rows has positive totals to price, so the walk
         # runs: the first owner vector is envy-free, and with no better bundle
@@ -619,14 +564,6 @@ class TestExistsDiscreteSupport:
         assert exists_ceei_disc_bruteforce(inst) == (DiscreteAssignment([0, 0]), PriceVector([1, 0]))
         with pytest.raises(InvariantError):
             exists_ceei_frac_discrete(inst)
-
-    def test_separation_instance_has_some(self, separation):
-        found = exists_ceei_disc_bruteforce(separation)
-        assert found is not None
-        y, prices = found
-        assert recheck_discrete_price_support(separation, y, prices)
-        # in particular the fractionally supported split qualifies as well
-        assert verify_ceei_disc(separation, DiscreteAssignment([0, 0, 1, 1])).holds
 
     def test_limit_stops_the_walk_before_a_leaf(self):
         # 3^20 owner vectors, but the walk counts only the nodes it enters:
@@ -659,10 +596,6 @@ class TestExistsDiscreteSupport:
             inst = mixed_instance(random.Random(6100 + seed), max_agents=4, max_objects=6, max_assignments=1024)
             envy_free = [y.owner for y in all_discrete_assignments(inst.n, inst.m) if is_envy_free(inst, y).holds]
             assert list(search._envy_free_owners(inst.int_rows, DEFAULT_ENUM_LIMIT)) == envy_free
-
-    def test_limit_below_one_is_rejected(self, separation):
-        with pytest.raises(ValueError, match="enumeration limit must be at least 1"):
-            exists_ceei_disc_bruteforce(separation, limit=0)
 
     def test_a_leafs_bundle_walk_stops_the_search(self):
         # the first envy-free owner vector the walk reaches, 15 objects
@@ -706,8 +639,9 @@ def _rational_instance(seed):
     return Instance([[v / rng.randint(1, 9) for v in row] for row in base.utilities]), rng
 
 
-# every walk with a `limit`: the error it raises at a limit of 1 on a 2x2
-# instance, and that error's fields
+# every walk that raises at its `limit` (`max_nash_discrete` truncates
+# instead): the error it raises at a limit of 1 on a 2x2 instance, and that
+# error's fields
 LIMITED = [
     pytest.param(
         lambda inst, limit: is_pareto_optimal_discrete(inst, DiscreteAssignment([1, 0]), limit=limit),
@@ -762,8 +696,9 @@ def test_limit_none_is_the_default_and_zero_is_rejected(call, default, error, fi
         with pytest.raises(error) as excinfo:
             call(Instance([[1, 2], [2, 1]]), limit=limit)
         assert {name: getattr(excinfo.value, name) for name in fields} == fields
-    with pytest.raises(ValueError, match="enumeration limit must be at least 1, not 0"):
-        call(Instance([[1, 2], [2, 1]]), limit=0)
+    for limit in (0, -1):
+        with pytest.raises(ValueError, match=f"enumeration limit must be at least 1, not {limit}"):
+            call(Instance([[1, 2], [2, 1]]), limit=limit)
     # a limit is an int: nan and inf once lifted it, True read as 1 and 1.5 as 2
     for limit in (float("nan"), float("inf"), 1.5, True):
         with pytest.raises(TypeError, match=f"enumeration limit must be an int, not {type(limit).__name__}"):
