@@ -342,7 +342,3 @@ def _certificate(cert):
             "gap": _number(cert.ratio_gap),
         }
     raise TypeError(f"unknown certificate {cert!r}")
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -177,9 +177,11 @@ class SchemaError(CeeiError):
 
 
 class InvariantError(CeeiError):
-    """Utilities violate the model invariants: `Instance` raises it for
-    negative entries, and the callers that need positive rows or columns
-    (`parse_instance`, `solve_eg`, `verify_ceei_frac`) for zero ones."""
+    """Utilities violate the model invariants.  `Instance` raises it for
+    negative entries, naming every one, whoever builds it, `parse_instance`
+    included; the callers that need positive rows or columns
+    (`parse_instance`, `solve_eg`, `verify_ceei_frac`) raise it for zero
+    ones."""
 
     def __init__(self, violations):
         self.violations = list(violations)

@@ -16,7 +16,9 @@ Four notions are decided here:
   by a pruned walk per agent) with `simplex.maximize`, an integer-pivoting
   simplex on 0/±1 rows whose optimum and prices are exact rationals; every
   nonempty own bundle costs exactly 1 there, one anchor object per bundle
-  taking the rest of the budget, so the anchors leave the LP.
+  taking the rest of the budget, so the anchors leave the LP.  A cap row
+  keeps the slack bounded, so the same LP decides an owner with no
+  strictly-better bundle.
 
 Every verdict checks its assignment with `model.check_assignment`, then
 reads the int rows `Instance.int_rows` and bundle values from
@@ -245,17 +247,20 @@ def verify_ceei_disc(inst: Instance, y: DiscreteAssignment, limit=None) -> Verdi
     least as much, so they are implied); the notion holds iff the optimal
     slack is positive.  Raising a price lowers no bundle's cost, so the LP
     fixes every nonempty own bundle's cost at exactly 1, one anchor object
-    per bundle taking what the rest of it leaves of the budget.  With no
-    strictly-better bundle there is no LP: each anchor costs 1 and every
-    other object 0.  So every holding verdict prices each nonempty own
-    bundle at exactly 1.  On failure the witness is the first minimal bundle
-    that those prices leave within its agent's budget.
+    per bundle taking what the rest of it leaves of the budget.  A cap row
+    t <= n keeps the LP bounded.  It never binds while a strictly-better
+    bundle exists, since every bundle costs at most n; with none, the LP's
+    one pivot prices each anchor at 1 and every other object at 0.  So
+    every holding verdict prices each nonempty own bundle at exactly 1.  On
+    failure the witness is the first minimal bundle that those prices leave
+    within its agent's budget.
 
     Rejects a bad `limit` first.  The envy and fractional tests are
     polynomial and take no limit.  The bundle walk after them counts the
     nodes it enters and raises InconclusiveSearch on entering node `limit`
     (None: DEFAULT_BUNDLE_LIMIT).  The LP has a row for each minimal bundle,
-    each one a node of that walk, and one for each nonempty own bundle.
+    each one a node of that walk, one for each nonempty own bundle and the
+    cap row.
     """
     check_assignment(inst, y)
     limit = _check_limit(limit, bundles=True)
@@ -282,8 +287,10 @@ def verify_ceei_disc(inst: Instance, y: DiscreteAssignment, limit=None) -> Verdi
     # B, +1 on a free object whose anchor is in B, and 0 where both or
     # neither hold.  An own row p(y_i - a_i) <= 1 keeps a_i's price
     # nonnegative.  Rows holding an anchor start off the degenerate rhs 0.
-    # With no bundle to price out of reach there is no LP: free objects cost
-    # 0 and each anchor the whole budget.
+    # A last row s <= n + 1 caps the slack.  While any bundle row exists it
+    # never binds, since s <= p(B) <= n with every own bundle costing at most
+    # 1; with none, its one pivot leaves free objects at 0 and each anchor
+    # the whole budget.
     bundles = [bundle for bundle in y.bundles(n) if bundle]
     hits = [0] * m
     for _agent, bundle in minimal:
@@ -292,17 +299,16 @@ def verify_ceei_disc(inst: Instance, y: DiscreteAssignment, limit=None) -> Verdi
     anchors = [max(bundle, key=lambda j: (hits[j], -j)) for bundle in bundles]
     anchor = {j: a for a, bundle in zip(anchors, bundles) for j in bundle}  # object -> its bundle's anchor
     free = [j for j in range(m) if anchor[j] != j]
-    slack, prices = 1, dict.fromkeys(free, 0)
-    if minimal:
-        lp_rows = [[(anchor[j] in bundle) - (j in bundle) for j in free] + [1] for _agent, bundle in minimal]
-        lp_rows += [[int(j in bundle) for j in free] + [0] for bundle in bundles]
-        rhs = [sum(anchor[j] == j for j in bundle) for _agent, bundle in minimal] + [1] * len(bundles)
-        value, solution = simplex.maximize([0] * len(free) + [1], lp_rows, rhs)
-        slack, prices = value - 1, dict(zip(free, solution))
+    lp_rows = [[(anchor[j] in bundle) - (j in bundle) for j in free] + [1] for _agent, bundle in minimal]
+    lp_rows += [[int(j in bundle) for j in free] + [0] for bundle in bundles]
+    lp_rows.append([0] * len(free) + [1])
+    rhs = [sum(anchor[j] == j for j in bundle) for _agent, bundle in minimal] + [1] * len(bundles) + [n + 1]
+    value, solution = simplex.maximize([0] * len(free) + [1], lp_rows, rhs)
+    prices = dict(zip(free, solution))
     for a, bundle in zip(anchors, bundles):
         prices[a] = 1 - sum(prices[j] for j in bundle if j != a)
     prices = [prices[j] for j in range(m)]
-    if slack > 0:
+    if value > 1:
         return Verdict(True, PriceSupport(PriceVector(prices)))
     for agent, bundle in minimal:
         if sum(prices[j] for j in bundle) <= 1:

@@ -16,6 +16,7 @@ import hashlib
 import json
 import random
 import re
+import sys
 from fractions import Fraction
 
 from .errors import (
@@ -28,7 +29,7 @@ from .errors import (
     _is_index,
     bounded,
 )
-from .model import DiscreteAssignment, Instance, _Frozen, _set, validate_instance
+from .model import DiscreteAssignment, Instance, _Frozen, _set, check_assignment, validate_instance
 
 _RATIONAL_RE = re.compile(r"^(0|[1-9][0-9]*)/([1-9][0-9]*)$")
 
@@ -174,8 +175,9 @@ def parse_instance(text: str) -> Instance:
     """Parse and fully validate an instance document.
 
     Raises DocumentSyntaxError for malformed JSON, SchemaError for wrong
-    shapes, negative values, or float literals, and InvariantError when the
-    matrix fails the positivity invariants.
+    shapes, float literals or numbers past Python's int-to-str digit limit,
+    and InvariantError when `Instance` finds negative entries or the matrix
+    has a zero row or column.
     """
     doc = _load_document(text)
     if not isinstance(doc, dict):
@@ -208,17 +210,22 @@ def serialize_assignment(y: DiscreteAssignment) -> str:
 
 
 def parse_assignment(text: str, inst: Instance) -> DiscreteAssignment:
-    """Parse an {"owner": [...]} document against a specific instance."""
+    """Parse an {"owner": [...]} document against a specific instance.
+
+    Raises DocumentSyntaxError for malformed JSON and SchemaError unless the
+    document is an object whose one field "owner" is a list.  The entries
+    are the model's to check: `DiscreteAssignment` raises InvalidAssignment
+    for one that is not a nonnegative int, and `check_assignment`
+    DimensionMismatch for a list of the wrong length and InvalidAssignment
+    for an agent index out of range.  An InvalidAssignment names the first
+    object at fault.
+    """
     doc = _load_document(text)
-    if not isinstance(doc, dict) or set(doc) != {"owner"}:
-        raise SchemaError("owner", "expected an object with a single 'owner' field")
-    owner = doc["owner"]
-    if not isinstance(owner, list) or len(owner) != inst.m:
-        raise SchemaError("owner", f"expected {inst.m} entries")
-    for j, o in enumerate(owner):
-        if isinstance(o, bool) or not isinstance(o, int) or not 0 <= o < inst.n:
-            raise SchemaError("owner", f"entry {j} must be an agent index below {inst.n}")
-    return DiscreteAssignment(owner)
+    if not isinstance(doc, dict) or set(doc) != {"owner"} or not isinstance(doc["owner"], list):
+        raise SchemaError("owner", "expected an object with a single 'owner' list")
+    y = DiscreteAssignment(doc["owner"])
+    check_assignment(inst, y)
+    return y
 
 
 def instance_digest(inst: Instance) -> str:
@@ -231,6 +238,8 @@ def _load_document(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentSyntaxError(exc.lineno, exc.colno, exc.msg) from exc
+    except ValueError as exc:  # an int literal past the int-to-str limit
+        raise SchemaError("document", _too_many_digits()) from exc
     except RecursionError as exc:
         raise DocumentSyntaxError(1, 1, "document nests too deeply") from exc
 
@@ -246,13 +255,18 @@ def _parse_value(value, i, j):
     if isinstance(value, bool):
         raise SchemaError(where, "booleans are not utilities")
     if isinstance(value, int):
-        if value < 0:
-            raise SchemaError(where, "utilities must be nonnegative")
         return Fraction(value)
     if isinstance(value, float):
         raise SchemaError(where, "decimal floats are not exact; use 'num/den'")
     if isinstance(value, str):
         if not _RATIONAL_RE.match(value):
             raise SchemaError(where, "expected 'numerator/denominator' with positive denominator")
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ValueError as exc:
+            raise SchemaError(where, _too_many_digits()) from exc
     raise SchemaError(where, f"unsupported value {value!r}")
+
+
+def _too_many_digits():
+    return f"a number has more than {sys.get_int_max_str_digits()} digits, Python's int-to-str limit"

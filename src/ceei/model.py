@@ -249,15 +249,12 @@ class DiscreteAssignment(_Frozen):
 
     def __init__(self, owner: Sequence[int]):
         owners = tuple(owner)
-        bad = next((j for j, o in enumerate(owners) if not _is_index(o)), None)
+        bad = next((j for j, o in enumerate(owners) if not _is_index(o) or o.__index__() < 0), None)
         if bad is not None:
             raise InvalidAssignment(f"owner of object {bad} is {bounded(owners[bad])}, not an agent index")
-        owners = tuple(o.__index__() for o in owners)
         if not owners:
             raise InvalidAssignment("an assignment needs at least one object")
-        if any(o < 0 for o in owners):
-            raise InvalidAssignment("owner indices must be nonnegative")
-        _set(self, "owner", owners)
+        _set(self, "owner", tuple(o.__index__() for o in owners))
 
     @property
     def m(self) -> int:
@@ -396,8 +393,9 @@ def check_assignment(inst: Instance, y: DiscreteAssignment):
     """Raise unless y is a complete assignment of this instance's objects."""
     if y.m != inst.m:
         raise DimensionMismatch("assignment", inst.m, y.m)
-    if any(o >= inst.n for o in y.owner):
-        raise InvalidAssignment(f"owner index out of range for {inst.n} agents")
+    bad = next((j for j, o in enumerate(y.owner) if o >= inst.n), None)
+    if bad is not None:
+        raise InvalidAssignment(f"owner of object {bad} is {bounded(y.owner[bad])}, out of range for {inst.n} agents")
 
 
 def bundle_values(rows, owner):

@@ -19,8 +19,8 @@ corpus; it checks exits forced by monkeypatching, fresh interpreters,
 wall-clock bounds, help text and documents too large to record.
 
 CI runs `tests/test_reports.py` twice: with the tier-1 suite from `src/`,
-and with the acceptance, public-name and CLI tests against the installed
-package (`pip install .`, then pytest with `-o pythonpath=`), so the
+and with the acceptance, public-name, document and CLI tests against the
+installed package (`pip install .`, then pytest with `-o pythonpath=`), so the
 records check the installed package too.
 
 A change that means to alter reports rewrites the cases it names, from the
@@ -68,6 +68,8 @@ DOCUMENTS = {
     "random-2x4.json": '{"agents":2,"objects":4,"utilities":[[41,19,50,83],[6,9,68,12]]}',
     "random-3x5.json": '{"agents":3,"objects":5,"utilities":[[3,9,8,2,5],[9,7,9,1,9],[0,7,4,8,3]]}',
     "zero-column.json": '{"agents":2,"objects":2,"utilities":[[1,0],[1,0]]}',
+    # a 5,001-digit utility, past Python's default int-to-str limit of 4,300
+    "past-digit-limit.json": '{"agents":1,"objects":1,"utilities":[[1' + "0" * 5000 + "]]}",
     "near-tie.json": _doc([1, 3 * _B, 1, 1], [_B + 1, 1, 1, 3 * _B], [_B + 1, _B, 0, 0]),
     # `gen random -n 5 -m 20 --max-util 100 --seed 2` and `-n 6 -m 22 --max-util 100 --seed 0`
     "random-5x20.json": _doc(
@@ -171,7 +173,7 @@ def _argvs():
     yield ["search", "binary-rational.json", "mnw"]
     yield ["search", "separation.json", "binary-mnw"]  # argparse: exit 2
     yield ["search", "zero-column.json", "identical-ceei-disc"]  # argparse: exit 2
-    for doc in (*_CHECKED, "zero-column", "near-tie", "absent"):
+    for doc in (*_CHECKED, "zero-column", "near-tie", "absent", "past-digit-limit"):
         yield ["solve", f"{doc}.json"]
     for n, m, top, seed in ((2, 4, 100, 7), (3, 5, 9, 3), (2, 4, 1, 7)):
         yield ["gen", "random", "-n", str(n), "-m", str(m), "--max-util", str(top), "--seed", str(seed)]

@@ -58,6 +58,19 @@ def _slack_lp_holds(inst, y):
     return solved is None or solved[0] > 1
 
 
+def _recorded_lps(monkeypatch):
+    """The list to which each (c, rows, rhs) that `simplex.maximize` solves
+    from now on is appended."""
+    solve, lps = simplex.maximize, []
+
+    def recorded(c, rows, rhs):
+        lps.append((c, rows, rhs))
+        return solve(c, rows, rhs)
+
+    monkeypatch.setattr(simplex, "maximize", recorded)
+    return lps
+
+
 class TestEnvyFree:
     def test_empty_bundle_envies_everything(self):
         inst = Instance([[2, 1], [2, 1]])
@@ -255,16 +268,20 @@ class TestVerifyDiscreteSupport:
         assert verdict.holds
         assert verdict.certificate.prices.prices == (Fraction(1, 2), Fraction(1, 6), Fraction(1, 3))
 
-    def test_agent_valuing_nothing_skips_the_fractional_test(self):
+    def test_agent_valuing_nothing_skips_the_fractional_test(self, monkeypatch):
         # verify_ceei_frac raises on agent 0, which values nothing; the
         # discrete test goes on to the bundle walk, whose two nodes are the
-        # agents' empty bundles, finds no better bundle and prices agent 1's
-        # bundle at 1 on its anchor, the first object
+        # agents' empty bundles, and finds no better bundle.  The LP then
+        # holds agent 1's own row and the cap s <= 3 on one free object,
+        # the second; its one pivot prices agent 1's bundle at 1 on its
+        # anchor, the first object
         inst = Instance([[0, 0], [1, 1]])
         y = DiscreteAssignment([1, 1])
         with pytest.raises(InvariantError):
             verify_ceei_frac(inst, y)
+        lps = _recorded_lps(monkeypatch)
         assert verify_ceei_disc(inst, y, limit=3).certificate.prices.prices == (1, 0)
+        assert lps == [([0, 1], [[1, 0], [0, 1]], [1, 3])]
         with pytest.raises(InconclusiveSearch) as excinfo:
             verify_ceei_disc(inst, y, limit=2)
         assert excinfo.value.nodes_explored == 2
@@ -326,17 +343,11 @@ class TestVerifyDiscreteSupport:
     def test_lp_prices_own_bundles_through_their_anchors(self, monkeypatch):
         # the 2x15 max-Nash owner is envy-free but not CEEI-frac, so the LP
         # decides it; each own bundle's anchor leaves the LP, which keeps
-        # m - 2 price columns and s, and entries in {-1, 0, 1}
+        # m - 2 price columns and s, entries in {-1, 0, 1}, and a row for
+        # each minimal bundle, each own bundle and the cap on s
         inst = gen_random(2, 15, 100, seed=0)
         y = max_nash_discrete(inst).best
-        solve = simplex.maximize
-        lps = []
-
-        def recorded(c, rows, rhs):
-            lps.append((c, rows, rhs))
-            return solve(c, rows, rhs)
-
-        monkeypatch.setattr(simplex, "maximize", recorded)
+        lps = _recorded_lps(monkeypatch)
         started = time.perf_counter()
         verdict = verify_ceei_disc(inst, y)
         elapsed = time.perf_counter() - started
@@ -345,7 +356,7 @@ class TestVerifyDiscreteSupport:
         assert len(c) == 15 - 2 + 1
         assert all(len(row) == len(c) and set(row) <= {-1, 0, 1} for row in rows)
         own = bundle_values(inst.int_rows, y.owner)
-        assert len(rows) == len(_minimal_better_bundles(inst.int_rows, own, DEFAULT_BUNDLE_LIMIT)) + 2
+        assert len(rows) == len(_minimal_better_bundles(inst.int_rows, own, DEFAULT_BUNDLE_LIMIT)) + 3
         prices = verdict.certificate.prices.prices
         assert [sum(prices[j] for j in bundle) for bundle in y.bundles(2)] == [1, 1]
         assert elapsed < 0.3

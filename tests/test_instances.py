@@ -3,10 +3,13 @@ from fractions import Fraction
 import pytest
 
 from ceei import (
+    DimensionMismatch,
     DiscreteAssignment,
     DocumentSyntaxError,
     EmptyMultiset,
     Instance,
+    InstanceViolation,
+    InvalidAssignment,
     InvariantError,
     PartitionInput,
     SchemaError,
@@ -188,9 +191,14 @@ class TestDocuments:
         inst = Instance([[Fraction(1, 3), 2], [1, Fraction(5, 7)]])
         assert parse_instance(serialize_instance(inst)) == inst
 
-    def test_negative_utility_is_schema_error(self):
-        with pytest.raises(SchemaError):
-            parse_instance('{"agents":1,"objects":2,"utilities":[[1,-2]]}')
+    def test_negative_utilities_are_invariant_errors_naming_each(self):
+        # the sign is Instance's to check, for documents as for every caller
+        with pytest.raises(InvariantError) as excinfo:
+            parse_instance('{"agents":2,"objects":2,"utilities":[[1,-2],[-1,"1/2"]]}')
+        assert excinfo.value.violations == [
+            InstanceViolation("negative_entry", agent=0, object=1),
+            InstanceViolation("negative_entry", agent=1, object=0),
+        ]
 
     def test_float_utility_is_schema_error(self):
         with pytest.raises(SchemaError):
@@ -251,10 +259,48 @@ class TestDocuments:
         y = DiscreteAssignment([0, 1, 1, 0])
         assert parse_assignment(serialize_assignment(y), separation) == y
 
-    def test_assignment_schema_checks(self, separation):
-        with pytest.raises(SchemaError):
-            parse_assignment('{"owner":[0,1]}', separation)
-        with pytest.raises(SchemaError):
-            parse_assignment('{"owner":[0,1,2,5]}', separation)
-        with pytest.raises(SchemaError):
-            parse_assignment('{"holders":[0,1,1,1]}', separation)
+    @pytest.mark.parametrize("document", ['{"holders":[0,1,1,1]}', "[0,1,1,1]", '{"owner":{"0":1}}', '{"owner":[0],"x":1}'])
+    def test_assignment_shape_is_schema_error(self, document, separation):
+        with pytest.raises(SchemaError) as excinfo:
+            parse_assignment(document, separation)
+        assert excinfo.value.field == "owner"
+
+    @pytest.mark.parametrize(
+        "owner, error, message",
+        [
+            ("[0,1]", DimensionMismatch, "assignment: expected length 4, got 2"),
+            ("[]", InvalidAssignment, "an assignment needs at least one object"),
+            ("[0,1,2,5]", InvalidAssignment, "owner of object 2 is 2, out of range for 2 agents"),
+            ("[0,-1,1,-2]", InvalidAssignment, "owner of object 1 is -1, not an agent index"),
+            ("[0,1,true,1]", InvalidAssignment, "owner of object 2 is True, not an agent index"),
+            ('[0,1.0,"1",null]', InvalidAssignment, "owner of object 1 is 1.0, not an agent index"),
+        ],
+    )
+    def test_owner_entries_are_the_models_to_check(self, owner, error, message, separation, tmp_path, capsys):
+        # DiscreteAssignment and check_assignment name the first bad object
+        with pytest.raises(error) as excinfo:
+            parse_assignment(f'{{"owner":{owner}}}', separation)
+        assert str(excinfo.value) == message
+        (tmp_path / "inst.json").write_text(SEPARATION_DOC)
+        (tmp_path / "owner.json").write_text(f'{{"owner":{owner}}}')
+        assert cli.main(["check", str(tmp_path / "inst.json"), str(tmp_path / "owner.json"), "ef"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "instance, owner, field",
+        [
+            ('{"agents":1,"objects":1,"utilities":[[1' + "0" * 5000 + "]]}", '{"owner":[0]}', "document"),
+            ('{"agents":1,"objects":1,"utilities":[["1/1' + "0" * 5000 + '"]]}', '{"owner":[0]}', "utilities[0][0]"),
+            ('{"agents":1,"objects":1,"utilities":[[1]]}', '{"owner":[1' + "0" * 5000 + "]}", "document"),
+        ],
+        ids=["int-literal", "fraction-string", "owner"],
+    )
+    def test_number_past_the_digit_limit_is_schema_error(self, instance, owner, field, tmp_path, capsys):
+        # json.loads and Fraction raise Python's own ValueError past 4300 digits
+        with pytest.raises(SchemaError, match="more than 4300 digits") as excinfo:
+            parse_assignment(owner, parse_instance(instance))
+        assert excinfo.value.field == field
+        (tmp_path / "inst.json").write_text(instance)
+        (tmp_path / "owner.json").write_text(owner)
+        assert cli.main(["check", str(tmp_path / "inst.json"), str(tmp_path / "owner.json"), "ef"]) == 2
+        assert capsys.readouterr() == ("", f"error: {excinfo.value}\n")

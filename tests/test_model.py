@@ -283,7 +283,7 @@ class TestAssignments:
             (lambda: Instance([[]]), "an instance needs at least one object"),
             (lambda: FractionalAssignment([]), "an assignment needs at least one agent and object"),
             (lambda: DiscreteAssignment([]), "an assignment needs at least one object"),
-            (lambda: DiscreteAssignment([-1]), "owner indices must be nonnegative"),
+            (lambda: DiscreteAssignment([0, -1]), "owner of object 1 is -1, not an agent index"),
             (lambda: DiscreteAssignment([0, 2]).to_fractional(2), "object 1 is allocated 0 in total, not 1"),
             (lambda: DiscreteAssignment([0, 2]).bundles(2), "owner index out of range for 2 agents"),
             (lambda: DiscreteAssignment.from_bundles(2, [[0], [True]]), "entry True of bundle 1 is not an object index"),
