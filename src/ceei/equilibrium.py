@@ -21,8 +21,8 @@ any object left without one (where rounding ties two spenders, the exact bid
 u_ij * beta_i decides).  From that guess the unique equilibrium utilities and
 prices are reconstructed and verified in integer arithmetic on one support
 graph, agents as nodes 0..n-1 and objects as n..n+m-1.  One rule, the same
-from either end of an edge, propagates ratios as reduced int pairs: the far
-end's is u_ij over the near end's.  Optimality is one cross-multiplied
+from either end of an edge, propagates ratios as int pairs: the far end's
+is u_ij over the near end's.  Optimality is one cross-multiplied
 comparison per entry over the prices' common denominator, and the money flow
 runs on the same nodes with int capacities scaled by that denominator.  Every
 returned solution is therefore exact, with a residual of literally zero; when
@@ -46,6 +46,7 @@ from .errors import (
     NonConvergence,
 )
 from .model import (
+    DiscreteAssignment,
     FractionalAssignment,
     Instance,
     PriceVector,
@@ -172,7 +173,6 @@ def solve_eg(inst: Instance, seed=None) -> EquilibriumSolution:
         p *= n / p.sum()
 
     gap = 0.1  # relative duality gap edges / (t * n) of the current central point
-    guess = np.zeros((n, m), dtype=bool)  # the first guess always differs: no object is held
     # a float fault surfaces as a non-finite Newton step, which ends the solve
     with np.errstate(all="ignore"):
         # 0.9 of the largest dual-feasible beta: every slack starts at >= 10% of its price
@@ -220,11 +220,9 @@ def solve_eg(inst: Instance, seed=None) -> EquilibriumSolution:
                     best = max(bids)
                     top[holders, j] = [bid == best for bid in bids]
                 tight |= top
-            if (tight != guess).any():
-                guess = tight
-                found = _certify_support(rows, scales, tight.tolist())
-                if found is not None:
-                    return EquilibriumSolution(*found, iterations=iterations, certified=True)
+            found = _certify_support(rows, scales, tight.tolist())
+            if found is not None:
+                return EquilibriumSolution(*found, iterations=iterations, certified=True)
             if gap < _GAP_FLOOR:
                 break
             gap /= 10
@@ -234,7 +232,7 @@ def solve_eg(inst: Instance, seed=None) -> EquilibriumSolution:
 
 def _allocation_rows(inst, allocation):
     x = allocation
-    if hasattr(x, "to_fractional") or isinstance(x, FractionalAssignment):
+    if isinstance(x, (DiscreteAssignment, FractionalAssignment)):
         return as_fractional(inst, x).rows
     rows = [_rational_row(row) for row in x]
     if len(rows) != inst.n:
@@ -270,7 +268,8 @@ def _certify_support(rows, scales, tight):
     if not all(links):
         return None
 
-    # ratios r_i and q_j as reduced int pairs (num, den), then u_i and p_j
+    # ratios r_i and q_j as int pairs (num, den), left unreduced since the
+    # final Fractions reduce them, then u_i and p_j
     ratio = [None] * (n + m)
     value = [None] * (n + m)
     for seed in range(n):
@@ -283,8 +282,7 @@ def _certify_support(rows, scales, tight):
             for far, v in links[node]:
                 num = v * b  # the far end's ratio is num / a
                 if ratio[far] is None:
-                    g = math.gcd(num, a)
-                    ratio[far] = (num // g, a // g)
+                    ratio[far] = (num, a)
                     comp.append(far)
                 else:
                     c, d = ratio[far]

@@ -291,7 +291,7 @@ def verify_ceei_disc(inst: Instance, y: DiscreteAssignment, limit=None) -> Verdi
     # never binds, since s <= p(B) <= n with every own bundle costing at most
     # 1; with none, its one pivot leaves free objects at 0 and each anchor
     # the whole budget.
-    bundles = [bundle for bundle in y.bundles(n) if bundle]
+    bundles = [bundle for bundle in map(y.bundle, range(n)) if bundle]
     hits = [0] * m
     for _agent, bundle in minimal:
         for j in bundle:

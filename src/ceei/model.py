@@ -263,20 +263,6 @@ class DiscreteAssignment(_Frozen):
     def bundle(self, agent: int) -> tuple:
         return tuple(j for j, o in enumerate(self.owner) if o == agent)
 
-    def bundles(self, n: int) -> list:
-        if any(o >= n for o in self.owner):
-            raise InvalidAssignment(f"owner index out of range for {n} agents")
-        out = [[] for _ in range(n)]
-        for j, o in enumerate(self.owner):
-            out[o].append(j)
-        return [tuple(b) for b in out]
-
-    def to_fractional(self, n: int) -> FractionalAssignment:
-        """The 0/1 matrix of n agents; an owner of n or more leaves its object's
-        column empty, which `FractionalAssignment` rejects."""
-        rows = [[1 if self.owner[j] == i else 0 for j in range(self.m)] for i in range(n)]
-        return FractionalAssignment(rows)
-
     @classmethod
     def from_bundles(cls, m: int, bundles: Sequence[Sequence[int]]) -> "DiscreteAssignment":
         owner = [None] * m
@@ -431,7 +417,7 @@ def as_fractional(inst: Instance, x) -> FractionalAssignment:
     """Normalize discrete or fractional input, or raw rows, to a FractionalAssignment."""
     if isinstance(x, DiscreteAssignment):
         check_assignment(inst, x)
-        return x.to_fractional(inst.n)
+        return FractionalAssignment([[int(o == i) for o in x.owner] for i in range(inst.n)])
     x = x if isinstance(x, FractionalAssignment) else FractionalAssignment(x)
     if x.n != inst.n:
         raise DimensionMismatch("assignment rows", inst.n, x.n)

@@ -615,24 +615,24 @@ def exists_ceei_disc_bruteforce(inst: Instance, limit=None):
     """First discrete assignment with discrete price support, plus its prices.
 
     Identical nonzero rows take `find_ceei_disc_identical`'s equal split
-    under `limit`, checked by `verify_ceei_disc` like every leaf of the
-    walk; its CEEI-frac shortcut prices the split.  Otherwise runs the exact
-    slack test on each envy-free owner vector in lexicographic order, as
-    `_envy_free_owners` reaches them, so the cost is up to n^m price LPs;
-    strictly a desk-scale instrument.  Discrete price support implies
-    envy-freeness (an envied bundle is a strictly better bundle inside
-    someone's affordable one), so the owner vectors the walk drops change no
-    answer.  Returns (assignment, prices) or None.  The walk counts the
-    nodes it enters and raises InconclusiveSearch on entering node `limit`
-    (None: DEFAULT_ENUM_LIMIT; below 1: a ValueError).  An envy-free owner
-    vector with fractional price support is certified by those prices at any
-    size.  Any other one goes to `verify_ceei_disc`'s bundle walk under its
+    under `limit`, priced by `verify_ceei_frac`: an equal positive split is
+    CEEI-frac, and its ratio prices support it discretely.  Otherwise runs
+    the exact slack test on each envy-free owner vector in lexicographic
+    order, as `_envy_free_owners` reaches them, so the cost is up to n^m
+    price LPs; strictly a desk-scale instrument.  Discrete price support
+    implies envy-freeness (an envied bundle is a strictly better bundle
+    inside someone's affordable one), so the owner vectors the walk drops
+    change no answer.  Returns (assignment, prices) or None.  The walk
+    counts the nodes it enters and raises InconclusiveSearch on entering
+    node `limit` (None: DEFAULT_ENUM_LIMIT; below 1: a ValueError).  An
+    envy-free owner vector with fractional price support is certified by
+    those prices at any size.  Any other one goes to `verify_ceei_disc`'s bundle walk under its
     default, DEFAULT_BUNDLE_LIMIT nodes; a leaf that walk cannot finish
     raises its InconclusiveSearch, with the bundle walk's node count.
     """
     if _splits_equally(inst):
         y = find_ceei_disc_identical(inst, limit)
-        return None if y is None else (y, verify_ceei_disc(inst, y).certificate.prices)
+        return None if y is None else (y, verify_ceei_frac(inst, y).certificate.prices)
     for owner in _envy_free_owners(inst.int_rows, _check_limit(limit)):
         y = DiscreteAssignment(owner)
         verdict = verify_ceei_disc(inst, y)

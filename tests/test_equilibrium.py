@@ -354,7 +354,7 @@ class TestKktResidual:
         y = DiscreteAssignment([0, 1, 1, 1])
         # p_j = max_k u_kj / v_k for the own utilities v = (95, 102)
         prices = [1, Fraction(1, 19), Fraction(5, 102), Fraction(95, 102)]
-        report = kkt_residual(separation, y.to_fractional(2), prices)
+        report = kkt_residual(separation, y, prices)
         # agent 1 holds o2 at ratio 38 while its best ratio is 102
         assert report.bang_per_buck == Fraction(102 - 38, 102)
         assert report.budget == Fraction(32, 969)

@@ -134,16 +134,7 @@ class TestParetoOptimal:
         choices = [0, 1, 2, 5] + (["1/2", "2/3", "7/4"] if seed % 2 else [3])
         inst = Instance([[rng.choice(choices) for _ in range(m)] for _ in range(n)])
         for y in all_discrete_assignments(n, m):
-            base = owner_values(inst, y.owner)
-            first = next(
-                (
-                    z
-                    for z in all_discrete_assignments(n, m)
-                    if all(a >= b for a, b in zip(owner_values(inst, z.owner), base))
-                    and owner_values(inst, z.owner) != base
-                ),
-                None,
-            )
+            first = first_dominating_assignment(inst, y)
             verdict = is_pareto_optimal_discrete(inst, y)
             assert verdict.holds == (first is None)
             if first is not None:
@@ -358,7 +349,7 @@ class TestVerifyDiscreteSupport:
         own = bundle_values(inst.int_rows, y.owner)
         assert len(rows) == len(_minimal_better_bundles(inst.int_rows, own, DEFAULT_BUNDLE_LIMIT)) + 3
         prices = verdict.certificate.prices.prices
-        assert [sum(prices[j] for j in bundle) for bundle in y.bundles(2)] == [1, 1]
+        assert [sum(prices[j] for j in bundle) for bundle in map(y.bundle, range(2))] == [1, 1]
         assert elapsed < 0.3
 
     @pytest.mark.parametrize("seed", range(8))
@@ -386,7 +377,7 @@ class TestVerifyDiscreteSupport:
                         routes.append("lp")
                     # the anchors and the LP fix every nonempty own bundle's cost at 1
                     prices = verdict.certificate.prices.prices
-                    assert all(sum(prices[j] for j in bundle) == 1 for bundle in y.bundles(inst.n) if bundle)
+                    assert all(sum(prices[j] for j in bundle) == 1 for bundle in map(y.bundle, range(inst.n)) if bundle)
                 else:
                     agent, objects = verdict.certificate.agent, verdict.certificate.objects
                     assert sum(inst.utilities[agent][j] for j in objects) > own[agent]

@@ -29,12 +29,13 @@ from ceei import (
     ViolatingBundle,
     agent_utilities,
     brute_force_max_nash,
+    kkt_residual,
     nash_welfare,
     separation_example,
     validate_instance,
     verify_ceei_disc,
 )
-from ceei.model import as_fractional
+from ceei.model import as_fractional, check_assignment
 from oracles import all_discrete_assignments
 
 # one value of each value type, with a field whose value is truthy
@@ -97,10 +98,8 @@ class TestAgentUtilities:
         # every instance has owner vectors leaving some agent an empty bundle
         inst = Instance(utilities)
         for y in all_discrete_assignments(inst.n, inst.m):
-            x = y.to_fractional(inst.n)
-            assert as_fractional(inst, y).rows == x.rows == tuple(
-                tuple(int(o == i) for o in y.owner) for i in range(inst.n)
-            )
+            x = as_fractional(inst, y)
+            assert x.rows == tuple(tuple(int(o == i) for o in y.owner) for i in range(inst.n))
             values = agent_utilities(inst, y)
             assert values == agent_utilities(inst, x)
             assert all(type(v) is Fraction for v in values)
@@ -198,11 +197,11 @@ class TestValidateInstance:
 class TestAssignments:
     def test_discrete_round_trip(self, separation):
         for y in all_discrete_assignments(2, 4):
-            assert y.to_fractional(2).to_discrete() == y
+            assert as_fractional(separation, y).to_discrete() == y
 
     def test_column_mass_equals_object_count(self, separation):
         for y in all_discrete_assignments(2, 4):
-            x = y.to_fractional(2)
+            x = as_fractional(separation, y)
             assert sum(sum(row) for row in x.rows) == separation.m
 
     def test_incomplete_column_rejected(self):
@@ -234,8 +233,9 @@ class TestAssignments:
 
     def test_bundles_partition_objects(self):
         y = DiscreteAssignment([0, 2, 1, 0])
-        assert y.bundles(3) == [(0, 3), (2,), (1,)]
-        assert DiscreteAssignment.from_bundles(4, y.bundles(3)) == y
+        bundles = [y.bundle(i) for i in range(3)]
+        assert bundles == [(0, 3), (2,), (1,)]
+        assert DiscreteAssignment.from_bundles(4, bundles) == y
 
     @pytest.mark.parametrize("owner", [[0.7, 1.9], [True, False], ["1"], [0, Fraction(1)], [None]])
     def test_owners_must_be_integers(self, owner):
@@ -260,13 +260,13 @@ class TestAssignments:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda inst, y: y.to_fractional(inst.n),
-            lambda inst, y: y.bundles(inst.n),
+            check_assignment,
+            lambda inst, y: kkt_residual(inst, y, [1, 1]),
             as_fractional,
             agent_utilities,
             nash_welfare,
         ],
-        ids=["to_fractional", "bundles", "as_fractional", "agent_utilities", "nash_welfare"],
+        ids=["check_assignment", "kkt_residual", "as_fractional", "agent_utilities", "nash_welfare"],
     )
     def test_out_of_range_owner_is_invalid_on_every_path(self, call):
         with pytest.raises(InvalidAssignment):
@@ -284,8 +284,14 @@ class TestAssignments:
             (lambda: FractionalAssignment([]), "an assignment needs at least one agent and object"),
             (lambda: DiscreteAssignment([]), "an assignment needs at least one object"),
             (lambda: DiscreteAssignment([0, -1]), "owner of object 1 is -1, not an agent index"),
-            (lambda: DiscreteAssignment([0, 2]).to_fractional(2), "object 1 is allocated 0 in total, not 1"),
-            (lambda: DiscreteAssignment([0, 2]).bundles(2), "owner index out of range for 2 agents"),
+            (
+                lambda: check_assignment(Instance([[1, 1], [1, 1]]), DiscreteAssignment([0, 2])),
+                "owner of object 1 is 2, out of range for 2 agents",
+            ),
+            (
+                lambda: as_fractional(Instance([[1, 1], [1, 1]]), DiscreteAssignment([0, 2])),
+                "owner of object 1 is 2, out of range for 2 agents",
+            ),
             (lambda: DiscreteAssignment.from_bundles(2, [[0], [True]]), "entry True of bundle 1 is not an object index"),
             (lambda: DiscreteAssignment.from_bundles(2, [[0, 1], [1]]), "object 1 assigned twice"),
             (lambda: DiscreteAssignment.from_bundles(4, [[0], [2]]), "objects [1, 3] are unassigned"),
