@@ -56,7 +56,6 @@ _EXPORTS = {
         "parse_assignment",
         "parse_instance",
         "separation_example",
-        "serialize_assignment",
         "serialize_instance",
     ),
     "model": (

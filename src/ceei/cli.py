@@ -59,6 +59,7 @@ from .errors import (
 from .instances import (
     PartitionInput,
     ThreePartitionInput,
+    _too_many_digits,
     from_partition,
     from_three_partition,
     gen_random,
@@ -295,10 +296,15 @@ def _cmd_gen(args, report):
 
 
 def _parse_ints(text, field):
-    try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError as exc:
-        raise SchemaError(field, "expected comma-separated integers") from exc
+    values = []
+    for part in filter(None, map(str.strip, text.split(","))):
+        try:
+            values.append(int(part))
+        except ValueError as exc:
+            # int() refuses a signed digit string only past the int-to-str limit
+            digits = (part[1:] if part[0] in "+-" else part).isdecimal()
+            raise SchemaError(field, _too_many_digits() if digits else "expected comma-separated integers") from exc
+    return values
 
 
 def _read(path):

@@ -52,10 +52,6 @@ class PartitionInput(_Frozen):
             raise SchemaError("integers", "partition inputs must be positive")
         _set(self, "integers", values)
 
-    @property
-    def total(self) -> int:
-        return sum(self.integers)
-
 
 class ThreePartitionInput(_Frozen):
     """3n positive weights, each strictly between W/4 and W/2, summing to nW."""
@@ -203,10 +199,6 @@ def parse_instance(text: str) -> Instance:
     if violations:
         raise InvariantError(violations)
     return inst
-
-
-def serialize_assignment(y: DiscreteAssignment) -> str:
-    return json.dumps({"owner": list(y.owner)}, separators=(",", ":"))
 
 
 def parse_assignment(text: str, inst: Instance) -> DiscreteAssignment:

@@ -227,17 +227,6 @@ class FractionalAssignment(_Frozen):
     def m(self) -> int:
         return len(self.rows[0])
 
-    def is_discrete(self) -> bool:
-        return all(v == 0 or v == 1 for row in self.rows for v in row)
-
-    def to_discrete(self) -> "DiscreteAssignment":
-        if not self.is_discrete():
-            raise InvalidAssignment("assignment has fractional entries")
-        owner = []
-        for j in range(self.m):
-            owner.append(next(i for i in range(self.n) if self.rows[i][j] == 1))
-        return DiscreteAssignment(owner)
-
     def __repr__(self):
         return f"FractionalAssignment(n={self.n}, m={self.m})"
 
@@ -263,24 +252,6 @@ class DiscreteAssignment(_Frozen):
     def bundle(self, agent: int) -> tuple:
         return tuple(j for j, o in enumerate(self.owner) if o == agent)
 
-    @classmethod
-    def from_bundles(cls, m: int, bundles: Sequence[Sequence[int]]) -> "DiscreteAssignment":
-        owner = [None] * m
-        for i, bundle in enumerate(bundles):
-            for j in bundle:
-                if not _is_index(j):
-                    raise InvalidAssignment(f"entry {bounded(j)} of bundle {i} is not an object index")
-                j = j.__index__()
-                if not 0 <= j < m:
-                    raise InvalidAssignment(f"object index {bounded(j)} out of range for {m} objects")
-                if owner[j] is not None:
-                    raise InvalidAssignment(f"object {j} assigned twice")
-                owner[j] = i
-        if any(o is None for o in owner):
-            missing = [j for j, o in enumerate(owner) if o is None]
-            raise InvalidAssignment(f"objects {missing} are unassigned")
-        return cls(owner)
-
     def __repr__(self):
         return f"DiscreteAssignment({list(self.owner)})"
 
@@ -298,10 +269,6 @@ class PriceVector(_Frozen):
             if p < 0:
                 raise InvalidAssignment(f"price of object {j} is {bounded(p)}, negative")
         _set(self, "prices", values)
-
-    @property
-    def m(self) -> int:
-        return len(self.prices)
 
     def __getitem__(self, j: int) -> Fraction:
         return self.prices[j]

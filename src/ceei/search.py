@@ -164,13 +164,23 @@ def max_nash_discrete(inst: Instance, limit=None) -> SearchResult:
     DEFAULT_ENUM_LIMIT; below 1: a ValueError) truncates the search and sets
     `optimal = False` instead of raising; the result is then the greedy
     assignment or a better one.  Both bounds need the nonnegative utilities
-    that `Instance` guarantees.  Either route's welfare is scaled by `_result`.
+    that `Instance` guarantees.  Before the search, one augmenting-path
+    search per agent (`_augment`) looks for a distinct valued object for
+    each; if some agent finds none, as always when n > m, every assignment
+    is worth 0 and the all-zero owner vector answers at once, optimal at any
+    `limit`, with `nodes_explored` counting those path searches.  Every
+    route's welfare is scaled by `_result`.
     """
     limit = _check_limit(limit)
     if inst.is_binary():
         return binary_max_nash(inst)
     n, m = inst.n, inst.m
     rows = inst.int_rows
+    valued = [[j for j, v in enumerate(row) if v] for row in rows]
+    matched = [None] * m
+    for i in range(n):
+        if not _augment(valued, matched, i):
+            return _result(inst, (0,) * m, 0, i + 1)
     # compares utilities across agents, so it reads the unscaled ones
     order = sorted(range(m), key=lambda j: (-max(row[j] for row in inst.utilities), j))
     # suffix[k][i]: utility mass agent i could still gain from objects order[k:]

@@ -18,10 +18,9 @@ reads `DOCUMENTS` as well and leaves every report recorded here to this
 corpus; it checks exits forced by monkeypatching, fresh interpreters,
 wall-clock bounds, help text and documents too large to record.
 
-CI runs `tests/test_reports.py` twice: with the tier-1 suite from `src/`,
-and with the acceptance, public-name, document and CLI tests against the
-installed package (`pip install .`, then pytest with `-o pythonpath=`), so the
-records check the installed package too.
+CI runs the whole suite once against the installed package (`pip install .`,
+then pytest with `-o pythonpath=`), so the records check the installed
+package.
 
 A change that means to alter reports rewrites the cases it names, from the
 root of the checkout:
@@ -104,6 +103,8 @@ DOCUMENTS = {
     # separation.json with 13 more objects, each worth 1 to agent 1 only (a
     # document may not hold an object nobody values)
     "padded-2x17.json": _doc([95, 5, 2, 1] + [0] * 13, [1, 2, 5, 95] + [1] * 13),
+    # more agents than objects: every assignment leaves an agent with nothing
+    "crowded-3x2.json": _doc([2, 1], [1, 2], [1, 1]),
     "even.json": '{"owner":[0,0,1,1]}',
     "lopsided.json": '{"owner":[0,1,1,1]}',
     "lopsided-17.json": '{"owner":[0,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1]}',
@@ -168,6 +169,10 @@ def _argvs():
     for target in ("ceei-frac", "ceei-disc"):
         yield ["search", "identical.json", target, "--limit-nodes", "1"]
     yield ["search", "three-partition-6.json", "ceei-disc"]
+    # a zero optimum, decided before branch and bound and so at any limit
+    for target in ("mnw", "ceei-frac"):
+        yield ["search", "crowded-3x2.json", target]
+    yield ["search", "crowded-3x2.json", "mnw", "--limit-nodes", "1"]
     # 0/1 int rows take the polynomial maximizer, which no limit truncates
     yield ["search", "binary-gap.json", "mnw", "--limit-nodes", "1"]
     yield ["search", "binary-rational.json", "mnw"]

@@ -465,6 +465,17 @@ class TestGen:
         assert message in err
         assert not (workdir / "x.json").exists()
 
+    # int() refuses 4,301 digits; a record would hold the argument in its name
+    @pytest.mark.parametrize(
+        "field, args",
+        [("set", ["partition", "--set", "1," + "9" * 4301]), ("weights", ["3partition", "--weights", "3,3,-" + "9" * 4301, "--bound", "10"])],
+        ids=["set", "weights"],
+    )
+    def test_integer_past_the_digit_limit_names_the_limit(self, workdir, capsys, field, args):
+        code, report, err = run(capsys, "gen", *args, "--out", workdir / "x.json")
+        assert (code, report) == (2, None)
+        assert f"field '{field}': a number has more than 4300 digits, Python's int-to-str limit" in err
+
     def test_generated_instances_are_readable_by_solve(self, workdir, capsys):
         out = workdir / "g.json"
         run(capsys, "gen", "random", "-n", 3, "-m", 5, "--max-util", 9, "--seed", 3, "--out", out)

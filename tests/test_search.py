@@ -83,6 +83,18 @@ def _product_oracle_cases():
     ]
 
 
+# every assignment leaves some agent with nothing: more agents than objects,
+# or three agents sharing the two objects they value; branch and bound alone
+# truncates both at limit=1000
+ZERO_OPTIMA = [
+    pytest.param(gen_random(9, 8, 100, seed=0), id="9x8"),
+    pytest.param(
+        Instance([[5, 7] + [0] * 10, [7, 5] + [0] * 10, [6, 6] + [0] * 10, [0, 0] + list(range(1, 11))]),
+        id="three-share-two-of-12",
+    ),
+]
+
+
 class TestBruteForce:
     @pytest.mark.parametrize("inst", _product_oracle_cases())
     def test_matches_the_product_oracle(self, inst):
@@ -154,6 +166,11 @@ class TestBranchAndBound:
         assert not result.optimal
         assert result.nodes_explored <= 3
         assert result.welfare == nash_welfare(separation, result.best)
+
+    @pytest.mark.parametrize("inst", ZERO_OPTIMA)
+    def test_zero_optimum_is_decided_before_the_search(self, inst):
+        result = max_nash_discrete(inst, limit=1000)
+        assert (result.best, result.welfare, result.optimal) == (DiscreteAssignment([0] * inst.m), 0, True)
 
     def test_zero_welfare_frontier_returns_lexicographic_first(self, contested_object):
         result = max_nash_discrete(contested_object)
@@ -256,6 +273,10 @@ class TestExistsFractionalSupport:
     def test_truncated_search_is_inconclusive(self, separation):
         with pytest.raises(InconclusiveSearch):
             exists_ceei_frac_discrete(separation, limit=2)
+
+    @pytest.mark.parametrize("inst", ZERO_OPTIMA)
+    def test_zero_optimum_has_none_within_a_small_limit(self, inst):
+        assert exists_ceei_frac_discrete(inst, limit=1000) is None
 
     @pytest.mark.parametrize("nodes", [0, -1])
     def test_limit_below_one_is_rejected_on_the_binary_route(self, nodes, binary_gap):
@@ -730,12 +751,13 @@ def test_answers_match_the_instance_with_int_rows(seed):
     bnb, bnb_scaled = max_nash_discrete(inst), max_nash_discrete(scaled)
     assert (bnb.best, bnb.welfare, bnb.optimal) == (bnb_scaled.best, bnb_scaled.welfare / scale, True)
     # a truncated search still reports its incumbent's welfare on the
-    # instance's own rows; at one node that incumbent is the greedy one
+    # instance's own rows; at one node that incumbent is the greedy one.
+    # A zero optimum is decided before the search, at any limit
     for k in (1, 2, 3):
         truncated = max_nash_discrete(inst, limit=k)
         assert truncated.welfare == nash_welfare(inst, truncated.best)
         if k == 1:
-            assert not truncated.optimal
+            assert truncated.optimal == (bnb.welfare == 0)
     assert exists_ceei_frac_discrete(inst) == exists_ceei_frac_discrete(scaled)
     assert exists_ceei_disc_bruteforce(inst) == exists_ceei_disc_bruteforce(scaled)
 
