@@ -26,8 +26,11 @@ is u_ij over the near end's.  Optimality is one cross-multiplied
 comparison per entry over the prices' common denominator, and the money flow
 runs on the same nodes with int capacities scaled by that denominator.  Every
 returned solution is therefore exact, with a residual of literally zero; when
-no guess certifies before the relative duality gap falls below 1e-10, or
-within 100,000 Newton steps, the solver raises NonConvergence.
+no guess certifies before the relative duality gap falls below 1e-13, or
+within 100,000 Newton steps, the solver raises NonConvergence.  A floor that
+low lets the 1/sqrt(t) cut separate edges whose bang per buck differs by
+about 10^-6 relative (entries 10^6 against 10^6 + 1); ties that floats cannot
+see, such as 10^15 + 1 against 10^15, still end in NonConvergence.
 
 numpy is imported inside `solve_eg`, so importing this module (and the CLI)
 does not load it.
@@ -56,7 +59,7 @@ from .model import (
 )
 
 _CENTRED = 2.0  # Newton decrement up to which an iterate is centred: loose, the certificate decides
-_GAP_FLOOR = 1e-10  # relative duality gap below which the solver gives up
+_GAP_FLOOR = 1e-13  # relative duality gap below which the solver gives up
 _MAX_STEPS = 100_000  # Newton steps before the solver gives up
 
 
@@ -150,7 +153,7 @@ def solve_eg(inst: Instance, seed=None) -> EquilibriumSolution:
     vectors, and the number of Newton steps taken.  `seed` switches the
     uniform starting prices to seeded random ones; the answer does not depend
     on it.  Raises NonConvergence if no support guess certifies before the
-    duality gap falls below 1e-10 or within 100,000 Newton steps.
+    duality gap falls below 1e-13 or within 100,000 Newton steps.
     """
     import numpy as np
 

@@ -2,22 +2,28 @@
 
 Everything here deliberately avoids the implementations under test, and
 takes nothing from `ceei` but its input types: the subset-sum check is a
-bitset dynamic program, the equal-split, Pareto and max-Nash checks are
-plain enumeration of owner vectors, the envy check values every bundle for
-every agent, price-support certificates are re-verified directly from
-their defining inequalities, LP optima come from vertex enumeration rather
+bitset dynamic program, the equal-split and Pareto checks are plain
+enumeration of owner vectors, LP optima come from vertex enumeration rather
 than pivoting, LP solutions from a textbook rational tableau rather than
 integer pivoting, and inclusion-minimal masks come from pairwise subset
 tests over a scan of every subset.  Every bundle of an owner vector is
 valued by `owner_values`, from `inst.utilities` and the owner vector alone.
+
+The envy pair, the max-Nash optimum by enumeration and the CEEI-frac,
+CEEI-disc and Fisher-equilibrium certificates are not restated here: the
+tests take them from `checks`, the benchmark's `bench/checks.py`, which
+imports nothing from `ceei` and reads raw rows, owner lists and price lists.
 """
 
-import math
+import sys
 from fractions import Fraction
 from itertools import combinations, product
-from operator import mul
+from pathlib import Path
 
 from ceei import DiscreteAssignment, Instance
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import checks  # noqa: E402
 
 # entry pools for small random instances: many zeros, "p/q" entries, and
 # entries too large for floats
@@ -82,28 +88,6 @@ def all_discrete_assignments(n, m):
         yield DiscreteAssignment(owner)
 
 
-def max_nash_by_product(inst):
-    """Enumerate owner vectors lexicographically: the first of maximum Nash
-    welfare, as (DiscreteAssignment, Fraction welfare)."""
-    best, best_welfare = None, Fraction(-1)
-    for owner in product(range(inst.n), repeat=inst.m):
-        welfare = math.prod(owner_values(inst, owner))
-        if welfare > best_welfare:
-            best, best_welfare = owner, welfare
-    return DiscreteAssignment(best), best_welfare
-
-
-def first_envy_pair(inst, y):
-    """Check every ordered pair of agents in order: the first (i, k) with i
-    valuing k's bundle under y above its own, in Fractions, or None."""
-    for i in range(inst.n):
-        values = owner_values(inst, y.owner, i)
-        envied = next((k for k, value in enumerate(values) if value > values[i]), None)
-        if envied is not None:
-            return i, envied
-    return None
-
-
 def first_ratio_gap(inst, y):
     """Agent by agent, ascending within an agent: the first (i, j, gap) with
     agent i holding object j at a ratio u_ij / v_i below the column's best
@@ -161,48 +145,6 @@ def random_fractional_welfare(inst, rng):
     for t in totals:
         welfare *= t
     return welfare
-
-
-def recheck_fractional_price_support(inst, y, prices):
-    """Certificate recheck: owners attain every column's best ratio, budgets exhaust."""
-    values = owner_values(inst, y.owner)
-    for j, owner in enumerate(y.owner):
-        best = max(inst.utilities[k][j] / values[k] for k in range(inst.n))
-        if inst.utilities[owner][j] / values[owner] != best or prices[j] != best:
-            return False
-    return all(sum((p for p, o in zip(prices, y.owner) if o == i), Fraction(0)) == 1 for i in range(inst.n))
-
-
-def recheck_market_equilibrium(inst, prices, x, utilities):
-    """Fisher-market recheck at budget 1 each: every price is positive, every
-    column of x sums to 1, and each agent spends exactly its budget, only on
-    objects of its best ratio u_ij / p_j, for the utility it is said to get."""
-    if min(prices) <= 0 or any(share < 0 for row in x for share in row):
-        return False
-    if any(sum(row[j] for row in x) != 1 for j in range(inst.m)):
-        return False
-    for i, (row, shares) in enumerate(zip(inst.utilities, x)):
-        best = max(u / p for u, p in zip(row, prices))
-        if any(share and u / p != best for u, p, share in zip(row, prices, shares)):
-            return False
-        if sum(map(mul, prices, shares)) != 1 or sum(map(mul, row, shares)) != utilities[i]:
-            return False
-    return True
-
-
-def recheck_discrete_price_support(inst, y, prices):
-    """Certificate recheck: own bundles affordable, better bundles strictly over budget."""
-    if any(sum((p for p, o in zip(prices, y.owner) if o == i), Fraction(0)) > 1 for i in range(inst.n)):
-        return False
-    own = owner_values(inst, y.owner)
-    for i in range(inst.n):
-        for mask in range(1, 1 << inst.m):
-            objs = [j for j in range(inst.m) if mask >> j & 1]
-            value = sum((inst.utilities[i][j] for j in objs), Fraction(0))
-            cost = sum((prices[j] for j in objs), Fraction(0))
-            if value > own[i] and cost <= 1:
-                return False
-    return True
 
 
 def lp_vertex_optimum(c, rows, rhs):

@@ -10,10 +10,11 @@ Each check has one home.  The acceptance criteria in
 `tests/test_acceptance.py` are the spec.  The records here are every CLI
 answer: `tests/test_reports.py` compares each command's output with its
 record, and proves each answer small enough to enumerate, every ratio gap
-and every solved equilibrium against `tests/oracles.py`, which uses nothing
-from `ceei` but its input types.  The module tests hold what neither can: Python exceptions and
-their fields, private engines, monkeypatched faults, wall-clock bounds and
-seeded sweeps of the Python API against the oracles.  `tests/test_cli.py`
+and every solved equilibrium against `tests/oracles.py` and
+`bench/checks.py`, which use nothing from `ceei` but its input types.  The
+module tests hold what neither can: Python exceptions and their fields,
+private engines, monkeypatched faults, wall-clock bounds and seeded sweeps
+of the Python API against the oracles.  `tests/test_cli.py`
 reads `DOCUMENTS` as well and leaves every report recorded here to this
 corpus; it checks exits forced by monkeypatching, fresh interpreters,
 wall-clock bounds, help text and documents too large to record.
@@ -70,6 +71,8 @@ DOCUMENTS = {
     # a 5,001-digit utility, past Python's default int-to-str limit of 4,300
     "past-digit-limit.json": '{"agents":1,"objects":1,"utilities":[[1' + "0" * 5000 + "]]}",
     "near-tie.json": _doc([1, 3 * _B, 1, 1], [_B + 1, 1, 1, 3 * _B], [_B + 1, _B, 0, 0]),
+    # 10**6 and 10**6 + 1 differ in floats, so Newton can tell the tied edges apart
+    "million-tie.json": _doc([10**6, 10**6], [10**6, 10**6 + 1]),
     # `gen random -n 5 -m 20 --max-util 100 --seed 2` and `-n 6 -m 22 --max-util 100 --seed 0`
     "random-5x20.json": _doc(
         [7, 11, 10, 46, 21, 94, 85, 39, 32, 77, 27, 77, 4, 74, 87, 20, 55, 81, 50, 92],
@@ -178,7 +181,7 @@ def _argvs():
     yield ["search", "binary-rational.json", "mnw"]
     yield ["search", "separation.json", "binary-mnw"]  # argparse: exit 2
     yield ["search", "zero-column.json", "identical-ceei-disc"]  # argparse: exit 2
-    for doc in (*_CHECKED, "zero-column", "near-tie", "absent", "past-digit-limit"):
+    for doc in (*_CHECKED, "zero-column", "near-tie", "million-tie", "absent", "past-digit-limit"):
         yield ["solve", f"{doc}.json"]
     for n, m, top, seed in ((2, 4, 100, 7), (3, 5, 9, 3), (2, 4, 1, 7)):
         yield ["gen", "random", "-n", str(n), "-m", str(m), "--max-util", str(top), "--seed", str(seed)]

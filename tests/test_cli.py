@@ -10,6 +10,7 @@ import pytest
 from ceei import Instance, cli, gen_random, serialize_instance
 from ceei.cli import main
 from ceei.errors import DEFAULT_BUNDLE_LIMIT, DEFAULT_ENUM_LIMIT
+from oracles import checks
 from report_corpus import DOCUMENTS
 
 
@@ -185,6 +186,12 @@ class TestSolve:
 
     def test_importing_the_package_loads_no_submodule(self, workdir):
         assert _loaded(workdir) == (None, {"ceei"})
+
+    def test_the_answer_checker_loads_no_ceei_module(self):
+        # the tests' envy, max-Nash and certificate references stay
+        # independent of the code under test only while this holds
+        probe = "import sys; sys.path.insert(0, sys.argv[1]); import checks; print('ceei' in sys.modules)"
+        assert _fresh_python(probe, Path(checks.__file__).parent) == "False"
 
     def test_gen_loads_only_what_every_command_uses(self, workdir):
         # neither `dataclasses` nor `inspect`, which it imports

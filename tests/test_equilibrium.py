@@ -18,7 +18,7 @@ from ceei import (
     solve_eg,
 )
 from ceei.equilibrium import _certify_support
-from oracles import mixed_instance, random_fractional_welfare
+from oracles import checks, mixed_instance, random_fractional_welfare
 
 
 class TestSolveEg:
@@ -155,6 +155,41 @@ class TestSolveEg:
             Fraction(2, big + 3),
         )
         assert kkt_residual(inst, sol.x, sol.p_star).max_violation == 0
+
+    def test_tie_of_one_in_a_million_certifies(self):
+        # agent 1's bang per buck on object 0 falls short by a relative 10**-6,
+        # which the support guess sees only once the gap is below 1e-11
+        sol = solve_eg(Instance([[10**6, 10**6], [10**6, 10**6 + 1]]))
+        assert sol.u_star == (10**6, 10**6 + 1)
+        assert sol.p_star.prices == (1, 1)
+        assert sol.x.rows == ((1, 0), (0, 1))
+
+    def test_random_ties_of_one_in_a_million_certify(self):
+        # 300 draws per pool, n 2-4 and m 2-7: every tie draw certifies, and
+        # all but one valid draw with 0 and 1 (ROADMAP item 25); at a gap
+        # floor of 1e-10, 281 and 123 gave up
+        rng = random.Random(25)
+        counts = []
+        for pool in ([10**6, 10**6 + 1], [0, 1, 10**6, 10**6 + 1]):
+            outcomes = {"certified": 0, "nonconvergence": 0, "invariant": 0}
+            for _ in range(300):
+                n, m = rng.randint(2, 4), rng.randint(2, 7)
+                inst = Instance([[rng.choice(pool) for _ in range(m)] for _ in range(n)])
+                try:
+                    sol = solve_eg(inst)
+                except NonConvergence:
+                    outcomes["nonconvergence"] += 1
+                except InvariantError:
+                    outcomes["invariant"] += 1
+                else:
+                    x, u, p = [list(row) for row in sol.x.rows], list(sol.u_star), list(sol.p_star)
+                    assert checks.equilibrium_problem(inst.utilities, x, u, p) is None
+                    outcomes["certified"] += 1
+            counts.append(outcomes)
+        assert counts == [
+            {"certified": 300, "nonconvergence": 0, "invariant": 0},
+            {"certified": 260, "nonconvergence": 1, "invariant": 39},
+        ]
 
     @pytest.mark.parametrize("seed", range(12))
     def test_rational_rows_solve_like_their_int_rows(self, seed):

@@ -33,12 +33,11 @@ from ceei.fairness import _minimal_better_bundles, bundle_values
 from oracles import (
     all_discrete_assignments,
     bland_tableau,
+    checks,
     first_dominating_assignment,
-    first_envy_pair,
     minimal_better_bundles,
     mixed_instance,
     owner_values,
-    recheck_discrete_price_support,
 )
 
 LOPSIDED = DiscreteAssignment([0, 1, 1, 1])  # favourite object vs the rest
@@ -89,7 +88,7 @@ class TestEnvyFree:
     def test_both_verifiers_name_the_oracles_pair(self, seed):
         inst = mixed_instance(random.Random(7300 + seed), max_assignments=256)
         for y in all_discrete_assignments(inst.n, inst.m):
-            pair = first_envy_pair(inst, y)
+            pair = checks.envy_pair(inst.utilities, y.owner)
             verdict = is_envy_free(inst, y)
             if pair is None:
                 assert verdict.holds and verdict.certificate is None
@@ -283,7 +282,7 @@ class TestVerifyDiscreteSupport:
         monkeypatch.setattr(simplex, "maximize", None)
         verdict = verify_ceei_disc(separation, EVEN, limit=1)
         assert verdict == verify_ceei_frac(separation, EVEN)
-        assert recheck_discrete_price_support(separation, EVEN, verdict.certificate.prices)
+        assert checks.discrete_support_problem(separation.utilities, EVEN.owner, list(verdict.certificate.prices)) is None
 
     def test_planted_three_partition_split_past_16_objects(self):
         # six triples summing to 30: identical rows split equally are CEEI-frac,
@@ -368,7 +367,7 @@ class TestVerifyDiscreteSupport:
                 assert verdict.holds == _slack_lp_holds(inst, y)
                 own = owner_values(inst, y.owner)
                 if verdict.holds:
-                    assert recheck_discrete_price_support(inst, y, verdict.certificate.prices)
+                    assert checks.discrete_support_problem(inst.utilities, y.owner, list(verdict.certificate.prices)) is None
                     if all(own) and verify_ceei_frac(inst, y).holds:
                         routes.append("frac")
                     elif not minimal_better_bundles(inst.utilities, own):

@@ -3,10 +3,11 @@
 The corpus records behaviour, it is not an oracle: a change that means to
 alter a report rewrites that case with `tests/report_corpus.py`, which this
 module never calls.  So each recorded answer small enough to enumerate, and
-each recorded equilibrium, is also checked against `tests/oracles.py`, which
-shares no code with the verifiers, searches and solver that printed it; and
-each record run under `--limit-nodes` is checked against the record of the
-same command without it.
+each recorded equilibrium, is also checked against `tests/oracles.py` and the
+benchmark's `bench/checks.py` (envy pairs, max-Nash optima, price and
+equilibrium certificates), which share no code with the verifiers, searches
+and solver that printed it; and each record run under `--limit-nodes` is
+checked against the record of the same command without it.
 """
 
 import json
@@ -17,16 +18,7 @@ from itertools import product
 import pytest
 
 from ceei import DiscreteAssignment, parse_instance
-from oracles import (
-    first_dominating_assignment,
-    first_envy_pair,
-    first_ratio_gap,
-    max_nash_by_product,
-    owner_values,
-    recheck_discrete_price_support,
-    recheck_fractional_price_support,
-    recheck_market_equilibrium,
-)
+from oracles import checks, first_dominating_assignment, first_ratio_gap, owner_values
 from report_corpus import CASES, DOCUMENTS, REPORTS, render, run_case
 
 
@@ -91,17 +83,17 @@ def test_recorded_answer_agrees_with_the_oracles(name):
     command, document, *rest = record["argv"]
     inst = parse_instance(DOCUMENTS[document])
     result = record["report"]["result"]
-    owner = result.get("owner")
+    rows, owner = inst.utilities, result.get("owner")
     if command == "solve":
         x = [[Fraction(share["exact"]) for share in row] for row in result["x"]]
         assert result["certified_exact"]
         utilities = [Fraction(u["exact"]) for u in result["u_star"]]
-        assert recheck_market_equilibrium(inst, [Fraction(p["exact"]) for p in result["p_star"]], x, utilities)
+        assert checks.equilibrium_problem(rows, x, utilities, [Fraction(p["exact"]) for p in result["p_star"]]) is None
         return
     if command == "check":
         notion, y, certificate = rest[1], DiscreteAssignment(owner), result["certificate"]
         if notion == "ef":
-            pair = first_envy_pair(inst, y)
+            pair = checks.envy_pair(rows, owner)
             assert result["holds"] == (pair is None)
             assert certificate is None or (certificate["envious"], certificate["envied"]) == pair
         elif notion == "po":
@@ -111,29 +103,29 @@ def test_recorded_answer_agrees_with_the_oracles(name):
         elif notion == "ceei-frac":
             assert result["holds"] == _fractionally_supported(inst, owner)
             if result["holds"]:
-                assert recheck_fractional_price_support(inst, y, _prices(certificate))
+                assert checks.fractional_support_problem(rows, owner, _prices(certificate)) is None
             elif certificate["type"] == "ratio_gap":
                 gap = certificate["agent"], certificate["object"], Fraction(certificate["gap"]["exact"])
                 assert gap == first_ratio_gap(inst, y)
         elif result["holds"]:  # ceei-disc, which implies envy-freeness
-            assert recheck_discrete_price_support(inst, y, _prices(certificate))
-            assert first_envy_pair(inst, y) is None
+            assert checks.discrete_support_problem(rows, owner, _prices(certificate)) is None
+            assert checks.envy_pair(rows, owner) is None
         else:  # not ceei-disc, so not ceei-frac, with a bundle its agent prefers
             assert not _fractionally_supported(inst, owner)
             agent, objects = certificate["agent"], certificate["objects"]
-            assert sum(inst.utilities[agent][j] for j in objects) > owner_values(inst, owner)[agent]
+            assert sum(rows[agent][j] for j in objects) > owner_values(inst, owner)[agent]
         return
     target, status = rest[0], result["status"]
     if target == "mnw":
         welfare = Fraction(result["welfare"]["exact"])
         assert welfare == math.prod(owner_values(inst, owner))
-        optimum = max_nash_by_product(inst)[1]
+        optimum = checks.nash_product(rows, checks.max_nash_owner(rows))
         assert welfare == optimum if status == "optimal" else welfare <= optimum
     elif status == "found":
         if target == "ceei-frac":
             assert _fractionally_supported(inst, owner)
         else:
-            assert recheck_discrete_price_support(inst, DiscreteAssignment(owner), _prices(result))
+            assert checks.discrete_support_problem(rows, owner, _prices(result)) is None
     else:  # "none": no owner vector is ceei-frac, since that would make it ceei-disc too
         assert not any(_fractionally_supported(inst, o) for o in product(range(inst.n), repeat=inst.m))
 

@@ -37,14 +37,7 @@ from ceei import (
 )
 from ceei import errors, search
 from ceei.errors import DEFAULT_BUNDLE_LIMIT, DEFAULT_ENUM_LIMIT
-from oracles import (
-    all_discrete_assignments,
-    equal_split_exists,
-    has_equal_bipartition,
-    max_nash_by_product,
-    mixed_instance,
-    recheck_discrete_price_support,
-)
+from oracles import all_discrete_assignments, checks, equal_split_exists, has_equal_bipartition, mixed_instance
 
 
 def _product_oracle_cases():
@@ -98,9 +91,9 @@ ZERO_OPTIMA = [
 class TestBruteForce:
     @pytest.mark.parametrize("inst", _product_oracle_cases())
     def test_matches_the_product_oracle(self, inst):
-        best, welfare = max_nash_by_product(inst)
+        best = checks.max_nash_owner(inst.utilities)
         result = brute_force_max_nash(inst)
-        assert (result.best, result.welfare) == (best, welfare)
+        assert (list(result.best.owner), result.welfare) == (best, checks.nash_product(inst.utilities, best))
         assert result.nodes_explored == inst.n**inst.m
         assert result.optimal
 
@@ -256,7 +249,8 @@ class TestZeroOneRoute:
         result = max_nash_discrete(inst, limit=1)  # branch and bound would stop at once
         assert result == binary_max_nash(inst)
         assert result.optimal
-        assert result.welfare == brute_force_max_nash(inst).welfare == max_nash_by_product(inst)[1]
+        optimum = checks.nash_product(inst.utilities, checks.max_nash_owner(inst.utilities))
+        assert result.welfare == brute_force_max_nash(inst).welfare == optimum
         assert result.welfare == nash_welfare(inst, result.best)
         with pytest.raises(ValueError, match="an enumeration limit must be at least 1, not 0"):
             max_nash_discrete(inst, limit=0)
@@ -573,7 +567,7 @@ def test_identical_rows_answers_match_the_owner_vector_walk(seed):
             y, prices = disc
             assert verify_ceei_frac(inst, y) == Verdict(True, PriceSupport(prices))
             assert verify_ceei_disc(inst, y).holds
-            assert recheck_discrete_price_support(inst, y, prices)
+            assert checks.discrete_support_problem(inst.utilities, y.owner, list(prices)) is None
 
 
 class TestExistsDiscreteSupport:
