@@ -16,21 +16,27 @@ p_j / (t * s_ij) on object j.
 The solver reads the utilities only as the int rows `Instance.int_rows`;
 the float rows are each int row over its max, correctly rounded.  After each
 centring the float iterate is used only to guess which agent-object edges
-carry spending: those spending at least 1/sqrt(t), plus the top spender of
-any object left without one (where rounding ties two spenders, the exact bid
-u_ij * beta_i decides).  From that guess the unique equilibrium utilities and
-prices are reconstructed and verified in integer arithmetic on one support
-graph, agents as nodes 0..n-1 and objects as n..n+m-1.  One rule, the same
-from either end of an edge, propagates ratios as int pairs: the far end's
-is u_ij over the near end's.  Optimality is one cross-multiplied
-comparison per entry over the prices' common denominator, and the money flow
-runs on the same nodes with int capacities scaled by that denominator.  Every
-returned solution is therefore exact, with a residual of literally zero; when
-no guess certifies before the relative duality gap falls below 1e-13, or
-within 100,000 Newton steps, the solver raises NonConvergence.  A floor that
-low lets the 1/sqrt(t) cut separate edges whose bang per buck differs by
-about 10^-6 relative (entries 10^6 against 10^6 + 1); ties that floats cannot
-see, such as 10^15 + 1 against 10^15, still end in NonConvergence.
+carry spending: those whose relative slack s_ij / p_j, 1/(t * spending) on
+the path, is at most 1/sqrt(t), plus the top spender of any object left
+without one (where rounding ties two spenders, the exact bid u_ij * beta_i
+decides).  From that guess the unique equilibrium utilities and prices are
+reconstructed and verified in integer arithmetic on one support graph,
+agents as nodes 0..n-1 and objects as n..n+m-1.  Ratios propagate as int
+pairs along the minimum spanning forest of the guess by slack, one rule from
+either end of an edge: the far end's is u_ij over the near end's.  Optimality
+is one cross-multiplied comparison per entry over the prices' common
+denominator, and the money flow runs on the same nodes with int capacities
+scaled by that denominator.  Every returned solution is therefore exact,
+with a residual of literally zero; when no guess certifies before the
+relative duality gap falls below 1e-13, or within 100,000 Newton steps, the
+solver raises NonConvergence.  A guessed edge off the forest is only checked,
+never priced, so a near tie the 1/sqrt(t) cut still holds costs nothing when
+its slack is the loosest of its cycle: the 2x2 tie of 10^6 + 1 against 10^6
+certifies at the first centring, and so does the tie of 10^15 + 1 against
+10^15 in the report corpus.  A near tie still ends in NonConvergence when
+rounding orders a loose edge into the forest, as on some draws of 10^9 or
+10^15 ties and on ties that round to one float, such as 10^400 + 1 against
+10^400.
 
 numpy is imported inside `solve_eg`, so importing this module (and the CLI)
 does not load it.
@@ -38,6 +44,7 @@ does not load it.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -209,13 +216,14 @@ def solve_eg(inst: Instance, seed=None) -> EquilibriumSolution:
             s = p - u * beta
             if decrement > _CENTRED:
                 continue
-            # centred: edges spending at least 1/sqrt(t) form the support guess;
-            # every object is sold, so one the guess misses gets its top spender
-            tight = edges & (s * math.sqrt(t) <= p)
+            # centred: edges spending at least 1/sqrt(t), a relative slack
+            # s_ij / p_j of at most 1/sqrt(t), form the support guess; every
+            # object is sold, so one the guess misses gets its top spender
+            slack = np.where(edges, s / p, np.inf)  # 1/(t * spending) on the path
+            tight = slack * math.sqrt(t) <= 1
             sold = tight.any(axis=0)
             if not sold.all():
-                spend = edges * p / s  # t times p_j * x_ij on the path
-                top = edges & ~sold & (spend == spend.max(axis=0))
+                top = ~sold & (slack == slack.min(axis=0))
                 for j in np.flatnonzero(top.sum(axis=0) > 1):
                     # rounding can tie distinct bids u_ij * beta_i: the exact bid decides
                     holders = np.flatnonzero(top[:, j])
@@ -223,7 +231,7 @@ def solve_eg(inst: Instance, seed=None) -> EquilibriumSolution:
                     best = max(bids)
                     top[holders, j] = [bid == best for bid in bids]
                 tight |= top
-            found = _certify_support(rows, scales, tight.tolist())
+            found = _certify_support(rows, scales, zip(slack[tight].tolist(), np.argwhere(tight).tolist()))
             if found is not None:
                 return EquilibriumSolution(*found, iterations=iterations, certified=True)
             if gap < _GAP_FLOOR:
@@ -246,28 +254,31 @@ def _allocation_rows(inst, allocation):
     return rows
 
 
-def _certify_support(rows, scales, tight):
+def _certify_support(rows, scales, guess):
     """Reconstruct the exact equilibrium from a guessed spending support.
 
     `rows` and `scales` are `Instance.int_rows` and `Instance.scales`; the
     integer instance has the same prices and allocation, and agent i's utility
-    times scales[i].  Edges marked in the nested boolean lists `tight` (all
-    with u_ij > 0) are assumed to carry money.  On the support graph agent i
-    is node i and object j node n + j.  An edge pins p_j = u_ij / u_i, so
-    u_i = r_i * t and p_j = q_j / t with u_ij = r_i * q_j: from either end,
-    the far end's ratio is u_ij over the near end's.  That fixes a component
-    up to its scale t, which follows from its agents spending their whole
-    budgets.  The reconstruction is then verified exactly: every node has an
-    edge, ratios agree around every cycle, u_ij <= u_i * p_j holds globally,
-    and a feasible money flow exists.  Any failure returns None.
+    times scales[i].  `guess` yields pairs (slack, (i, j)): edge (i, j), with
+    u_ij > 0, is assumed to carry money, and `slack` is its float relative
+    slack s_ij / p_j, smallest on the edges surest to be tight.  On the
+    support graph agent i is node i and object j node n + j.  An edge pins
+    p_j = u_ij / u_i, so u_i = r_i * t and p_j = q_j / t with u_ij = r_i * q_j:
+    from either end, the far end's ratio is u_ij over the near end's.  The
+    ratios spread only along each component's minimum spanning tree by slack
+    (Prim), which fixes the component up to its scale t, and t follows from
+    its agents spending their whole budgets.  The reconstruction is then
+    verified exactly: every node has an edge, u_ij <= u_i * p_j holds
+    globally, and a money flow on the edges where it is an equality spends
+    every budget.  Those two checks prove budgets, clearing and bang per buck,
+    so a guessed edge off the trees needs no test of its own.  Any failure
+    returns None.
     """
     n, m = len(rows), len(rows[0])
-    links = [[] for _ in range(n + m)]  # (far node, u_ij) for each support edge
-    for i, row in enumerate(tight):
-        for j, held in enumerate(row):
-            if held:
-                links[i].append((n + j, rows[i][j]))
-                links[n + j].append((i, rows[i][j]))
+    links = [[] for _ in range(n + m)]  # (slack, far node, u_ij) for each guessed edge
+    for slack, (i, j) in guess:
+        links[i].append((slack, n + j, rows[i][j]))
+        links[n + j].append((slack, i, rows[i][j]))
     if not all(links):
         return None
 
@@ -278,19 +289,15 @@ def _certify_support(rows, scales, tight):
     for seed in range(n):
         if ratio[seed] is not None:
             continue
-        ratio[seed] = (1, 1)
-        comp = [seed]
-        for node in comp:  # the list grows as the walk reaches new nodes
-            a, b = ratio[node]
-            for far, v in links[node]:
-                num = v * b  # the far end's ratio is num / a
-                if ratio[far] is None:
-                    ratio[far] = (num, a)
-                    comp.append(far)
-                else:
-                    c, d = ratio[far]
-                    if c * a != num * d:
-                        return None  # inconsistent ratio cycle: support guess is wrong
+        comp = []
+        heap = [(0.0, seed, 1, 1)]  # (slack, node, its ratio as reached over that edge)
+        while heap:
+            _, node, a, b = heapq.heappop(heap)
+            if ratio[node] is None:
+                ratio[node] = (a, b)
+                comp.append(node)
+                for slack, far, v in links[node]:
+                    heapq.heappush(heap, (slack, far, v * b, a))
         # the component's prices sum to its agent count: t_c = sum(q_j) / k
         objects = [ratio[node] for node in comp if node >= n]
         k = len(comp) - len(objects)

@@ -73,6 +73,9 @@ DOCUMENTS = {
     "near-tie.json": _doc([1, 3 * _B, 1, 1], [_B + 1, 1, 1, 3 * _B], [_B + 1, _B, 0, 0]),
     # 10**6 and 10**6 + 1 differ in floats, so Newton can tell the tied edges apart
     "million-tie.json": _doc([10**6, 10**6], [10**6, 10**6 + 1]),
+    # 10**15 + 1 against 10**15 is a tie the 1/sqrt(t) cut cannot see, but
+    # its edges' float slacks still order them, so their spanning tree prices it
+    "quadrillion-tie.json": _doc([10**15] * 3 + [10**15 + 1], [10**15 + 1] * 4),
     # `gen random -n 5 -m 20 --max-util 100 --seed 2` and `-n 6 -m 22 --max-util 100 --seed 0`
     "random-5x20.json": _doc(
         [7, 11, 10, 46, 21, 94, 85, 39, 32, 77, 27, 77, 4, 74, 87, 20, 55, 81, 50, 92],
@@ -181,7 +184,7 @@ def _argvs():
     yield ["search", "binary-rational.json", "mnw"]
     yield ["search", "separation.json", "binary-mnw"]  # argparse: exit 2
     yield ["search", "zero-column.json", "identical-ceei-disc"]  # argparse: exit 2
-    for doc in (*_CHECKED, "zero-column", "near-tie", "million-tie", "absent", "past-digit-limit"):
+    for doc in (*_CHECKED, "zero-column", "near-tie", "million-tie", "quadrillion-tie", "absent", "past-digit-limit"):
         yield ["solve", f"{doc}.json"]
     for n, m, top, seed in ((2, 4, 100, 7), (3, 5, 9, 3), (2, 4, 1, 7)):
         yield ["gen", "random", "-n", str(n), "-m", str(m), "--max-util", str(top), "--seed", str(seed)]

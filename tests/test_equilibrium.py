@@ -157,20 +157,25 @@ class TestSolveEg:
         assert kkt_residual(inst, sol.x, sol.p_star).max_violation == 0
 
     def test_tie_of_one_in_a_million_certifies(self):
-        # agent 1's bang per buck on object 0 falls short by a relative 10**-6,
-        # which the support guess sees only once the gap is below 1e-11
+        # agent 1's bang per buck on object 0 falls short by a relative 10**-6;
+        # the first guess holds all four edges, and its tightest spanning tree
+        # leaves that one out
         sol = solve_eg(Instance([[10**6, 10**6], [10**6, 10**6 + 1]]))
         assert sol.u_star == (10**6, 10**6 + 1)
         assert sol.p_star.prices == (1, 1)
         assert sol.x.rows == ((1, 0), (0, 1))
 
     def test_random_ties_of_one_in_a_million_certify(self):
-        # 300 draws per pool, n 2-4 and m 2-7: every tie draw certifies, and
-        # all but one valid draw with 0 and 1 (ROADMAP item 25); at a gap
-        # floor of 1e-10, 281 and 123 gave up
+        # 300 draws per pool, n 2-4 and m 2-7: every 10**6 tie draw certifies,
+        # and all but one valid draw with 0 and 1; ties of 10**9 and 10**15,
+        # closer than the 1/sqrt(t) cut resolves, certify when the tightest
+        # spanning forest of the guess prices them (ROADMAP item 25)
         rng = random.Random(25)
         counts = []
-        for pool in ([10**6, 10**6 + 1], [0, 1, 10**6, 10**6 + 1]):
+        pools = [[10**6, 10**6 + 1], [0, 1, 10**6, 10**6 + 1]]
+        for big in (10**9, 10**15):
+            pools += [[big, big + 1], [0, 1, big, big + 1]]
+        for pool in pools:
             outcomes = {"certified": 0, "nonconvergence": 0, "invariant": 0}
             for _ in range(300):
                 n, m = rng.randint(2, 4), rng.randint(2, 7)
@@ -189,6 +194,10 @@ class TestSolveEg:
         assert counts == [
             {"certified": 300, "nonconvergence": 0, "invariant": 0},
             {"certified": 260, "nonconvergence": 1, "invariant": 39},
+            {"certified": 284, "nonconvergence": 16, "invariant": 0},
+            {"certified": 203, "nonconvergence": 45, "invariant": 52},
+            {"certified": 262, "nonconvergence": 38, "invariant": 0},
+            {"certified": 181, "nonconvergence": 69, "invariant": 50},
         ]
 
     @pytest.mark.parametrize("seed", range(12))
@@ -248,9 +257,9 @@ class TestSolveEg:
                 assert sum(u[i][j] * x[i][j] for j in range(m)) == v[i]
                 assert all(u[i][j] <= v[i] * p[j] for j in range(m))
 
-    def test_mixed_draws_certify_but_for_at_most_83_near_ties(self):
+    def test_mixed_draws_certify_but_for_at_most_57_near_ties(self):
         # Newton may give up only on the 10**400 pool, whose near-tied edges
-        # round to one float (ROADMAP item 7): at most 83 of these 1,500 draws
+        # round to one float (ROADMAP item 7): at most 57 of these 1,500 draws
         rng = random.Random(7)
         outcomes = {"certified": 0, "nonconvergence": 0, "invariant": 0}
         for _ in range(1500):
@@ -265,7 +274,7 @@ class TestSolveEg:
                 assert sol.certified
                 assert kkt_residual(inst, sol.x, sol.p_star).max_violation == 0
                 outcomes["certified"] += 1
-        assert outcomes["nonconvergence"] <= 83
+        assert outcomes["nonconvergence"] <= 57
         assert outcomes["invariant"] == 423
 
     def test_welfare_dominates_random_fractional_assignments(self):
@@ -277,6 +286,11 @@ class TestSolveEg:
                 assert random_fractional_welfare(inst, rng) <= optimum * (1 + 1e-9)
 
 
+def _guess(tight):
+    """The edges held in the nested lists `tight`, each with slack 0."""
+    return [(0.0, (i, j)) for i, row in enumerate(tight) for j, held in enumerate(row) if held]
+
+
 class TestCertifySupport:
     """Each way a guessed support is rejected, and one it is accepted."""
 
@@ -284,7 +298,7 @@ class TestCertifySupport:
     def certify(utilities, tight):
         inst = Instance(utilities)
         rows, scales = inst.int_rows, inst.scales
-        return _certify_support(rows, scales, tight)
+        return _certify_support(rows, scales, _guess(tight))
 
     def test_correct_guess_gives_the_exact_equilibrium(self):
         # row 0 has scale 2 and prices share the denominator 3
@@ -301,12 +315,16 @@ class TestCertifySupport:
     def test_object_left_without_support(self):
         assert self.certify([[1, 1], [1, 1]], [[1, 0], [1, 0]]) is None
 
-    def test_inconsistent_cycle_seen_from_an_agent(self):
-        # agent 1 reaches object 0 at ratio 4 where agent 0 fixed it at 1
+    def test_cycle_whose_every_spanning_tree_misprices(self):
+        # the equilibrium holds only the two off-diagonal edges, so every
+        # spanning tree of this guess prices through a diagonal one; the tree
+        # taken gives u_0 = 3/4 and p_1 = 2/3, so u_01 = 2 > u_0 * p_1
         assert self.certify([[1, 2], [2, 1]], [[1, 1], [1, 1]]) is None
 
-    def test_inconsistent_cycle_seen_from_an_object(self):
-        # object 1 is reached through agent 2 before agent 1 is expanded
+    def test_cycle_priced_along_a_loose_edge(self):
+        # equal slacks let the tree reach agent 2 through object 0, an edge the
+        # equilibrium leaves loose, and leave out (2, 1): all prices are 3/2
+        # and u_2 = 2/3, so u_21 = 2 > u_2 * p_1
         tight = [[1, 0], [1, 1], [1, 1]]
         assert self.certify([[1, 0], [1, 1], [1, 2]], tight) is None
 
@@ -347,7 +365,7 @@ class TestCertifierSoundness:
             sol = solve_eg(inst)
             rows, scales = inst.int_rows, inst.scales
             tight = [[share > 0 for share in row] for row in sol.x.rows]
-            x, u_star, p_star = _certify_support(rows, scales, tight)
+            x, u_star, p_star = _certify_support(rows, scales, _guess(tight))
             assert (x, u_star, p_star) == (sol.x, sol.u_star, sol.p_star)
 
     def test_every_accepted_guess_is_an_exact_equilibrium(self):
@@ -358,7 +376,7 @@ class TestCertifierSoundness:
             rows, scales = inst.int_rows, inst.scales
             for _ in range(20):
                 tight = [[v > 0 and rng.random() < 0.6 for v in row] for row in rows]
-                certified = _certify_support(rows, scales, tight)
+                certified = _certify_support(rows, scales, _guess(tight))
                 if certified is None:
                     rejected += 1
                     continue
@@ -367,13 +385,29 @@ class TestCertifierSoundness:
                 assert kkt_residual(inst, x, p_star).max_violation == 0
         assert accepted > 100 and rejected > 100
 
-    def test_inconsistent_cycle_rejects_a_guess_whose_spanning_tree_certifies(self):
-        # the walk prices both objects from agent 0 and reaches agent 1 through
-        # object 0; edge (1, 1) then closes a cycle needing u_11 = 2, not 1
+    def test_cyclic_guess_certifies_along_its_spanning_tree(self):
+        # the tree prices both objects from agent 0 and reaches agent 1 through
+        # object 0; edge (1, 1), off the tree, is loose at those prices
         inst = Instance([[2, 2], [2, 1]])
-        rows, scales = inst.int_rows, inst.scales
-        assert _certify_support(rows, scales, [[1, 1], [1, 0]]) is not None
-        assert _certify_support(rows, scales, [[1, 1], [1, 1]]) is None
+        _, u_star, p_star = _certify_support(inst.int_rows, inst.scales, _guess([[1, 1], [1, 1]]))
+        assert u_star == (2, 2)
+        assert p_star.prices == (1, 1)
+
+    def test_slack_order_decides_which_edges_price_a_cycle(self):
+        # agent 1's edge to object 0 falls short of its bang per buck by a
+        # relative 10**-6: left off the tree as the loosest edge, the other
+        # three price the equilibrium; taken first, it prices a wrong one
+        big = 10**6
+        inst = Instance([[big, big], [big, big + 1]])
+
+        def certify(near_tie):
+            guess = [(1.0, (0, 0)), (1.5, (0, 1)), (near_tie, (1, 0)), (2.0, (1, 1))]
+            return _certify_support(inst.int_rows, inst.scales, guess)
+
+        _, u_star, p_star = certify(3.0)
+        assert u_star == (big, big + 1)
+        assert p_star.prices == (1, 1)
+        assert certify(0.5) is None
 
 
 class TestKktResidual:
