@@ -26,7 +26,6 @@ _EXPORTS = {
         "CeeiError",
         "DimensionMismatch",
         "DocumentSyntaxError",
-        "EmptyMultiset",
         "InconclusiveSearch",
         "InstanceTooLarge",
         "InvalidAssignment",
@@ -35,8 +34,6 @@ _EXPORTS = {
         "NotBinary",
         "NotIdenticalUtilities",
         "SchemaError",
-        "SumMismatch",
-        "WindowViolation",
     ),
     "fairness": (
         "Verdict",
@@ -46,8 +43,6 @@ _EXPORTS = {
         "verify_ceei_frac",
     ),
     "instances": (
-        "PartitionInput",
-        "ThreePartitionInput",
         "binary_gap_example",
         "from_partition",
         "from_three_partition",

@@ -57,8 +57,6 @@ from .errors import (
     _check_limit,
 )
 from .instances import (
-    PartitionInput,
-    ThreePartitionInput,
     _too_many_digits,
     from_partition,
     from_three_partition,
@@ -277,14 +275,12 @@ def _cmd_gen(args, report):
     elif args.kind == "partition":
         if args.integers is None:
             raise SchemaError("set", "partition generation needs --set")
-        inst = from_partition(PartitionInput(_parse_ints(args.integers, "set")))
+        inst = from_partition(_parse_ints(args.integers, "set"))
         params = {"set": args.integers}
     else:
         if args.weights is None or args.bound is None:
             raise SchemaError("weights", "3partition generation needs --weights and --bound")
-        inst = from_three_partition(
-            ThreePartitionInput(_parse_ints(args.weights, "weights"), args.bound)
-        )
+        inst = from_three_partition(_parse_ints(args.weights, "weights"), args.bound)
         params = {"weights": args.weights, "bound": args.bound}
 
     _head(report, "gen", inst, {"kind": args.kind, **params})

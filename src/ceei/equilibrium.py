@@ -60,6 +60,7 @@ from .model import (
     FractionalAssignment,
     Instance,
     PriceVector,
+    _Frozen,
     _rational_row,
     as_fractional,
     validate_instance,
@@ -96,6 +97,10 @@ class EquilibriumSolution:
     iterations: int
     certified: bool
 
+    # the dataclass text, but past the int-to-str limit a number prints bounded
+    _fields = ("x", "u_star", "p_star", "iterations", "certified")
+    __repr__ = _Frozen.__repr__
+
 
 @dataclass(frozen=True)
 class ResidualReport:
@@ -105,6 +110,9 @@ class ResidualReport:
     budget: Fraction  # max_i |sum_j x_ij p_j - 1|
     bang_per_buck: Fraction  # max relative gap to the agent's best ratio on held objects
     price_negativity: Fraction  # max_j max(0, -p_j)
+
+    _fields = ("market_clearing", "budget", "bang_per_buck", "price_negativity")
+    __repr__ = _Frozen.__repr__
 
     @property
     def max_violation(self) -> Fraction:

@@ -133,32 +133,6 @@ class InconclusiveSearch(CeeiError):
         super().__init__(f"search truncated after {nodes}; {undecided} undecided")
 
 
-class EmptyMultiset(CeeiError):
-    """A partition input contains no integers."""
-
-
-class WindowViolation(CeeiError):
-    """A weight lies outside the strict (W/4, W/2) window."""
-
-    def __init__(self, index, weight, bound):
-        self.index = index
-        self.weight = weight
-        self.bound = bound
-        super().__init__(
-            f"weight {bounded(weight)} at position {index} violates "
-            f"{bounded(bound)}/4 < w < {bounded(bound)}/2"
-        )
-
-
-class SumMismatch(CeeiError):
-    """Weights do not sum to the required total."""
-
-    def __init__(self, total, expected):
-        self.total = total
-        self.expected = expected
-        super().__init__(f"weights sum to {bounded(total)}, expected {bounded(expected)}")
-
-
 class DocumentSyntaxError(CeeiError):
     """An instance or assignment document is not well-formed."""
 

@@ -8,6 +8,10 @@ Utilities are integers or "numerator/denominator" strings; decimal floats are
 rejected so that values survive round trips unchanged.  Serialization is
 canonical (row-major, no whitespace, fractions in lowest terms), which makes
 document digests and golden tests byte-stable.
+
+The number-partition reductions take the integers themselves and raise
+SchemaError, naming "integers", "weights" or "bound", on input that is not
+a Partition or 3-Partition instance.
 """
 
 from __future__ import annotations
@@ -19,62 +23,53 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import (
-    DocumentSyntaxError,
-    EmptyMultiset,
-    InvariantError,
-    SchemaError,
-    SumMismatch,
-    WindowViolation,
-    _is_index,
-    bounded,
-)
-from .model import DiscreteAssignment, Instance, _Frozen, _set, check_assignment, validate_instance
+from .errors import DocumentSyntaxError, InvariantError, SchemaError, _is_index, bounded
+from .model import DiscreteAssignment, Instance, check_assignment, validate_instance
 
 _RATIONAL_RE = re.compile(r"^(0|[1-9][0-9]*)/([1-9][0-9]*)$")
 
 
 # ---------------------------------------------------------------------------
-# Reduction inputs.
+# Number-partition reductions.
 # ---------------------------------------------------------------------------
 
 
-class PartitionInput(_Frozen):
-    """A multiset of positive integers to split into two equal-sum halves."""
+def from_partition(integers) -> Instance:
+    """Two agents with identical utilities equal to a nonempty multiset of
+    positive ints (numpy ints too), else SchemaError on "integers".
 
-    __slots__ = _fields = ("integers",)
+    The instance admits an equal-utility complete split exactly when the
+    multiset admits an equal-sum bipartition; an odd total is a valid input
+    that simply yields a no-instance.
+    """
+    row = _ints(integers, "integers")
+    if not row:
+        raise SchemaError("integers", "a partition input needs at least one integer")
+    if min(row) < 1:
+        raise SchemaError("integers", "partition inputs must be positive")
+    return Instance([row, row])
 
-    def __init__(self, integers):
-        values = tuple(_int(v, "integers", f"entry {j}: ") for j, v in enumerate(integers))
-        if not values:
-            raise EmptyMultiset("a partition input needs at least one integer")
-        if any(v < 1 for v in values):
-            raise SchemaError("integers", "partition inputs must be positive")
-        _set(self, "integers", values)
+
+def from_three_partition(weights, bound) -> Instance:
+    """n agents with identical utilities equal to 3n int weights (numpy ints
+    too), each strictly between bound/4 and bound/2, summing to n·bound;
+    else SchemaError on "weights" or "bound"."""
+    row = _ints(weights, "weights")
+    bound = _int(bound, "bound")
+    if not row or len(row) % 3:
+        raise SchemaError("weights", "need a positive multiple of 3 weights")
+    for j, w in enumerate(row):
+        if 4 * w <= bound or 2 * w >= bound:
+            shown = bounded(bound)
+            raise SchemaError("weights", f"weight {bounded(w)} at position {j} violates {shown}/4 < w < {shown}/2")
+    groups = len(row) // 3
+    if sum(row) != groups * bound:
+        raise SchemaError("weights", f"weights sum to {bounded(sum(row))}, expected {bounded(groups * bound)}")
+    return Instance([row] * groups)
 
 
-class ThreePartitionInput(_Frozen):
-    """3n positive weights, each strictly between W/4 and W/2, summing to nW."""
-
-    __slots__ = _fields = ("weights", "bound")
-
-    def __init__(self, weights, bound):
-        values = tuple(_int(w, "weights", f"entry {j}: ") for j, w in enumerate(weights))
-        bound = _int(bound, "bound")
-        if not values or len(values) % 3:
-            raise SchemaError("weights", "need a positive multiple of 3 weights")
-        groups = len(values) // 3
-        for j, w in enumerate(values):
-            if 4 * w <= bound or 2 * w >= bound:
-                raise WindowViolation(j, w, bound)
-        if sum(values) != groups * bound:
-            raise SumMismatch(sum(values), groups * bound)
-        _set(self, "weights", values)
-        _set(self, "bound", bound)
-
-    @property
-    def groups(self) -> int:
-        return len(self.weights) // 3
+def _ints(values, field):
+    return [_int(v, field, f"entry {j}: ") for j, v in enumerate(values)]
 
 
 def _int(value, field, where=""):
@@ -82,22 +77,6 @@ def _int(value, field, where=""):
     if not _is_index(value):
         raise SchemaError(field, f"{where}{bounded(value)} is not an integer")
     return value.__index__()
-
-
-def from_partition(pin: PartitionInput) -> Instance:
-    """Two agents with identical utilities equal to the multiset's integers.
-
-    The instance admits an equal-utility complete split exactly when the
-    multiset admits an equal-sum bipartition; an odd total is a valid input
-    that simply yields a no-instance.
-    """
-    return Instance([list(pin.integers), list(pin.integers)])
-
-
-def from_three_partition(tin: ThreePartitionInput) -> Instance:
-    """n agents with identical utilities equal to the 3n weights."""
-    row = list(tin.weights)
-    return Instance([row for _ in range(tin.groups)])
 
 
 def gen_random(n: int, m: int, max_util: int, seed=None) -> Instance:

@@ -49,7 +49,7 @@ class _Frozen:
         return hash(self._values())
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        fields = ", ".join(f"{name}={_shown(getattr(self, name))}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):
@@ -64,6 +64,21 @@ class _Frozen:
 
     def __reduce__(self):
         return _rebuild, (type(self), self._values())
+
+
+def _shown(value, show=repr) -> str:
+    """show(value), and a tuple's items each shown so; past Python's
+    int-to-str limit, where str() and repr() raise ValueError, an int or
+    Fraction shows `bounded`'s digits instead."""
+    if type(value) is tuple:
+        text = ", ".join(_shown(v, show) for v in value)
+        return f"({text},)" if len(value) == 1 else f"({text})"
+    try:
+        return show(value)
+    except ValueError:
+        if show is repr and isinstance(value, Fraction):
+            return f"Fraction({bounded(value.numerator)}, {bounded(value.denominator)})"
+        return bounded(value)
 
 
 def _rebuild(cls, values):
@@ -277,7 +292,7 @@ class PriceVector(_Frozen):
         return iter(self.prices)
 
     def __repr__(self):
-        return f"PriceVector({[str(p) for p in self.prices]})"
+        return f"PriceVector({[_shown(p, str) for p in self.prices]})"
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,13 @@ def first_ratio_gap(inst, y):
     return None
 
 
+def fractionally_supported(inst, owner):
+    """CEEI-frac from its definition: every equilibrium utility is positive,
+    and the only candidate prices put each object at its best ratio
+    max_k u_kj / v_k, which they support iff every owner attains it."""
+    return 0 not in owner_values(inst, owner) and first_ratio_gap(inst, DiscreteAssignment(owner)) is None
+
+
 def first_dominating_assignment(inst, y):
     """Enumerate owner vectors lexicographically; the first Pareto-dominating y, or None."""
     base = owner_values(inst, y.owner)

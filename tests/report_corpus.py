@@ -17,7 +17,8 @@ private engines, monkeypatched faults, wall-clock bounds and seeded sweeps
 of the Python API against the oracles.  `tests/test_cli.py`
 reads `DOCUMENTS` as well and leaves every report recorded here to this
 corpus; it checks exits forced by monkeypatching, fresh interpreters,
-wall-clock bounds, help text and documents too large to record.
+wall-clock bounds, help text, documents too large to record and one
+seeded sweep of random commands against the exit contract.
 
 CI runs the whole suite once against the installed package (`pip install .`,
 then pytest with `-o pythonpath=`), so the records check the installed
@@ -188,9 +189,11 @@ def _argvs():
         yield ["solve", f"{doc}.json"]
     for n, m, top, seed in ((2, 4, 100, 7), (3, 5, 9, 3), (2, 4, 1, 7)):
         yield ["gen", "random", "-n", str(n), "-m", str(m), "--max-util", str(top), "--seed", str(seed)]
-    for integers in ("2,1,1", "3,1,1", ""):
+    # a split, an odd total, no integers and a non-positive one
+    for integers in ("2,1,1", "3,1,1", "", "2,0,1"):
         yield ["gen", "partition", "--set", integers]
-    for weights in ("3,3,4,3,3,4", "2,4,4,3,3,4", ""):
+    # a split, a weight outside its window, no weights and a sum short of 2 * 10
+    for weights in ("3,3,4,3,3,4", "2,4,4,3,3,4", "", "3,3,4,3,3,3"):
         yield ["gen", "3partition", "--weights", weights, "--bound", "10"]
 
 

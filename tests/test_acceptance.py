@@ -25,10 +25,8 @@ from ceei import (
     kkt_residual,
     max_nash_discrete,
     nash_welfare,
-    PartitionInput,
     separation_example,
     solve_eg,
-    ThreePartitionInput,
     verify_ceei_disc,
     verify_ceei_frac,
 )
@@ -144,12 +142,12 @@ def _planted_three_partition_fixtures():
             spread = g % 2 + 1  # t - 2 stays above bound/4 for every t >= 9
             weights.extend((t - spread, t, t + spread))
         rng.shuffle(weights)
-        fixtures.append((ThreePartitionInput(weights, bound), True))
+        fixtures.append((weights, bound, True))
     for k in range(8):  # no-instances: five equal weights and one corrective
         a = 5 + k
         bound = 3 * a + 1  # 3a != bound, so no triple reaches the target
         b = 2 * bound - 5 * a
-        fixtures.append((ThreePartitionInput([a, a, a, a, a, b], bound), False))
+        fixtures.append(([a, a, a, a, a, b], bound, False))
     return fixtures
 
 
@@ -158,7 +156,7 @@ def test_criterion_7_reduction_soundness():
     ok = True
     for k in range(50):
         values = [rng.randint(1, 30) for _ in range(rng.randint(1, 14))]
-        inst = from_partition(PartitionInput(values))
+        inst = from_partition(values)
         found = find_ceei_disc_identical(inst)
         if (found is not None) != has_equal_bipartition(values):
             ok = False
@@ -168,10 +166,10 @@ def test_criterion_7_reduction_soundness():
             ]
             if utilities[0] != utilities[1]:
                 ok = False
-    for tin, planted in _planted_three_partition_fixtures():
-        if equal_split_exists(list(tin.weights), tin.groups) != planted:
+    for weights, bound, planted in _planted_three_partition_fixtures():
+        if equal_split_exists(weights, len(weights) // 3) != planted:
             ok = False  # the fixture itself is mislabelled
-        inst = from_three_partition(tin)
+        inst = from_three_partition(weights, bound)
         found = find_ceei_disc_identical(inst)
         if (found is not None) != planted:
             ok = False

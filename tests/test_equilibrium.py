@@ -21,6 +21,14 @@ from ceei.equilibrium import _certify_support
 from oracles import checks, mixed_instance, random_fractional_welfare
 
 
+def _assert_exact_equilibrium(inst, x, u_star, p_star):
+    """`checks.equilibrium_problem`, which shares no code with the solver,
+    finds no fault, and every price is positive, which it does not check."""
+    rows = [list(row) for row in x.rows]
+    assert checks.equilibrium_problem(inst.utilities, rows, list(u_star), list(p_star)) is None
+    assert all(price > 0 for price in p_star)
+
+
 class TestSolveEg:
     def test_single_agent_buys_everything(self, single_agent):
         sol = solve_eg(single_agent)
@@ -125,7 +133,7 @@ class TestSolveEg:
         sol = solve_eg(inst)
         assert sol.certified
         assert sum(sol.p_star.prices) == inst.n
-        assert kkt_residual(inst, sol.x, sol.p_star).max_violation == 0
+        _assert_exact_equilibrium(inst, sol.x, sol.u_star, sol.p_star)
 
     @pytest.mark.parametrize("n, m", [(20, 40), (50, 100)])
     def test_large_random_instances_certify(self, n, m):
@@ -154,7 +162,7 @@ class TestSolveEg:
             Fraction(4, big + 3),
             Fraction(2, big + 3),
         )
-        assert kkt_residual(inst, sol.x, sol.p_star).max_violation == 0
+        _assert_exact_equilibrium(inst, sol.x, sol.u_star, sol.p_star)
 
     def test_tie_of_one_in_a_million_certifies(self):
         # agent 1's bang per buck on object 0 falls short by a relative 10**-6;
@@ -187,8 +195,7 @@ class TestSolveEg:
                 except InvariantError:
                     outcomes["invariant"] += 1
                 else:
-                    x, u, p = [list(row) for row in sol.x.rows], list(sol.u_star), list(sol.p_star)
-                    assert checks.equilibrium_problem(inst.utilities, x, u, p) is None
+                    _assert_exact_equilibrium(inst, sol.x, sol.u_star, sol.p_star)
                     outcomes["certified"] += 1
             counts.append(outcomes)
         assert counts == [
@@ -272,7 +279,7 @@ class TestSolveEg:
                 outcomes["invariant"] += 1
             else:
                 assert sol.certified
-                assert kkt_residual(inst, sol.x, sol.p_star).max_violation == 0
+                _assert_exact_equilibrium(inst, sol.x, sol.u_star, sol.p_star)
                 outcomes["certified"] += 1
         assert outcomes["nonconvergence"] <= 57
         assert outcomes["invariant"] == 423
@@ -356,7 +363,7 @@ def _sweep_instance(rng):
 
 
 class TestCertifierSoundness:
-    """The certifier against the solver's answer and against `kkt_residual`."""
+    """The certifier against the solver's answer and against `checks.equilibrium_problem`."""
 
     def test_support_of_the_solution_reproduces_it(self):
         rng = random.Random(31)
@@ -381,8 +388,7 @@ class TestCertifierSoundness:
                     rejected += 1
                     continue
                 accepted += 1
-                x, _, p_star = certified
-                assert kkt_residual(inst, x, p_star).max_violation == 0
+                _assert_exact_equilibrium(inst, *certified)
         assert accepted > 100 and rejected > 100
 
     def test_cyclic_guess_certifies_along_its_spanning_tree(self):

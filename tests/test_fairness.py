@@ -15,7 +15,6 @@ from ceei import (
     InstanceViolation,
     InvalidAssignment,
     InvariantError,
-    ThreePartitionInput,
     Verdict,
     ViolatingBundle,
     from_three_partition,
@@ -288,7 +287,7 @@ class TestVerifyDiscreteSupport:
         # six triples summing to 30: identical rows split equally are CEEI-frac,
         # so 2^18 bundles need no walk; prices are the weights over 30
         triples = [(9, 10, 11), (8, 10, 12), (8, 11, 11), (9, 9, 12), (10, 10, 10), (8, 9, 13)]
-        inst = from_three_partition(ThreePartitionInput([w for t in triples for w in t], 30))
+        inst = from_three_partition([w for t in triples for w in t], 30)
         y = DiscreteAssignment([g for g in range(6) for _ in range(3)])
         verdict = verify_ceei_disc(inst, y)
         assert verdict.holds

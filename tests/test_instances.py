@@ -6,16 +6,11 @@ from ceei import (
     DimensionMismatch,
     DiscreteAssignment,
     DocumentSyntaxError,
-    EmptyMultiset,
     Instance,
     InstanceViolation,
     InvalidAssignment,
     InvariantError,
-    PartitionInput,
     SchemaError,
-    SumMismatch,
-    ThreePartitionInput,
-    WindowViolation,
     from_partition,
     from_three_partition,
     gen_random,
@@ -43,87 +38,95 @@ SEPARATION_DOC = '{"agents":2,"objects":4,"utilities":[[95,5,2,1],[1,2,5,95]]}'
 
 class TestPartitionBuilder:
     def test_three_integers(self):
-        inst = from_partition(PartitionInput([2, 1, 1]))
+        inst = from_partition([2, 1, 1])
         assert inst.n == 2
         assert inst.utilities == ((2, 1, 1), (2, 1, 1))
 
     def test_singleton(self):
-        inst = from_partition(PartitionInput([1]))
+        inst = from_partition([1])
         assert (inst.n, inst.m) == (2, 1)
 
-    def test_non_positive_integer_rejected(self):
-        with pytest.raises(SchemaError) as excinfo:
-            PartitionInput([2, 0, 1])
-        assert excinfo.value.field == "integers"
+    @pytest.mark.parametrize(
+        "integers, message",
+        [
+            ([], "a partition input needs at least one integer"),
+            ([2, 0, 1], "partition inputs must be positive"),
+            ([2, -1, 1], "partition inputs must be positive"),
+        ],
+        ids=["empty", "zero", "negative"],
+    )
+    def test_malformed_multiset_names_its_fault(self, integers, message):
+        with pytest.raises(SchemaError, match=f"^field 'integers': {message}$"):
+            from_partition(integers)
 
     def test_yes_instance_fixture(self):
         values = [3, 3, 2, 2, 2]
         assert has_equal_bipartition(values)  # {3, 3} vs {2, 2, 2}
-        inst = from_partition(PartitionInput(values))
+        inst = from_partition(values)
         assert inst.has_identical_rows()
 
-    def test_empty_multiset_rejected(self):
-        with pytest.raises(EmptyMultiset):
-            PartitionInput([])
-
     def test_odd_total_is_not_an_error(self):
-        inst = from_partition(PartitionInput([3, 1, 1]))
+        inst = from_partition([3, 1, 1])
         assert inst.m == 3
 
     @pytest.mark.parametrize("bad", NOT_INTEGERS)
     def test_non_integer_rejected_by_position(self, bad):
         with pytest.raises(SchemaError, match=r"entry 1: .* is not an integer") as excinfo:
-            PartitionInput([2, bad, 1])
+            from_partition([2, bad, 1])
         assert excinfo.value.field == "integers"
 
     def test_huge_fraction_is_rejected_by_message(self):
         # str() refuses ints past 4300 digits; the message shows it bounded
         with pytest.raises(SchemaError, match=r"entry 0: 10000\.\.\.\(5001 digits\)/3 is not an integer"):
-            PartitionInput([Fraction(10**5000, 3)])
+            from_partition([Fraction(10**5000, 3)])
 
     def test_half_is_not_truncated_into_an_even_split(self):
         # int() made {1.5, 1} the multiset {1, 1}, which splits evenly
         with pytest.raises(SchemaError, match="entry 0: 1.5 is not an integer"):
-            PartitionInput([1.5, 1])
+            from_partition([1.5, 1])
 
     def test_numpy_ints_pass_as_ints(self):
         import numpy
 
-        pin = PartitionInput([numpy.int64(2), numpy.int32(1), 1])
-        assert pin.integers == (2, 1, 1)
-        assert all(type(v) is int for v in pin.integers)
+        inst = from_partition([numpy.int64(2), numpy.int32(1), 1])
+        assert inst.utilities == ((2, 1, 1), (2, 1, 1))
 
 
 class TestThreePartitionBuilder:
     def test_two_group_fixture(self):
-        tin = ThreePartitionInput([3, 3, 4, 3, 3, 4], 10)
-        inst = from_three_partition(tin)
+        inst = from_three_partition([3, 3, 4, 3, 3, 4], 10)
         assert (inst.n, inst.m) == (2, 6)
         assert inst.has_identical_rows()
 
     def test_single_group(self):
-        inst = from_three_partition(ThreePartitionInput([3, 3, 4], 10))
+        inst = from_three_partition([3, 3, 4], 10)
         assert (inst.n, inst.m) == (1, 3)
 
-    def test_sum_mismatch(self):
-        with pytest.raises(SumMismatch):
-            ThreePartitionInput([3, 3, 4, 3, 3, 3], 10)
-
-    def test_window_violation_names_position(self):
-        with pytest.raises(WindowViolation) as excinfo:
-            ThreePartitionInput([2, 4, 4, 3, 3, 4], 10)
-        assert excinfo.value.index == 0
-
-    def test_group_count_must_divide(self):
-        with pytest.raises(SchemaError):
-            ThreePartitionInput([3, 3, 4, 3], 10)
+    # the window is strict at both ends, and a bound of 0 or below leaves it empty
+    @pytest.mark.parametrize(
+        "weights, bound, message",
+        [
+            ([], 10, "need a positive multiple of 3 weights"),
+            ([3, 3, 4, 3], 10, "need a positive multiple of 3 weights"),
+            ([2, 4, 4, 3, 3, 4], 10, "weight 2 at position 0 violates 10/4 < w < 10/2"),
+            ([5, 7, 8], 20, "weight 5 at position 0 violates 20/4 < w < 20/2"),
+            ([6, 10, 4], 20, "weight 10 at position 1 violates 20/4 < w < 20/2"),
+            ([3, 3, 4], -10, "weight 3 at position 0 violates -10/4 < w < -10/2"),
+            ([3, 3, 4, 3, 3, 3], 10, "weights sum to 19, expected 20"),
+            ([3, 3, 4, 3, 4, 4], 10, "weights sum to 21, expected 20"),
+        ],
+        ids=["empty", "count", "below-window", "at-quarter", "at-half", "negative-bound", "sum-short", "sum-over"],
+    )
+    def test_malformed_weights_name_their_fault(self, weights, bound, message):
+        with pytest.raises(SchemaError, match=f"^field 'weights': {message}$"):
+            from_three_partition(weights, bound)
 
     @pytest.mark.parametrize("bad", NOT_INTEGERS)
     def test_non_integer_weight_rejected_by_position(self, bad):
         weights = [3, 3, 4, 3, 3, 4]
         weights[2] = bad
         with pytest.raises(SchemaError, match=r"entry 2: .* is not an integer") as excinfo:
-            ThreePartitionInput(weights, 10)
+            from_three_partition(weights, 10)
         assert excinfo.value.field == "weights"
 
     @pytest.mark.parametrize(
@@ -132,15 +135,14 @@ class TestThreePartitionBuilder:
     def test_non_integer_bound_rejected(self, bad):
         # int() made 10.5 the bound 10, which these weights meet
         with pytest.raises(SchemaError, match="is not an integer") as excinfo:
-            ThreePartitionInput([3, 3, 4, 3, 3, 4], bad)
+            from_three_partition([3, 3, 4, 3, 3, 4], bad)
         assert excinfo.value.field == "bound"
 
     def test_numpy_ints_pass_as_ints(self):
         import numpy
 
-        tin = ThreePartitionInput([numpy.int64(3), 3, 4, 3, 3, numpy.int32(4)], numpy.int64(10))
-        assert (tin.weights, tin.bound) == ((3, 3, 4, 3, 3, 4), 10)
-        assert all(type(v) is int for v in (*tin.weights, tin.bound))
+        inst = from_three_partition([numpy.int64(3), 3, 4, 3, 3, numpy.int32(4)], numpy.int64(10))
+        assert inst.utilities == ((3, 3, 4, 3, 3, 4),) * 2
 
 
 class TestRandomGenerator:

@@ -22,16 +22,17 @@ from ceei import (
     InvalidAssignment,
     InvariantError,
     KktViolation,
-    PartitionInput,
     PriceSupport,
     PriceVector,
-    ThreePartitionInput,
+    Verdict,
     ViolatingBundle,
     agent_utilities,
     brute_force_max_nash,
     kkt_residual,
+    max_nash_discrete,
     nash_welfare,
     separation_example,
+    solve_eg,
     validate_instance,
     verify_ceei_disc,
 )
@@ -50,8 +51,6 @@ _VALUES = [
     (PriceSupport(PriceVector([1, "1/2"])), "prices"),
     (ViolatingBundle(0, (1,)), "objects"),
     (KktViolation(1, 0, Fraction(1, 2)), "ratio_gap"),
-    (PartitionInput([3, 1, 2]), "integers"),
-    (ThreePartitionInput([3, 3, 4], 10), "weights"),
     (brute_force_max_nash(separation_example()), "best"),
     (verify_ceei_disc(Instance([[2, 1], [1, 2]]), DiscreteAssignment([0, 1])), "certificate"),
 ]
@@ -395,9 +394,8 @@ class TestAssignments:
             (_VALUES[1][0], "FractionalAssignment(n=2, m=2)", "m", 2),
             (_VALUES[2][0], "DiscreteAssignment([1, 0, 1])", "m", 3),
             (_VALUES[3][0], "PriceVector(['1', '3/4'])", None, None),
-            (PartitionInput([3, 1, 2]), "PartitionInput(integers=(3, 1, 2))", None, None),
         ],
-        ids=["Instance", "FractionalAssignment", "DiscreteAssignment", "PriceVector", "PartitionInput"],
+        ids=["Instance", "FractionalAssignment", "DiscreteAssignment", "PriceVector"],
     )
     def test_repr_and_size(self, value, text, size, expected):
         assert repr(value) == text
@@ -413,13 +411,12 @@ class TestAssignments:
             (7, "PriceSupport(prices=PriceVector(['1', '1/2']))"),
             (8, "ViolatingBundle(agent=0, objects=(1,))"),
             (9, "KktViolation(agent=1, object=0, ratio_gap=Fraction(1, 2))"),
-            (11, "ThreePartitionInput(weights=(3, 3, 4), bound=10)"),
             (
-                12,
+                10,
                 "SearchResult(best=DiscreteAssignment([0, 0, 1, 1]), welfare=Fraction(10000, 1),"
                 " nodes_explored=16, optimal=True)",
             ),
-            (13, "Verdict(holds=True, certificate=PriceSupport(prices=PriceVector(['1', '1'])))"),
+            (11, "Verdict(holds=True, certificate=PriceSupport(prices=PriceVector(['1', '1'])))"),
         ],
         ids=[
             "InstanceViolation",
@@ -428,7 +425,6 @@ class TestAssignments:
             "PriceSupport",
             "ViolatingBundle",
             "KktViolation",
-            "ThreePartitionInput",
             "SearchResult",
             "Verdict",
         ],
@@ -436,6 +432,41 @@ class TestAssignments:
     def test_field_reprs(self, index, text):
         # the text a dataclass printed: the class name and each field's repr
         assert repr(_VALUES[index][0]) == text
+
+    @pytest.mark.parametrize(
+        "build, text",
+        [
+            (
+                lambda: max_nash_discrete(Instance([[10**4000, 1], [1, 10**4000]])),
+                "SearchResult(best=DiscreteAssignment([0, 1]), welfare=Fraction(10000...(8001 digits), 1),"
+                " nodes_explored=5, optimal=True)",
+            ),
+            (
+                lambda: solve_eg(Instance([[10**5000, 1], [1, 1]])),
+                "EquilibriumSolution(x=FractionalAssignment(n=2, m=2), u_star=(Fraction(10000...(5001 digits), 1),"
+                " Fraction(1, 1)), p_star=PriceVector(['1', '1']), iterations=2, certified=True)",
+            ),
+            (lambda: PriceVector([10**5000]), "PriceVector(['10000...(5001 digits)'])"),
+            (
+                lambda: KktViolation(0, 1, Fraction(10**5000, 3)),
+                "KktViolation(agent=0, object=1, ratio_gap=Fraction(10000...(5001 digits), 3))",
+            ),
+            (
+                lambda: kkt_residual(Instance([[1]]), [[1]], [10**5000]),
+                "ResidualReport(market_clearing=Fraction(0, 1), budget=Fraction(99999...(5000 digits), 1),"
+                " bang_per_buck=Fraction(0, 1), price_negativity=Fraction(0, 1))",
+            ),
+            (
+                lambda: Verdict(True, PriceSupport(PriceVector([Fraction(1, 10**5000), 1]))),
+                "Verdict(holds=True, certificate=PriceSupport(prices=PriceVector(['1/10000...(5001 digits)', '1'])))",
+            ),
+        ],
+        ids=["SearchResult", "EquilibriumSolution", "PriceVector", "KktViolation", "ResidualReport", "Verdict"],
+    )
+    def test_numbers_past_the_int_to_str_limit_print_bounded(self, build, text):
+        # repr() and str() of such an int raise ValueError, so the value
+        # shows its leading digits and digit count
+        assert repr(build()) == text
 
 
 def _functions(value):

@@ -18,7 +18,7 @@ from itertools import product
 import pytest
 
 from ceei import DiscreteAssignment, parse_instance
-from oracles import checks, first_dominating_assignment, first_ratio_gap, owner_values
+from oracles import checks, first_dominating_assignment, first_ratio_gap, fractionally_supported, owner_values
 from report_corpus import CASES, DOCUMENTS, REPORTS, render, run_case
 
 
@@ -48,13 +48,6 @@ def test_report_is_unchanged(name):
     record = run_case(CASES[name])
     assert record == json.loads(recorded)
     assert render(record) == recorded  # key order and layout too
-
-
-def _fractionally_supported(inst, owner):
-    """CEEI-frac from its definition: every equilibrium utility is positive,
-    and the only candidate prices put each object at its best ratio
-    max_k u_kj / v_k, which they support iff every owner attains it."""
-    return 0 not in owner_values(inst, owner) and first_ratio_gap(inst, DiscreteAssignment(owner)) is None
 
 
 def _prices(certificate):
@@ -101,7 +94,7 @@ def test_recorded_answer_agrees_with_the_oracles(name):
             assert result["holds"] == (better is None)
             assert certificate is None or tuple(certificate["owner"]) == better.owner
         elif notion == "ceei-frac":
-            assert result["holds"] == _fractionally_supported(inst, owner)
+            assert result["holds"] == fractionally_supported(inst, owner)
             if result["holds"]:
                 assert checks.fractional_support_problem(rows, owner, _prices(certificate)) is None
             elif certificate["type"] == "ratio_gap":
@@ -111,7 +104,7 @@ def test_recorded_answer_agrees_with_the_oracles(name):
             assert checks.discrete_support_problem(rows, owner, _prices(certificate)) is None
             assert checks.envy_pair(rows, owner) is None
         else:  # not ceei-disc, so not ceei-frac, with a bundle its agent prefers
-            assert not _fractionally_supported(inst, owner)
+            assert not fractionally_supported(inst, owner)
             agent, objects = certificate["agent"], certificate["objects"]
             assert sum(rows[agent][j] for j in objects) > owner_values(inst, owner)[agent]
         return
@@ -123,11 +116,11 @@ def test_recorded_answer_agrees_with_the_oracles(name):
         assert welfare == optimum if status == "optimal" else welfare <= optimum
     elif status == "found":
         if target == "ceei-frac":
-            assert _fractionally_supported(inst, owner)
+            assert fractionally_supported(inst, owner)
         else:
             assert checks.discrete_support_problem(rows, owner, _prices(result)) is None
     else:  # "none": no owner vector is ceei-frac, since that would make it ceei-disc too
-        assert not any(_fractionally_supported(inst, o) for o in product(range(inst.n), repeat=inst.m))
+        assert not any(fractionally_supported(inst, o) for o in product(range(inst.n), repeat=inst.m))
 
 
 _LIMITED = sorted(name for name, argv in CASES.items() if argv[-2:-1] == ["--limit-nodes"] and int(argv[-1]) >= 1)

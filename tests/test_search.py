@@ -27,7 +27,6 @@ from ceei import (
     is_pareto_optimal_discrete,
     max_nash_discrete,
     nash_welfare,
-    PartitionInput,
     PriceSupport,
     PriceVector,
     Verdict,
@@ -403,7 +402,7 @@ class TestBinaryMaxNash:
 
 class TestIdenticalUtilitiesFinder:
     def test_even_weights_split(self):
-        inst = from_partition(PartitionInput([2, 1, 1]))
+        inst = from_partition([2, 1, 1])
         found = find_ceei_disc_identical(inst)
         assert found is not None
         sums = [sum(inst.utilities[0][j] for j in found.bundle(i)) for i in range(2)]
@@ -411,7 +410,7 @@ class TestIdenticalUtilitiesFinder:
         assert verify_ceei_disc(inst, found).holds
 
     def test_odd_total_is_a_no_instance(self):
-        inst = from_partition(PartitionInput([3, 1, 1]))
+        inst = from_partition([3, 1, 1])
         assert find_ceei_disc_identical(inst) is None
 
     def test_three_way_planted_split(self):
@@ -444,7 +443,7 @@ class TestIdenticalUtilitiesFinder:
     def test_agrees_with_subset_sum_oracle(self, seed):
         rng = random.Random(seed)
         values = [rng.randint(1, 20) for _ in range(rng.randint(1, 10))]
-        inst = from_partition(PartitionInput(values))
+        inst = from_partition(values)
         assert (find_ceei_disc_identical(inst) is not None) == has_equal_bipartition(values)
 
     @pytest.mark.parametrize("seed", range(40))
@@ -628,7 +627,7 @@ class TestExistsDiscreteSupport:
         # 18 equal weights: every envy-free owner vector splits them nine and
         # nine, which is CEEI-frac, so the equal split is certified by its
         # prices, 1/9 an object, with no bundle walk
-        inst = from_partition(PartitionInput([1] * 18))
+        inst = from_partition([1] * 18)
         y, prices = exists_ceei_disc_bruteforce(inst)
         assert verify_ceei_disc(inst, y).holds and verify_ceei_frac(inst, y).holds
         assert prices == PriceVector([Fraction(1, 9)] * 18)
