@@ -31,8 +31,6 @@ _EXPORTS = {
         "InvalidAssignment",
         "InvariantError",
         "NonConvergence",
-        "NotBinary",
-        "NotIdenticalUtilities",
         "SchemaError",
     ),
     "fairness": (

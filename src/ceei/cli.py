@@ -293,12 +293,13 @@ def _cmd_gen(args, report):
 
 def _parse_ints(text, field):
     values = []
-    for part in filter(None, map(str.strip, text.split(","))):
+    # a wholly blank list is empty; a blank entry in a list is malformed
+    for part in map(str.strip, text.split(",") if text.strip() else ()):
         try:
             values.append(int(part))
         except ValueError as exc:
             # int() refuses a signed digit string only past the int-to-str limit
-            digits = (part[1:] if part[0] in "+-" else part).isdecimal()
+            digits = (part[1:] if part[:1] in ("+", "-") else part).isdecimal()
             raise SchemaError(field, _too_many_digits() if digits else "expected comma-separated integers") from exc
     return values
 

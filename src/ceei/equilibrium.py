@@ -13,30 +13,28 @@ reach zero; the barrier weight t grows tenfold once an iterate is centred,
 with a Newton decrement of at most 2.  On the central path agent i spends
 p_j / (t * s_ij) on object j.
 
-The solver reads the utilities only as the int rows `Instance.int_rows`;
-the float rows are each int row over its max, correctly rounded.  After each
+The solver reads the utilities only as the int rows `Instance.int_rows`; the
+float rows are each int row over its max, correctly rounded.  After each
 centring the float iterate is used only to guess which agent-object edges
 carry spending: those whose relative slack s_ij / p_j, 1/(t * spending) on
-the path, is at most 1/sqrt(t), plus the top spender of any object left
-without one (where rounding ties two spenders, the exact bid u_ij * beta_i
-decides).  From that guess the unique equilibrium utilities and prices are
-reconstructed and verified in integer arithmetic on one support graph,
-agents as nodes 0..n-1 and objects as n..n+m-1.  Ratios propagate as int
-pairs along the minimum spanning forest of the guess by slack, one rule from
-either end of an edge: the far end's is u_ij over the near end's.  Optimality
-is one cross-multiplied comparison per entry over the prices' common
-denominator, and the money flow runs on the same nodes with int capacities
-scaled by that denominator.  Every returned solution is therefore exact,
-with a residual of literally zero; when no guess certifies before the
+the path, is at most 1/sqrt(t).  An object left without one takes every
+agent whose exact bid u_ij * beta_i on it, with the float beta_i read as a
+Fraction, is highest.  From that guess the unique equilibrium utilities and
+prices are reconstructed and verified in integer arithmetic on one support
+graph, agents as nodes 0..n-1 and objects as n..n+m-1.  Ratios propagate as
+int pairs along the minimum spanning forest of the guess by slack, one rule
+from either end of an edge: the far end's is u_ij over the near end's.
+Optimality is one cross-multiplied comparison per entry over the prices'
+common denominator, and the money flow runs on the same nodes with int
+capacities scaled by that denominator.  Every returned solution is therefore
+exact, with a residual of literally zero; when no guess certifies before the
 relative duality gap falls below 1e-13, or within 100,000 Newton steps, the
-solver raises NonConvergence.  A guessed edge off the forest is only checked,
-never priced, so a near tie the 1/sqrt(t) cut still holds costs nothing when
-its slack is the loosest of its cycle: the 2x2 tie of 10^6 + 1 against 10^6
-certifies at the first centring, and so does the tie of 10^15 + 1 against
-10^15 in the report corpus.  A near tie still ends in NonConvergence when
-rounding orders a loose edge into the forest, as on some draws of 10^9 or
-10^15 ties and on ties that round to one float, such as 10^400 + 1 against
-10^400.
+solver raises NonConvergence.  A guessed edge off the forest is only
+checked, never priced, so a near tie the 1/sqrt(t) cut still holds costs
+nothing when its slack is the loosest of its cycle.  It ends in
+NonConvergence when rounding orders a loose edge into the forest, as it can
+wherever two slacks round to one float, such as on a tie of 10^400 + 1
+against 10^400.
 
 numpy is imported inside `solve_eg`, so importing this module (and the CLI)
 does not load it.
@@ -226,19 +224,14 @@ def solve_eg(inst: Instance, seed=None) -> EquilibriumSolution:
                 continue
             # centred: edges spending at least 1/sqrt(t), a relative slack
             # s_ij / p_j of at most 1/sqrt(t), form the support guess; every
-            # object is sold, so one the guess misses gets its top spender
+            # object is sold, so one the guess misses goes to its highest
+            # exact bids u_ij * beta_i, positive only where u_ij > 0
             slack = np.where(edges, s / p, np.inf)  # 1/(t * spending) on the path
             tight = slack * math.sqrt(t) <= 1
-            sold = tight.any(axis=0)
-            if not sold.all():
-                top = ~sold & (slack == slack.min(axis=0))
-                for j in np.flatnonzero(top.sum(axis=0) > 1):
-                    # rounding can tie distinct bids u_ij * beta_i: the exact bid decides
-                    holders = np.flatnonzero(top[:, j])
-                    bids = [Fraction(rows[i][j], tops[i]) * Fraction(beta[i, 0]) for i in holders]
-                    best = max(bids)
-                    top[holders, j] = [bid == best for bid in bids]
-                tight |= top
+            for j in np.flatnonzero(~tight.any(axis=0)):
+                bids = [Fraction(rows[i][j], tops[i]) * Fraction(beta[i, 0]) for i in range(n)]
+                best = max(bids)
+                tight[:, j] = [bid == best for bid in bids]
             found = _certify_support(rows, scales, zip(slack[tight].tolist(), np.argwhere(tight).tolist()))
             if found is not None:
                 return EquilibriumSolution(*found, iterations=iterations, certified=True)

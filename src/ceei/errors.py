@@ -101,25 +101,6 @@ class NonConvergence(CeeiError):
         )
 
 
-class NotBinary(CeeiError):
-    """A utility row is not 0/1 up to its scale (`Instance.is_binary`):
-    `value` is the first utility whose int entry is neither 0 nor 1."""
-
-    def __init__(self, agent, obj, value):
-        self.agent = agent
-        self.object = obj
-        self.value = value
-        super().__init__(f"utility of agent {agent} for object {obj} is {bounded(value)}, not 0/1 up to its row's scale")
-
-
-class NotIdenticalUtilities(CeeiError):
-    """Utility rows differ where identical rows are required."""
-
-    def __init__(self, agent):
-        self.agent = agent
-        super().__init__(f"utility row of agent {agent} differs from row 0")
-
-
 class InconclusiveSearch(CeeiError):
     """A search that reached its node limit cannot answer an existence
     question, which `undecided` names.  `best_welfare` is the incumbent of a
@@ -151,11 +132,13 @@ class SchemaError(CeeiError):
 
 
 class InvariantError(CeeiError):
-    """Utilities violate the model invariants.  `Instance` raises it for
-    negative entries, naming every one, whoever builds it, `parse_instance`
-    included; the callers that need positive rows or columns
-    (`parse_instance`, `solve_eg`, `verify_ceei_frac`) raise it for zero
-    ones."""
+    """Utilities violate the model invariants, or rows break an engine's
+    requirement.  `Instance` raises it for negative entries, naming every
+    one, whoever builds it, `parse_instance` included; the callers that need
+    positive rows or columns (`parse_instance`, `solve_eg`,
+    `verify_ceei_frac`) raise it for zero ones, `binary_max_nash` for int
+    entries other than 0 and 1, and `find_ceei_disc_identical` for rows
+    unlike row 0.  `violations` holds one `InstanceViolation` per offender."""
 
     def __init__(self, violations):
         self.violations = list(violations)

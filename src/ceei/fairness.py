@@ -303,7 +303,7 @@ def verify_ceei_disc(inst: Instance, y: DiscreteAssignment, limit=None) -> Verdi
     lp_rows += [[int(j in bundle) for j in free] + [0] for bundle in bundles]
     lp_rows.append([0] * len(free) + [1])
     rhs = [sum(anchor[j] == j for j in bundle) for _agent, bundle in minimal] + [1] * len(bundles) + [n + 1]
-    value, solution = simplex.maximize([0] * len(free) + [1], lp_rows, rhs)
+    value, solution, _pivots = simplex.maximize([0] * len(free) + [1], lp_rows, rhs)
     prices = dict(zip(free, solution))
     for a, bundle in zip(anchors, bundles):
         prices[a] = 1 - sum(prices[j] for j in bundle if j != a)

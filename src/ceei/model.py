@@ -172,12 +172,14 @@ class Instance(_Frozen):
 
 
 class InstanceViolation(_Frozen):
-    """One violated instance invariant, naming the offending row or column."""
+    """One violated instance invariant or engine requirement, naming the
+    offending entry, row or column."""
 
     __slots__ = _fields = ("kind", "agent", "object")
 
     def __init__(self, kind: str, agent: int | None = None, object: int | None = None):
-        _set(self, "kind", kind)  # "zero_row" | "zero_column" | "negative_entry"
+        # "zero_row" | "zero_column" | "negative_entry" | "non_binary_entry" | "differing_row"
+        _set(self, "kind", kind)
         _set(self, "agent", agent)
         _set(self, "object", object)
 
@@ -186,6 +188,10 @@ class InstanceViolation(_Frozen):
             return f"agent {self.agent} values no object"
         if self.kind == "zero_column":
             return f"object {self.object} is valued by no agent"
+        if self.kind == "differing_row":
+            return f"utility row of agent {self.agent} differs from row 0"
+        if self.kind == "non_binary_entry":
+            return f"utility of agent {self.agent} for object {self.object} is not 0/1 up to its row's scale"
         return f"utility of agent {self.agent} for object {self.object} is negative"
 
 

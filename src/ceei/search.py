@@ -45,8 +45,7 @@ from ._flow import max_flow  # noqa: F401  bench/tracing.py patches ceei.search.
 from .errors import (
     InconclusiveSearch,
     InstanceTooLarge,
-    NotBinary,
-    NotIdenticalUtilities,
+    InvariantError,
     _check_limit,
 )
 from .fairness import (
@@ -54,7 +53,7 @@ from .fairness import (
     verify_ceei_disc,
     verify_ceei_frac,
 )
-from .model import DiscreteAssignment, Instance, _Frozen, _set
+from .model import DiscreteAssignment, Instance, InstanceViolation, _Frozen, _set
 
 
 class SearchResult(_Frozen):
@@ -352,17 +351,20 @@ def binary_max_nash(inst: Instance) -> SearchResult:
     other count.  An agent with no path never gets one later.  Agents stuck
     at zero make every assignment worthless, so everything goes to agent 0,
     as do objects nobody values.  `nodes_explored` counts path searches,
-    and `_result` scales the welfare.  Raises NotBinary naming the first
-    utility whose int entry is not 0/1.
+    and `_result` scales the welfare.  Raises InvariantError naming, in
+    row-major order, every utility whose int entry is not 0/1.
     """
     n, m = inst.n, inst.m
     valued = [[] for _ in range(n)]
+    offenders = []
     for i, row in enumerate(inst.int_rows):
         for j, v in enumerate(row):
-            if v != 0 and v != 1:
-                raise NotBinary(i, j, inst.utilities[i][j])
             if v == 1:
                 valued[i].append(j)
+            elif v:
+                offenders.append(InstanceViolation("non_binary_entry", agent=i, object=j))
+    if offenders:
+        raise InvariantError(offenders)
 
     owner = [None] * m
     counts = [0] * n
@@ -435,13 +437,15 @@ def find_ceei_disc_identical(inst: Instance, limit=None) -> DiscreteAssignment |
     O(m) plus the smaller of the work done and the limit.  Objects of weight
     zero go to agent 0.  Each step of either search is a node; entering node
     `limit` (None: DEFAULT_ENUM_LIMIT; below 1: a ValueError) raises
-    InconclusiveSearch.  The answer is whichever split the race meets first,
-    not the lexicographically first one.
+    InconclusiveSearch.  Rows unlike row 0 raise InvariantError naming each
+    one.  The answer is whichever split the race meets first, not the
+    lexicographically first one.
     """
     limit = _check_limit(limit)
-    for i, row in enumerate(inst.utilities):
-        if row != inst.utilities[0]:
-            raise NotIdenticalUtilities(i)
+    first = inst.utilities[0]
+    differing = [InstanceViolation("differing_row", agent=i) for i, row in enumerate(inst.utilities) if row != first]
+    if differing:
+        raise InvariantError(differing)
     n, m = inst.n, inst.m
     weights = inst.int_rows[0]
 

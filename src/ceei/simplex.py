@@ -32,7 +32,8 @@ class Unbounded(Exception):
 
 
 def maximize(c, rows, rhs):
-    """Return (optimal value, solution list) for max c.z, A z <= b, z >= 0.
+    """Return (optimal value, solution list, pivot count) for max c.z,
+    A z <= b, z >= 0.
 
     `c` is the objective vector, `rows` the constraint matrix A, `rhs` the
     vector b with every entry >= 0.  Every entry must be an int (TypeError
@@ -60,6 +61,7 @@ def maximize(c, rows, rhs):
     column_var = list(range(num_vars))
     basis = [num_vars + r for r in range(num_cons)]
 
+    pivots = 0
     while True:
         # Bland: entering variable = lowest index with a negative reduced cost
         negative = [j for j in range(num_vars) if objective[j] < 0]
@@ -104,10 +106,11 @@ def maximize(c, rows, rhs):
         d = pivot
         objective = tableau[-1]
         column_var[enter], basis[leave] = basis[leave], column_var[enter]
+        pivots += 1
 
     solution = [Fraction(0)] * num_vars
     for r, var in enumerate(basis):
         if var < num_vars:
             solution[var] = Fraction(tableau[r][-1], d)
     value = Fraction(objective[-1], d)
-    return value, solution
+    return value, solution, pivots

@@ -177,8 +177,8 @@ def lp_vertex_optimum(c, rows, rhs):
 
 
 def bland_tableau(c, rows, rhs):
-    """(value, solution) of max c.z over {rows z <= rhs, z >= 0}, rhs >= 0, or
-    None if the objective is unbounded.
+    """(value, solution, pivot count) of max c.z over {rows z <= rhs, z >= 0},
+    rhs >= 0, or None if the objective is unbounded.
 
     The textbook simplex: a full tableau of Fractions with one explicit slack
     column per row, started from the slack basis.  Bland's rule by original
@@ -194,6 +194,7 @@ def bland_tableau(c, rows, rhs):
     ]
     cost = [-Fraction(v) for v in c] + [Fraction(0)] * (num_cons + 1)
     basis = list(range(num_vars, width))
+    pivots = 0
     while True:
         enter = next((j for j in range(width) if cost[j] < 0), None)
         if enter is None:
@@ -206,11 +207,12 @@ def bland_tableau(c, rows, rhs):
         tableau = [pivot_row if r == leave else _eliminate(row, pivot_row, enter) for r, row in enumerate(tableau)]
         cost = _eliminate(cost, pivot_row, enter)
         basis[leave] = enter
+        pivots += 1
     solution = [Fraction(0)] * num_vars
     for r, var in enumerate(basis):
         if var < num_vars:
             solution[var] = tableau[r][-1]
-    return cost[-1], solution
+    return cost[-1], solution, pivots
 
 
 def _eliminate(row, pivot_row, enter):

@@ -464,8 +464,14 @@ class TestGen:
                 ["3partition", "--weights", "3,x", "--bound", "10"],
                 "field 'weights': expected comma-separated integers",
             ),
+            (["partition", "--set", ",3"], "field 'set': expected comma-separated integers"),
+            (["partition", "--set", "1,,2"], "field 'set': expected comma-separated integers"),
+            (
+                ["3partition", "--weights", "3,3,4,", "--bound", "10"],
+                "field 'weights': expected comma-separated integers",
+            ),
         ],
-        ids=["no-set", "no-bound", "bad-weights"],
+        ids=["no-set", "no-bound", "bad-weights", "leading-comma-set", "empty-set-entry", "trailing-comma-weights"],
     )
     def test_missing_or_malformed_integers_exit_2(self, workdir, capsys, args, message):
         code, report, err = run(capsys, "gen", *args, "--out", workdir / "x.json")

@@ -10,7 +10,7 @@ from ceei import (
     DiscreteAssignment,
     Instance,
     InstanceTooLarge,
-    NotBinary,
+    InvariantError,
     SchemaError,
     Verdict,
     ViolatingBundle,
@@ -66,9 +66,10 @@ def test_walks_past_the_int_to_str_limit_decide_without_a_guard():
 
 
 def test_huge_non_binary_utility():
-    with pytest.raises(NotBinary, match=r"is 10000\.\.\.\(5001 digits\), not 0/1") as excinfo:
+    # the message names the entry, not its value, so no digits are printed
+    with pytest.raises(InvariantError, match=r"agent 0 for object 0 is not 0/1 up to its row's scale$") as excinfo:
         binary_max_nash(Instance([[HUGE, 0], [0, 1]]))
-    assert excinfo.value.value == HUGE
+    assert excinfo.value.violations == [ceei.InstanceViolation("non_binary_entry", agent=0, object=0)]
 
 
 def test_huge_weight_outside_the_window():
@@ -91,12 +92,16 @@ def _one_of_each_error():
         ceei.InvalidAssignment("object 1 is split"),
         InstanceTooLarge(2, 40, 1000, 2**40),
         ceei.NonConvergence(200, 1.5e-3),
-        NotBinary(0, 2, Fraction(1, 2)),
-        ceei.NotIdenticalUtilities(2),
         ceei.InconclusiveSearch(7, Fraction(3, 2)),
         ceei.DocumentSyntaxError(2, 5, "unexpected ']'"),
         ceei.SchemaError("utilities", "expected a list"),
-        ceei.InvariantError([ceei.InstanceViolation("negative_entry", agent=0, object=1)]),
+        InvariantError(
+            [
+                ceei.InstanceViolation("negative_entry", agent=0, object=1),
+                ceei.InstanceViolation("non_binary_entry", agent=0, object=2),
+                ceei.InstanceViolation("differing_row", agent=2),
+            ]
+        ),
     ]
 
 
@@ -111,7 +116,7 @@ def test_examples_cover_every_exported_error():
 HOMES = {
     "equilibrium": "EquilibriumSolution ResidualReport kkt_residual solve_eg",
     "errors": "CeeiError DimensionMismatch DocumentSyntaxError InconclusiveSearch InstanceTooLarge"
-    " InvalidAssignment InvariantError NonConvergence NotBinary NotIdenticalUtilities SchemaError",
+    " InvalidAssignment InvariantError NonConvergence SchemaError",
     "fairness": "Verdict is_envy_free is_pareto_optimal_discrete verify_ceei_disc verify_ceei_frac",
     "instances": "binary_gap_example from_partition from_three_partition gen_random instance_digest parse_assignment"
     " parse_instance separation_example serialize_instance",
@@ -125,7 +130,7 @@ HOMES = {
 
 def test_the_package_exports_each_name_from_its_home_module():
     homes = {name: module for module, names in HOMES.items() for name in names.split()}
-    assert len(homes) == 50
+    assert len(homes) == 48
     assert set(ceei.__all__) == set(homes)
     namespace = {}
     exec("from ceei import *", namespace)

@@ -58,12 +58,13 @@ def _slack_lp_holds(inst, y):
 
 def _recorded_lps(monkeypatch):
     """The list to which each (c, rows, rhs) that `simplex.maximize` solves
-    from now on is appended."""
+    from now on is appended, with the number of pivots it took."""
     solve, lps = simplex.maximize, []
 
     def recorded(c, rows, rhs):
-        lps.append((c, rows, rhs))
-        return solve(c, rows, rhs)
+        solved = solve(c, rows, rhs)
+        lps.append((c, rows, rhs, solved[2]))
+        return solved
 
     monkeypatch.setattr(simplex, "maximize", recorded)
     return lps
@@ -270,7 +271,7 @@ class TestVerifyDiscreteSupport:
             verify_ceei_frac(inst, y)
         lps = _recorded_lps(monkeypatch)
         assert verify_ceei_disc(inst, y, limit=3).certificate.prices.prices == (1, 0)
-        assert lps == [([0, 1], [[1, 0], [0, 1]], [1, 3])]
+        assert lps == [([0, 1], [[1, 0], [0, 1]], [1, 3], 1)]
         with pytest.raises(InconclusiveSearch) as excinfo:
             verify_ceei_disc(inst, y, limit=2)
         assert excinfo.value.nodes_explored == 2
@@ -333,22 +334,22 @@ class TestVerifyDiscreteSupport:
         # the 2x15 max-Nash owner is envy-free but not CEEI-frac, so the LP
         # decides it; each own bundle's anchor leaves the LP, which keeps
         # m - 2 price columns and s, entries in {-1, 0, 1}, and a row for
-        # each minimal bundle, each own bundle and the cap on s
+        # each minimal bundle, each own bundle and the cap on s.  Anchoring
+        # at the object in the most minimal bundles takes 62 Bland pivots,
+        # against 156 at each bundle's lowest object
         inst = gen_random(2, 15, 100, seed=0)
         y = max_nash_discrete(inst).best
         lps = _recorded_lps(monkeypatch)
-        started = time.perf_counter()
         verdict = verify_ceei_disc(inst, y)
-        elapsed = time.perf_counter() - started
         assert verdict.holds
-        [(c, rows, rhs)] = lps
+        [(c, rows, rhs, pivots)] = lps
+        assert pivots <= 62
         assert len(c) == 15 - 2 + 1
         assert all(len(row) == len(c) and set(row) <= {-1, 0, 1} for row in rows)
         own = bundle_values(inst.int_rows, y.owner)
         assert len(rows) == len(_minimal_better_bundles(inst.int_rows, own, DEFAULT_BUNDLE_LIMIT)) + 3
         prices = verdict.certificate.prices.prices
         assert [sum(prices[j] for j in bundle) for bundle in map(y.bundle, range(2))] == [1, 1]
-        assert elapsed < 0.3
 
     @pytest.mark.parametrize("seed", range(8))
     def test_verdicts_match_the_slack_lp_oracle(self, seed):

@@ -382,7 +382,20 @@ class TestAssignments:
         violation = InstanceViolation("zero_row", agent=1)
         assert (violation.kind, violation.agent, violation.object) == ("zero_row", 1, None)
         assert violation == InstanceViolation("zero_row", 1, None)
-        assert str(violation) == "agent 1 values no object"
+
+    @pytest.mark.parametrize(
+        "kind, agent, obj, text",
+        [
+            ("zero_row", 1, None, "agent 1 values no object"),
+            ("zero_column", None, 2, "object 2 is valued by no agent"),
+            ("negative_entry", 1, 2, "utility of agent 1 for object 2 is negative"),
+            ("non_binary_entry", 1, 2, "utility of agent 1 for object 2 is not 0/1 up to its row's scale"),
+            ("differing_row", 1, None, "utility row of agent 1 differs from row 0"),
+        ],
+        ids=["zero_row", "zero_column", "negative_entry", "non_binary_entry", "differing_row"],
+    )
+    def test_violation_text_names_the_offender(self, kind, agent, obj, text):
+        assert str(InstanceViolation(kind, agent=agent, object=obj)) == text
 
 
     # the printed text and sizes of the value types, as they were when the

@@ -12,8 +12,6 @@ from ceei import (
     Instance,
     InstanceTooLarge,
     InvariantError,
-    NotBinary,
-    NotIdenticalUtilities,
     SearchResult,
     binary_gap_example,
     binary_max_nash,
@@ -361,10 +359,21 @@ class TestBinaryMaxNash:
         result = binary_max_nash(inst)
         assert result.welfare == 3
 
-    def test_rejects_non_binary_entries(self, separation):
-        with pytest.raises(NotBinary) as excinfo:
-            binary_max_nash(separation)
-        assert (excinfo.value.agent, excinfo.value.object) == (0, 0)
+    @pytest.mark.parametrize(
+        "utilities, offenders",
+        [
+            ([[95, 5, 2, 1], [1, 2, 5, 95]], [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (1, 3)]),
+            # int rows [3, 2] and [1, 0]: only the first row's scale is no 1/k
+            ([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), 0]], [(0, 0), (0, 1)]),
+        ],
+        ids=["separation", "scaled"],
+    )
+    def test_rejects_non_binary_entries(self, utilities, offenders):
+        with pytest.raises(InvariantError) as excinfo:
+            binary_max_nash(Instance(utilities))
+        assert [(v.kind, v.agent, v.object) for v in excinfo.value.violations] == [
+            ("non_binary_entry", i, j) for i, j in offenders
+        ]
 
     def test_starved_agent_collapses_to_zero(self, contested_object):
         result = binary_max_nash(contested_object)
@@ -387,10 +396,11 @@ class TestBinaryMaxNash:
         if binary:
             assert binary_max_nash(inst).welfare == brute_force_max_nash(inst).welfare
         else:
-            with pytest.raises(NotBinary) as excinfo:
+            with pytest.raises(InvariantError) as excinfo:
                 binary_max_nash(inst)
-            i, j = next((i, j) for i, row in enumerate(inst.int_rows) for j, v in enumerate(row) if v not in (0, 1))
-            assert (excinfo.value.agent, excinfo.value.object, excinfo.value.value) == (i, j, inst.utilities[i][j])
+            assert [(v.kind, v.agent, v.object) for v in excinfo.value.violations] == [
+                ("non_binary_entry", i, j) for i, row in enumerate(inst.int_rows) for j, v in enumerate(row) if v not in (0, 1)
+            ]
 
     @pytest.mark.parametrize("utilities", [[[1, 0], [1, 0]], [[1, 1, 0], [0, 1, 0]], [[0]]])
     def test_objects_nobody_values_match_the_oracle(self, utilities):
@@ -420,10 +430,22 @@ class TestIdenticalUtilitiesFinder:
         assert found is not None
         assert verify_ceei_disc(inst, found).holds
 
-    def test_rejects_differing_rows(self, separation):
-        with pytest.raises(NotIdenticalUtilities) as excinfo:
-            find_ceei_disc_identical(separation)
-        assert excinfo.value.agent == 1
+    @pytest.mark.parametrize(
+        "utilities, agents",
+        [
+            ([[95, 5, 2, 1], [1, 2, 5, 95]], [1]),
+            ([[1, 2], [2, 1], [1, 2], [1, 1]], [1, 3]),
+            # rows equal up to scale still differ
+            ([[1, 2], [2, 4], [Fraction(1, 2), 1]], [1, 2]),
+        ],
+        ids=["separation", "two-of-four", "scaled"],
+    )
+    def test_rejects_differing_rows(self, utilities, agents):
+        with pytest.raises(InvariantError) as excinfo:
+            find_ceei_disc_identical(Instance(utilities))
+        assert [(v.kind, v.agent, v.object) for v in excinfo.value.violations] == [
+            ("differing_row", i, None) for i in agents
+        ]
 
     def test_rational_weights_are_scaled(self):
         inst = Instance([[Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)]] * 2)

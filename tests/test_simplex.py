@@ -58,7 +58,7 @@ def _wide_lp(rng):
 
 def test_textbook_two_variable_problem():
     # max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18
-    value, solution = maximize(
+    value, solution, _ = maximize(
         [3, 5],
         [[1, 0], [0, 2], [3, 2]],
         [4, 12, 18],
@@ -69,7 +69,7 @@ def test_textbook_two_variable_problem():
 
 def test_exact_fractions_survive():
     # max 2x + y s.t. 3x + y <= 1, x + 3y <= 1: the vertex (1/4, 1/4)
-    value, solution = maximize(
+    value, solution, _ = maximize(
         [2, 1],
         [[3, 1], [1, 3]],
         [1, 1],
@@ -80,7 +80,7 @@ def test_exact_fractions_survive():
 
 def test_degenerate_constraints_terminate():
     # several redundant rows through the origin; Bland must not cycle
-    value, solution = maximize(
+    value, solution, _ = maximize(
         [1, 1],
         [[1, -1], [1, -1], [2, -2], [1, 1]],
         [0, 0, 0, 1],
@@ -90,9 +90,7 @@ def test_degenerate_constraints_terminate():
 
 
 def test_zero_objective_is_fine():
-    value, solution = maximize([0, 0], [[1, 1]], [5])
-    assert value == 0
-    assert solution == [0, 0]
+    assert maximize([0, 0], [[1, 1]], [5]) == (0, [0, 0], 0)
 
 
 def test_unbounded_detected():
@@ -122,7 +120,7 @@ def test_optimum_matches_vertex_enumeration(seed):
     rng = random.Random(seed)
     for _ in range(50):
         c, rows, rhs = _random_lp(rng)
-        value, solution = maximize(c, rows, rhs)
+        value, solution, _ = maximize(c, rows, rhs)
         assert all(z >= 0 for z in solution)
         for row, b in zip(rows, rhs):
             assert sum(a * z for a, z in zip(row, solution)) <= b
@@ -151,7 +149,7 @@ LP_SHAPES = {
 
 
 # the integer tableau pivots as the rational one does, so the whole solution
-# vector, not just the optimum, is the textbook tableau's
+# vector and the pivot count, not just the optimum, are the textbook tableau's
 @pytest.mark.parametrize("shape", LP_SHAPES)
 @pytest.mark.parametrize("seed", range(4))
 def test_solution_matches_the_textbook_tableau(shape, seed):
